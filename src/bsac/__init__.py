@@ -20,7 +20,6 @@ from .mesh import (Mesh, boundary_trace, build_disk, build_interval,
                    build_mesh, integrate, normal_derivative, trace_weights)
 from .operators import (DiscreteOperator, DualVector, RieszMap,
                         assemble_bulk_laplacian, assemble_linearized,
-                        assemble_surface_laplacian,
                         assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair, joint_mass,
                         riesz_dual_norm, trace_matrix)

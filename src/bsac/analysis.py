@@ -10,7 +10,6 @@ constant, never asserted as an equality.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +18,8 @@ from .errors import ConfigurationError, InputError
 from .mesh import Mesh, boundary_trace
 from .nonlinearity import NonlinearitySpec
 from .energy import FieldPair, compute_energy, h_norm, v_norm
-from .dynamics import (RunConfig, TrajectoryRecord, run_trajectory,
-                       solve_transmission_limit)
+from .dynamics import (RunConfig, TrajectoryRecord, initial_state,
+                       run_trajectory, solve_transmission_limit)
 from .steady_spectral import EquilibriumState
 
 THETA_CAP = 0.5 - 1e-2   # keeps the rate exponent theta/(1-2*theta) finite
@@ -183,8 +182,8 @@ def _state_series(record: TrajectoryRecord) -> list:
     return record.states
 
 
-def k_sweep(base_config: RunConfig, k_values, reference: str = "transmission_limit",
-            *, workers: int = 1) -> SweepTable:
+def k_sweep(base_config: RunConfig, k_values,
+            reference: str = "transmission_limit") -> SweepTable:
     """Boundary-relaxation sweep on a shared mesh, initial state, and fixed
     time grid; per K the maximal state gap to the reference flow and the
     maximal boundary mismatch, with log-log slopes over K.
@@ -202,7 +201,6 @@ def k_sweep(base_config: RunConfig, k_values, reference: str = "transmission_lim
         raise ConfigurationError("transmission reference requires affine coupling")
 
     mesh = base_config.build_mesh()
-    from .dynamics import initial_state
     init = initial_state(base_config, mesh)
     if spec.coupling.kind == "affine":
         alpha, eta = spec.coupling.alpha, spec.coupling.eta
@@ -216,11 +214,7 @@ def k_sweep(base_config: RunConfig, k_values, reference: str = "transmission_lim
 
     # duplicates recompute rather than share, so identical rows demonstrate
     # determinism instead of assuming it
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(member, k_values))
-    else:
-        records = [member(k) for k in k_values]
+    records = [member(k) for k in k_values]
 
     if reference == "transmission_limit":
         ref = solve_transmission_limit(

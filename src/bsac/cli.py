@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -27,17 +28,13 @@ from .errors import ConfigurationError, InputError, RunAbort
 from .nonlinearity import (NonlinearitySpec, make_spec, validate_assumptions)
 from .mesh import Mesh
 from .energy import FieldPair, compute_energy
-from .dynamics import (Checkpoint, ROW_HEADER, RunConfig, TrajectoryRecord,
-                       initial_state, read_checkpoint, run_trajectory,
-                       write_checkpoint)
+from .dynamics import (ENERGY_SLACK, ROW_HEADER, RunConfig, TrajectoryRecord,
+                       read_checkpoint, run_trajectory, write_checkpoint)
 from .steady_spectral import (SpectralReport, compute_coercivity_margin,
                               eigen_solve, solve_stationary_newton)
 from .operators import (assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair)
 from .analysis import RateFit, fit_decay_rate, k_sweep, ls_probe
-
-SUBCOMMANDS = ("simulate", "steady", "spectrum", "ksweep", "ratefit",
-               "probe", "validate")
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False, "on": True, "off": False}
@@ -57,31 +54,15 @@ def _parse_float_list(text: str):
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
+# RunConfig fields that are not config keys: keep_states is chosen by the
+# subcommand, spec is built from the potential and coupling keys
+_RUN_FIELDS = [f for f in fields(RunConfig)
+               if f.name not in ("keep_states", "spec")]
+_CASTERS = {"str": str, "float": float, "int": int, "bool": _parse_bool}
+
 # key -> (caster, default). Order here is the canonical echo order.
 KEY_SPECS = {
-    "geometry": (str, "disk"),
-    "radius": (float, 1.0),
-    "length": (float, 1.0),
-    "n_r": (int, 64),
-    "n_theta": (int, 128),
-    "n": (int, 64),
-    "K": (float, 1.0),
-    "scheme": (str, "fully_implicit"),
-    "dt": (float, 0.05),
-    "dt_min": (float, 1e-7),
-    "dt_max": (float, 1.0),
-    "t_final": (float, 50.0),
-    "newton_tol": (float, 1e-10),
-    "newton_max_iter": (int, 50),
-    "adaptive": (_parse_bool, True),
-    "reject_energy_increase": (_parse_bool, True),
-    "seed": (int, 0),
-    "init_kind": (str, "smoothed_noise"),
-    "init_mean": (float, 0.4),
-    "init_amplitude": (float, 0.2),
-    "init_smoothing": (float, 0.02),
-    "sample_every": (int, 1),
-    "checkpoint_every": (int, 50),
+    **{f.name: (_CASTERS[f.type], f.default) for f in _RUN_FIELDS},
     "bulk_potential": (str, "double_well"),
     "bulk_amplitude": (float, 1.0),
     "bulk_width": (float, 1.0),
@@ -253,22 +234,8 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedC
     run_config = None
     if not errors:
         try:
-            run_config = RunConfig(
-                geometry=values["geometry"], radius=values["radius"],
-                length=values["length"], n_r=values["n_r"],
-                n_theta=values["n_theta"], n=values["n"], K=values["K"],
-                scheme=values["scheme"], dt=values["dt"],
-                dt_min=values["dt_min"], dt_max=values["dt_max"],
-                t_final=values["t_final"], newton_tol=values["newton_tol"],
-                newton_max_iter=values["newton_max_iter"],
-                adaptive=values["adaptive"],
-                reject_energy_increase=values["reject_energy_increase"],
-                seed=values["seed"], init_kind=values["init_kind"],
-                init_mean=values["init_mean"],
-                init_amplitude=values["init_amplitude"],
-                init_smoothing=values["init_smoothing"],
-                sample_every=values["sample_every"],
-                checkpoint_every=values["checkpoint_every"], spec=spec)
+            run_config = RunConfig(**{f.name: values[f.name] for f in _RUN_FIELDS},
+                                   spec=spec)
         except ConfigurationError as exc:
             errors.append(str(exc))
     if errors:
@@ -373,7 +340,7 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
                          resolved.config_hash())
     total = record.energy_total
     monotone = bool(np.all(np.diff(total)
-                           <= 1e-12 * np.maximum(1.0, np.abs(total[:-1]))))
+                           <= ENERGY_SLACK * np.maximum(1.0, np.abs(total[:-1]))))
     manifest.checks["energy_monotone"] = monotone
     manifest.checks["completed"] = not aborted
     manifest.checks["rejections_recoverable"] = not record.diagnostics.get("aborted", False)
@@ -516,29 +483,34 @@ def _cmd_validate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     manifest.checks["assumptions_accepted"] = report.accepted
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "steady": _cmd_steady,
+    "spectrum": _cmd_spectrum,
+    "ksweep": _cmd_ksweep,
+    "ratefit": _cmd_ratefit,
+    "probe": _cmd_probe,
+    "validate": _cmd_validate,
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def dispatch(subcommand: str, resolved: ResolvedConfig, *,
              output_root: str | Path = "runs",
              resume_path: str | None = None) -> tuple[int, Path]:
-    """Run one subcommand; returns (exit status, run directory)."""
-    if subcommand not in SUBCOMMANDS:
+    """Run one subcommand; returns (exit status, run directory).
+
+    resume_path only applies to simulate; other subcommands ignore it.
+    """
+    if subcommand not in _COMMANDS:
         raise ConfigurationError(f"unknown subcommand {subcommand!r}")
+    command = _COMMANDS[subcommand]
+    if subcommand == "simulate":
+        command = functools.partial(command, resume_path=resume_path)
     run_dir = _make_run_dir(Path(output_root), subcommand, resolved)
     manifest = RunManifest(subcommand, resolved)
     try:
-        if subcommand == "simulate":
-            _cmd_simulate(resolved, run_dir, manifest, resume_path)
-        elif subcommand == "steady":
-            _cmd_steady(resolved, run_dir, manifest)
-        elif subcommand == "spectrum":
-            _cmd_spectrum(resolved, run_dir, manifest)
-        elif subcommand == "ksweep":
-            _cmd_ksweep(resolved, run_dir, manifest)
-        elif subcommand == "ratefit":
-            _cmd_ratefit(resolved, run_dir, manifest)
-        elif subcommand == "probe":
-            _cmd_probe(resolved, run_dir, manifest)
-        elif subcommand == "validate":
-            _cmd_validate(resolved, run_dir, manifest)
+        command(resolved, run_dir, manifest)
     except Exception as exc:   # manifest must record the failure either way
         manifest.errors.append(f"{type(exc).__name__}: {exc}")
     (run_dir / "manifest.txt").write_text(manifest.render())

@@ -1,26 +1,30 @@
-"""Time integration of the coupled bulk-surface gradient flow.
+"""Time integration of the coupled bulk-surface gradient flows.
 
-Two steppers share one adaptive loop:
+One adaptive loop integrates both flows of the package through a small
+stepper protocol (energy, the functional whose dual norm is logged, and one
+backward-Euler Newton iteration shared by all steppers):
 
-* fully_implicit: backward Euler solved by Newton with the exact second
-  variation as Jacobian. The gold standard; every accepted step dissipates
-  the discrete energy.
-* stabilized_semi_implicit: diffusion and the linear part of the boundary
-  coupling implicit, potentials (and the coupling itself when it is not
-  affine) explicit with a stabilization shift S (new - old), S recomputed
-  from the current field range each step.
+* the Robin-coupled system, with two schemes:
+
+  * fully_implicit: backward Euler solved by Newton with the exact second
+    variation as Jacobian. The gold standard; every accepted step
+    dissipates the discrete energy.
+  * stabilized_semi_implicit: diffusion and the linear part of the boundary
+    coupling implicit, potentials (and the coupling itself when it is not
+    affine) explicit with a stabilization shift S (new - old), S recomputed
+    from the current field range each step.
+
+* the affine transmission system (trace of the bulk field slaved to the
+  surface field), integrated by eliminating the surface unknown: the bulk
+  vector is the only unknown, the surface update rides along through the
+  trace, and the normal-derivative term of the surface equation appears as
+  the constraint flux of the reduced solve.
 
 Steps that would raise the energy are rejected and retried with half the
-step size; five consecutive acceptances grow the step by 1.2x up to the cap.
+step size; five consecutive acceptances grow the step by 1.2x up to dt_max.
 The loop is fully deterministic for a fixed configuration and seed, and a
 checkpoint (hex-encoded floats) restores the exact loop state for bitwise
 resume.
-
-The affine transmission system (trace of the bulk field slaved to the
-surface field) is integrated by eliminating the surface unknown: the bulk
-vector is the only unknown, the surface update rides along through the trace,
-and the normal-derivative term of the surface equation appears as the
-constraint flux of the reduced solve.
 """
 
 from __future__ import annotations
@@ -31,19 +35,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, RunAbort, StepFailure
+from .errors import ConfigurationError, InputError, RunAbort, StepFailure
 from .mesh import Mesh, build_mesh, normal_derivative
 from .nonlinearity import NonlinearitySpec, make_spec
-from .energy import (FieldPair, compute_energy, compute_gradient, h_norm)
+from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
+                     h_norm)
 from .operators import (DualVector, RieszMap, assemble_bulk_laplacian,
                         assemble_linearized, bulk_dirichlet_stiffness,
-                        joint_mass, surface_stiffness, trace_matrix)
+                        joint_mass, surface_stiffness, trace_coupling_block,
+                        trace_matrix)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 
 
 @dataclass
 class RunConfig:
+    # the field order is the echo order of the command-line configuration,
+    # which feeds its config hash: reordering fields breaks old manifests
     geometry: str = "disk"
     radius: float = 1.0
     length: float = 1.0
@@ -58,8 +66,8 @@ class RunConfig:
     t_final: float = 50.0
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    reject_energy_increase: bool = True
     adaptive: bool = True
+    reject_energy_increase: bool = True
     seed: int = 0
     init_kind: str = "smoothed_noise"
     init_mean: float = 0.4
@@ -147,42 +155,35 @@ ROW_HEADER = ("time,bulk_dirichlet,bulk_potential,surface_dirichlet,"
               "surface_dissipation,dual_norm")
 
 
-class _RobinStepper:
-    """Stepping engine for the Robin-coupled system on one mesh."""
+class _Stepper:
+    """What the time loop needs of one gradient flow on one mesh.
 
-    def __init__(self, mesh: Mesh, spec: NonlinearitySpec, K: float):
-        self.mesh = mesh
-        self.spec = spec
-        self.K = K
-        self.mass = joint_mass(mesh)
-        self.n_b = mesh.n_bulk
-        self.tr = trace_matrix(mesh)
-        self.affine = spec.coupling.kind == "affine"
+    A stepper carries mesh, spec, the relaxation constant K its energy uses,
+    and the quadrature weights of its unknown vector. It maps states to
+    unknowns and back (unknowns, state_of), evaluates the backward-Euler
+    residual and its Jacobian, and names the functional whose dual norm the
+    recorder logs.
+    """
+
+    def report(self, state: FieldPair) -> EnergyReport:
+        return compute_energy(self.mesh, self.spec, state, self.K)
 
     def energy(self, state: FieldPair) -> float:
-        return compute_energy(self.mesh, self.spec, state, self.K).total
-
-    def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-        g = compute_gradient(self.mesh, self.spec,
-                             FieldPair(y[:self.n_b], y[self.n_b:]), self.K)
-        return self.mass * (y - x) / dt + g.joint()
+        return self.report(state).total
 
     def _residual_norm(self, r: np.ndarray) -> float:
-        # L2 norm of the strong-form residual (coefficients divided by mass)
-        return float(np.sqrt(np.sum(r * r / self.mass)))
+        # L2 norm of the strong-form residual (coefficients divided by weights)
+        return float(np.sqrt(np.sum(r * r / self.weights)))
 
     def implicit_step(self, state: FieldPair, dt: float, tol: float,
                       max_iter: int) -> tuple[FieldPair, int, float]:
-        x = state.joint()
+        x = self.unknowns(state)
         y = x.copy()
         res = self.residual(y, x, dt)
         rnorm = self._residual_norm(res)
         best = rnorm
         for it in range(1, max_iter + 1):
-            jac = (assemble_linearized(self.mesh, self.spec,
-                                       FieldPair(y[:self.n_b], y[self.n_b:]),
-                                       self.K).matrix
-                   + sp.diags(self.mass / dt)).tocsc()
+            jac = self.jacobian(y, dt)
             try:
                 delta = spla.splu(jac).solve(-res)
             except RuntimeError as exc:
@@ -193,11 +194,41 @@ class _RobinStepper:
             res = self.residual(y, x, dt)
             rnorm = self._residual_norm(res)
             if rnorm < tol:
-                return FieldPair(y[:self.n_b], y[self.n_b:]), it, rnorm
+                return self.state_of(y), it, rnorm
             if rnorm > 1e4 * max(best, tol):
                 raise StepFailure(f"implicit iteration diverged (residual {rnorm:.3g})")
             best = min(best, rnorm)
         raise StepFailure(f"implicit iteration cap reached (residual {rnorm:.3g})")
+
+
+class _RobinStepper(_Stepper):
+    """Stepping engine for the Robin-coupled system on one mesh."""
+
+    def __init__(self, mesh: Mesh, spec: NonlinearitySpec, K: float):
+        self.mesh = mesh
+        self.spec = spec
+        self.K = K
+        self.weights = joint_mass(mesh)
+        self.n_b = mesh.n_bulk
+        self.tr = trace_matrix(mesh)
+        self.affine = spec.coupling.kind == "affine"
+
+    def unknowns(self, state: FieldPair) -> np.ndarray:
+        return state.joint()
+
+    def state_of(self, y: np.ndarray) -> FieldPair:
+        return FieldPair(y[:self.n_b], y[self.n_b:])
+
+    def functional(self, state: FieldPair) -> DualVector:
+        return compute_gradient(self.mesh, self.spec, state, self.K)
+
+    def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+        return self.weights * (y - x) / dt + self.functional(self.state_of(y)).joint()
+
+    def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
+        return (assemble_linearized(self.mesh, self.spec, self.state_of(y),
+                                    self.K).matrix
+                + sp.diags(self.weights / dt)).tocsc()
 
     def stabilization(self, state: FieldPair) -> float:
         sup_fp = float(np.max(self.spec.eval("f'", state.bulk)))
@@ -221,22 +252,11 @@ class _RobinStepper:
             eta = spec.coupling.eta
             # linear boundary coupling handled implicitly: monolithic solve
             surf_lhs = surf_lhs + sp.diags(ws * alpha * alpha / K)
-            coef = -ws * alpha / K
-            outer = mesh.boundary_map[:, 0]
-            inner = mesh.boundary_map[:, 1]
-            n_b, n_s = self.n_b, mesh.n_surface
-            rows = np.concatenate([outer, inner])
-            cols = np.concatenate([n_b + np.arange(n_s), n_b + np.arange(n_s)])
-            vals = np.concatenate([coef * 1.5, coef * -0.5])
-            coupling = sp.coo_matrix(
-                (np.concatenate([vals, vals]),
-                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                shape=(n_b + n_s, n_b + n_s))
-            lhs = (sp.block_diag([bulk_lhs, surf_lhs]) + coupling).tocsc()
+            lhs = (sp.block_diag([bulk_lhs, surf_lhs])
+                   + trace_coupling_block(mesh, -ws * alpha / K)).tocsc()
             rhs = np.concatenate([bulk_rhs + self.tr.T @ (ws * eta / K),
                                   surf_rhs - ws * alpha * eta / K])
-            sol = spla.splu(lhs).solve(rhs)
-            new = FieldPair(sol[:n_b], sol[n_b:])
+            new = self.state_of(spla.splu(lhs).solve(rhs))
         else:
             # nonlinear coupling explicit: two decoupled solves with sources
             hphi = spec.eval("h", phi)
@@ -251,16 +271,80 @@ class _RobinStepper:
         return new, s_stab
 
 
+class _TransmissionStepper(_Stepper):
+    """Backward Euler for the trace-constrained limit system, bulk unknown only.
+
+    The surface field is eliminated through phi = (u|_G - eta) / alpha; the
+    reduced metric carries the surface mass through the trace, so testing the
+    reduced flow with bulk directions reproduces both equations, with the
+    normal derivative entering as the constraint flux.
+    """
+
+    K = 1.0     # the robin penalty vanishes identically on the constraint manifold
+
+    def __init__(self, mesh: Mesh, spec: NonlinearitySpec):
+        if spec.coupling.kind != "affine":
+            raise ConfigurationError("transmission limit requires affine coupling")
+        self.alpha = spec.coupling.alpha
+        if self.alpha == 0:
+            raise ConfigurationError("transmission limit requires alpha != 0")
+        self.eta = spec.coupling.eta
+        self.mesh = mesh
+        self.spec = spec
+        self.weights = mesh.bulk_weights
+        self.tr = trace_matrix(mesh)
+        self.s_bulk = bulk_dirichlet_stiffness(mesh).matrix
+        self.s_surf = surface_stiffness(mesh).matrix
+        ws = mesh.surface_weights
+        self.metric = (sp.diags(mesh.bulk_weights)
+                       + self.tr.T @ sp.diags(ws / self.alpha**2) @ self.tr).tocsr()
+
+    def surface_of(self, u: np.ndarray) -> np.ndarray:
+        return ((self.tr @ u) - self.eta) / self.alpha
+
+    def unknowns(self, state: FieldPair) -> np.ndarray:
+        return state.bulk
+
+    def state_of(self, u: np.ndarray) -> FieldPair:
+        return FieldPair(u, self.surface_of(u))
+
+    def functional(self, state: FieldPair) -> DualVector:
+        return DualVector(self.gradient(state.bulk), np.zeros(self.mesh.n_surface))
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        mesh, spec = self.mesh, self.spec
+        phi = self.surface_of(u)
+        surf_part = (self.s_surf @ phi
+                     + mesh.surface_weights * spec.eval("f_G", phi))
+        return (self.s_bulk @ u + mesh.bulk_weights * spec.eval("f", u)
+                + self.tr.T @ (surf_part / self.alpha))
+
+    def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+        return self.metric @ (y - x) / dt + self.gradient(y)
+
+    def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
+        mesh, spec = self.mesh, self.spec
+        phi = self.surface_of(y)
+        surf_block = self.s_surf + sp.diags(mesh.surface_weights
+                                            * spec.eval("f_G'", phi))
+        hessian = (self.s_bulk + sp.diags(mesh.bulk_weights * spec.eval("f'", y))
+                   + self.tr.T @ (surf_block / self.alpha**2) @ self.tr).tocsr()
+        return (self.metric / dt + hessian).tocsc()
+
+
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
                  dt: float, scheme: str = "fully_implicit", *,
                  newton_tol: float = 1e-10, newton_max_iter: int = 50,
                  reject_energy_increase: bool = True,
-                 stepper: _RobinStepper | None = None) -> tuple[FieldPair, StepDiagnostics]:
-    """One time step; acceptance requires the discrete energy not to increase."""
+                 stepper: _Stepper | None = None) -> tuple[FieldPair, StepDiagnostics]:
+    """One time step; acceptance requires the discrete energy not to increase.
+
+    Without a stepper, one for the Robin system on (mesh, spec, K) is built.
+    """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     if stepper is None:
-        stepper = _get_stepper(mesh, spec, K)
+        stepper = _RobinStepper(mesh, spec, K)
     e_old = stepper.energy(state)
     if scheme == "fully_implicit":
         new, iters, rnorm = stepper.implicit_step(state, dt, newton_tol, newton_max_iter)
@@ -277,13 +361,6 @@ def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
         accepted = False
         reason = f"energy increased by {e_new - e_old:.3g}"
     return new, StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
-
-
-def _get_stepper(mesh: Mesh, spec: NonlinearitySpec, K: float) -> _RobinStepper:
-    key = ("stepper", id(spec), float(K))
-    if key not in mesh.cache:
-        mesh.cache[key] = _RobinStepper(mesh, spec, K)
-    return mesh.cache[key]
 
 
 def smoothed_random_state(mesh: Mesh, seed: int, mean: float = 0.4,
@@ -317,24 +394,22 @@ def initial_state(config: RunConfig, mesh: Mesh) -> FieldPair:
 
 
 class _Recorder:
-    def __init__(self, mesh: Mesh, spec: NonlinearitySpec, K: float,
-                 riesz: RieszMap, keep_states: bool):
-        self.mesh, self.spec, self.K = mesh, spec, K
-        self.riesz = riesz
+    def __init__(self, stepper: _Stepper, keep_states: bool):
+        self.stepper = stepper
+        self.riesz = RieszMap(stepper.mesh)
         self.keep_states = keep_states
         self.times, self.parts, self.total = [], [], []
         self.diss_b, self.diss_s, self.dual = [], [], []
         self.states = []
 
     def sample(self, t, state, diss_b=0.0, diss_s=0.0):
-        rep = compute_energy(self.mesh, self.spec, state, self.K)
-        g = compute_gradient(self.mesh, self.spec, state, self.K)
+        rep = self.stepper.report(state)
         self.times.append(t)
         self.parts.append(rep.parts())
         self.total.append(rep.total)
         self.diss_b.append(diss_b)
         self.diss_s.append(diss_s)
-        self.dual.append(self.riesz.dual_norm(g))
+        self.dual.append(self.riesz.dual_norm(self.stepper.functional(state)))
         if self.keep_states:
             self.states.append(state.copy())
 
@@ -345,39 +420,28 @@ class _Recorder:
             np.array(self.dual), self.states, checkpoints, diagnostics)
 
 
-def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
-                   mesh: Mesh | None = None,
-                   resume: Checkpoint | None = None) -> TrajectoryRecord:
-    """Integrate to t_final with adaptive step control; fully deterministic.
+def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoint,
+               diagnostics: dict | None = None) -> TrajectoryRecord:
+    """The adaptive, energy-monotone time loop shared by every stepper.
 
-    With resume, continues the exact loop state of a previous run: the record
-    then contains only samples after the checkpoint, and they match the
-    original run bitwise.
+    Reads only the loop settings of config: dt and its bounds, t_final,
+    adaptive, scheme, the Newton and rejection settings, the sampling and
+    checkpoint cadences and keep_states. A FieldPair start is sampled at
+    t = 0; a Checkpoint start continues that exact loop state, and the record
+    then holds only the samples after it, bitwise equal to the original run.
     """
-    mesh = mesh if mesh is not None else config.build_mesh()
-    spec = config.get_spec()
-    stepper = _RobinStepper(mesh, spec, config.K)
-    riesz = RieszMap(mesh)
-    rec = _Recorder(mesh, spec, config.K, riesz, config.keep_states)
+    mesh = stepper.mesh
+    rec = _Recorder(stepper, config.keep_states)
     checkpoints: list[Checkpoint] = []
-    diagnostics: dict = {"accepted": 0, "rejected": 0, "aborted": False}
+    diagnostics = {"accepted": 0, "rejected": 0, "aborted": False, **(diagnostics or {})}
 
-    if resume is not None:
-        state = resume.state.copy()
-        t, step = resume.time, resume.step
-        dt_policy, streak = resume.dt_policy, resume.accept_streak
+    if isinstance(start, Checkpoint):
+        state = start.state.copy()
+        t, step = start.time, start.step
+        dt_policy, streak = start.dt_policy, start.accept_streak
     else:
-        state = initial if initial is not None else initial_state(config, mesh)
-        mesh.check_bulk(state.bulk)
-        mesh.check_surface(state.surface)
-        t, step = 0.0, 0
+        state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
-        dnu = normal_derivative(mesh, state.bulk, state.surface, spec,
-                                config.K, "one_sided")
-        mism = (config.K * dnu + (trace_matrix(mesh) @ state.bulk)
-                - spec.eval("h", state.surface))
-        diagnostics["compatibility_residual"] = float(
-            np.sqrt(mesh.surface_weights @ mism**2))
         rec.sample(t, state)
 
     t_end = config.t_final
@@ -385,7 +449,7 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
         dt = min(dt_policy, t_end - t)
         try:
             new, diag = advance_step(
-                mesh, spec, state, config.K, dt, config.scheme,
+                mesh, stepper.spec, state, stepper.K, dt, config.scheme,
                 newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
                 reject_energy_increase=config.reject_energy_increase, stepper=stepper)
         except StepFailure as exc:
@@ -425,166 +489,52 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
     checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
     if not config.keep_states:
         rec.states = [state.copy()]   # keep the endpoint reachable regardless
-    record = rec.build(checkpoints, diagnostics)
-    return record
+    return rec.build(checkpoints, diagnostics)
 
 
-class _TransmissionStepper:
-    """Backward Euler for the trace-constrained limit system, bulk unknown only.
+def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
+                   mesh: Mesh | None = None,
+                   resume: Checkpoint | None = None) -> TrajectoryRecord:
+    """Integrate the Robin system to t_final with adaptive step control.
 
-    The surface field is eliminated through phi = (u|_G - eta) / alpha; the
-    reduced metric carries the surface mass through the trace, so testing the
-    reduced flow with bulk directions reproduces both equations, with the
-    normal derivative entering as the constraint flux.
+    Fully deterministic. With resume, continues the exact loop state of a
+    previous run: the record then contains only samples after the checkpoint,
+    and they match the original run bitwise.
     """
-
-    def __init__(self, mesh: Mesh, spec: NonlinearitySpec):
-        if spec.coupling.kind != "affine":
-            raise ConfigurationError("transmission limit requires affine coupling")
-        self.alpha = spec.coupling.alpha
-        if self.alpha == 0:
-            raise ConfigurationError("transmission limit requires alpha != 0")
-        self.eta = spec.coupling.eta
-        self.mesh = mesh
-        self.spec = spec
-        self.tr = trace_matrix(mesh)
-        self.s_bulk = bulk_dirichlet_stiffness(mesh).matrix
-        self.s_surf = surface_stiffness(mesh).matrix
-        ws = mesh.surface_weights
-        self.metric = (sp.diags(mesh.bulk_weights)
-                       + self.tr.T @ sp.diags(ws / self.alpha**2) @ self.tr).tocsr()
-
-    def surface_of(self, u: np.ndarray) -> np.ndarray:
-        return ((self.tr @ u) - self.eta) / self.alpha
-
-    def energy(self, u: np.ndarray) -> float:
-        state = FieldPair(u, self.surface_of(u))
-        # the robin penalty vanishes identically on the constraint manifold
-        return compute_energy(self.mesh, self.spec, state, 1.0).total
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        mesh, spec = self.mesh, self.spec
-        phi = self.surface_of(u)
-        surf_part = (self.s_surf @ phi
-                     + mesh.surface_weights * spec.eval("f_G", phi))
-        return (self.s_bulk @ u + mesh.bulk_weights * spec.eval("f", u)
-                + self.tr.T @ (surf_part / self.alpha))
-
-    def hessian(self, u: np.ndarray) -> sp.csr_matrix:
-        mesh, spec = self.mesh, self.spec
-        phi = self.surface_of(u)
-        surf_block = self.s_surf + sp.diags(mesh.surface_weights
-                                            * spec.eval("f_G'", phi))
-        return (self.s_bulk + sp.diags(mesh.bulk_weights * spec.eval("f'", u))
-                + self.tr.T @ (surf_block / self.alpha**2) @ self.tr).tocsr()
-
-    def implicit_step(self, u: np.ndarray, dt: float, tol: float,
-                      max_iter: int) -> tuple[np.ndarray, int, float]:
-        y = u.copy()
-        wb = self.mesh.bulk_weights
-
-        def resid(yv):
-            return self.metric @ (yv - u) / dt + self.gradient(yv)
-
-        res = resid(y)
-        rnorm = float(np.sqrt(np.sum(res * res / wb)))
-        for it in range(1, max_iter + 1):
-            jac = (self.metric / dt + self.hessian(y)).tocsc()
-            try:
-                y = y + spla.splu(jac).solve(-res)
-            except RuntimeError as exc:
-                raise StepFailure(f"transmission solve failed: {exc}") from exc
-            if not np.all(np.isfinite(y)):
-                raise StepFailure("transmission iteration produced non-finite state")
-            res = resid(y)
-            rnorm = float(np.sqrt(np.sum(res * res / wb)))
-            if rnorm < tol:
-                return y, it, rnorm
-        raise StepFailure(f"transmission iteration cap reached (residual {rnorm:.3g})")
+    mesh = mesh if mesh is not None else config.build_mesh()
+    spec = config.get_spec()
+    stepper = _RobinStepper(mesh, spec, config.K)
+    if resume is not None:
+        return _integrate(stepper, config, resume)
+    state = initial if initial is not None else initial_state(config, mesh)
+    mesh.check_bulk(state.bulk)
+    mesh.check_surface(state.surface)
+    dnu = normal_derivative(mesh, state.bulk, state.surface, spec,
+                            config.K, "one_sided")
+    mism = config.K * dnu + (stepper.tr @ state.bulk) - spec.eval("h", state.surface)
+    compatibility = float(np.sqrt(mesh.surface_weights @ mism**2))
+    return _integrate(stepper, config, state,
+                      {"compatibility_residual": compatibility})
 
 
 def solve_transmission_limit(mesh: Mesh, spec: NonlinearitySpec,
                              initial: FieldPair, t_final: float,
-                             dt: float, *, dt_min: float = 1e-9,
-                             adaptive: bool = False, newton_tol: float = 1e-11,
+                             dt: float, *, newton_tol: float = 1e-11,
                              newton_max_iter: int = 50, sample_every: int = 1,
                              keep_states: bool = True) -> TrajectoryRecord:
-    """Integrate the trace-constrained limit flow; surface field derived from u.
+    """Integrate the trace-constrained limit flow with fixed dt.
 
-    The initial surface value is replaced by the constraint value
-    (u|_G - eta)/alpha, mirroring the limit system's derived initial datum.
+    The surface field is derived from u: the initial surface value is
+    replaced by the constraint value (u|_G - eta)/alpha, mirroring the limit
+    system's derived initial datum. A rejected step raises RunAbort.
     """
     stepper = _TransmissionStepper(mesh, spec)
-    riesz = RieszMap(mesh)
+    config = RunConfig(dt=dt, dt_min=dt, dt_max=dt, t_final=t_final,
+                       adaptive=False, newton_tol=newton_tol,
+                       newton_max_iter=newton_max_iter, sample_every=sample_every,
+                       checkpoint_every=0, keep_states=keep_states, spec=spec)
     u = mesh.check_bulk(initial.bulk).copy()
-
-    times, parts, total = [], [], []
-    diss_b, diss_s, dual = [], [], []
-    states = []
-    diagnostics = {"accepted": 0, "rejected": 0, "aborted": False}
-
-    def sample(t, u_vec, db=0.0, ds=0.0):
-        state = FieldPair(u_vec, stepper.surface_of(u_vec))
-        rep = compute_energy(mesh, spec, state, 1.0)
-        times.append(t)
-        parts.append(rep.parts())
-        total.append(rep.total)
-        diss_b.append(db)
-        diss_s.append(ds)
-        g = stepper.gradient(u_vec)
-        dual.append(riesz.dual_norm(DualVector(g, np.zeros(mesh.n_surface))))
-        if keep_states:
-            states.append(state)
-
-    sample(0.0, u)
-    t = 0.0
-    dt_policy = dt
-    streak = 0
-    step = 0
-    while t < t_final - 1e-12 * max(1.0, t_final):
-        dt_now = min(dt_policy, t_final - t)
-        e_old = stepper.energy(u)
-        try:
-            y, _, _ = stepper.implicit_step(u, dt_now, newton_tol, newton_max_iter)
-            e_new = stepper.energy(y)
-            ok = e_new <= e_old + ENERGY_SLACK * max(1.0, abs(e_old))
-        except StepFailure:
-            ok = False
-            y = None
-        if ok:
-            phi_old = stepper.surface_of(u)
-            phi_new = stepper.surface_of(y)
-            db = h_norm(mesh, (y - u) / dt_now, np.zeros(mesh.n_surface))
-            ds = h_norm(mesh, np.zeros(mesh.n_bulk), (phi_new - phi_old) / dt_now)
-            u = y
-            t += dt_now
-            step += 1
-            streak += 1
-            diagnostics["accepted"] += 1
-            if adaptive and streak >= 5:
-                dt_policy = min(dt_policy * 1.2, dt)
-                streak = 0
-            if step % sample_every == 0:
-                sample(t, u, db, ds)
-        else:
-            diagnostics["rejected"] += 1
-            streak = 0
-            dt_policy = dt_now / 2.0
-            if not adaptive or dt_policy < dt_min:
-                diagnostics["aborted"] = True
-                raise RunAbort("transmission step rejected",
-                               TrajectoryRecord(np.array(times),
-                                                np.array(parts).reshape(-1, 5),
-                                                np.array(total), np.array(diss_b),
-                                                np.array(diss_s), np.array(dual),
-                                                states, [], diagnostics))
-    if not times or times[-1] < t - 1e-12 * max(1.0, t_final):
-        sample(t, u)
-    if not keep_states:
-        states = [FieldPair(u, stepper.surface_of(u))]
-    return TrajectoryRecord(np.array(times), np.array(parts).reshape(-1, 5),
-                            np.array(total), np.array(diss_b), np.array(diss_s),
-                            np.array(dual), states, [], diagnostics)
+    return _integrate(stepper, config, stepper.state_of(u))
 
 
 def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
@@ -600,16 +550,27 @@ def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
+    """Inverse of write_checkpoint; a missing or malformed field raises InputError."""
     fields = {}
     with open(path) as fh:
         for line in fh:
             if "=" in line:
                 key, _, val = line.partition("=")
                 fields[key.strip()] = val.strip()
-    state = FieldPair(
-        np.array([float.fromhex(tok) for tok in fields["bulk"].split()]),
-        np.array([float.fromhex(tok) for tok in fields["surface"].split()]))
-    cp = Checkpoint(int(fields["step"]), float.fromhex(fields["time"]),
-                    float.fromhex(fields["dt_policy"]),
-                    int(fields["accept_streak"]), state)
+
+    def parse(key, cast):
+        if key not in fields:
+            raise InputError(f"checkpoint {path} has no {key!r} field")
+        try:
+            return cast(fields[key])
+        except ValueError as exc:
+            raise InputError(f"checkpoint {path} has a bad {key!r} field: {exc}") from None
+
+    def hex_floats(text):
+        return np.array([float.fromhex(tok) for tok in text.split()])
+
+    state = FieldPair(parse("bulk", hex_floats), parse("surface", hex_floats))
+    cp = Checkpoint(parse("step", int), parse("time", float.fromhex),
+                    parse("dt_policy", float.fromhex),
+                    parse("accept_streak", int), state)
     return cp, fields.get("config_hash", "")

@@ -40,11 +40,6 @@ class FieldPair:
         return np.concatenate([self.bulk, self.surface])
 
     @staticmethod
-    def from_joint(mesh: Mesh, vec: np.ndarray) -> "FieldPair":
-        n_b = mesh.n_bulk
-        return FieldPair(vec[:n_b], vec[n_b:])
-
-    @staticmethod
     def constant(mesh: Mesh, bulk_value: float, surface_value: float) -> "FieldPair":
         return FieldPair(np.full(mesh.n_bulk, float(bulk_value)),
                          np.full(mesh.n_surface, float(surface_value)))

@@ -43,12 +43,6 @@ class Mesh:
     def n_surface(self) -> int:
         return self.surface_weights.size
 
-    def bulk_index(self, i: int, j: int = 0) -> int:
-        """Flatten (radial, angular) to the bulk vector index (disk mode)."""
-        if self.geometry == "disk":
-            return i * self.shape[1] + j
-        return i
-
     def check_bulk(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n_bulk,):

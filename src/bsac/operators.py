@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError
 from .mesh import Mesh, boundary_trace, trace_weights
 from .nonlinearity import NonlinearitySpec
 
@@ -34,38 +34,12 @@ class DiscreteOperator:
 
     matrix: sp.csr_matrix
     mass: np.ndarray            # diagonal quadrature weights, same dimension
-    tag: str                    # which continuous operator this discretizes
-    K: float | None
-    geometry_hash: str
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ (self.matrix @ y))
 
     def strong_action(self, x: np.ndarray) -> np.ndarray:
         return (self.matrix @ x) / self.mass
-
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-    def to_triplets(self) -> np.ndarray:
-        coo = self.matrix.tocoo()
-        return np.column_stack([coo.row, coo.col, coo.data])
-
-    def dump(self, path) -> None:
-        """Text triplet table (row, col, value) for offline inspection."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# {self.tag} dimension={self.dimension}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v!r}\n")
 
 
 @dataclass
@@ -79,16 +53,8 @@ class DualVector:
     bulk: np.ndarray
     surface: np.ndarray
 
-    def pair(self, bulk_dir: np.ndarray, surface_dir: np.ndarray) -> float:
-        if bulk_dir.shape != self.bulk.shape or surface_dir.shape != self.surface.shape:
-            raise ShapeError("direction shapes do not match the functional")
-        return float(self.bulk @ bulk_dir + self.surface @ surface_dir)
-
     def joint(self) -> np.ndarray:
         return np.concatenate([self.bulk, self.surface])
-
-    def norm_raw(self) -> float:
-        return float(np.sqrt(self.bulk @ self.bulk + self.surface @ self.surface))
 
 
 def _sym_from_faces(n: int, rows, cols, coefs) -> sp.csr_matrix:
@@ -186,8 +152,7 @@ def bulk_dirichlet_stiffness(mesh: Mesh) -> DiscreteOperator:
         return mesh.cache[key]
     rows, cols, coefs = bulk_face_table(mesh)
     mat = _sym_from_faces(mesh.n_bulk, rows, cols, coefs)
-    op = DiscreteOperator(mat, mesh.bulk_weights.copy(), "bulk_dirichlet",
-                          None, mesh.content_hash())
+    op = DiscreteOperator(mat, mesh.bulk_weights.copy())
     mesh.cache[key] = op
     return op
 
@@ -203,8 +168,7 @@ def surface_stiffness(mesh: Mesh) -> DiscreteOperator:
         mat = _sym_from_faces(n_s, rows, cols, coefs)
     else:
         mat = sp.csr_matrix((n_s, n_s))
-    op = DiscreteOperator(mat, mesh.surface_weights.copy(), "surface_dirichlet",
-                          None, mesh.content_hash())
+    op = DiscreteOperator(mat, mesh.surface_weights.copy())
     mesh.cache[key] = op
     return op
 
@@ -253,14 +217,9 @@ def assemble_bulk_laplacian(mesh: Mesh, K: float) -> DiscreteOperator:
     if key in mesh.cache:
         return mesh.cache[key]
     mat = bulk_dirichlet_stiffness(mesh).matrix + _robin_trace_block(mesh, K)
-    op = DiscreteOperator(mat.tocsr(), mesh.bulk_weights.copy(), "bulk_laplacian_robin",
-                          K, mesh.content_hash())
+    op = DiscreteOperator(mat.tocsr(), mesh.bulk_weights.copy())
     mesh.cache[key] = op
     return op
-
-
-def assemble_surface_laplacian(mesh: Mesh) -> DiscreteOperator:
-    return surface_stiffness(mesh)
 
 
 def assemble_wentzell_robin_pair(mesh: Mesh, K: float):
@@ -281,11 +240,8 @@ def assemble_wentzell_robin_pair(mesh: Mesh, K: float):
     robin = _robin_trace_block(mesh, K)
     stiff = bulk_dirichlet_stiffness(mesh).matrix + robin
     wmass = sp.diags(mesh.bulk_weights).tocsr() + robin
-    ghash = mesh.content_hash()
-    pair = (DiscreteOperator(stiff.tocsr(), mesh.bulk_weights.copy(),
-                             "wentzell_robin_stiffness", K, ghash),
-            DiscreteOperator(wmass.tocsr(), mesh.bulk_weights.copy(),
-                             "wentzell_robin_mass", K, ghash))
+    pair = (DiscreteOperator(stiff.tocsr(), mesh.bulk_weights.copy()),
+            DiscreteOperator(wmass.tocsr(), mesh.bulk_weights.copy()))
     mesh.cache[key] = pair
     return pair
 
@@ -301,17 +257,28 @@ def assemble_surface_shifted_pair(mesh: Mesh):
         return mesh.cache[key]
     mass_mat = sp.diags(mesh.surface_weights).tocsr()
     stiff = surface_stiffness(mesh).matrix + mass_mat
-    ghash = mesh.content_hash()
-    pair = (DiscreteOperator(stiff.tocsr(), mesh.surface_weights.copy(),
-                             "surface_shifted_stiffness", None, ghash),
-            DiscreteOperator(mass_mat, mesh.surface_weights.copy(),
-                             "surface_mass", None, ghash))
+    pair = (DiscreteOperator(stiff.tocsr(), mesh.surface_weights.copy()),
+            DiscreteOperator(mass_mat, mesh.surface_weights.copy()))
     mesh.cache[key] = pair
     return pair
 
 
 def joint_mass(mesh: Mesh) -> np.ndarray:
     return np.concatenate([mesh.bulk_weights, mesh.surface_weights])
+
+
+def trace_coupling_block(mesh: Mesh, coef: np.ndarray) -> sp.csr_matrix:
+    """Joint-space block Tr' diag(coef) between bulk rows and surface columns,
+    mirrored below the diagonal, assembled entrywise symmetric."""
+    outer, inner, (c_out, c_in) = trace_weights(mesh)
+    n_b, n_s = mesh.n_bulk, mesh.n_surface
+    rows = np.concatenate([outer, inner])
+    cols = np.concatenate([n_b + np.arange(n_s), n_b + np.arange(n_s)])
+    vals = np.concatenate([coef * c_out, coef * c_in])
+    return sp.coo_matrix(
+        (np.concatenate([vals, vals]),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n_b + n_s, n_b + n_s)).tocsr()
 
 
 def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> DiscreteOperator:
@@ -331,7 +298,6 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
         raise ConfigurationError("K must be positive")
     u = mesh.check_bulk(state.bulk)
     phi = mesh.check_surface(state.surface)
-    n_b, n_s = mesh.n_bulk, mesh.n_surface
 
     hp = spec.eval("h'", phi)
     hpp = spec.eval("h''", phi)
@@ -345,20 +311,9 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
                   + s_w * hp * hp / K
                   + s_w * hpp * (hval - tr_u) / K)
     surf_block = surface_stiffness(mesh).matrix + sp.diags(surf_react)
-
-    outer, inner, (c_out, c_in) = trace_weights(mesh)
-    coef = -s_w * hp / K
-    rows = np.concatenate([outer, inner])
-    cols = np.concatenate([n_b + np.arange(n_s), n_b + np.arange(n_s)])
-    vals = np.concatenate([coef * c_out, coef * c_in])
-    coupling = sp.coo_matrix(
-        (np.concatenate([vals, vals]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n_b + n_s, n_b + n_s)).tocsr()
-
-    mat = sp.block_diag([bulk_block, surf_block], format="csr") + coupling
-    return DiscreteOperator(mat.tocsr(), joint_mass(mesh), "linearized", K,
-                            mesh.content_hash())
+    mat = (sp.block_diag([bulk_block, surf_block], format="csr")
+           + trace_coupling_block(mesh, -s_w * hp / K))
+    return DiscreteOperator(mat.tocsr(), joint_mass(mesh))
 
 
 class RieszMap:

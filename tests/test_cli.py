@@ -297,3 +297,28 @@ def test_ksweep_csv_shape(tmp_path):
 def test_dispatch_rejects_unknown_subcommand(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown subcommand"):
         dispatch("frobnicate", parse_config(""), output_root=tmp_path)
+
+
+def test_config_hash_pinned_across_releases():
+    # old manifests and checkpoints carry these hashes; resume compares them
+    assert parse_config("").config_hash() == "56aec2cf65edd481"
+    overrides = {"geometry": "interval", "n": 32, "adaptive": "false",
+                 "k_values": "1e-1,1e-2"}
+    assert parse_config("", overrides).config_hash() == "90f4b3852d7f2785"
+
+
+@pytest.mark.parametrize("damage, field", [
+    (lambda text: text[:text.index("bulk =")], "bulk"),
+    (lambda text: text.replace("bulk = ", "bulk = 0xzz ", 1), "bulk"),
+])
+def test_resume_rejects_malformed_checkpoint(tmp_path, damage, field):
+    _, root_a = run_main(tmp_path, "a", ["simulate"] + TINY)
+    dir_a = single_run_dir(root_a, "simulate")
+    broken = tmp_path / "broken_checkpoint.txt"
+    broken.write_text(damage((dir_a / "checkpoint_2.txt").read_text()))
+    status, root_c = run_main(
+        tmp_path, "c",
+        ["simulate", str(dir_a / "manifest.txt"), "--resume", str(broken)])
+    assert status == 2
+    manifest = (single_run_dir(root_c, "simulate") / "manifest.txt").read_text()
+    assert re.search(rf"^error = InputError: .*'{field}'", manifest, re.MULTILINE)

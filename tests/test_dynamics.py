@@ -10,6 +10,7 @@ from bsac import (
     Checkpoint,
     ConfigurationError,
     FieldPair,
+    InputError,
     RunAbort,
     RunConfig,
     advance_step,
@@ -25,6 +26,8 @@ from bsac import (
     solve_transmission_limit,
     write_checkpoint,
 )
+
+from bsac.dynamics import _integrate, _TransmissionStepper
 
 from conftest import random_pair
 
@@ -106,6 +109,21 @@ def test_checkpoint_file_roundtrip_bitwise(tmp_path, dw_spec):
     assert back.time == cp.time and back.dt_policy == cp.dt_policy
     assert np.array_equal(back.state.bulk, state.bulk)
     assert np.array_equal(back.state.surface, state.surface)
+
+
+@pytest.mark.parametrize("damage, field", [
+    (lambda text: text[:text.index("surface =")], "surface"),
+    (lambda text: text.replace("bulk = ", "bulk = 0xzz ", 1), "bulk"),
+    (lambda text: text.replace("step = 7", "step = seven"), "step"),
+])
+def test_malformed_checkpoint_raises_input_error(tmp_path, damage, field):
+    mesh = build_interval(1.0, 8)
+    path = tmp_path / "checkpoint_7.txt"
+    write_checkpoint(path, Checkpoint(7, 0.35, 0.01, 3,
+                                      random_pair(mesh, np.random.default_rng(2))))
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(InputError, match=f"'{field}'"):
+        read_checkpoint(path)
 
 
 def test_adaptive_growth_after_five_acceptances(dw_spec):
@@ -231,6 +249,38 @@ def test_transmission_fixed_point(dw_spec):
     final = rec.final_state()
     assert np.max(np.abs(final.bulk - 1.0)) < 1e-9
     assert np.max(np.abs(final.surface - 1.0)) < 1e-9
+
+
+def test_transmission_rejection_aborts_with_reason(dw_spec):
+    # one Newton iteration cannot reach 1e-14 from rough data
+    mesh = build_interval(1.0, 24)
+    with pytest.raises(RunAbort, match="iteration cap reached") as info:
+        solve_transmission_limit(mesh, dw_spec, _rough_pair(mesh), 40.0, 10.0,
+                                 newton_tol=1e-14, newton_max_iter=1)
+    partial = info.value.partial_record
+    assert partial.diagnostics["aborted"] and partial.diagnostics["rejected"] == 1
+    assert partial.n_samples() == 1
+
+
+def test_transmission_resume_from_checkpoint_reproduces_tail(dw_spec):
+    mesh = build_interval(1.0, 32)
+    u0 = smoothed_random_state(mesh, 21, mean=0.5, amplitude=0.3).bulk
+    init = FieldPair(u0, boundary_trace(mesh, u0))
+    plain = solve_transmission_limit(mesh, dw_spec, init, 0.3, 0.01)
+    stepper = _TransmissionStepper(mesh, dw_spec)
+    config = small_config(dw_spec, n=32, dt=0.01, dt_min=0.01, dt_max=0.01,
+                          t_final=0.3, newton_tol=1e-11, checkpoint_every=7)
+    full = _integrate(stepper, config, stepper.state_of(u0.copy()))
+    assert np.array_equal(full.rows(), plain.rows())
+    cp = full.checkpoints[1]
+    assert cp.step == 14
+    tail = _integrate(stepper, config, cp)
+    mask = full.times > cp.time + 1e-15
+    assert np.array_equal(full.rows()[mask], tail.rows())
+    kept = [st for st, later in zip(full.states, mask) if later]
+    assert len(kept) == len(tail.states)
+    assert all(np.array_equal(a.bulk, b.bulk) and np.array_equal(a.surface, b.surface)
+               for a, b in zip(kept, tail.states))
 
 
 def test_transmission_requires_affine_nonzero_slope():

@@ -18,7 +18,6 @@ from bsac import (
     DualVector,
     assemble_bulk_laplacian,
     assemble_linearized,
-    assemble_surface_laplacian,
     assemble_surface_shifted_pair,
     assemble_wentzell_robin_pair,
     build_disk,
@@ -100,7 +99,7 @@ def test_all_assemblies_exactly_symmetric(dw_spec):
     rng = np.random.default_rng(11)
     for mesh in (build_disk(1.0, 6, 12), build_interval(1.0, 9)):
         mats = [assemble_bulk_laplacian(mesh, 0.7).matrix,
-                assemble_surface_laplacian(mesh).matrix,
+                surface_stiffness(mesh).matrix,
                 *[p.matrix for p in assemble_wentzell_robin_pair(mesh, 0.7)],
                 *[p.matrix for p in assemble_surface_shifted_pair(mesh)],
                 assemble_linearized(mesh, dw_spec, random_pair(mesh, rng), 0.7).matrix]
@@ -110,7 +109,7 @@ def test_all_assemblies_exactly_symmetric(dw_spec):
 
 def test_surface_laplacian_circle_fourier_action():
     mesh = build_disk(1.0, 8, 64)
-    op = assemble_surface_laplacian(mesh)
+    op = surface_stiffness(mesh)
     assert np.all(op.matrix @ np.ones(mesh.n_surface) == 0.0)
     theta = np.arctan2(mesh.surface_points[:, 1], mesh.surface_points[:, 0])
     h_t = mesh.spacings["h_theta"]
@@ -125,7 +124,7 @@ def test_surface_laplacian_circle_fourier_action():
 
 def test_surface_laplacian_interval_is_zero():
     mesh = build_interval(1.0, 8)
-    op = assemble_surface_laplacian(mesh)
+    op = surface_stiffness(mesh)
     assert op.matrix.nnz == 0
 
 

@@ -17,12 +17,12 @@ from .nonlinearity import (CouplingFamily, NonlinearitySpec, PotentialFamily,
                            ValidationReport, eval_nonlinearity, make_spec,
                            validate_assumptions)
 from .mesh import (Mesh, boundary_trace, build_disk, build_interval,
-                   build_mesh, integrate, normal_derivative, trace_weights)
+                   build_mesh, integrate, normal_derivative, trace_matrix)
 from .operators import (DiscreteOperator, DualVector, RieszMap,
                         assemble_bulk_laplacian, assemble_linearized,
                         assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair, joint_mass,
-                        riesz_dual_norm, trace_matrix)
+                        riesz_dual_norm)
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      energy_identity_residual, h_norm, v_norm, w_norm)
 from .dynamics import (Checkpoint, RunConfig, StepDiagnostics,

@@ -225,19 +225,11 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedC
         except (ValueError, TypeError):
             errors.append(f"key {key!r}: bad override {val!r}")
 
-    if values["geometry"] not in ("disk", "interval"):
-        errors.append(f"geometry must be disk or interval, got {values['geometry']!r}")
-    if values["K"] <= 0:
-        errors.append("K must be positive")
-
     spec = _build_spec(values, errors)
-    run_config = None
-    if not errors:
-        try:
-            run_config = RunConfig(**{f.name: values[f.name] for f in _RUN_FIELDS},
-                                   spec=spec)
-        except ConfigurationError as exc:
-            errors.append(str(exc))
+    try:
+        run_config = RunConfig(**{f.name: values[f.name] for f in _RUN_FIELDS}, spec=spec)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
     if errors:
         raise ConfigurationError("configuration invalid:\n  " + "\n  ".join(errors))
     return ResolvedConfig(values, run_config, spec)

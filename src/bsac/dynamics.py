@@ -15,9 +15,9 @@ backward-Euler Newton iteration shared by all steppers):
     from the current field range each step.
 
 * the affine transmission system (trace of the bulk field slaved to the
-  surface field), integrated by eliminating the surface unknown: the bulk
-  vector is the only unknown, the surface update rides along through the
-  trace, and the normal-derivative term of the surface equation appears as
+  surface field): the Robin flow pulled back through the lift that solves
+  the constraint for the surface field, so the bulk vector is the only
+  unknown and the normal-derivative term of the surface equation appears as
   the constraint flux of the reduced solve.
 
 Steps that would raise the energy are rejected and retried with half the
@@ -36,14 +36,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, RunAbort, StepFailure
-from .mesh import Mesh, build_mesh, normal_derivative
+from .mesh import Mesh, build_mesh, normal_derivative, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      h_norm)
-from .operators import (DualVector, RieszMap, assemble_bulk_laplacian,
-                        assemble_linearized, bulk_dirichlet_stiffness,
-                        joint_mass, surface_stiffness, trace_coupling_block,
-                        trace_matrix)
+from .operators import (DualVector, RieszMap, assemble_joint, assemble_linearized,
+                        bulk_dirichlet_stiffness, joint_mass, surface_stiffness)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 
@@ -79,22 +77,26 @@ class RunConfig:
     spec: NonlinearitySpec | None = None
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ConfigurationError("K must be positive")
-        if not (0 < self.dt_min <= self.dt <= self.dt_max):
-            raise ConfigurationError("need 0 < dt_min <= dt <= dt_max")
-        if self.t_final < 0:
-            raise ConfigurationError("t_final must be nonnegative")
-        if self.scheme not in ("fully_implicit", "stabilized_semi_implicit"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.sample_every < 1 or self.checkpoint_every < 0:
-            raise ConfigurationError("sampling cadences must be positive")
+        checks = [
+            (self.geometry in ("disk", "interval"),
+             f"geometry must be disk or interval, got {self.geometry!r}"),
+            (self.K > 0, "K must be positive"),
+            (0 < self.dt_min <= self.dt <= self.dt_max, "need 0 < dt_min <= dt <= dt_max"),
+            (self.t_final >= 0, "t_final must be nonnegative"),
+            (self.scheme in ("fully_implicit", "stabilized_semi_implicit"),
+             f"unknown scheme {self.scheme!r}"),
+            (self.init_kind in ("smoothed_noise", "constant"),
+             f"unknown init_kind {self.init_kind!r}"),
+            (self.sample_every >= 1 and self.checkpoint_every >= 0,
+             "sampling cadences must be positive"),
+        ]
+        problems = [message for ok, message in checks if not ok]
+        if problems:
+            raise ConfigurationError("; ".join(problems))
 
     def build_mesh(self) -> Mesh:
-        if self.geometry == "disk":
-            return build_mesh("disk", radius=self.radius, n_r=self.n_r,
-                              n_theta=self.n_theta)
-        return build_mesh("interval", length=self.length, n=self.n)
+        return build_mesh(self.geometry, radius=self.radius, n_r=self.n_r,
+                          n_theta=self.n_theta, length=self.length, n=self.n)
 
     def get_spec(self) -> NonlinearitySpec:
         if self.spec is None:
@@ -162,14 +164,37 @@ class _Stepper:
     and the quadrature weights of its unknown vector. It maps states to
     unknowns and back (unknowns, state_of), evaluates the backward-Euler
     residual and its Jacobian, and names the functional whose dual norm the
-    recorder logs.
+    recorder logs. advance takes one step under the energy rejection rule.
     """
 
     def report(self, state: FieldPair) -> EnergyReport:
         return compute_energy(self.mesh, self.spec, state, self.K)
 
-    def energy(self, state: FieldPair) -> float:
-        return self.report(state).total
+    def advance(self, state: FieldPair, report: EnergyReport, dt: float, scheme: str, *,
+                newton_tol: float, newton_max_iter: int, reject_energy_increase: bool
+                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport]:
+        """One step from state, whose energy report is given; returns the new
+        state, the step's diagnostics and the new state's energy report.
+        Acceptance requires the discrete energy not to increase."""
+        if dt <= 0:
+            raise ConfigurationError("dt must be positive")
+        if scheme == "fully_implicit":
+            new, iters, rnorm = self.implicit_step(state, dt, newton_tol, newton_max_iter)
+            s_stab = 0.0
+        elif scheme == "stabilized_semi_implicit":
+            new, s_stab = self.semi_implicit_step(state, dt)
+            iters, rnorm = 1, np.nan
+        else:
+            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        new_report = self.report(new)
+        e_old, e_new = report.total, new_report.total
+        accepted = True
+        reason = "ok"
+        if reject_energy_increase and e_new > e_old + ENERGY_SLACK * max(1.0, abs(e_old)):
+            accepted = False
+            reason = f"energy increased by {e_new - e_old:.3g}"
+        diag = StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
+        return new, diag, new_report
 
     def _residual_norm(self, r: np.ndarray) -> float:
         # L2 norm of the strong-form residual (coefficients divided by weights)
@@ -238,49 +263,45 @@ class _RobinStepper(_Stepper):
     def semi_implicit_step(self, state: FieldPair, dt: float) -> tuple[FieldPair, float]:
         mesh, spec, K = self.mesh, self.spec, self.K
         u, phi = state.bulk, state.surface
-        s_stab = self.stabilization(state)
-        wb = mesh.bulk_weights
         ws = mesh.surface_weights
-        bulk_lhs = (assemble_bulk_laplacian(mesh, K).matrix
-                    + sp.diags(wb * (1.0 / dt + s_stab)))
-        bulk_rhs = wb * (u / dt + s_stab * u - spec.eval("f", u))
-        surf_lhs = (surface_stiffness(mesh).matrix
-                    + sp.diags(ws * (1.0 / dt + s_stab)))
-        surf_rhs = ws * (phi / dt + s_stab * phi - spec.eval("f_G", phi))
+        x = state.joint()
+        s_stab = self.stabilization(state)
+        diagonal = self.weights * (1.0 / dt + s_stab)
+        rhs = self.weights * (x / dt + s_stab * x
+                              - np.concatenate([spec.eval("f", u), spec.eval("f_G", phi)]))
         if self.affine:
-            alpha = spec.coupling.alpha
-            eta = spec.coupling.eta
-            # linear boundary coupling handled implicitly: monolithic solve
-            surf_lhs = surf_lhs + sp.diags(ws * alpha * alpha / K)
-            lhs = (sp.block_diag([bulk_lhs, surf_lhs])
-                   + trace_coupling_block(mesh, -ws * alpha / K)).tocsc()
-            rhs = np.concatenate([bulk_rhs + self.tr.T @ (ws * eta / K),
-                                  surf_rhs - ws * alpha * eta / K])
-            new = self.state_of(spla.splu(lhs).solve(rhs))
+            # linear boundary coupling implicit: it sits in the matrix
+            alpha, eta = spec.coupling.alpha, spec.coupling.eta
+            diagonal[self.n_b:] += ws * alpha * alpha / K
+            coupling = -ws * alpha / K
+            bulk_src, surf_src = ws * eta / K, -ws * alpha * eta / K
         else:
-            # nonlinear coupling explicit: two decoupled solves with sources
+            # nonlinear coupling explicit: a source on the block-diagonal solve
             hphi = spec.eval("h", phi)
-            mism = (self.tr @ u) - hphi
-            bulk_rhs = bulk_rhs + self.tr.T @ (ws * hphi / K)
-            surf_rhs = surf_rhs + spec.eval("h'", phi) * ws * mism / K
-            u_new = spla.splu(bulk_lhs.tocsc()).solve(bulk_rhs)
-            phi_new = spla.splu(surf_lhs.tocsc()).solve(surf_rhs)
-            new = FieldPair(u_new, phi_new)
-        if not (np.all(np.isfinite(new.bulk)) and np.all(np.isfinite(new.surface))):
+            coupling = None
+            bulk_src = ws * hphi / K
+            surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
+        rhs += np.concatenate([self.tr.T @ bulk_src, surf_src])
+        lhs = assemble_joint(mesh, K, diagonal, coupling).tocsc()
+        y = spla.splu(lhs).solve(rhs)
+        if not np.all(np.isfinite(y)):
             raise StepFailure("semi-implicit solve produced non-finite state")
-        return new, s_stab
+        return self.state_of(y), s_stab
 
 
 class _TransmissionStepper(_Stepper):
     """Backward Euler for the trace-constrained limit system, bulk unknown only.
 
-    The surface field is eliminated through phi = (u|_G - eta) / alpha; the
-    reduced metric carries the surface mass through the trace, so testing the
-    reduced flow with bulk directions reproduces both equations, with the
-    normal derivative entering as the constraint flux.
+    The constraint alpha phi + eta = u|_G gives phi = (Tr u - eta) / alpha,
+    so the lift P = [I; Tr/alpha] carries bulk directions to joint ones. The
+    limit flow is the Robin flow pulled back through P: metric P' M P with M
+    the joint mass, functional P' times the Robin gradient, Jacobian P' times
+    the Robin second variation times P. Testing with bulk directions thus
+    reproduces both equations, the normal derivative entering as the
+    constraint flux.
     """
 
-    K = 1.0     # the robin penalty vanishes identically on the constraint manifold
+    K = 1.0     # the robin penalty and its derivatives vanish on the constraint manifold
 
     def __init__(self, mesh: Mesh, spec: NonlinearitySpec):
         if spec.coupling.kind != "affine":
@@ -293,11 +314,9 @@ class _TransmissionStepper(_Stepper):
         self.spec = spec
         self.weights = mesh.bulk_weights
         self.tr = trace_matrix(mesh)
-        self.s_bulk = bulk_dirichlet_stiffness(mesh).matrix
-        self.s_surf = surface_stiffness(mesh).matrix
-        ws = mesh.surface_weights
-        self.metric = (sp.diags(mesh.bulk_weights)
-                       + self.tr.T @ sp.diags(ws / self.alpha**2) @ self.tr).tocsr()
+        self.lift = sp.vstack([sp.identity(mesh.n_bulk), self.tr / self.alpha],
+                              format="csr")
+        self.metric = (self.lift.T @ sp.diags(joint_mass(mesh)) @ self.lift).tocsr()
 
     def surface_of(self, u: np.ndarray) -> np.ndarray:
         return ((self.tr @ u) - self.eta) / self.alpha
@@ -309,58 +328,29 @@ class _TransmissionStepper(_Stepper):
         return FieldPair(u, self.surface_of(u))
 
     def functional(self, state: FieldPair) -> DualVector:
-        return DualVector(self.gradient(state.bulk), np.zeros(self.mesh.n_surface))
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        mesh, spec = self.mesh, self.spec
-        phi = self.surface_of(u)
-        surf_part = (self.s_surf @ phi
-                     + mesh.surface_weights * spec.eval("f_G", phi))
-        return (self.s_bulk @ u + mesh.bulk_weights * spec.eval("f", u)
-                + self.tr.T @ (surf_part / self.alpha))
+        grad = compute_gradient(self.mesh, self.spec, state, self.K).joint()
+        return DualVector(self.lift.T @ grad, np.zeros(self.mesh.n_surface))
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-        return self.metric @ (y - x) / dt + self.gradient(y)
+        return self.metric @ (y - x) / dt + self.functional(self.state_of(y)).bulk
 
     def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
-        mesh, spec = self.mesh, self.spec
-        phi = self.surface_of(y)
-        surf_block = self.s_surf + sp.diags(mesh.surface_weights
-                                            * spec.eval("f_G'", phi))
-        hessian = (self.s_bulk + sp.diags(mesh.bulk_weights * spec.eval("f'", y))
-                   + self.tr.T @ (surf_block / self.alpha**2) @ self.tr).tocsr()
+        hessian = (self.lift.T @ assemble_linearized(self.mesh, self.spec, self.state_of(y),
+                                                     self.K).matrix @ self.lift)
         return (self.metric / dt + hessian).tocsc()
 
 
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
                  dt: float, scheme: str = "fully_implicit", *,
                  newton_tol: float = 1e-10, newton_max_iter: int = 50,
-                 reject_energy_increase: bool = True,
-                 stepper: _Stepper | None = None) -> tuple[FieldPair, StepDiagnostics]:
-    """One time step; acceptance requires the discrete energy not to increase.
-
-    Without a stepper, one for the Robin system on (mesh, spec, K) is built.
-    """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    if stepper is None:
-        stepper = _RobinStepper(mesh, spec, K)
-    e_old = stepper.energy(state)
-    if scheme == "fully_implicit":
-        new, iters, rnorm = stepper.implicit_step(state, dt, newton_tol, newton_max_iter)
-        s_stab = 0.0
-    elif scheme == "stabilized_semi_implicit":
-        new, s_stab = stepper.semi_implicit_step(state, dt)
-        iters, rnorm = 1, np.nan
-    else:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    e_new = stepper.energy(new)
-    accepted = True
-    reason = "ok"
-    if reject_energy_increase and e_new > e_old + ENERGY_SLACK * max(1.0, abs(e_old)):
-        accepted = False
-        reason = f"energy increased by {e_new - e_old:.3g}"
-    return new, StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
+                 reject_energy_increase: bool = True) -> tuple[FieldPair, StepDiagnostics]:
+    """One time step of the Robin system; acceptance requires the discrete
+    energy not to increase."""
+    stepper = _RobinStepper(mesh, spec, K)
+    new, diag, _ = stepper.advance(state, stepper.report(state), dt, scheme,
+                                   newton_tol=newton_tol, newton_max_iter=newton_max_iter,
+                                   reject_energy_increase=reject_energy_increase)
+    return new, diag
 
 
 def smoothed_random_state(mesh: Mesh, seed: int, mean: float = 0.4,
@@ -385,12 +375,10 @@ def smoothed_random_state(mesh: Mesh, seed: int, mean: float = 0.4,
 
 
 def initial_state(config: RunConfig, mesh: Mesh) -> FieldPair:
-    if config.init_kind == "smoothed_noise":
-        return smoothed_random_state(mesh, config.seed, config.init_mean,
-                                     config.init_amplitude, config.init_smoothing)
     if config.init_kind == "constant":
         return FieldPair.constant(mesh, config.init_mean, config.init_mean)
-    raise ConfigurationError(f"unknown init_kind {config.init_kind!r}")
+    return smoothed_random_state(mesh, config.seed, config.init_mean,
+                                 config.init_amplitude, config.init_smoothing)
 
 
 class _Recorder:
@@ -402,8 +390,7 @@ class _Recorder:
         self.diss_b, self.diss_s, self.dual = [], [], []
         self.states = []
 
-    def sample(self, t, state, diss_b=0.0, diss_s=0.0):
-        rep = self.stepper.report(state)
+    def sample(self, t, state, rep: EnergyReport, diss_b=0.0, diss_s=0.0):
         self.times.append(t)
         self.parts.append(rep.parts())
         self.total.append(rep.total)
@@ -429,38 +416,43 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     checkpoint cadences and keep_states. A FieldPair start is sampled at
     t = 0; a Checkpoint start continues that exact loop state, and the record
     then holds only the samples after it, bitwise equal to the original run.
+    The energy report of each accepted state is computed once: it is the
+    recorded sample and the next step's starting energy.
     """
     mesh = stepper.mesh
     rec = _Recorder(stepper, config.keep_states)
     checkpoints: list[Checkpoint] = []
-    diagnostics = {"accepted": 0, "rejected": 0, "aborted": False, **(diagnostics or {})}
+    diagnostics = {"accepted": 0, "rejected": 0, "newton_iterations": 0, "aborted": False,
+                   **(diagnostics or {})}
 
     if isinstance(start, Checkpoint):
         state = start.state.copy()
         t, step = start.time, start.step
         dt_policy, streak = start.dt_policy, start.accept_streak
+        report = stepper.report(state)
     else:
         state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
-        rec.sample(t, state)
+        report = stepper.report(state)
+        rec.sample(t, state, report)
 
     t_end = config.t_final
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(dt_policy, t_end - t)
         try:
-            new, diag = advance_step(
-                mesh, stepper.spec, state, stepper.K, dt, config.scheme,
+            new, diag, new_report = stepper.advance(
+                state, report, dt, config.scheme,
                 newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
-                reject_energy_increase=config.reject_energy_increase, stepper=stepper)
+                reject_energy_increase=config.reject_energy_increase)
+            diagnostics["newton_iterations"] += diag.newton_iterations
         except StepFailure as exc:
             diag = StepDiagnostics(False, str(exc), np.nan, np.nan)
-            new = None
         if diag.accepted:
             delta_b = h_norm(mesh, (new.bulk - state.bulk) / dt,
                              np.zeros(mesh.n_surface))
             delta_s = h_norm(mesh, np.zeros(mesh.n_bulk),
                              (new.surface - state.surface) / dt)
-            state = new
+            state, report = new, new_report
             t += dt
             step += 1
             streak += 1
@@ -469,7 +461,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 dt_policy = min(dt_policy * 1.2, config.dt_max)
                 streak = 0
             if step % config.sample_every == 0:
-                rec.sample(t, state, delta_b, delta_s)
+                rec.sample(t, state, report, delta_b, delta_s)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
                 checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
         else:
@@ -485,7 +477,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 raise RunAbort(f"dt underflow below dt_min: {diag.reason}",
                                rec.build(checkpoints, diagnostics))
     if not rec.times or rec.times[-1] < t - 1e-12 * max(1.0, t_end):
-        rec.sample(t, state)    # endpoint always lands in the record
+        rec.sample(t, state, report)    # endpoint always lands in the record
     checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
     if not config.keep_states:
         rec.states = [state.copy()]   # keep the endpoint reachable regardless

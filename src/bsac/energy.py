@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .mesh import Mesh, boundary_trace
+from .mesh import Mesh, boundary_trace, trace_matrix
 from .nonlinearity import NonlinearitySpec
 from .operators import (DualVector, bulk_dirichlet_stiffness, bulk_face_table,
                         dirichlet_form_value, surface_face_table,
-                        surface_stiffness, trace_matrix)
+                        surface_stiffness)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
 from .nonlinearity import NonlinearitySpec
@@ -120,19 +121,29 @@ def integrate(mesh: Mesh, values, region: str = "bulk") -> float:
     raise ConfigurationError(f"unknown region {region!r}")
 
 
-def boundary_trace(mesh: Mesh, bulk_values) -> np.ndarray:
-    """Extrapolate a bulk field to the boundary, second order along each ray.
+def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """The boundary trace as a sparse (n_surface, n_bulk) matrix.
 
-    The boundary sits half a cell beyond the outermost center, so the linear
-    extrapolation weights are 3/2 on the outermost cell and -1/2 on the next.
+    Each row extrapolates one normal ray linearly to the boundary, which sits
+    half a cell beyond the outermost center: weight 3/2 on the outermost cell
+    and -1/2 on the next. Every operator block that involves the trace is
+    built from this matrix.
     """
-    u = mesh.check_bulk(bulk_values)
-    return 1.5 * u[mesh.boundary_map[:, 0]] - 0.5 * u[mesh.boundary_map[:, 1]]
+    key = ("trace",)
+    if key in mesh.cache:
+        return mesh.cache[key]
+    n_s = mesh.n_surface
+    rows = np.repeat(np.arange(n_s), 2)
+    vals = np.tile([1.5, -0.5], n_s)
+    mat = sp.coo_matrix((vals, (rows, mesh.boundary_map.ravel())),
+                        shape=(n_s, mesh.n_bulk)).tocsr()
+    mesh.cache[key] = mat
+    return mat
 
 
-def trace_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index/coefficient form of the trace: (outer idx, inner idx, (c_out, c_in))."""
-    return mesh.boundary_map[:, 0], mesh.boundary_map[:, 1], np.array([1.5, -0.5])
+def boundary_trace(mesh: Mesh, bulk_values) -> np.ndarray:
+    """Extrapolate a bulk field to the boundary, second order along each ray."""
+    return trace_matrix(mesh) @ mesh.check_bulk(bulk_values)
 
 
 def normal_derivative(mesh: Mesh, bulk_values, surface_values, spec: NonlinearitySpec,

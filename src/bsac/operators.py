@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError
-from .mesh import Mesh, boundary_trace, trace_weights
+from .mesh import Mesh, boundary_trace, trace_matrix
 from .nonlinearity import NonlinearitySpec
 
 
@@ -173,34 +173,10 @@ def surface_stiffness(mesh: Mesh) -> DiscreteOperator:
     return op
 
 
-def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Sparse boundary trace: (n_surface, n_bulk), rows are extrapolation stencils."""
-    key = ("trace",)
-    if key in mesh.cache:
-        return mesh.cache[key]
-    outer, inner, (c_out, c_in) = trace_weights(mesh)
-    n_s = mesh.n_surface
-    rows = np.repeat(np.arange(n_s), 2)
-    cols = np.column_stack([outer, inner]).ravel()
-    vals = np.tile([c_out, c_in], n_s)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_s, mesh.n_bulk)).tocsr()
-    mesh.cache[key] = mat
-    return mat
-
-
 def _robin_trace_block(mesh: Mesh, K: float) -> sp.csr_matrix:
-    """K^-1 * Tr' D_s Tr on the bulk space, assembled entrywise symmetric."""
-    outer, inner, (c_out, c_in) = trace_weights(mesh)
-    s_w = mesh.surface_weights / K
-    n = mesh.n_bulk
-    rows, cols, vals = [], [], []
-    rows += [outer, inner, outer, inner]
-    cols += [outer, inner, inner, outer]
-    cross = s_w * (c_out * c_in)
-    vals += [s_w * c_out * c_out, s_w * c_in * c_in, cross, cross]
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    """K^-1 Tr' D_s Tr on the bulk space."""
+    tr = trace_matrix(mesh)
+    return (tr.T @ sp.diags(mesh.surface_weights / K) @ tr).tocsr()
 
 
 def assemble_bulk_laplacian(mesh: Mesh, K: float) -> DiscreteOperator:
@@ -237,10 +213,9 @@ def assemble_wentzell_robin_pair(mesh: Mesh, K: float):
     key = ("wentzell_robin", float(K))
     if key in mesh.cache:
         return mesh.cache[key]
-    robin = _robin_trace_block(mesh, K)
-    stiff = bulk_dirichlet_stiffness(mesh).matrix + robin
-    wmass = sp.diags(mesh.bulk_weights).tocsr() + robin
-    pair = (DiscreteOperator(stiff.tocsr(), mesh.bulk_weights.copy()),
+    stiff = assemble_bulk_laplacian(mesh, K).matrix
+    wmass = sp.diags(mesh.bulk_weights).tocsr() + _robin_trace_block(mesh, K)
+    pair = (DiscreteOperator(stiff, mesh.bulk_weights.copy()),
             DiscreteOperator(wmass.tocsr(), mesh.bulk_weights.copy()))
     mesh.cache[key] = pair
     return pair
@@ -270,15 +245,32 @@ def joint_mass(mesh: Mesh) -> np.ndarray:
 def trace_coupling_block(mesh: Mesh, coef: np.ndarray) -> sp.csr_matrix:
     """Joint-space block Tr' diag(coef) between bulk rows and surface columns,
     mirrored below the diagonal, assembled entrywise symmetric."""
-    outer, inner, (c_out, c_in) = trace_weights(mesh)
-    n_b, n_s = mesh.n_bulk, mesh.n_surface
-    rows = np.concatenate([outer, inner])
-    cols = np.concatenate([n_b + np.arange(n_s), n_b + np.arange(n_s)])
-    vals = np.concatenate([coef * c_out, coef * c_in])
+    tr = trace_matrix(mesh).tocoo()
+    n = mesh.n_bulk + mesh.n_surface
+    rows = tr.col
+    cols = mesh.n_bulk + tr.row
+    vals = tr.data * coef[tr.row]
     return sp.coo_matrix(
         (np.concatenate([vals, vals]),
          (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n_b + n_s, n_b + n_s)).tocsr()
+        shape=(n, n)).tocsr()
+
+
+def assemble_joint(mesh: Mesh, K: float, diagonal: np.ndarray,
+                   coupling: np.ndarray | None = None) -> sp.csr_matrix:
+    """Joint-space form matrix [S_bulk + K^-1 Tr' D_s Tr, S_surf] + diag(diagonal),
+    plus the trace coupling block Tr' diag(coupling) when one is given.
+
+    The block-diagonal base depends on K only and is cached on the mesh.
+    """
+    key = ("joint_base", float(K))
+    if key not in mesh.cache:
+        mesh.cache[key] = sp.block_diag([assemble_bulk_laplacian(mesh, K).matrix,
+                                         surface_stiffness(mesh).matrix], format="csr")
+    mat = mesh.cache[key] + sp.diags(diagonal)
+    if coupling is not None:
+        mat = mat + trace_coupling_block(mesh, coupling)
+    return mat
 
 
 def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> DiscreteOperator:
@@ -305,15 +297,12 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
     tr_u = boundary_trace(mesh, u)
     s_w = mesh.surface_weights
 
-    bulk_block = (assemble_bulk_laplacian(mesh, K).matrix
-                  + sp.diags(mesh.bulk_weights * spec.eval("f'", u)))
     surf_react = (s_w * spec.eval("f_G'", phi)
                   + s_w * hp * hp / K
                   + s_w * hpp * (hval - tr_u) / K)
-    surf_block = surface_stiffness(mesh).matrix + sp.diags(surf_react)
-    mat = (sp.block_diag([bulk_block, surf_block], format="csr")
-           + trace_coupling_block(mesh, -s_w * hp / K))
-    return DiscreteOperator(mat.tocsr(), joint_mass(mesh))
+    diagonal = np.concatenate([mesh.bulk_weights * spec.eval("f'", u), surf_react])
+    return DiscreteOperator(assemble_joint(mesh, K, diagonal, -s_w * hp / K),
+                            joint_mass(mesh))
 
 
 class RieszMap:

@@ -96,11 +96,12 @@ def test_cast_failure_names_expected_type():
 
 def test_all_problems_collected_in_one_error():
     with pytest.raises(ConfigurationError) as err:
-        parse_config("K = -2\ngeometry = torus\nbogus = 1\n")
+        parse_config("K = -2\ngeometry = torus\nbogus = 1\ninit_kind = blob\n")
     text = str(err.value)
     assert "K must be positive" in text
     assert "geometry must be disk or interval" in text
     assert "unknown key 'bogus'" in text
+    assert "unknown init_kind 'blob'" in text
 
 
 def test_bad_set_syntax_exits_2(tmp_path, capsys):

@@ -20,6 +20,7 @@ from bsac import (
     compute_energy,
     h_norm,
     initial_state,
+    make_spec,
     read_checkpoint,
     run_trajectory,
     smoothed_random_state,
@@ -50,14 +51,21 @@ def test_uniform_minimum_is_a_fixed_point(dw_spec, scheme):
     assert np.max(np.abs(new.surface - 1.0)) < 1e-9
 
 
-@pytest.mark.parametrize("scheme", ["fully_implicit", "stabilized_semi_implicit"])
-def test_hundred_steps_monotone_from_random_state(dw_spec, scheme):
-    mesh = build_interval(1.0, 24)
+@pytest.mark.parametrize("scheme, coupling, mesh", [
+    pytest.param("fully_implicit", "affine", build_interval(1.0, 24), id="fully_implicit"),
+    pytest.param("stabilized_semi_implicit", "affine", build_interval(1.0, 24),
+                 id="stabilized_semi_implicit"),
+    # a nonaffine coupling is explicit: the step is one block-diagonal solve
+    pytest.param("stabilized_semi_implicit", "tanh", build_disk(1.0, 8, 16),
+                 id="stabilized_semi_implicit-tanh-disk"),
+])
+def test_hundred_steps_monotone_from_random_state(scheme, coupling, mesh):
+    spec = make_spec(coupling_kind=coupling)
     rng = np.random.default_rng(17)
     state = random_pair(mesh, rng, mean=0.2, amplitude=0.5)
-    energy = compute_energy(mesh, dw_spec, state, 1.0).total
+    energy = compute_energy(mesh, spec, state, 1.0).total
     for _ in range(100):
-        state, diag = advance_step(mesh, dw_spec, state, 1.0, 0.05, scheme)
+        state, diag = advance_step(mesh, spec, state, 1.0, 0.05, scheme)
         assert diag.accepted
         assert diag.energy_new <= energy + 1e-12 * max(1.0, abs(energy))
         energy = diag.energy_new
@@ -284,7 +292,6 @@ def test_transmission_resume_from_checkpoint_reproduces_tail(dw_spec):
 
 
 def test_transmission_requires_affine_nonzero_slope():
-    from bsac import make_spec
     tanh_spec = make_spec(coupling_kind="tanh")
     flat_spec = make_spec(coupling_params={"alpha": 0.0})
     mesh = build_interval(1.0, 16)
@@ -293,6 +300,37 @@ def test_transmission_requires_affine_nonzero_slope():
         solve_transmission_limit(mesh, tanh_spec, init, 0.1, 0.05)
     with pytest.raises(ConfigurationError):
         solve_transmission_limit(mesh, flat_spec, init, 0.1, 0.05)
+
+
+def test_transmission_on_disk_with_shifted_affine_coupling(disk_small):
+    alpha, eta = 0.8, 0.3
+    spec = make_spec(coupling_params={"alpha": alpha, "eta": eta})
+    mesh = disk_small
+    u0 = smoothed_random_state(mesh, 5, mean=0.5, amplitude=0.3).bulk
+    rec = solve_transmission_limit(mesh, spec, FieldPair(u0, np.zeros(mesh.n_surface)),
+                                   0.5, 0.02)
+    for st in rec.states:
+        gap = boundary_trace(mesh, st.bulk) - (alpha * st.surface + eta)
+        assert np.max(np.abs(gap)) < 1e-12
+    drops = np.diff(rec.energy_total)
+    assert np.all(drops <= 1e-12 * np.maximum(1.0, np.abs(rec.energy_total[:-1])))
+    assert rec.energy_total[-1] < rec.energy_total[0]
+    assert rec.diagnostics["newton_iterations"] >= rec.diagnostics["accepted"] == 25
+
+    # the pulled-back Jacobian is the derivative of the pulled-back residual
+    stepper = _TransmissionStepper(mesh, spec)
+    rng = np.random.default_rng(11)
+    dt = 0.02
+    x = rec.states[3].bulk
+    y = x + 0.05 * rng.standard_normal(mesh.n_bulk)
+    jac = stepper.jacobian(y, dt)
+    eps = 1e-6
+    for _ in range(5):
+        d = rng.standard_normal(mesh.n_bulk)
+        fd = (stepper.residual(y + eps * d, x, dt)
+              - stepper.residual(y - eps * d, x, dt)) / (2 * eps)
+        an = jac @ d
+        assert np.linalg.norm(fd - an) <= 1e-7 * np.linalg.norm(an)
 
 
 def test_small_k_runs_approach_transmission_monotonically(dw_spec):
@@ -325,6 +363,11 @@ def test_config_validation_guards(dw_spec):
         RunConfig(scheme="leapfrog", spec=dw_spec)
     with pytest.raises(ConfigurationError):
         RunConfig(t_final=-1.0, spec=dw_spec)
+    # neither may fall through to a default when the run starts
+    with pytest.raises(ConfigurationError, match="geometry must be disk or interval"):
+        RunConfig(geometry="sphere", spec=dw_spec)
+    with pytest.raises(ConfigurationError, match="unknown init_kind 'blob'"):
+        RunConfig(init_kind="blob", spec=dw_spec)
 
 
 def test_energy_totals_nonincreasing_in_record(dw_spec):

@@ -23,6 +23,8 @@ from .dynamics import (RunConfig, TrajectoryRecord, initial_state,
 from .steady_spectral import EquilibriumState
 
 THETA_CAP = 0.5 - 1e-2   # keeps the rate exponent theta/(1-2*theta) finite
+RATE_MODEL = "auto"                     # fit_decay_rate's default model
+SWEEP_REFERENCE = "transmission_limit"  # k_sweep's default reference flow
 
 
 @dataclass
@@ -91,7 +93,7 @@ def _log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), min(1.0, r2)
 
 
-def fit_decay_rate(series, model: str = "auto") -> RateFit:
+def fit_decay_rate(series, model: str = RATE_MODEL) -> RateFit:
     """Least squares in log coordinates: value vs log(1+t) for the power
     model, vs t for the exponential model; auto keeps the better fit."""
     times = np.asarray(series[0], dtype=float)
@@ -183,7 +185,7 @@ def _state_series(record: TrajectoryRecord) -> list:
 
 
 def k_sweep(base_config: RunConfig, k_values,
-            reference: str = "transmission_limit") -> SweepTable:
+            reference: str = SWEEP_REFERENCE) -> SweepTable:
     """Boundary-relaxation sweep on a shared mesh, initial state, and fixed
     time grid; per K the maximal state gap to the reference flow and the
     maximal boundary mismatch, with log-log slopes over K.

@@ -17,7 +17,7 @@ import functools
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -25,16 +25,17 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, InputError, RunAbort
-from .nonlinearity import (NonlinearitySpec, make_spec, validate_assumptions)
+from .nonlinearity import (SCAN_POINTS, SCAN_RANGE, CouplingFamily, NonlinearitySpec,
+                           PotentialFamily, make_spec, validate_assumptions)
 from .mesh import Mesh
-from .energy import FieldPair, compute_energy
-from .dynamics import (ENERGY_SLACK, ROW_HEADER, RunConfig, TrajectoryRecord,
+from .energy import FieldPair
+from .dynamics import (ENERGY_SLACK, ROW_HEADER, RunConfig, TrajectoryRecord, atomic_writer,
                        read_checkpoint, run_trajectory, write_checkpoint)
-from .steady_spectral import (SpectralReport, compute_coercivity_margin,
-                              eigen_solve, solve_stationary_newton)
+from .steady_spectral import eigen_solve, solve_stationary_newton
 from .operators import (assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair)
-from .analysis import RateFit, fit_decay_rate, k_sweep, ls_probe
+from .analysis import (RATE_MODEL, SWEEP_REFERENCE, fit_decay_rate, k_sweep,
+                       ls_probe)
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False, "on": True, "off": False}
@@ -47,48 +48,48 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _parse_float_list(text: str):
-    text = text.strip()
-    if not text:
-        return []
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _parse_float_list(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
 # RunConfig fields that are not config keys: keep_states is chosen by the
 # subcommand, spec is built from the potential and coupling keys
 _RUN_FIELDS = [f for f in fields(RunConfig)
                if f.name not in ("keep_states", "spec")]
-_CASTERS = {"str": str, "float": float, "int": int, "bool": _parse_bool}
+_CASTERS = {"str": str, "float": float, "int": int, "bool": _parse_bool,
+            "tuple": _parse_float_list}
+
+# family parameters with a flat key "<prefix>_<parameter>"; every kind gets
+# all of them and ignores the ones it does not use
+_POTENTIAL_PARAMS = ("amplitude", "width", "coeffs")
+_COUPLING_PARAMS = ("alpha", "eta", "scale", "gain", "offset")
+
+
+def _family_keys(kind_key: str, prefix: str, family, params) -> dict:
+    """A nonlinearity family's keys, cast and defaulted by the family's fields."""
+    fam = {f.name: f for f in fields(family)}
+    return {kind_key: (str, fam["kind"].default),
+            **{f"{prefix}_{p}": (_CASTERS[fam[p].type], fam[p].default) for p in params}}
+
 
 # key -> (caster, default). Order here is the canonical echo order.
 KEY_SPECS = {
     **{f.name: (_CASTERS[f.type], f.default) for f in _RUN_FIELDS},
-    "bulk_potential": (str, "double_well"),
-    "bulk_amplitude": (float, 1.0),
-    "bulk_width": (float, 1.0),
-    "bulk_coeffs": (_parse_float_list, []),
-    "surface_potential": (str, "double_well"),
-    "surface_amplitude": (float, 1.0),
-    "surface_width": (float, 1.0),
-    "surface_coeffs": (_parse_float_list, []),
-    "coupling": (str, "affine"),
-    "coupling_alpha": (float, 1.0),
-    "coupling_eta": (float, 0.0),
-    "coupling_scale": (float, 1.0),
-    "coupling_gain": (float, 1.0),
-    "coupling_offset": (float, 0.0),
+    **_family_keys("bulk_potential", "bulk", PotentialFamily, _POTENTIAL_PARAMS),
+    **_family_keys("surface_potential", "surface", PotentialFamily, _POTENTIAL_PARAMS),
+    **_family_keys("coupling", "coupling", CouplingFamily, _COUPLING_PARAMS),
     "eigen_count": (int, 12),
     "max_m": (int, 96),
     "steady_tol": (float, 1e-11),
     "steady_guess": (float, 0.9),
     "probe_radius": (float, 0.5),
-    "rate_model": (str, "auto"),
+    "rate_model": (str, RATE_MODEL),
     "rate_series": (str, "dual_norm"),
-    "k_values": (_parse_float_list, [1e-1, 1e-2, 1e-3, 1e-4]),
-    "sweep_reference": (str, "transmission_limit"),
-    "validate_scan_lo": (float, -10.0),
-    "validate_scan_hi": (float, 10.0),
-    "validate_points": (int, 2001),
+    "k_values": (_parse_float_list, (1e-1, 1e-2, 1e-3, 1e-4)),
+    "sweep_reference": (str, SWEEP_REFERENCE),
+    "validate_scan_lo": (float, SCAN_RANGE[0]),
+    "validate_scan_hi": (float, SCAN_RANGE[1]),
+    "validate_points": (int, SCAN_POINTS),
 }
 
 _FLOAT_KEYS = {k for k, (cast, _) in KEY_SPECS.items() if cast is float}
@@ -100,10 +101,6 @@ class ResolvedConfig:
     values: dict
     run_config: RunConfig
     spec: NonlinearitySpec
-
-    @property
-    def geometry(self) -> str:
-        return self.values["geometry"]
 
     def echo(self) -> str:
         lines = []
@@ -143,30 +140,15 @@ def _extract_config_lines(text: str):
 
 
 def _build_spec(values: dict, errors: list) -> NonlinearitySpec | None:
-    def pot_params(side):
-        kind = values[f"{side}_potential"]
-        if kind == "scaled":
-            return {"amplitude": values[f"{side}_amplitude"],
-                    "width": values[f"{side}_width"]}
-        if kind == "polynomial":
-            return {"coeffs": values[f"{side}_coeffs"]}
-        return {}
+    def params(prefix, names):
+        return {p: values[f"{prefix}_{p}"] for p in names}
 
-    ckind = values["coupling"]
-    if ckind == "affine":
-        cparams = {"alpha": values["coupling_alpha"],
-                   "eta": values["coupling_eta"]}
-    elif ckind == "tanh":
-        cparams = {"scale": values["coupling_scale"],
-                   "gain": values["coupling_gain"],
-                   "offset": values["coupling_offset"]}
-    else:
-        cparams = {}
     try:
         return make_spec(values["bulk_potential"], values["surface_potential"],
-                         ckind, bulk_params=pot_params("bulk"),
-                         surface_params=pot_params("surface"),
-                         coupling_params=cparams,
+                         values["coupling"],
+                         bulk_params=params("bulk", _POTENTIAL_PARAMS),
+                         surface_params=params("surface", _POTENTIAL_PARAMS),
+                         coupling_params=params("coupling", _COUPLING_PARAMS),
                          scan_range=(values["validate_scan_lo"],
                                      values["validate_scan_hi"]),
                          scan_points=values["validate_points"])
@@ -194,6 +176,7 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedC
 
     values = {key: default for key, (_, default) in KEY_SPECS.items()}
     errors = []
+    assignments = []
     for lineno, line in enumerate(_extract_config_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -202,8 +185,10 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedC
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+        assignments.append((key.strip(), raw.strip()))
+    # overrides come last, so they win over the file
+    assignments += [(key, str(val)) for key, val in (overrides or {}).items()]
+    for key, raw in assignments:
         if key not in KEY_SPECS:
             near = difflib.get_close_matches(key, KEY_SPECS, n=1)
             hint = f" (nearest valid key: {near[0]})" if near else ""
@@ -214,16 +199,6 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedC
             values[key] = cast(raw)
         except (ValueError, TypeError):
             errors.append(f"key {key!r}: expected {cast.__name__}, got {raw!r}")
-    for key, val in (overrides or {}).items():
-        if key not in KEY_SPECS:
-            near = difflib.get_close_matches(key, KEY_SPECS, n=1)
-            hint = f" (nearest valid key: {near[0]})" if near else ""
-            errors.append(f"unknown key {key!r}{hint}")
-            continue
-        try:
-            values[key] = KEY_SPECS[key][0](str(val))
-        except (ValueError, TypeError):
-            errors.append(f"key {key!r}: bad override {val!r}")
 
     spec = _build_spec(values, errors)
     try:
@@ -398,8 +373,7 @@ def _cmd_ksweep(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) 
 
 def _run_for_analysis(resolved: ResolvedConfig, manifest: RunManifest,
                       keep_states: bool) -> tuple[Mesh, TrajectoryRecord]:
-    cfg = resolved.run_config
-    cfg.keep_states = keep_states
+    cfg = replace(resolved.run_config, keep_states=keep_states)
     mesh = cfg.build_mesh()
     manifest.hashes["mesh"] = mesh.content_hash()
     with _Phase(manifest, "simulate"):
@@ -505,7 +479,8 @@ def dispatch(subcommand: str, resolved: ResolvedConfig, *,
         command(resolved, run_dir, manifest)
     except Exception as exc:   # manifest must record the failure either way
         manifest.errors.append(f"{type(exc).__name__}: {exc}")
-    (run_dir / "manifest.txt").write_text(manifest.render())
+    with atomic_writer(run_dir / "manifest.txt") as fh:
+        fh.write(manifest.render())
     return manifest.exit_status(), run_dir
 
 

@@ -29,7 +29,11 @@ resume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+import contextlib
+import math
+import os
+from dataclasses import dataclass, field as dfield, fields
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,12 +81,16 @@ class RunConfig:
     spec: NonlinearitySpec | None = None
 
     def __post_init__(self):
-        checks = [
+        checks = [(math.isfinite(getattr(self, f.name)), f"{f.name} must be finite")
+                  for f in fields(self) if f.type == "float"]
+        checks += [
             (self.geometry in ("disk", "interval"),
              f"geometry must be disk or interval, got {self.geometry!r}"),
             (self.K > 0, "K must be positive"),
             (0 < self.dt_min <= self.dt <= self.dt_max, "need 0 < dt_min <= dt <= dt_max"),
             (self.t_final >= 0, "t_final must be nonnegative"),
+            (self.newton_tol > 0, "newton_tol must be positive"),
+            (self.newton_max_iter >= 1, "newton_max_iter must be at least 1"),
             (self.scheme in ("fully_implicit", "stabilized_semi_implicit"),
              f"unknown scheme {self.scheme!r}"),
             (self.init_kind in ("smoothed_noise", "constant"),
@@ -95,8 +103,9 @@ class RunConfig:
             raise ConfigurationError("; ".join(problems))
 
     def build_mesh(self) -> Mesh:
-        return build_mesh(self.geometry, radius=self.radius, n_r=self.n_r,
-                          n_theta=self.n_theta, length=self.length, n=self.n)
+        if self.geometry == "disk":
+            return build_mesh("disk", radius=self.radius, n_r=self.n_r, n_theta=self.n_theta)
+        return build_mesh("interval", length=self.length, n=self.n)
 
     def get_spec(self) -> NonlinearitySpec:
         if self.spec is None:
@@ -341,9 +350,11 @@ class _TransmissionStepper(_Stepper):
 
 
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
-                 dt: float, scheme: str = "fully_implicit", *,
-                 newton_tol: float = 1e-10, newton_max_iter: int = 50,
-                 reject_energy_increase: bool = True) -> tuple[FieldPair, StepDiagnostics]:
+                 dt: float, scheme: str = RunConfig.scheme, *,
+                 newton_tol: float = RunConfig.newton_tol,
+                 newton_max_iter: int = RunConfig.newton_max_iter,
+                 reject_energy_increase: bool = RunConfig.reject_energy_increase
+                 ) -> tuple[FieldPair, StepDiagnostics]:
     """One time step of the Robin system; acceptance requires the discrete
     energy not to increase."""
     stepper = _RobinStepper(mesh, spec, K)
@@ -353,8 +364,9 @@ def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
     return new, diag
 
 
-def smoothed_random_state(mesh: Mesh, seed: int, mean: float = 0.4,
-                          amplitude: float = 0.2, smoothing: float = 0.02) -> FieldPair:
+def smoothed_random_state(mesh: Mesh, seed: int, mean: float = RunConfig.init_mean,
+                          amplitude: float = RunConfig.init_amplitude,
+                          smoothing: float = RunConfig.init_smoothing) -> FieldPair:
     """Low-pass filtered noise: two implicit smoothing solves, then rescale."""
     rng = np.random.default_rng(seed)
     raw_b = rng.standard_normal(mesh.n_bulk)
@@ -512,7 +524,8 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
 def solve_transmission_limit(mesh: Mesh, spec: NonlinearitySpec,
                              initial: FieldPair, t_final: float,
                              dt: float, *, newton_tol: float = 1e-11,
-                             newton_max_iter: int = 50, sample_every: int = 1,
+                             newton_max_iter: int = RunConfig.newton_max_iter,
+                             sample_every: int = RunConfig.sample_every,
                              keep_states: bool = True) -> TrajectoryRecord:
     """Integrate the trace-constrained limit flow with fixed dt.
 
@@ -529,9 +542,25 @@ def solve_transmission_limit(mesh: Mesh, spec: NonlinearitySpec,
     return _integrate(stepper, config, stepper.state_of(u))
 
 
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A text file handle on a temporary file next to path, renamed over path
+    when the block completes: path holds the old file or the whole new one,
+    never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
-    """Hex-encoded text snapshot; restores the loop state bit for bit."""
-    with open(path, "w") as fh:
+    """Hex-encoded text snapshot, written atomically; restores the loop state
+    bit for bit."""
+    with atomic_writer(path) as fh:
         fh.write(f"step = {cp.step}\n")
         fh.write(f"time = {float(cp.time).hex()}\n")
         fh.write(f"dt_policy = {float(cp.dt_policy).hex()}\n")
@@ -543,18 +572,18 @@ def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
     """Inverse of write_checkpoint; a missing or malformed field raises InputError."""
-    fields = {}
+    entries = {}
     with open(path) as fh:
         for line in fh:
             if "=" in line:
                 key, _, val = line.partition("=")
-                fields[key.strip()] = val.strip()
+                entries[key.strip()] = val.strip()
 
     def parse(key, cast):
-        if key not in fields:
+        if key not in entries:
             raise InputError(f"checkpoint {path} has no {key!r} field")
         try:
-            return cast(fields[key])
+            return cast(entries[key])
         except ValueError as exc:
             raise InputError(f"checkpoint {path} has a bad {key!r} field: {exc}") from None
 
@@ -565,4 +594,4 @@ def read_checkpoint(path) -> tuple[Checkpoint, str]:
     cp = Checkpoint(parse("step", int), parse("time", float.fromhex),
                     parse("dt_policy", float.fromhex),
                     parse("accept_streak", int), state)
-    return cp, fields.get("config_hash", "")
+    return cp, entries.get("config_hash", "")

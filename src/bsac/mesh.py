@@ -106,10 +106,9 @@ def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
 
 def build_mesh(geometry: str, **params) -> Mesh:
     if geometry == "disk":
-        return build_disk(params.get("radius", 1.0),
-                          params.get("n_r", 64), params.get("n_theta", 128))
+        return build_disk(**params)
     if geometry == "interval":
-        return build_interval(params.get("length", 1.0), params.get("n", 64))
+        return build_interval(**params)
     raise ConfigurationError(f"unknown geometry {geometry!r}")
 
 

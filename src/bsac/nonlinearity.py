@@ -17,7 +17,6 @@ bound on f', f_G') on a sampled grid and reports each clause separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -25,7 +24,11 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConfigurationError
 
 POTENTIAL_KINDS = ("double_well", "scaled", "polynomial", "custom")
-COUPLING_KINDS = ("affine", "tanh", "polynomial", "custom")
+COUPLING_KINDS = ("affine", "tanh", "custom")
+
+# the sampled grid validate_assumptions grades the clauses on
+SCAN_RANGE = (-10.0, 10.0)
+SCAN_POINTS = 2001
 
 # selector strings accepted by eval_nonlinearity
 SELECTORS = (
@@ -39,7 +42,7 @@ SELECTORS = (
 class PotentialFamily:
     """One scalar potential F with exact derivatives f, f', f''."""
 
-    kind: str
+    kind: str = "double_well"
     amplitude: float = 1.0
     width: float = 1.0
     coeffs: tuple = ()          # ascending powers of F, polynomial kind only
@@ -128,13 +131,12 @@ class PotentialFamily:
 class CouplingFamily:
     """The boundary coupling h with exact derivatives up to h'''."""
 
-    kind: str
+    kind: str = "affine"
     alpha: float = 1.0          # affine: h(s) = alpha s + eta
     eta: float = 0.0
     scale: float = 1.0          # tanh: h(s) = scale * tanh(gain * s) + offset
     gain: float = 1.0
     offset: float = 0.0
-    coeffs: tuple = ()          # polynomial kind
     functions: dict = field(default_factory=dict)
     bound_h1: float = np.inf    # sup |h'|
     bound_h2: float = np.inf    # sup |h''|
@@ -145,10 +147,6 @@ class CouplingFamily:
     def __post_init__(self):
         if self.kind not in COUPLING_KINDS:
             raise ConfigurationError(f"unknown coupling kind {self.kind!r}")
-        if self.kind == "polynomial":
-            if not self.coeffs:
-                raise ConfigurationError("polynomial coupling needs coefficients")
-            self.coeffs = tuple(float(c) for c in self.coeffs)
         if self.kind == "custom":
             missing = {"h", "h'", "h''", "h'''"} - set(self.functions)
             if missing:
@@ -166,14 +164,6 @@ class CouplingFamily:
             # max |h''| = a b^2 * 4 / (3 sqrt(3)), attained where tanh^2 = 1/3
             self.bound_h2 = a * b**2 * 4.0 / (3.0 * np.sqrt(3.0))
             self.third_c, self.third_exp = 2.0 * a * b**3, 0.0
-        elif self.kind == "polynomial":
-            d1 = npoly.polyder(self.coeffs, 1)
-            d2 = npoly.polyder(self.coeffs, 2)
-            d3 = npoly.polyder(self.coeffs, 3)
-            self.bound_h1 = float(np.sum(np.abs(d1))) if len(d1) <= 1 else np.inf
-            self.bound_h2 = float(np.sum(np.abs(d2))) if len(d2) <= 1 else np.inf
-            self.third_c = float(np.sum(np.abs(d3))) if len(d3) else 0.0
-            self.third_exp = float(max(0, len(d3) - 1))
         # custom: caller-declared bounds kept as given
 
     def eval(self, which: str, s):
@@ -197,9 +187,6 @@ class CouplingFamily:
                 return -2.0 * a * b**2 * sech2 * t
             if which == "h'''":
                 return 2.0 * a * b**3 * sech2 * (3.0 * t**2 - 1.0)
-        elif self.kind == "polynomial":
-            order = {"h": 0, "h'": 1, "h''": 2, "h'''": 3}[which]
-            return npoly.polyval(s, npoly.polyder(self.coeffs, order) if order else self.coeffs)
         elif self.kind == "custom":
             return np.asarray(self.functions[which](s), dtype=float)
         raise ConfigurationError(f"unknown coupling selector {which!r}")
@@ -255,11 +242,12 @@ class NonlinearitySpec:
         raise ConfigurationError(f"unknown selector {which!r}; valid: {SELECTORS}")
 
 
-def make_spec(bulk_kind: str = "double_well", surface_kind: str = "double_well",
-              coupling_kind: str = "affine", *, bulk_params: dict | None = None,
+def make_spec(bulk_kind: str = PotentialFamily.kind,
+              surface_kind: str = PotentialFamily.kind,
+              coupling_kind: str = CouplingFamily.kind, *, bulk_params: dict | None = None,
               surface_params: dict | None = None, coupling_params: dict | None = None,
-              validate: bool = True, scan_range=(-10.0, 10.0),
-              scan_points: int = 2001) -> NonlinearitySpec:
+              validate: bool = True, scan_range=SCAN_RANGE,
+              scan_points: int = SCAN_POINTS) -> NonlinearitySpec:
     """Build a spec from family names and parameter dicts; validates by default."""
     spec = NonlinearitySpec(
         bulk=PotentialFamily(bulk_kind, **(bulk_params or {})),
@@ -287,8 +275,8 @@ def _within(sampled: float, bound: float, slack: float = 1e-9) -> bool:
     return sampled <= bound * (1.0 + slack) + slack
 
 
-def validate_assumptions(spec: NonlinearitySpec, scan_range=(-10.0, 10.0),
-                         scan_points: int = 2001) -> ValidationReport:
+def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
+                         scan_points: int = SCAN_POINTS) -> ValidationReport:
     """Sampled admissibility check; attaches and returns the report.
 
     Clauses are graded on the scan grid using each family's stored constants.
@@ -366,9 +354,10 @@ def validate_assumptions(spec: NonlinearitySpec, scan_range=(-10.0, 10.0),
             f"{label} one-sided derivative bound", ok,
             f"min sampled f' = {worst:.6g}, -c4 = {-fam.convexity_c4:.6g}", worst))
 
-    # internal consistency: f really is the derivative of F (central difference)
+    # internal consistency: f really is the derivative of F (central difference),
+    # probed no wider than the default scan range
     step = 1e-5
-    probes = np.linspace(max(lo, -10.0), min(hi, 10.0), 201)
+    probes = np.linspace(max(lo, SCAN_RANGE[0]), min(hi, SCAN_RANGE[1]), 201)
     for label, fam in (("bulk", spec.bulk), ("surface", spec.surface)):
         cd = (fam.eval("F", probes + step) - fam.eval("F", probes - step)) / (2.0 * step)
         err = np.abs(cd - fam.eval("f", probes))

@@ -317,27 +317,17 @@ class RieszMap:
         self.mesh = mesh
         b = bulk_dirichlet_stiffness(mesh)
         s = surface_stiffness(mesh)
-        self._bulk_mat = (b.matrix + sp.diags(mesh.bulk_weights)).tocsc()
-        self._surf_mat = (s.matrix + sp.diags(mesh.surface_weights)).tocsc()
-        self._bulk_solve = spla.factorized(self._bulk_mat)
-        self._surf_solve = spla.factorized(self._surf_mat)
-
-    def representative(self, functional: DualVector):
-        rb = self._bulk_solve(self.mesh.check_bulk(functional.bulk))
-        rs = self._surf_solve(self.mesh.check_surface(functional.surface))
-        return rb, rs
+        self._bulk_solve = spla.factorized((b.matrix + sp.diags(mesh.bulk_weights)).tocsc())
+        self._surf_solve = spla.factorized((s.matrix + sp.diags(mesh.surface_weights)).tocsc())
 
     def dual_norm(self, functional: DualVector) -> float:
-        rb, rs = self.representative(functional)
+        rb = self._bulk_solve(self.mesh.check_bulk(functional.bulk))
+        rs = self._surf_solve(self.mesh.check_surface(functional.surface))
         val = functional.bulk @ rb + functional.surface @ rs
         if not np.isfinite(val):
             raise NumericalError("Riesz solve produced non-finite pairing",
                                  residuals={"pairing": val})
         return float(np.sqrt(max(val, 0.0)))
-
-    def v_norm(self, bulk: np.ndarray, surface: np.ndarray) -> float:
-        q = (bulk @ (self._bulk_mat @ bulk)) + (surface @ (self._surf_mat @ surface))
-        return float(np.sqrt(max(q, 0.0)))
 
 
 def riesz_dual_norm(mesh: Mesh, functional: DualVector) -> float:

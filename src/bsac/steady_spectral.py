@@ -15,7 +15,7 @@ weighted spectral gap theta_m = min(1, 1/K) * min(lambda_m, mu_m) clears
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -136,9 +136,13 @@ def eigen_solve(pair, count: int, *, sigma: float | None = None) -> EigenResult:
 
     use_dense = n < 400 or count >= n - 1
     if not use_dense:
+        # a fixed start vector makes reruns bitwise; ARPACK's own start is
+        # random per process. Random rather than constant: a constant can be
+        # an exact eigenvector of the pencil.
+        v0 = np.random.default_rng(0).standard_normal(n)
         try:
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
-                                    which="LM", tol=0)
+                                    which="LM", tol=0, v0=v0)
         except (RuntimeError, spla.ArpackError, ValueError):
             use_dense = True
     if use_dense:

@@ -9,6 +9,7 @@ import pytest
 from bsac.cli import dispatch, main, parse_config
 from bsac.dynamics import ROW_HEADER, read_checkpoint
 from bsac.errors import ConfigurationError
+from bsac.nonlinearity import make_spec
 
 TINY = ["--set", "geometry=interval", "--set", "n=12",
         "--set", "dt=0.05", "--set", "t_final=0.3",
@@ -323,3 +324,55 @@ def test_resume_rejects_malformed_checkpoint(tmp_path, damage, field):
     assert status == 2
     manifest = (single_run_dir(root_c, "simulate") / "manifest.txt").read_text()
     assert re.search(rf"^error = InputError: .*'{field}'", manifest, re.MULTILINE)
+
+
+def test_override_cast_failure_names_expected_type():
+    # overrides are checked by the same code as config-file lines
+    with pytest.raises(ConfigurationError) as err:
+        parse_config("", {"n_r": "many", "n_thta": "4"})
+    assert "key 'n_r': expected int, got 'many'" in str(err.value)
+    assert "unknown key 'n_thta' (nearest valid key: n_theta)" in str(err.value)
+
+
+def test_family_ignores_parameters_of_other_kinds():
+    grid = np.linspace(-3.0, 3.0, 61)
+    resolved = parse_config("", {"coupling": "tanh", "coupling_alpha": "3.0",
+                                 "coupling_eta": "-2.0", "bulk_amplitude": "5.0",
+                                 "surface_coeffs": "1,2,3"})
+    plain = make_spec(coupling_kind="tanh")
+    for which in ("f", "f_G", "h", "h'"):
+        assert np.array_equal(resolved.spec.eval(which, grid), plain.eval(which, grid))
+
+
+def test_polynomial_coupling_is_unknown(tmp_path, capsys):
+    status, _ = run_main(tmp_path, "a", ["validate", "--set", "coupling=polynomial"])
+    assert status == 2
+    assert "unknown coupling kind 'polynomial'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["t_final", "K", "dt_max"])
+def test_nonfinite_value_exits_2(tmp_path, capsys, key):
+    status, root = run_main(tmp_path, "a", ["simulate", "--set", f"{key}=inf"])
+    assert status == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not root.exists()
+
+
+def test_analysis_run_leaves_resolved_config_unchanged(tmp_path):
+    resolved = parse_config("", {"geometry": "interval", "n": 12, "dt": 0.05,
+                                 "t_final": 0.5, "init_kind": "constant",
+                                 "init_mean": 1.0})
+    dispatch("probe", resolved, output_root=tmp_path)
+    assert resolved.run_config.keep_states is False
+
+
+def test_spectrum_reruns_are_byte_identical(tmp_path):
+    # 24x48 bulk unknowns go through shift-invert Lanczos
+    args = ["spectrum", "--set", "n_r=24", "--set", "n_theta=48",
+            "--set", "eigen_count=6"]
+    texts = []
+    for tag in ("a", "b"):
+        status, root = run_main(tmp_path, tag, args)
+        assert status == 0
+        texts.append((single_run_dir(root, "spectrum") / "spectrum.txt").read_bytes())
+    assert texts[0] == texts[1]

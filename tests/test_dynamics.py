@@ -134,6 +134,22 @@ def test_malformed_checkpoint_raises_input_error(tmp_path, damage, field):
         read_checkpoint(path)
 
 
+def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path):
+    mesh = build_interval(1.0, 8)
+    good = Checkpoint(7, 0.35, 0.01, 3, random_pair(mesh, np.random.default_rng(2)))
+    kept = tmp_path / "checkpoint_7.txt"
+    write_checkpoint(kept, good, "deadbeef")
+    before = kept.read_bytes()
+    # an integer surface has no float.hex: the write fails after the bulk line
+    bad = dataclasses.replace(good, state=good.state.copy())
+    bad.state.surface = np.array([1, 2])
+    for path in (tmp_path / "checkpoint_8.txt", kept):
+        with pytest.raises(AttributeError):
+            write_checkpoint(path, bad, "deadbeef")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_7.txt"]
+    assert kept.read_bytes() == before
+
+
 def test_adaptive_growth_after_five_acceptances(dw_spec):
     config = small_config(dw_spec, adaptive=True, dt=0.01, t_final=0.12,
                           sample_every=1)
@@ -368,6 +384,17 @@ def test_config_validation_guards(dw_spec):
         RunConfig(geometry="sphere", spec=dw_spec)
     with pytest.raises(ConfigurationError, match="unknown init_kind 'blob'"):
         RunConfig(init_kind="blob", spec=dw_spec)
+
+
+def test_nonfinite_values_and_newton_settings_rejected_together(dw_spec):
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(t_final=np.inf, K=np.inf, dt_max=np.inf, init_mean=np.nan,
+                  newton_tol=0.0, newton_max_iter=0, spec=dw_spec)
+    text = str(err.value)
+    for name in ("t_final", "K", "dt_max", "init_mean"):
+        assert f"{name} must be finite" in text
+    assert "newton_tol must be positive" in text
+    assert "newton_max_iter must be at least 1" in text
 
 
 def test_energy_totals_nonincreasing_in_record(dw_spec):

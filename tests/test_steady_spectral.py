@@ -119,6 +119,15 @@ def test_eigen_solve_orthonormality_and_residual_contract():
         assert rq == pytest.approx(res.values[i], rel=1e-8)
 
 
+def test_eigen_solve_reruns_are_bitwise():
+    # 512 unknowns: the shift-invert Lanczos path, not the dense fallback
+    pair = assemble_wentzell_robin_pair(build_disk(1.0, 16, 32), 1.0)
+    first = eigen_solve(pair, 6)
+    second = eigen_solve(pair, 6)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.fields, second.fields)
+
+
 def test_eigen_solve_dense_fallback_tiny_pair():
     # the interval surface pair is 2x2 with identical operators: both
     # eigenvalues are exactly 1 and only the dense path can deliver them

@@ -93,6 +93,9 @@ def _log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), min(1.0, r2)
 
 
+RATE_MODELS = ("power", "exponential", "auto")
+
+
 def fit_decay_rate(series, model: str = RATE_MODEL) -> RateFit:
     """Least squares in log coordinates: value vs log(1+t) for the power
     model, vs t for the exponential model; auto keeps the better fit."""
@@ -104,7 +107,7 @@ def fit_decay_rate(series, model: str = RATE_MODEL) -> RateFit:
         raise InputError(f"need at least 10 samples, got {times.size}")
     if np.any(values <= 0):
         raise InputError("decay fit requires strictly positive values")
-    if model not in ("power", "exponential", "auto"):
+    if model not in RATE_MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     logv = np.log(values)
     fits = {}
@@ -184,6 +187,9 @@ def _state_series(record: TrajectoryRecord) -> list:
     return record.states
 
 
+SWEEP_REFERENCES = ("transmission_limit", "smallest_k")
+
+
 def k_sweep(base_config: RunConfig, k_values,
             reference: str = SWEEP_REFERENCE) -> SweepTable:
     """Boundary-relaxation sweep on a shared mesh, initial state, and fixed
@@ -196,7 +202,7 @@ def k_sweep(base_config: RunConfig, k_values,
     k_values = [float(k) for k in k_values]
     if not k_values or any(k <= 0 for k in k_values):
         raise ConfigurationError("K values must be positive")
-    if reference not in ("transmission_limit", "smallest_k"):
+    if reference not in SWEEP_REFERENCES:
         raise ConfigurationError(f"unknown reference {reference!r}")
     spec = base_config.get_spec()
     if reference == "transmission_limit" and spec.coupling.kind != "affine":

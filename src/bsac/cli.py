@@ -34,8 +34,8 @@ from .dynamics import (ENERGY_SLACK, ROW_HEADER, RunConfig, TrajectoryRecord, at
 from .steady_spectral import eigen_solve, solve_stationary_newton
 from .operators import (assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair)
-from .analysis import (RATE_MODEL, SWEEP_REFERENCE, fit_decay_rate, k_sweep,
-                       ls_probe)
+from .analysis import (RATE_MODEL, RATE_MODELS, SWEEP_REFERENCE, SWEEP_REFERENCES,
+                       fit_decay_rate, k_sweep, ls_probe)
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False, "on": True, "off": False}
@@ -199,6 +199,12 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedC
             values[key] = cast(raw)
         except (ValueError, TypeError):
             errors.append(f"key {key!r}: expected {cast.__name__}, got {raw!r}")
+    for key, choices in (("rate_model", RATE_MODELS), ("rate_series", RATE_SERIES),
+                         ("sweep_reference", SWEEP_REFERENCES)):
+        if values[key] not in choices:
+            errors.append(f"{key} must be one of {', '.join(choices)}, got {values[key]!r}")
+    if not values["probe_radius"] > 0:
+        errors.append(f"probe_radius must be positive, got {values['probe_radius']!r}")
 
     spec = _build_spec(values, errors)
     try:
@@ -381,17 +387,16 @@ def _run_for_analysis(resolved: ResolvedConfig, manifest: RunManifest,
     return mesh, record
 
 
+RATE_SERIES = ("dual_norm", "energy_gap")
+
+
 def _cmd_ratefit(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:
     mesh, record = _run_for_analysis(resolved, manifest, keep_states=False)
     (run_dir / "trajectory.csv").write_text(
         "\n".join(_trajectory_lines(record)) + "\n")
-    series_kind = resolved.values["rate_series"]
-    if series_kind == "dual_norm":
-        values = record.dual_norm
-    elif series_kind == "energy_gap":
-        values = record.energy_total - record.energy_total[-1]
-    else:
-        raise ConfigurationError(f"unknown rate_series {series_kind!r}")
+    series_kind = resolved.values["rate_series"]    # one of RATE_SERIES
+    values = (record.dual_norm if series_kind == "dual_norm"
+              else record.energy_total - record.energy_total[-1])
     mask = values > 1e-14
     if np.count_nonzero(mask) < 10:
         raise InputError("series decayed below resolution; not enough samples to fit")

@@ -571,7 +571,8 @@ def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
-    """Inverse of write_checkpoint; a missing or malformed field raises InputError."""
+    """Inverse of write_checkpoint; a missing, malformed or non-finite field
+    raises InputError."""
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -583,9 +584,12 @@ def read_checkpoint(path) -> tuple[Checkpoint, str]:
         if key not in entries:
             raise InputError(f"checkpoint {path} has no {key!r} field")
         try:
-            return cast(entries[key])
+            value = cast(entries[key])
         except ValueError as exc:
             raise InputError(f"checkpoint {path} has a bad {key!r} field: {exc}") from None
+        if not np.all(np.isfinite(value)):
+            raise InputError(f"checkpoint {path} has a non-finite {key!r} field")
+        return value
 
     def hex_floats(text):
         return np.array([float.fromhex(tok) for tok in text.split()])

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import InputError, ShapeError
 from .mesh import Mesh, boundary_trace, trace_matrix
 from .nonlinearity import NonlinearitySpec
-from .operators import (DualVector, bulk_dirichlet_stiffness, bulk_face_table,
-                        dirichlet_form_value, surface_face_table,
+from .operators import (DualVector, bulk_dirichlet_stiffness, dirichlet_form_value,
                         surface_stiffness)
 
 
@@ -70,9 +69,9 @@ def compute_energy(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: floa
     phi = mesh.check_surface(state.surface)
     mismatch = boundary_trace(mesh, u) - spec.eval("h", phi)
     return EnergyReport(
-        bulk_dirichlet=0.5 * dirichlet_form_value(bulk_face_table(mesh), u),
+        bulk_dirichlet=0.5 * dirichlet_form_value(mesh.bulk_faces, u),
         bulk_potential=float(mesh.bulk_weights @ spec.eval("F", u)),
-        surface_dirichlet=0.5 * dirichlet_form_value(surface_face_table(mesh), phi),
+        surface_dirichlet=0.5 * dirichlet_form_value(mesh.surface_faces, phi),
         surface_potential=float(mesh.surface_weights @ spec.eval("F_G", phi)),
         robin_penalty=float(mesh.surface_weights @ mismatch**2) / (2.0 * K),
     )

@@ -7,6 +7,10 @@ r_i h_r h_theta, so constants integrate to pi R^2 exactly. The boundary circle
 carries n_theta nodes with weights R h_theta. The interval (0, L) has n cells
 of width h and a two-point boundary with unit weights.
 
+Each builder also writes its grids' faces, (i, j, coef) arrays for the
+Dirichlet form sum_faces coef (x_i - x_j)^2: energies evaluated in this shape
+are exactly nonnegative in floating point, and the stiffnesses are built from it.
+
 The trace onto the boundary is linear extrapolation through the two outermost
 cell centers of each normal ray, which is exact for fields affine in the
 normal coordinate.
@@ -14,6 +18,7 @@ normal coordinate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +37,10 @@ class Mesh:
     surface_weights: np.ndarray
     boundary_map: np.ndarray    # (n_surf, 2) bulk indices: outermost, next inner
     spacings: dict
-    shape: tuple                # (n_r, n_theta) or (n,)
     extent: float               # R or L
-    cache: dict = field(default_factory=dict, repr=False)   # assembled-operator memo
+    bulk_faces: tuple           # (i, j, coef) interior faces of the bulk grid
+    surface_faces: tuple        # (i, j, coef) faces of the boundary grid; empty on the interval
+    cache: dict = field(default_factory=dict, repr=False)   # see per_mesh
 
     @property
     def n_bulk(self) -> int:
@@ -84,8 +90,33 @@ def build_disk(radius: float = 1.0, n_r: int = 64, n_theta: int = 128) -> Mesh:
     outer = (n_r - 1) * n_theta + np.arange(n_theta)
     inner = (n_r - 2) * n_theta + np.arange(n_theta)
     bmap = np.column_stack([outer, inner])
+    jj = np.arange(n_theta)
+    rows, cols, coefs = [], [], []
+    # radial faces at radius (i+1) h_r; the r=0 face has zero measure
+    for i in range(n_r - 1):
+        rf = (i + 1) * h_r
+        base = i * n_theta
+        rows.append(base + jj)
+        cols.append(base + n_theta + jj)
+        coefs.append(np.full(n_theta, rf * h_t / h_r))
+    # angular faces, periodic in j
+    for i in range(n_r):
+        base = i * n_theta
+        rows.append(base + jj)
+        cols.append(base + (jj + 1) % n_theta)
+        coefs.append(np.full(n_theta, h_r / (r[i] * h_t)))
+    # outermost half-cell band [R - h_r/2, R]: without it the Dirichlet
+    # form drops an O(h_r) chunk wherever the normal derivative is
+    # nonzero on the boundary, degrading Robin-type eigenvalues and
+    # boundary-driven energies to first order
+    rim = radius - 0.25 * h_r
+    rows.append(outer)
+    cols.append(inner)
+    coefs.append(np.full(n_theta, rim * h_t / (2.0 * h_r)))
+    bulk_faces = (np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
+    surface_faces = (jj, (jj + 1) % n_theta, np.full(n_theta, 1.0 / (radius * h_t)))
     return Mesh("disk", points, weights, surf_points, surf_weights, bmap,
-                {"h_r": h_r, "h_theta": h_t}, (n_r, n_theta), radius)
+                {"h_r": h_r, "h_theta": h_t}, radius, bulk_faces, surface_faces)
 
 
 def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
@@ -100,8 +131,13 @@ def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
     surf_points = np.array([[0.0, 0.0], [length, 0.0]])
     surf_weights = np.ones(2)
     bmap = np.array([[0, 1], [n - 1, n - 2]])
+    idx = np.arange(n - 1)
+    # the interior faces, then the same half-cell closure at both endpoints
+    bulk_faces = (np.concatenate([idx, bmap[:, 0]]), np.concatenate([idx + 1, bmap[:, 1]]),
+                  np.concatenate([np.full(n - 1, 1.0 / h), np.full(2, 0.5 / h)]))
+    empty = np.array([], dtype=int)
     return Mesh("interval", points, weights, surf_points, surf_weights, bmap,
-                {"h": h}, (n,), length)
+                {"h": h}, length, bulk_faces, (empty, empty, np.array([])))
 
 
 def build_mesh(geometry: str, **params) -> Mesh:
@@ -120,6 +156,19 @@ def integrate(mesh: Mesh, values, region: str = "bulk") -> float:
     raise ConfigurationError(f"unknown region {region!r}")
 
 
+def per_mesh(build):
+    """Memoize build(mesh, *args) in mesh.cache under (build.__name__, *args);
+    every operator cached on a mesh goes through here."""
+    @functools.wraps(build)
+    def cached(mesh: Mesh, *args):
+        key = (build.__name__, *args)
+        if key not in mesh.cache:
+            mesh.cache[key] = build(mesh, *args)
+        return mesh.cache[key]
+    return cached
+
+
+@per_mesh
 def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
     """The boundary trace as a sparse (n_surface, n_bulk) matrix.
 
@@ -128,16 +177,11 @@ def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
     and -1/2 on the next. Every operator block that involves the trace is
     built from this matrix.
     """
-    key = ("trace",)
-    if key in mesh.cache:
-        return mesh.cache[key]
     n_s = mesh.n_surface
     rows = np.repeat(np.arange(n_s), 2)
     vals = np.tile([1.5, -0.5], n_s)
-    mat = sp.coo_matrix((vals, (rows, mesh.boundary_map.ravel())),
-                        shape=(n_s, mesh.n_bulk)).tocsr()
-    mesh.cache[key] = mat
-    return mat
+    return sp.coo_matrix((vals, (rows, mesh.boundary_map.ravel())),
+                         shape=(n_s, mesh.n_bulk)).tocsr()
 
 
 def boundary_trace(mesh: Mesh, bulk_values) -> np.ndarray:

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError
-from .mesh import Mesh, boundary_trace, trace_matrix
+from .mesh import Mesh, boundary_trace, per_mesh, trace_matrix
 from .nonlinearity import NonlinearitySpec
 
 
@@ -59,118 +59,31 @@ class DualVector:
 
 def _sym_from_faces(n: int, rows, cols, coefs) -> sp.csr_matrix:
     """Graph Laplacian of weighted faces: exact entrywise symmetry."""
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    coefs = np.asarray(coefs, dtype=float)
     i = np.concatenate([rows, cols, rows, cols])
     j = np.concatenate([rows, cols, cols, rows])
     v = np.concatenate([coefs, coefs, -coefs, -coefs])
     return sp.coo_matrix((v, (i, j)), shape=(n, n)).tocsr()
 
 
-def bulk_face_table(mesh: Mesh):
-    """Interior faces of the bulk grid as (i, j, coefficient) arrays.
-
-    The Dirichlet form is sum_faces coef * (x_i - x_j)^2; evaluating it in
-    this factored shape keeps energies exactly nonnegative in floating point.
-    """
-    key = ("bulk_faces",)
-    if key in mesh.cache:
-        return mesh.cache[key]
-    if mesh.geometry == "disk":
-        n_r, n_t = mesh.shape
-        h_r, h_t = mesh.spacings["h_r"], mesh.spacings["h_theta"]
-        rows, cols, coefs = [], [], []
-        # radial faces at radius (i+1) h_r; the r=0 face has zero measure
-        for i in range(n_r - 1):
-            rf = (i + 1) * h_r
-            base = i * n_t
-            rows.append(base + np.arange(n_t))
-            cols.append(base + n_t + np.arange(n_t))
-            coefs.append(np.full(n_t, rf * h_t / h_r))
-        # angular faces, periodic in j
-        r = (np.arange(n_r) + 0.5) * h_r
-        for i in range(n_r):
-            base = i * n_t
-            jj = np.arange(n_t)
-            rows.append(base + jj)
-            cols.append(base + (jj + 1) % n_t)
-            coefs.append(np.full(n_t, h_r / (r[i] * h_t)))
-        # outermost half-cell band [R - h_r/2, R]: without it the Dirichlet
-        # form drops an O(h_r) chunk wherever the normal derivative is
-        # nonzero on the boundary, degrading Robin-type eigenvalues and
-        # boundary-driven energies to first order
-        rim = mesh.extent - 0.25 * h_r
-        rows.append(mesh.boundary_map[:, 0])
-        cols.append(mesh.boundary_map[:, 1])
-        coefs.append(np.full(n_t, rim * h_t / (2.0 * h_r)))
-        table = (np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
-    else:
-        n = mesh.shape[0]
-        h = mesh.spacings["h"]
-        idx = np.arange(n - 1)
-        rows = [idx, mesh.boundary_map[:, 0]]
-        cols = [idx + 1, mesh.boundary_map[:, 1]]
-        # same half-cell closure at both endpoints
-        coefs = [np.full(n - 1, 1.0 / h), np.full(2, 0.5 / h)]
-        table = (np.concatenate(rows), np.concatenate(cols),
-                 np.concatenate(coefs))
-    mesh.cache[key] = table
-    return table
-
-
-def surface_face_table(mesh: Mesh):
-    """Faces of the boundary grid; empty in interval mode."""
-    key = ("surface_faces",)
-    if key in mesh.cache:
-        return mesh.cache[key]
-    if mesh.geometry == "disk":
-        n_s = mesh.n_surface
-        jj = np.arange(n_s)
-        h_t = mesh.spacings["h_theta"]
-        table = (jj, (jj + 1) % n_s, np.full(n_s, 1.0 / (mesh.extent * h_t)))
-    else:
-        empty = np.array([], dtype=int)
-        table = (empty, empty, np.array([]))
-    mesh.cache[key] = table
-    return table
-
-
-def dirichlet_form_value(table, x: np.ndarray) -> float:
+def dirichlet_form_value(faces, x: np.ndarray) -> float:
     """Nonnegative evaluation of a face-table Dirichlet form at x."""
-    i, j, w = table
-    if i.size == 0:
-        return 0.0
+    i, j, w = faces
     d = x[i] - x[j]
     return float(w @ (d * d))
 
 
+@per_mesh
 def bulk_dirichlet_stiffness(mesh: Mesh) -> DiscreteOperator:
     """Pure-diffusion Dirichlet form of the bulk Laplacian (no boundary terms)."""
-    key = ("bulk_dirichlet",)
-    if key in mesh.cache:
-        return mesh.cache[key]
-    rows, cols, coefs = bulk_face_table(mesh)
-    mat = _sym_from_faces(mesh.n_bulk, rows, cols, coefs)
-    op = DiscreteOperator(mat, mesh.bulk_weights.copy())
-    mesh.cache[key] = op
-    return op
+    return DiscreteOperator(_sym_from_faces(mesh.n_bulk, *mesh.bulk_faces),
+                            mesh.bulk_weights.copy())
 
 
+@per_mesh
 def surface_stiffness(mesh: Mesh) -> DiscreteOperator:
     """Dirichlet form of the boundary Laplacian (zero in interval mode)."""
-    key = ("surface_dirichlet",)
-    if key in mesh.cache:
-        return mesh.cache[key]
-    n_s = mesh.n_surface
-    if mesh.geometry == "disk":
-        rows, cols, coefs = surface_face_table(mesh)
-        mat = _sym_from_faces(n_s, rows, cols, coefs)
-    else:
-        mat = sp.csr_matrix((n_s, n_s))
-    op = DiscreteOperator(mat, mesh.surface_weights.copy())
-    mesh.cache[key] = op
-    return op
+    return DiscreteOperator(_sym_from_faces(mesh.n_surface, *mesh.surface_faces),
+                            mesh.surface_weights.copy())
 
 
 def _robin_trace_block(mesh: Mesh, K: float) -> sp.csr_matrix:
@@ -179,6 +92,7 @@ def _robin_trace_block(mesh: Mesh, K: float) -> sp.csr_matrix:
     return (tr.T @ sp.diags(mesh.surface_weights / K) @ tr).tocsr()
 
 
+@per_mesh
 def assemble_bulk_laplacian(mesh: Mesh, K: float) -> DiscreteOperator:
     """Bulk diffusion form closed by the Robin boundary flux.
 
@@ -189,15 +103,11 @@ def assemble_bulk_laplacian(mesh: Mesh, K: float) -> DiscreteOperator:
     """
     if K <= 0:
         raise ConfigurationError("K must be positive")
-    key = ("bulk_laplacian", float(K))
-    if key in mesh.cache:
-        return mesh.cache[key]
     mat = bulk_dirichlet_stiffness(mesh).matrix + _robin_trace_block(mesh, K)
-    op = DiscreteOperator(mat.tocsr(), mesh.bulk_weights.copy())
-    mesh.cache[key] = op
-    return op
+    return DiscreteOperator(mat.tocsr(), mesh.bulk_weights.copy())
 
 
+@per_mesh
 def assemble_wentzell_robin_pair(mesh: Mesh, K: float):
     """Generalized pair for the eigenproblem with the eigenvalue in the flux.
 
@@ -208,34 +118,23 @@ def assemble_wentzell_robin_pair(mesh: Mesh, K: float):
     smallest eigenvalue is strictly positive; the weighted mass is positive
     definite.
     """
-    if K <= 0:
-        raise ConfigurationError("K must be positive")
-    key = ("wentzell_robin", float(K))
-    if key in mesh.cache:
-        return mesh.cache[key]
     stiff = assemble_bulk_laplacian(mesh, K).matrix
     wmass = sp.diags(mesh.bulk_weights).tocsr() + _robin_trace_block(mesh, K)
-    pair = (DiscreteOperator(stiff, mesh.bulk_weights.copy()),
+    return (DiscreteOperator(stiff, mesh.bulk_weights.copy()),
             DiscreteOperator(wmass.tocsr(), mesh.bulk_weights.copy()))
-    mesh.cache[key] = pair
-    return pair
 
 
+@per_mesh
 def assemble_surface_shifted_pair(mesh: Mesh):
     """Shifted boundary pair: stiffness = boundary Dirichlet form + boundary mass.
 
     In interval mode the boundary Laplacian vanishes and the pair degenerates
     to (mass, mass), whose spectrum is identically 1.
     """
-    key = ("surface_shifted",)
-    if key in mesh.cache:
-        return mesh.cache[key]
     mass_mat = sp.diags(mesh.surface_weights).tocsr()
     stiff = surface_stiffness(mesh).matrix + mass_mat
-    pair = (DiscreteOperator(stiff.tocsr(), mesh.surface_weights.copy()),
+    return (DiscreteOperator(stiff.tocsr(), mesh.surface_weights.copy()),
             DiscreteOperator(mass_mat, mesh.surface_weights.copy()))
-    mesh.cache[key] = pair
-    return pair
 
 
 def joint_mass(mesh: Mesh) -> np.ndarray:
@@ -256,18 +155,18 @@ def trace_coupling_block(mesh: Mesh, coef: np.ndarray) -> sp.csr_matrix:
         shape=(n, n)).tocsr()
 
 
+@per_mesh
+def _joint_base(mesh: Mesh, K: float) -> sp.csr_matrix:
+    """The block-diagonal joint form [S_bulk + K^-1 Tr' D_s Tr, S_surf]."""
+    return sp.block_diag([assemble_bulk_laplacian(mesh, K).matrix,
+                          surface_stiffness(mesh).matrix], format="csr")
+
+
 def assemble_joint(mesh: Mesh, K: float, diagonal: np.ndarray,
                    coupling: np.ndarray | None = None) -> sp.csr_matrix:
     """Joint-space form matrix [S_bulk + K^-1 Tr' D_s Tr, S_surf] + diag(diagonal),
-    plus the trace coupling block Tr' diag(coupling) when one is given.
-
-    The block-diagonal base depends on K only and is cached on the mesh.
-    """
-    key = ("joint_base", float(K))
-    if key not in mesh.cache:
-        mesh.cache[key] = sp.block_diag([assemble_bulk_laplacian(mesh, K).matrix,
-                                         surface_stiffness(mesh).matrix], format="csr")
-    mat = mesh.cache[key] + sp.diags(diagonal)
+    plus the trace coupling block Tr' diag(coupling) when one is given."""
+    mat = _joint_base(mesh, K) + sp.diags(diagonal)
     if coupling is not None:
         mat = mat + trace_coupling_block(mesh, coupling)
     return mat
@@ -330,8 +229,10 @@ class RieszMap:
         return float(np.sqrt(max(val, 0.0)))
 
 
+@per_mesh
+def _riesz_map(mesh: Mesh) -> RieszMap:
+    return RieszMap(mesh)
+
+
 def riesz_dual_norm(mesh: Mesh, functional: DualVector) -> float:
-    key = ("riesz",)
-    if key not in mesh.cache:
-        mesh.cache[key] = RieszMap(mesh)
-    return mesh.cache[key].dual_norm(functional)
+    return _riesz_map(mesh).dual_norm(functional)

@@ -101,7 +101,7 @@ def _pencil_lower_bound(stiff: sp.csr_matrix, mass_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
-def eigen_solve(pair, count: int, *, sigma: float | None = None) -> EigenResult:
+def eigen_solve(pair, count: int) -> EigenResult:
     """Smallest `count` eigenpairs of a symmetric pencil, mass-orthonormal.
 
     Shift-invert Lanczos with the mass as weight (mass-orthogonal deflation
@@ -125,14 +125,13 @@ def eigen_solve(pair, count: int, *, sigma: float | None = None) -> EigenResult:
     mass_diag = mass.diagonal()
     diag_only = (mass.nnz == np.count_nonzero(mass_diag)) and np.all(mass_diag > 0)
 
-    if sigma is None:
-        if diag_only:
-            lb = _pencil_lower_bound(stiff, mass_diag)
-            sigma = lb - 0.01 * (1.0 + abs(lb))
-        else:
-            # positive-definite stiffness expected; shift slightly negative so
-            # the factorization never lands on an exact eigenvalue
-            sigma = -1e-8
+    if diag_only:
+        lb = _pencil_lower_bound(stiff, mass_diag)
+        sigma = lb - 0.01 * (1.0 + abs(lb))
+    else:
+        # positive-definite stiffness expected; shift slightly negative so
+        # the factorization never lands on an exact eigenvalue
+        sigma = -1e-8
 
     use_dense = n < 400 or count >= n - 1
     if not use_dense:

@@ -312,6 +312,9 @@ def test_config_hash_pinned_across_releases():
 @pytest.mark.parametrize("damage, field", [
     (lambda text: text[:text.index("bulk =")], "bulk"),
     (lambda text: text.replace("bulk = ", "bulk = 0xzz ", 1), "bulk"),
+    (lambda text: text.replace("bulk = ", "bulk = inf ", 1), "bulk"),
+    (lambda text: re.sub(r"^dt_policy = .*$", "dt_policy = nan", text, flags=re.MULTILINE),
+     "dt_policy"),
 ])
 def test_resume_rejects_malformed_checkpoint(tmp_path, damage, field):
     _, root_a = run_main(tmp_path, "a", ["simulate"] + TINY)
@@ -355,6 +358,21 @@ def test_nonfinite_value_exits_2(tmp_path, capsys, key):
     status, root = run_main(tmp_path, "a", ["simulate", "--set", f"{key}=inf"])
     assert status == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("subcommand, key, value, expected", [
+    ("ratefit", "rate_model", "bogus", "power, exponential, auto"),
+    ("ratefit", "rate_series", "bogus", "dual_norm, energy_gap"),
+    ("ksweep", "sweep_reference", "bogus", "transmission_limit, smallest_k"),
+    ("probe", "probe_radius", "0", "must be positive"),
+    ("probe", "probe_radius", "-0.5", "must be positive"),
+])
+def test_bad_choice_exits_2_before_any_run(tmp_path, capsys, subcommand, key, value, expected):
+    status, root = run_main(tmp_path, "a", [subcommand, *TINY, "--set", f"{key}={value}"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"{key} must" in err and expected in err
     assert not root.exists()
 
 

@@ -1,4 +1,5 @@
-"""Static checks on the package source: no module imports a name it never uses."""
+"""Static checks on the package source: no module imports a name it never uses,
+and only mesh.py knows the geometry of a mesh or touches its operator memo."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,28 @@ def test_detector_sees_every_import_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def mesh_internals(source: str) -> list:
+    """Attribute accesses named `cache`, and reads of `geometry` on a mesh."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "cache"
+                or node.attr == "geometry" and ast.unparse(node.value).endswith("mesh")):
+            found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_detector_sees_mesh_cache_and_geometry():
+    source = ("mesh.cache[key] = 1\nself.mesh.cache.clear()\n"
+              "if mesh.geometry == 'disk':\n    g = self.mesh.geometry\n"
+              "config.geometry\nself.geometry\ngeometry = 'disk'\n")
+    assert mesh_internals(source) == ["mesh.cache", "mesh.geometry", "self.mesh.cache",
+                                      "self.mesh.geometry"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "mesh.py"],
+                         ids=lambda p: p.name)
+def test_only_mesh_module_knows_geometry_and_memo(path):
+    assert mesh_internals(path.read_text(encoding="utf-8")) == []

@@ -233,6 +233,7 @@ class RunManifest:
         self.resolved = resolved
         self.hashes: dict = {}
         self.timings: dict = {}
+        self.counts: dict = {}
         self.checks: dict = {}
         self.errors: list = []
 
@@ -251,6 +252,7 @@ class RunManifest:
         ]
         lines += [f"hash_{k} = {v}" for k, v in self.hashes.items()]
         lines += [f"timing_{k} = {v:.3f}s" for k, v in self.timings.items()]
+        lines += [f"{k} = {v}" for k, v in self.counts.items()]
         lines += [f"check_{k} = {'ok' if v else 'FAIL'}" for k, v in self.checks.items()]
         lines += [f"error = {e}" for e in self.errors]
         lines.append(f"exit_status = {self.exit_status()}")
@@ -317,6 +319,11 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     manifest.checks["energy_monotone"] = monotone
     manifest.checks["completed"] = not aborted
     manifest.checks["rejections_recoverable"] = not record.diagnostics.get("aborted", False)
+    diag = record.diagnostics
+    manifest.counts.update(steps_accepted=diag["accepted"], steps_rejected=diag["rejected"],
+                           newton_iterations=diag["newton_iterations"],
+                           factorizations=diag["factorizations"],
+                           krylov_iterations=diag["krylov_iterations"])
 
 
 def _cmd_steady(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:

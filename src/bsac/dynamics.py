@@ -8,7 +8,11 @@ backward-Euler Newton iteration shared by all steppers):
 
   * fully_implicit: backward Euler solved by Newton with the exact second
     variation as Jacobian. The gold standard; every accepted step
-    dissipates the discrete energy.
+    dissipates the discrete energy. Each Newton direction is a CG solve of
+    the current Jacobian (symmetric, and SPD for dt c4 <= 1), preconditioned
+    with a kept SuperLU factor of an earlier one; only when CG does not
+    converge is the current Jacobian factored. The Newton test, the
+    divergence guard and the energy rule still decide every step.
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
@@ -24,7 +28,9 @@ Steps that would raise the energy are rejected and retried with half the
 step size; five consecutive acceptances grow the step by 1.2x up to dt_max.
 The loop is fully deterministic for a fixed configuration and seed, and a
 checkpoint (hex-encoded floats) restores the exact loop state for bitwise
-resume.
+resume. That state includes the factor's anchor, the unknowns and dt its
+Jacobian was built at, so a resume rebuilds the same preconditioner and
+writing checkpoints never changes a run.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, InputError, RunAbort, StepFailure
+from .errors import ConfigurationError, InputError, RunAbort, ShapeError, StepFailure
 from .mesh import Mesh, build_mesh, normal_derivative, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
@@ -48,6 +54,8 @@ from .operators import (DualVector, RieszMap, assemble_joint, assemble_linearize
                         bulk_dirichlet_stiffness, joint_mass, surface_stiffness)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
+KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
+KRYLOV_MAX_ITER = 8    # CG iterations on the stale factor before a fresh one
 
 
 @dataclass
@@ -131,6 +139,9 @@ class Checkpoint:
     dt_policy: float
     accept_streak: int
     state: FieldPair
+    # unknowns and dt of the Jacobian whose LU the Newton solves were
+    # preconditioned with; a resume rebuilds that factor bit for bit
+    anchor: tuple[np.ndarray, float] | None = None
 
 
 @dataclass
@@ -174,7 +185,17 @@ class _Stepper:
     unknowns and back (unknowns, state_of), evaluates the backward-Euler
     residual and its Jacobian, and names the functional whose dual norm the
     recorder logs. advance takes one step under the energy rejection rule.
+
+    Newton directions are found by CG preconditioned with one kept LU factor
+    of an earlier Jacobian (the live factor); the factor is rebuilt from the
+    current Jacobian only when CG does not converge. start resets it.
     """
+
+    # the live factor, the (unknowns, dt) it was built at, and solver counts
+    lu = None
+    anchor = None
+    factorizations = 0
+    krylov_iterations = 0
 
     def report(self, state: FieldPair) -> EnergyReport:
         return compute_energy(self.mesh, self.spec, state, self.K)
@@ -205,6 +226,41 @@ class _Stepper:
         diag = StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
         return new, diag, new_report
 
+    def start(self, anchor: tuple[np.ndarray, float] | None) -> None:
+        """Zero the solver counts and set the live factor: none without an
+        anchor, else the factor of the Jacobian at the anchor's unknowns and dt."""
+        self.factorizations = self.krylov_iterations = 0
+        self.anchor, self.lu = anchor, None
+        if anchor is not None:
+            self.lu = self._factor(self.jacobian(*anchor))
+
+    def _factor(self, matrix: sp.csc_matrix):
+        """Sparse LU of matrix; the only factorization of the steppers, counted."""
+        self.factorizations += 1
+        try:
+            return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise StepFailure(f"implicit solve failed: {exc}") from exc
+
+    def _newton_direction(self, jac: sp.csc_matrix, rhs: np.ndarray, y: np.ndarray,
+                          dt: float) -> np.ndarray:
+        """Solve jac delta = rhs by CG preconditioned with the live factor; when
+        CG does not converge, or there is no factor, factor jac and solve."""
+        if self.lu is not None:
+            def count(_):
+                self.krylov_iterations += 1
+            delta, info = spla.cg(jac, rhs, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAX_ITER,
+                                  M=spla.LinearOperator(jac.shape, self.lu.solve),
+                                  callback=count)
+            if info == 0:
+                return delta
+        # drop the stale factor first, so only one is held; a failed build
+        # leaves no factor and no anchor, which a resume reproduces
+        self.lu = self.anchor = None
+        self.lu = self._factor(jac)
+        self.anchor = (y, dt)
+        return self.lu.solve(rhs)
+
     def _residual_norm(self, r: np.ndarray) -> float:
         # L2 norm of the strong-form residual (coefficients divided by weights)
         return float(np.sqrt(np.sum(r * r / self.weights)))
@@ -217,11 +273,7 @@ class _Stepper:
         rnorm = self._residual_norm(res)
         best = rnorm
         for it in range(1, max_iter + 1):
-            jac = self.jacobian(y, dt)
-            try:
-                delta = spla.splu(jac).solve(-res)
-            except RuntimeError as exc:
-                raise StepFailure(f"implicit solve failed: {exc}") from exc
+            delta = self._newton_direction(self.jacobian(y, dt), -res, y, dt)
             y = y + delta
             if not np.all(np.isfinite(y)):
                 raise StepFailure("implicit iteration produced non-finite state")
@@ -292,7 +344,7 @@ class _RobinStepper(_Stepper):
             surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
         rhs += np.concatenate([self.tr.T @ bulk_src, surf_src])
         lhs = assemble_joint(mesh, K, diagonal, coupling).tocsc()
-        y = spla.splu(lhs).solve(rhs)
+        y = self._factor(lhs).solve(rhs)
         if not np.all(np.isfinite(y)):
             raise StepFailure("semi-implicit solve produced non-finite state")
         return self.state_of(y), s_stab
@@ -434,15 +486,24 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     mesh = stepper.mesh
     rec = _Recorder(stepper, config.keep_states)
     checkpoints: list[Checkpoint] = []
-    diagnostics = {"accepted": 0, "rejected": 0, "newton_iterations": 0, "aborted": False,
+    diagnostics = {"accepted": 0, "rejected": 0, "newton_iterations": 0,
+                   "factorizations": 0, "krylov_iterations": 0, "aborted": False,
                    **(diagnostics or {})}
 
+    def build() -> TrajectoryRecord:
+        diagnostics.update(factorizations=stepper.factorizations,
+                           krylov_iterations=stepper.krylov_iterations)
+        return rec.build(checkpoints, diagnostics)
+
     if isinstance(start, Checkpoint):
+        _check_checkpoint(stepper, config, start)
+        stepper.start(start.anchor)
         state = start.state.copy()
         t, step = start.time, start.step
         dt_policy, streak = start.dt_policy, start.accept_streak
         report = stepper.report(state)
     else:
+        stepper.start(None)
         state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
         report = stepper.report(state)
@@ -475,25 +536,42 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
             if step % config.sample_every == 0:
                 rec.sample(t, state, report, delta_b, delta_s)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
-                checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
+                checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy(),
+                                              stepper.anchor))
         else:
             diagnostics["rejected"] += 1
             if not config.adaptive:
                 diagnostics["aborted"] = True
-                raise RunAbort(f"step rejected with fixed dt: {diag.reason}",
-                               rec.build(checkpoints, diagnostics))
+                raise RunAbort(f"step rejected with fixed dt: {diag.reason}", build())
             streak = 0
             dt_policy = dt / 2.0
             if dt_policy < config.dt_min:
                 diagnostics["aborted"] = True
-                raise RunAbort(f"dt underflow below dt_min: {diag.reason}",
-                               rec.build(checkpoints, diagnostics))
+                raise RunAbort(f"dt underflow below dt_min: {diag.reason}", build())
     if not rec.times or rec.times[-1] < t - 1e-12 * max(1.0, t_end):
         rec.sample(t, state, report)    # endpoint always lands in the record
-    checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
+    checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy(), stepper.anchor))
     if not config.keep_states:
         rec.states = [state.copy()]   # keep the endpoint reachable regardless
-    return rec.build(checkpoints, diagnostics)
+    return build()
+
+
+def _check_checkpoint(stepper: _Stepper, config: RunConfig, cp: Checkpoint) -> None:
+    """A checkpoint start must be finite, above dt_min and sized for stepper."""
+    if not (math.isfinite(cp.time) and math.isfinite(cp.dt_policy)):
+        raise InputError("checkpoint time and dt_policy must be finite")
+    if not cp.dt_policy >= config.dt_min:
+        raise InputError(f"checkpoint dt_policy {cp.dt_policy!r} is below "
+                         f"dt_min {config.dt_min!r}")
+    stepper.mesh.check_bulk(cp.state.bulk)
+    stepper.mesh.check_surface(cp.state.surface)
+    if cp.anchor is not None:
+        y, dt = cp.anchor
+        if np.shape(y) != stepper.weights.shape:
+            raise ShapeError(f"checkpoint anchor has shape {np.shape(y)}, "
+                             f"expected {stepper.weights.shape}")
+        if not (np.all(np.isfinite(y)) and math.isfinite(dt) and dt > 0):
+            raise InputError("checkpoint anchor must be finite with a positive dt")
 
 
 def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
@@ -568,6 +646,10 @@ def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
         fh.write(f"config_hash = {config_hash}\n")
         fh.write("bulk = " + " ".join(v.hex() for v in cp.state.bulk) + "\n")
         fh.write("surface = " + " ".join(v.hex() for v in cp.state.surface) + "\n")
+        if cp.anchor is not None:
+            y, dt = cp.anchor
+            fh.write(f"anchor_dt = {float(dt).hex()}\n")
+            fh.write("anchor = " + " ".join(v.hex() for v in y) + "\n")
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
@@ -595,7 +677,10 @@ def read_checkpoint(path) -> tuple[Checkpoint, str]:
         return np.array([float.fromhex(tok) for tok in text.split()])
 
     state = FieldPair(parse("bulk", hex_floats), parse("surface", hex_floats))
+    anchor = None
+    if "anchor" in entries or "anchor_dt" in entries:
+        anchor = (parse("anchor", hex_floats), parse("anchor_dt", float.fromhex))
     cp = Checkpoint(parse("step", int), parse("time", float.fromhex),
                     parse("dt_policy", float.fromhex),
-                    parse("accept_streak", int), state)
+                    parse("accept_streak", int), state, anchor)
     return cp, entries.get("config_hash", "")

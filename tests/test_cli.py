@@ -394,3 +394,18 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
         assert status == 0
         texts.append((single_run_dir(root, "spectrum") / "spectrum.txt").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_simulate_manifest_reports_repeatable_solver_counts(tmp_path):
+    keys = ("steps_accepted", "steps_rejected", "newton_iterations", "factorizations",
+            "krylov_iterations")
+    counts = []
+    for tag in ("a", "b"):
+        status, root = run_main(tmp_path, tag, ["simulate"] + TINY)
+        assert status == 0
+        lines = (single_run_dir(root, "simulate") / "manifest.txt").read_text().splitlines()
+        entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
+        counts.append({key: int(entries[key]) for key in keys})
+    assert counts[0] == counts[1]
+    assert counts[0]["steps_accepted"] == 6 and counts[0]["steps_rejected"] == 0
+    assert 1 <= counts[0]["factorizations"] < counts[0]["newton_iterations"]

@@ -13,6 +13,7 @@ from bsac import (
     InputError,
     RunAbort,
     RunConfig,
+    ShapeError,
     advance_step,
     boundary_trace,
     build_disk,
@@ -28,7 +29,8 @@ from bsac import (
     write_checkpoint,
 )
 
-from bsac.dynamics import _integrate, _TransmissionStepper
+from bsac import dynamics
+from bsac.dynamics import _integrate, _RobinStepper, _TransmissionStepper
 
 from conftest import random_pair
 
@@ -401,3 +403,114 @@ def test_energy_totals_nonincreasing_in_record(dw_spec):
     record = run_trajectory(small_config(dw_spec, t_final=1.0))
     drops = np.diff(record.energy_total)
     assert np.all(drops <= 1e-12 * np.maximum(1.0, np.abs(record.energy_total[:-1])))
+
+
+@pytest.mark.parametrize("over, error, match", [
+    (dict(dt_policy=np.nan), InputError, "must be finite"),
+    (dict(time=np.inf), InputError, "must be finite"),
+    (dict(dt_policy=1e-9), InputError, "below dt_min"),
+    # the anchor of a checkpoint from a 20-cell mesh
+    (dict(anchor=(np.full(22, 0.5), 0.05)), ShapeError, "anchor has shape"),
+    (dict(anchor=(np.full(18, 0.5), 0.0)), InputError, "positive dt"),
+    (dict(state=FieldPair(np.full(20, 0.5), np.full(2, 0.5))), ShapeError, "bulk field"),
+])
+def test_resume_rejects_a_bad_checkpoint_before_stepping(dw_spec, over, error, match):
+    # a nan dt_policy used to halve to nan on every rejection and never underflow
+    config = RunConfig(geometry="interval", n=16, t_final=1.0, spec=dw_spec)
+    state = FieldPair(np.full(16, 0.5), np.full(2, 0.5))
+    cp = dataclasses.replace(Checkpoint(1, 0.1, 0.05, 0, state), **over)
+    with pytest.raises(error, match=match):
+        run_trajectory(config, resume=cp)
+
+
+def disk_config(spec, **over):
+    # fully implicit Robin flow on the 16x32 disk; the growing dt makes the
+    # stale factor fail CG, so the run refactors mid-way
+    base = dict(n_r=16, n_theta=32, t_final=5.0, checkpoint_every=7, keep_states=True,
+                spec=spec)
+    base.update(over)
+    return RunConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def disk_run(disk_mid, dw_spec):
+    stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
+    config = disk_config(dw_spec)
+    return stepper, config, _integrate(stepper, config, initial_state(config, disk_mid))
+
+
+def test_solver_counts_repeat_and_the_factor_is_reused(disk_mid, dw_spec):
+    config = disk_config(dw_spec, checkpoint_every=0)
+    first = run_trajectory(config, mesh=disk_mid).diagnostics
+    again = run_trajectory(config, mesh=disk_mid).diagnostics
+    assert first == again
+    assert 1 <= first["factorizations"] < first["newton_iterations"]
+    assert first["krylov_iterations"] > 0
+
+
+def test_checkpoints_do_not_change_the_run(disk_run, disk_mid):
+    _, config, full = disk_run
+    plain = run_trajectory(dataclasses.replace(config, checkpoint_every=0), mesh=disk_mid)
+    assert full.diagnostics["factorizations"] >= 2
+    assert np.array_equal(full.rows(), plain.rows())
+
+
+def test_resume_from_every_checkpoint_is_bitwise(disk_run, disk_mid, tmp_path):
+    stepper, config, full = disk_run
+    assert len(full.checkpoints) >= 5
+    for cp in full.checkpoints[:-1]:
+        mask = full.times > cp.time + 1e-15
+        same_stepper = _integrate(stepper, config, cp)
+        path = tmp_path / f"checkpoint_{cp.step}.txt"
+        write_checkpoint(path, cp)
+        back, _ = read_checkpoint(path)
+        assert back.anchor[1] == cp.anchor[1]
+        assert np.array_equal(back.anchor[0], cp.anchor[0])
+        from_file = run_trajectory(config, mesh=disk_mid, resume=back)
+        for tail in (same_stepper, from_file):
+            assert np.array_equal(full.rows()[mask], tail.rows())
+            assert np.array_equal(full.final_state().joint(), tail.final_state().joint())
+
+
+def test_resume_without_anchor_starts_from_a_fresh_factor(disk_run):
+    stepper, config, full = disk_run
+    cp = dataclasses.replace(full.checkpoints[2], anchor=None)
+    # the factor left by the earlier run on this stepper is not inherited
+    assert stepper.lu is not None
+    _integrate(stepper, dataclasses.replace(config, t_final=cp.time), cp)
+    assert stepper.lu is None and stepper.anchor is None
+    tail = _integrate(stepper, config, cp)
+    assert tail.diagnostics["factorizations"] >= 1
+    mask = full.times > cp.time + 1e-15
+    np.testing.assert_allclose(tail.rows(), full.rows()[mask], rtol=1e-8, atol=1e-12)
+
+
+def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypatch):
+    stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
+    stepper.start(None)
+    x0 = smoothed_random_state(disk_mid, 3)
+    tol = 1e-10
+    x1, _, _ = stepper.implicit_step(x0, 0.05, tol, 50)
+    built = stepper.factorizations
+    iterations = []
+
+    def stalled(a, b, **kwargs):
+        iterations.append(kwargs["maxiter"])
+        return np.zeros_like(b), kwargs["maxiter"]
+
+    monkeypatch.setattr(dynamics.spla, "cg", stalled)
+    _, newton, rnorm = stepper.implicit_step(x1, 0.2, tol, 50)
+    assert rnorm < tol
+    assert len(iterations) == newton
+    assert stepper.factorizations == built + newton
+
+
+def test_checkpoint_with_half_an_anchor_is_malformed(tmp_path):
+    mesh = build_interval(1.0, 8)
+    state = random_pair(mesh, np.random.default_rng(2))
+    path = tmp_path / "checkpoint_7.txt"
+    write_checkpoint(path, Checkpoint(7, 0.35, 0.01, 3, state, (state.joint(), 0.01)))
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if not line.startswith("anchor_dt")))
+    with pytest.raises(InputError, match="'anchor_dt'"):
+        read_checkpoint(path)

@@ -1,5 +1,6 @@
 """Static checks on the package source: no module imports a name it never uses,
-and only mesh.py knows the geometry of a mesh or touches its operator memo."""
+only mesh.py knows the geometry of a mesh or touches its operator memo, and
+dynamics.py factors a matrix in one counted helper."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,34 @@ def test_detector_sees_mesh_cache_and_geometry():
                          ids=lambda p: p.name)
 def test_only_mesh_module_knows_geometry_and_memo(path):
     assert mesh_internals(path.read_text(encoding="utf-8")) == []
+
+
+def splu_callers(source: str) -> list:
+    """The innermost enclosing function of each splu call, in source order."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "splu" in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                found.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_sees_every_splu_call():
+    source = ("from scipy.sparse.linalg import splu\nlu = splu(a)\n"
+              "class S:\n    def step(self, m):\n"
+              "        def inner():\n            return spla.splu(m).solve(b)\n"
+              "        f = lambda: splu(m)\n        return spla.splu(m, permc_spec='x')\n"
+              "spla.factorized(a)\nspla.spsolve(a, b)\n")
+    assert splu_callers(source) == ["<module>", "inner", "<lambda>", "step"]
+
+
+def test_dynamics_factors_only_in_its_counted_helper():
+    # the factorization count in a record is honest only if every LU,
+    # semi-implicit ones included, goes through the counting helper
+    assert splu_callers((SRC / "dynamics.py").read_text(encoding="utf-8")) == ["_factor"]

@@ -354,9 +354,10 @@ def _cmd_spectrum(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     count = resolved.values["eigen_count"]
     with _Phase(manifest, "eigen"):
         wr = eigen_solve(assemble_wentzell_robin_pair(mesh, cfg.K),
-                         min(count, mesh.n_bulk))
+                         min(count, mesh.n_bulk), period=mesh.angular_period)
         surf = eigen_solve(assemble_surface_shifted_pair(mesh),
-                           min(count, mesh.n_surface))
+                           min(count, mesh.n_surface), period=mesh.angular_period)
+    manifest.counts.update(eigen_path_bulk=wr.path, eigen_path_surface=surf.path)
     lines = [f"K = {_fmt(cfg.K)}", "bulk spectrum (boundary-weighted pair):"]
     lines += [f"  lambda[{i + 1}] = {_fmt(v)}" for i, v in enumerate(wr.values)]
     lines.append("surface spectrum (shifted pair):")

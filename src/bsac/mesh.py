@@ -40,6 +40,7 @@ class Mesh:
     extent: float               # R or L
     bulk_faces: tuple           # (i, j, coef) interior faces of the bulk grid
     surface_faces: tuple        # (i, j, coef) faces of the boundary grid; empty on the interval
+    angular_period: int         # bulk index i * period + j is ring i, angle j; 1 on the interval
     cache: dict = field(default_factory=dict, repr=False)   # see per_mesh
 
     @property
@@ -116,7 +117,7 @@ def build_disk(radius: float = 1.0, n_r: int = 64, n_theta: int = 128) -> Mesh:
     bulk_faces = (np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
     surface_faces = (jj, (jj + 1) % n_theta, np.full(n_theta, 1.0 / (radius * h_t)))
     return Mesh("disk", points, weights, surf_points, surf_weights, bmap,
-                {"h_r": h_r, "h_theta": h_t}, radius, bulk_faces, surface_faces)
+                {"h_r": h_r, "h_theta": h_t}, radius, bulk_faces, surface_faces, n_theta)
 
 
 def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
@@ -137,7 +138,7 @@ def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
                   np.concatenate([np.full(n - 1, 1.0 / h), np.full(2, 0.5 / h)]))
     empty = np.array([], dtype=int)
     return Mesh("interval", points, weights, surf_points, surf_weights, bmap,
-                {"h": h}, length, bulk_faces, (empty, empty, np.array([])))
+                {"h": h}, length, bulk_faces, (empty, empty, np.array([])), 1)
 
 
 def build_mesh(geometry: str, **params) -> Mesh:

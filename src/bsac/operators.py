@@ -204,6 +204,21 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
                             joint_mass(mesh))
 
 
+def linearized_lower_bound(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> float:
+    """A lower bound on the spectrum of (assemble_linearized, joint_mass).
+
+    The second variation is a positive semidefinite part (both Dirichlet
+    forms and K^-1 |Tr w - h'(phi) xi|^2 weighted by D_s) plus the reaction
+    diagonals M f'(u) and D_s (f_G'(phi) + K^-1 h''(phi) (h(phi) - u|_G)).
+    Against the diagonal joint mass its Rayleigh quotient is at least the
+    smallest of their nodal ratios.
+    """
+    u = mesh.check_bulk(state.bulk)
+    phi = mesh.check_surface(state.surface)
+    cross = spec.eval("h''", phi) * (spec.eval("h", phi) - boundary_trace(mesh, u)) / K
+    return float(min(np.min(spec.eval("f'", u)), np.min(spec.eval("f_G'", phi) + cross)))
+
+
 class RieszMap:
     """Identifies functionals with fields through the block H1 inner product.
 

@@ -3,9 +3,10 @@
 The stationary solver is damped Newton on the energy gradient with the exact
 second variation as Jacobian; the line search halves the step until the dual
 norm of the gradient decreases. The eigen solver handles both generalized
-pairs (bulk with boundary-weighted mass, surface with shifted stiffness) by
-shift-invert Lanczos, falling back to a dense solve for small pencils, and
-reports per-pair residuals and the mass Gram defect.
+pairs (bulk with boundary-weighted mass, surface with shifted stiffness) and
+the second variation: dense for small pencils, one radial pencil per Fourier
+mode for rotation-invariant disk pencils, shift-invert Lanczos otherwise. It
+reports per-pair residuals, the mass Gram defect and the path it took.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -28,7 +29,8 @@ from .nonlinearity import NonlinearitySpec
 from .energy import FieldPair, compute_gradient
 from .operators import (DiscreteOperator, RieszMap, assemble_linearized,
                         assemble_surface_shifted_pair,
-                        assemble_wentzell_robin_pair, joint_mass)
+                        assemble_wentzell_robin_pair, joint_mass,
+                        linearized_lower_bound)
 
 
 @dataclass
@@ -50,6 +52,7 @@ class EigenResult:
     fields: np.ndarray          # columns are eigenfields
     residuals: np.ndarray       # ||S y - lam M y|| / ||y|| per pair
     gram_defect: float          # max deviation of the weighted Gram matrix from I
+    path: str                   # "blocks", "arpack" or "dense"; see eigen_solve
 
 
 @dataclass
@@ -101,12 +104,87 @@ def _pencil_lower_bound(stiff: sp.csr_matrix, mass_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
-def eigen_solve(pair, count: int) -> EigenResult:
+def _rotation_invariant(mat: sp.csr_matrix, period: int) -> bool:
+    """Whether mat, on unknowns numbered ring * period + angle, is exactly
+    unchanged by the angular shift j -> j+1 and the reflection j -> -j."""
+    ring, angle = np.divmod(np.arange(mat.shape[0]), period)
+    for perm in (ring * period + (angle + 1) % period, ring * period + (-angle) % period):
+        if (mat[perm][:, perm] != mat).nnz:
+            return False
+    return True
+
+
+def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix, period: int,
+                         count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest `count` eigenpairs of a rotation-invariant pencil, one dense
+    radial pencil per Fourier mode.
+
+    The block of mode k is read off the rows at angle 0: entry (i, l) sums the
+    row-i entries of ring l weighted by cos(2 pi k d / period), d the angular
+    offset. Modes 0 and period/2 give one field each, every other mode a cos
+    and a sin field. Pairs are ordered by (value, mode, cos before sin, index);
+    the values are the block Rayleigh quotients, which meet the residual gate
+    where the generalized eigh values lose digits.
+    """
+    n_rings = stiff.shape[0] // period
+    q = np.arange(period)
+    # exact under q -> period - q, so every block is exactly symmetric
+    cos_q = np.cos(2.0 * np.pi * np.minimum(q, period - q) / period)
+    sin_q = np.sin(2.0 * np.pi * q / period)
+    entries = []
+    for mat in (stiff, mass):
+        rows = mat[np.arange(n_rings) * period].tocoo()
+        ring, offset = np.divmod(rows.col, period)
+        entries.append((rows.row * n_rings + ring, offset, rows.data))
+
+    def block(mode, flat, offset, data):
+        return np.bincount(flat, weights=data * cos_q[(mode * offset) % period],
+                           minlength=n_rings * n_rings).reshape(n_rings, n_rings)
+
+    radial, keys = [], []
+    for mode in range(period // 2 + 1):
+        b_s, b_m = (block(mode, *e) for e in entries)
+        _, vecs = scipy.linalg.eigh(b_s, b_m, driver="gvd")
+        kinds = (0,) if mode == 0 or 2 * mode == period else (0, 1)
+        # index j of a cos/sin mode has 2j values of its own mode below it
+        vecs = vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
+        values = (np.einsum("ij,ij->j", vecs, b_s @ vecs)
+                  / np.einsum("ij,ij->j", vecs, b_m @ vecs))
+        radial.append(vecs)
+        index = np.arange(vecs.shape[1])
+        for kind in kinds:
+            keys.append(np.stack([values, np.full_like(values, mode),
+                                  np.full_like(values, kind), index]))
+    keys = np.concatenate(keys, axis=1)
+    chosen = np.lexsort(keys[::-1])[:count]
+    fields = np.empty((stiff.shape[0], count))
+    for col, (_, mode, kind, index) in enumerate(keys[:, chosen].T):
+        mode, index = int(mode), int(index)
+        angular = (cos_q if kind == 0 else sin_q)[(mode * q) % period]
+        fields[:, col] = np.outer(radial[mode][:, index], angular).ravel()
+    return keys[0, chosen], fields
+
+
+def eigen_solve(pair, count: int, *, period: int = 1,
+                lower_bound: float | None = None) -> EigenResult:
     """Smallest `count` eigenpairs of a symmetric pencil, mass-orthonormal.
 
-    Shift-invert Lanczos with the mass as weight (mass-orthogonal deflation
-    happens inside the iteration); small pencils or near-full requests go
-    through a dense solve. Residuals above 1e-8 raise NumericalError.
+    Three paths, recorded in `EigenResult.path`:
+
+    - "dense": pencils under 400 unknowns, or near-full requests, go through
+      one dense `eigh`.
+    - "blocks": with `period > 1`, unknowns numbered ring * period + angle,
+      and both matrices exactly unchanged by the angular shift and the
+      reflection, the pencil splits into period/2 + 1 radial pencils, one per
+      Fourier mode, each solved dense. Degenerate cos/sin pairs come out in a
+      fixed order, so reruns are bitwise.
+    - "arpack": otherwise, shift-invert Lanczos with the mass as weight. The
+      shift sits just below `lower_bound`, a lower bound on the spectrum the
+      caller knows; without one, below the Gershgorin bound of a diagonal
+      mass, or at -1e-8 for a positive-definite stiffness. An ARPACK error
+      falls back to "dense".
+
+    Residuals above 1e-8 raise NumericalError.
     """
     stiff_in, mass_in = pair
     stiff = _as_matrix(stiff_in)
@@ -122,19 +200,22 @@ def eigen_solve(pair, count: int) -> EigenResult:
     if count > n:
         raise ConfigurationError(f"requested {count} eigenpairs of a {n}-pencil")
 
-    mass_diag = mass.diagonal()
-    diag_only = (mass.nnz == np.count_nonzero(mass_diag)) and np.all(mass_diag > 0)
-
-    if diag_only:
-        lb = _pencil_lower_bound(stiff, mass_diag)
-        sigma = lb - 0.01 * (1.0 + abs(lb))
+    if n < 400 or count >= n - 1:
+        path = "dense"
+    elif (period > 1 and n % period == 0 and _rotation_invariant(stiff, period)
+          and _rotation_invariant(mass, period)):
+        path = "blocks"
+        vals, vecs = _fourier_block_solve(stiff, mass, period, count)
     else:
-        # positive-definite stiffness expected; shift slightly negative so
-        # the factorization never lands on an exact eigenvalue
-        sigma = -1e-8
-
-    use_dense = n < 400 or count >= n - 1
-    if not use_dense:
+        path = "arpack"
+        mass_diag = mass.diagonal()
+        if lower_bound is None and (mass.nnz == np.count_nonzero(mass_diag)
+                                    and np.all(mass_diag > 0)):
+            lower_bound = _pencil_lower_bound(stiff, mass_diag)
+        # without a bound a positive-definite stiffness is expected; shift
+        # slightly negative so the factorization never lands on an exact eigenvalue
+        sigma = (-1e-8 if lower_bound is None
+                 else lower_bound - 0.01 * (1.0 + abs(lower_bound)))
         # a fixed start vector makes reruns bitwise; ARPACK's own start is
         # random per process. Random rather than constant: a constant can be
         # an exact eigenvector of the pencil.
@@ -143,12 +224,12 @@ def eigen_solve(pair, count: int) -> EigenResult:
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
                                     which="LM", tol=0, v0=v0)
         except (RuntimeError, spla.ArpackError, ValueError):
-            use_dense = True
-    if use_dense:
+            path = "dense"
+    if path == "dense":
         vals, vecs = scipy.linalg.eigh(stiff.toarray(), mass.toarray(),
                                        subset_by_index=[0, count - 1])
 
-    order = np.argsort(vals)
+    order = np.argsort(vals, kind="stable")
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
 
@@ -176,7 +257,7 @@ def eigen_solve(pair, count: int) -> EigenResult:
         raise NumericalError(
             f"eigen residuals not converged (max {np.max(res):.3g})",
             residuals=res)
-    return EigenResult(vals, vecs, res, gram_defect)
+    return EigenResult(vals, vecs, res, gram_defect, path)
 
 
 def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
@@ -225,12 +306,14 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
         if not accepted:
             break
         converged = rho < tolerance
+    state = FieldPair(x[:n_b], x[n_b:])
     tag = np.nan
     if converged and compute_stability:
-        lin = assemble_linearized(mesh, spec, FieldPair(x[:n_b], x[n_b:]), K)
-        tag = float(eigen_solve((lin.matrix, joint_mass(mesh)), 1).values[0])
-    return EquilibriumState(FieldPair(x[:n_b], x[n_b:]), float(rho), iters,
-                            converged, tag)
+        lin = assemble_linearized(mesh, spec, state, K)
+        tag = float(eigen_solve((lin.matrix, joint_mass(mesh)), 1,
+                                lower_bound=linearized_lower_bound(mesh, spec, state, K)
+                                ).values[0])
+    return EquilibriumState(state, float(rho), iters, converged, tag)
 
 
 def strong_form_residuals(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair,
@@ -273,8 +356,10 @@ def compute_coercivity_margin(mesh: Mesh, spec: NonlinearitySpec, K: float,
 
     k_bulk = min(max_m, mesh.n_bulk)
     k_surf = min(max_m, mesh.n_surface)
-    wr = eigen_solve(assemble_wentzell_robin_pair(mesh, K), k_bulk)
-    surf = eigen_solve(assemble_surface_shifted_pair(mesh), k_surf)
+    wr = eigen_solve(assemble_wentzell_robin_pair(mesh, K), k_bulk,
+                     period=mesh.angular_period)
+    surf = eigen_solve(assemble_surface_shifted_pair(mesh), k_surf,
+                       period=mesh.angular_period)
 
     weight = min(1.0, 1.0 / K)
     chosen = 0

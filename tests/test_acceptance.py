@@ -215,7 +215,7 @@ def test_criterion_5_coercivity_constants(dw_spec):
     report = compute_coercivity_margin(mesh, dw_spec, 1.0, eq, max_m=96)
     exact = report.c_star == 3.5
     elapsed = time.perf_counter() - start
-    ok = (exact and report.succeeded and report.theta_m > 8 * report.c_star
+    ok = (exact and report.succeeded() and report.theta_m > 8 * report.c_star
           and report.margin > 0.0 and elapsed <= 120.0)
     verdict(ok, "5 (coercivity constants)",
             f"c_star = {report.c_star!r} ({'exact' if exact else 'NOT exact'}),"

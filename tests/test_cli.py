@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from bsac.cli import dispatch, main, parse_config
 from bsac.dynamics import ROW_HEADER, read_checkpoint
@@ -385,7 +386,7 @@ def test_analysis_run_leaves_resolved_config_unchanged(tmp_path):
 
 
 def test_spectrum_reruns_are_byte_identical(tmp_path):
-    # 24x48 bulk unknowns go through shift-invert Lanczos
+    # 24x48 bulk unknowns go through the Fourier blocks
     args = ["spectrum", "--set", "n_r=24", "--set", "n_theta=48",
             "--set", "eigen_count=6"]
     texts = []
@@ -409,3 +410,30 @@ def test_simulate_manifest_reports_repeatable_solver_counts(tmp_path):
     assert counts[0] == counts[1]
     assert counts[0]["steps_accepted"] == 6 and counts[0]["steps_rejected"] == 0
     assert 1 <= counts[0]["factorizations"] < counts[0]["newton_iterations"]
+
+
+def manifest_entries(root, subcommand):
+    lines = (single_run_dir(root, subcommand) / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines if " = " in line)
+
+
+@pytest.mark.parametrize("args, bulk_path", [
+    (["--set", "n_r=24", "--set", "n_theta=48"], "blocks"),
+    (["--set", "geometry=interval", "--set", "n=512"], "arpack"),
+], ids=["disk", "interval"])
+def test_spectrum_manifest_names_each_eigensolver_path(tmp_path, args, bulk_path):
+    status, root = run_main(tmp_path, "a", ["spectrum", "--set", "eigen_count=4"] + args)
+    assert status == 0
+    entries = manifest_entries(root, "spectrum")
+    assert (entries["eigen_path_bulk"], entries["eigen_path_surface"]) == (bulk_path, "dense")
+
+
+def test_spectrum_manifest_shows_the_dense_fallback(tmp_path, monkeypatch):
+    def failing_eigsh(*args, **kwargs):
+        raise RuntimeError("ARPACK error -9999")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+    status, root = run_main(tmp_path, "a", ["spectrum", "--set", "eigen_count=4",
+                                            "--set", "geometry=interval", "--set", "n=512"])
+    assert status == 0
+    assert manifest_entries(root, "spectrum")["eigen_path_bulk"] == "dense"

@@ -1,14 +1,18 @@
 """Property tests over random admissible nonlinearities on small meshes: the
 gradient is the derivative of the energy, the second variation is the
-derivative of the gradient, and an implicit step below the convexity limit
-dissipates energy, for every family and both geometries."""
+derivative of the gradient, its form bound lies below its spectrum, and an
+implicit step below the convexity limit dissipates energy, for every family
+and both geometries."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from bsac import (FieldPair, advance_step, assemble_linearized, build_disk, build_interval,
-                  compute_energy, compute_gradient, joint_mass, make_spec)
+                  compute_energy, compute_gradient, joint_mass, linearized_lower_bound,
+                  make_spec)
 
 MESHES = {"disk": build_disk(1.0, 8, 16), "interval": build_interval(1.0, 16)}
 EPS = 1e-5
@@ -90,6 +94,50 @@ def test_jacobian_is_derivative_of_gradient(case):
     fd = (gradient(EPS) - gradient(-EPS)) / (2 * EPS)
     an = assemble_linearized(mesh, spec, state, K).matrix @ d.joint()
     assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
+
+
+@PROPERTY
+@given(cases())
+def test_form_bound_is_below_the_linearized_spectrum(case):
+    spec, mesh, K, state, _ = case
+    bound = linearized_lower_bound(mesh, spec, state, K)
+    lowest = scipy.linalg.eigh(assemble_linearized(mesh, spec, state, K).matrix.toarray(),
+                               np.diag(joint_mass(mesh)), eigvals_only=True,
+                               subset_by_index=[0, 0])[0]
+    assert bound <= lowest + 1e-10 * max(1.0, abs(lowest))
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_form_bound_is_exact_at_the_uniform_well(name):
+    # f'(1) = f_G'(1) = 2 and h'' = 0; the constant pair attains it
+    mesh, spec = MESHES[name], make_spec()
+    state = FieldPair.constant(mesh, 1.0, 1.0)
+    assert linearized_lower_bound(mesh, spec, state, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_form_bound_is_attained_with_a_curved_coupling(name):
+    # At constants (a, b) the pair (1, 1/h'(b)) zeroes the semidefinite part,
+    # so its Rayleigh quotient averages the bulk ratio f'(a) and the surface
+    # ratio f_G'(b) + h''(b)(h(b) - a)/K. Where the two agree, the bound is
+    # the smallest eigenvalue, h'' term included.
+    mesh, K, b = MESHES[name], 0.2, 0.4
+    spec = make_spec(coupling_kind="tanh",
+                     coupling_params={"scale": 1.0, "gain": 1.5, "offset": 0.1})
+
+    def ratio_gap(a):
+        return float(spec.eval("f'", np.array([a]))[0]
+                     - (spec.eval("f_G'", np.array([b]))[0]
+                        + spec.eval("h''", np.array([b]))[0]
+                        * (spec.eval("h", np.array([b]))[0] - a) / K))
+
+    a = scipy.optimize.brentq(ratio_gap, 0.0, 1.5, xtol=1e-15)
+    state = FieldPair.constant(mesh, a, b)
+    assert abs(spec.eval("h''", np.array([b]))[0]) > 0.1
+    lowest = scipy.linalg.eigh(assemble_linearized(mesh, spec, state, K).matrix.toarray(),
+                               np.diag(joint_mass(mesh)), eigvals_only=True,
+                               subset_by_index=[0, 0])[0]
+    assert linearized_lower_bound(mesh, spec, state, K) == pytest.approx(lowest, rel=1e-10)
 
 
 @PROPERTY

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from bsac import (
     FieldPair,
@@ -21,6 +23,7 @@ from bsac import (
     solve_stationary_newton,
     strong_form_residuals,
 )
+from conftest import random_pair
 
 
 def uniform_guess(mesh, value):
@@ -126,6 +129,106 @@ def test_eigen_solve_reruns_are_bitwise():
     second = eigen_solve(pair, 6)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.fields, second.fields)
+
+
+def test_arpack_failure_falls_back_to_dense_and_says_so(monkeypatch):
+    pair = assemble_wentzell_robin_pair(build_disk(1.0, 16, 32), 1.0)
+    reference = eigen_solve(pair, 6)
+
+    def failing_eigsh(*args, **kwargs):
+        raise RuntimeError("ARPACK error -9999")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+    fallback = eigen_solve(pair, 6)
+    assert (reference.path, fallback.path) == ("arpack", "dense")
+    assert np.allclose(fallback.values, reference.values, rtol=1e-10, atol=0)
+
+
+def _clusters(values):
+    """(start, stop) of each run of eigenvalues equal to 1e-8 relative; a run
+    that reaches the end of the list may be cut, so it is left out."""
+    start = 0
+    while start < values.size:
+        stop = start + 1
+        while stop < values.size and values[stop] - values[start] < 1e-8 * values[start]:
+            stop += 1
+        if stop < values.size:
+            yield start, stop
+        start = stop
+
+
+# 128x4 has three Fourier modes, so the 24 pairs reach deep radial indices
+@pytest.mark.parametrize("shape", [(16, 32), (32, 64), (128, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("K", [1.0, 0.01])
+def test_fourier_blocks_match_the_sparse_solve(shape, K):
+    mesh = build_disk(1.0, *shape)
+    pair = assemble_wentzell_robin_pair(mesh, K)
+    blocks = eigen_solve(pair, 24, period=mesh.angular_period)
+    sparse = eigen_solve(pair, 24)
+    assert (blocks.path, sparse.path) == ("blocks", "arpack")
+    assert np.max(np.abs(blocks.values / sparse.values - 1.0)) < 1e-9
+    # both bases are mass-orthonormal, so the mass norm of the part of one
+    # cluster's basis outside the other's span is the projector difference
+    mass = pair[1].matrix
+    clusters = list(_clusters(blocks.values))
+    assert any(stop - start == 2 for start, stop in clusters)
+    for start, stop in clusters:
+        y_b, y_s = blocks.fields[:, start:stop], sparse.fields[:, start:stop]
+        outside = y_s - y_b @ (y_b.T @ (mass @ y_s))
+        assert np.sqrt(np.max(np.sum(outside * (mass @ outside), axis=0))) < 1e-8
+
+
+def test_blocks_only_for_pencils_with_the_symmetry(dw_spec, disk_mid):
+    mass = joint_mass(disk_mid)
+    period = disk_mid.angular_period
+    uniform = assemble_linearized(disk_mid, dw_spec, uniform_guess(disk_mid, 1.0), 1.0)
+    blocks = eigen_solve((uniform, mass), 4, period=period)
+    assert blocks.path == "blocks"
+    assert np.allclose(blocks.values, eigen_solve((uniform, mass), 4).values,
+                       rtol=1e-10, atol=0)
+    state = random_pair(disk_mid, np.random.default_rng(7), mean=0.9, amplitude=0.1)
+    lin = assemble_linearized(disk_mid, dw_spec, state, 1.0)
+    assert eigen_solve((lin, mass), 4, period=period).path == "arpack"
+    # one entry off by one part in 1e12 breaks the shift invariance
+    stiff, wmass = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    bent = stiff.matrix.copy()
+    bent[5, 5] *= 1.0 + 1e-12
+    assert eigen_solve((bent, wmass), 4, period=period).path == "arpack"
+    # faces from (ring i, angle j) to (ring i+1, angle j+1) keep the shift
+    # invariance but not the reflection
+    inner = np.arange(disk_mid.n_bulk - period)
+    outer = inner + period - inner % period + (inner + 1) % period
+    twist = scipy.sparse.coo_matrix((np.full(inner.size, 0.3), (inner, outer)),
+                                    shape=stiff.matrix.shape)
+    twist = twist + twist.T
+    twisted = (stiff.matrix + scipy.sparse.diags(np.asarray(twist.sum(axis=1)).ravel())
+               - twist).tocsr()
+    result = eigen_solve((twisted, wmass), 4, period=period)
+    assert result.path == "arpack"
+    assert np.max(result.residuals) < 1e-8
+
+
+@pytest.mark.parametrize("count", [2, 7, 12])
+def test_fourier_block_reruns_are_bitwise(count, disk_mid):
+    pair = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    first = eigen_solve(pair, count, period=disk_mid.angular_period)
+    second = eigen_solve(pair, count, period=disk_mid.angular_period)
+    assert first.path == "blocks"
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.fields, second.fields)
+
+
+def test_count_two_splits_a_cos_sin_pair(disk_mid):
+    # so the rerun case count=2 keeps the cos field of mode 1 and drops its sin
+    result = eigen_solve(assemble_wentzell_robin_pair(disk_mid, 1.0), 3,
+                         period=disk_mid.angular_period)
+    assert result.values[1] == pytest.approx(result.values[2], rel=1e-12)
+    assert result.values[0] < 0.99 * result.values[1]
+    # cos before sin: the sin field vanishes at angle 0 on every ring
+    period = disk_mid.angular_period
+    assert np.all(result.fields[::period, 1] != 0)
+    assert np.all(result.fields[::period, 2] == 0)
 
 
 def test_eigen_solve_dense_fallback_tiny_pair():

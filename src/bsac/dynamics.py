@@ -12,7 +12,10 @@ backward-Euler Newton iteration shared by all steppers):
     the current Jacobian (symmetric, and SPD for dt c4 <= 1), preconditioned
     with a kept SuperLU factor of an earlier one; only when CG does not
     converge is the current Jacobian factored. The Newton test, the
-    divergence guard and the energy rule still decide every step.
+    divergence guard and the energy rule still decide every step. A
+    Newton iteration builds no sparse matrix: the Jacobian's values are
+    written onto one pattern per mesh and K (operators.jacobian_map), and
+    CG is the short loop _pcg, scipy's arithmetic without its set-up.
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
@@ -22,7 +25,8 @@ backward-Euler Newton iteration shared by all steppers):
   surface field): the Robin flow pulled back through the lift that solves
   the constraint for the surface field, so the bulk vector is the only
   unknown and the normal-derivative term of the surface equation appears as
-  the constraint flux of the reduced solve.
+  the constraint flux of the reduced solve. Its Jacobian is written the
+  same way, on the pattern of the pulled-back form.
 
 Steps that would raise the energy are rejected and retried with half the
 step size; five consecutive acceptances grow the step by 1.2x up to dt_max.
@@ -46,16 +50,48 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, RunAbort, ShapeError, StepFailure
-from .mesh import Mesh, build_mesh, normal_derivative, trace_matrix
+from .mesh import Mesh, build_mesh, normal_derivative, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      h_norm)
-from .operators import (DualVector, RieszMap, assemble_joint, assemble_linearized,
-                        bulk_dirichlet_stiffness, joint_mass, surface_stiffness)
+from .operators import (DualVector, RieszMap, assemble_joint, bulk_dirichlet_stiffness,
+                        jacobian_map, joint_mass, linearized_coefficients,
+                        surface_stiffness, trace_lift)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
 KRYLOV_MAX_ITER = 8    # CG iterations on the stale factor before a fresh one
+
+
+def _pcg(matrix, b: np.ndarray, precondition, rtol: float,
+         max_iter: int) -> tuple[np.ndarray, int, bool]:
+    """Preconditioned CG for matrix x = b from x = 0, the arithmetic of
+    scipy.sparse.linalg.cg step for step: the iterate, the iterations taken,
+    and whether |r| fell below rtol |b| before max_iter iterations ran out.
+    As in scipy, running out is failure even when the last iterate would
+    have passed the test."""
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return b, 0, True
+    atol = rtol * b_norm
+    x = np.zeros_like(b)
+    r = b.copy()
+    for it in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, it, True
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if it == 0:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, max_iter, False
 
 
 @dataclass
@@ -186,9 +222,13 @@ class _Stepper:
     residual and its Jacobian, and names the functional whose dual norm the
     recorder logs. advance takes one step under the energy rejection rule.
 
-    Newton directions are found by CG preconditioned with one kept LU factor
-    of an earlier Jacobian (the live factor); the factor is rebuilt from the
-    current Jacobian only when CG does not converge. start resets it.
+    The Jacobian is P' (H + M/dt) P, with H the second variation, M the
+    joint mass and P the stepper's map from unknowns to joint vectors; its
+    values are written through the stepper's JacobianMap (jac_map) on one
+    fixed pattern. Newton directions are found by CG preconditioned with one
+    kept LU factor of an earlier Jacobian (the live factor); the factor is
+    rebuilt from the current Jacobian only when CG does not converge. start
+    resets it.
     """
 
     # the live factor, the (unknowns, dt) it was built at, and solver counts
@@ -234,6 +274,10 @@ class _Stepper:
         if anchor is not None:
             self.lu = self._factor(self.jacobian(*anchor))
 
+    def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
+        coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
+        return self.jac_map.matrix(*coefficients, self.joint_mass / dt)
+
     def _factor(self, matrix: sp.csc_matrix):
         """Sparse LU of matrix; the only factorization of the steppers, counted."""
         self.factorizations += 1
@@ -247,12 +291,10 @@ class _Stepper:
         """Solve jac delta = rhs by CG preconditioned with the live factor; when
         CG does not converge, or there is no factor, factor jac and solve."""
         if self.lu is not None:
-            def count(_):
-                self.krylov_iterations += 1
-            delta, info = spla.cg(jac, rhs, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAX_ITER,
-                                  M=spla.LinearOperator(jac.shape, self.lu.solve),
-                                  callback=count)
-            if info == 0:
+            delta, iterations, converged = _pcg(jac, rhs, self.lu.solve, KRYLOV_RTOL,
+                                                KRYLOV_MAX_ITER)
+            self.krylov_iterations += iterations
+            if converged:
                 return delta
         # drop the stale factor first, so only one is held; a failed build
         # leaves no factor and no anchor, which a resume reproduces
@@ -294,10 +336,11 @@ class _RobinStepper(_Stepper):
         self.mesh = mesh
         self.spec = spec
         self.K = K
-        self.weights = joint_mass(mesh)
+        self.weights = self.joint_mass = joint_mass(mesh)
         self.n_b = mesh.n_bulk
         self.tr = trace_matrix(mesh)
         self.affine = spec.coupling.kind == "affine"
+        self.jac_map = jacobian_map(mesh, K, None)
 
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.joint()
@@ -310,11 +353,6 @@ class _RobinStepper(_Stepper):
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
         return self.weights * (y - x) / dt + self.functional(self.state_of(y)).joint()
-
-    def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
-        return (assemble_linearized(self.mesh, self.spec, self.state_of(y),
-                                    self.K).matrix
-                + sp.diags(self.weights / dt)).tocsc()
 
     def stabilization(self, state: FieldPair) -> float:
         sup_fp = float(np.max(self.spec.eval("f'", state.bulk)))
@@ -342,8 +380,8 @@ class _RobinStepper(_Stepper):
             coupling = None
             bulk_src = ws * hphi / K
             surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
-        rhs += np.concatenate([self.tr.T @ bulk_src, surf_src])
-        lhs = assemble_joint(mesh, K, diagonal, coupling).tocsc()
+        rhs += np.concatenate([trace_adjoint(mesh) @ bulk_src, surf_src])
+        lhs = assemble_joint(mesh, K, diagonal, coupling)
         y = self._factor(lhs).solve(rhs)
         if not np.all(np.isfinite(y)):
             raise StepFailure("semi-implicit solve produced non-finite state")
@@ -374,10 +412,12 @@ class _TransmissionStepper(_Stepper):
         self.mesh = mesh
         self.spec = spec
         self.weights = mesh.bulk_weights
+        self.joint_mass = joint_mass(mesh)
         self.tr = trace_matrix(mesh)
-        self.lift = sp.vstack([sp.identity(mesh.n_bulk), self.tr / self.alpha],
-                              format="csr")
-        self.metric = (self.lift.T @ sp.diags(joint_mass(mesh)) @ self.lift).tocsr()
+        lift = trace_lift(mesh, self.alpha)
+        self.lift_adjoint = lift.T
+        self.metric = (self.lift_adjoint @ sp.diags(self.joint_mass) @ lift).tocsr()
+        self.jac_map = jacobian_map(mesh, self.K, self.alpha)
 
     def surface_of(self, u: np.ndarray) -> np.ndarray:
         return ((self.tr @ u) - self.eta) / self.alpha
@@ -390,15 +430,10 @@ class _TransmissionStepper(_Stepper):
 
     def functional(self, state: FieldPair) -> DualVector:
         grad = compute_gradient(self.mesh, self.spec, state, self.K).joint()
-        return DualVector(self.lift.T @ grad, np.zeros(self.mesh.n_surface))
+        return DualVector(self.lift_adjoint @ grad, np.zeros(self.mesh.n_surface))
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
         return self.metric @ (y - x) / dt + self.functional(self.state_of(y)).bulk
-
-    def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
-        hessian = (self.lift.T @ assemble_linearized(self.mesh, self.spec, self.state_of(y),
-                                                     self.K).matrix @ self.lift)
-        return (self.metric / dt + hessian).tocsc()
 
 
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,

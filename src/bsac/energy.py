@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .mesh import Mesh, boundary_trace, trace_matrix
+from .mesh import Mesh, boundary_trace, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec
 from .operators import (DualVector, bulk_dirichlet_stiffness, dirichlet_form_value,
                         surface_stiffness)
@@ -85,12 +85,11 @@ def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: fl
     """
     u = mesh.check_bulk(state.bulk)
     phi = mesh.check_surface(state.surface)
-    tr = trace_matrix(mesh)
-    mismatch = (tr @ u) - spec.eval("h", phi)
+    mismatch = (trace_matrix(mesh) @ u) - spec.eval("h", phi)
     weighted_mismatch = mesh.surface_weights * mismatch / K
     g_bulk = (bulk_dirichlet_stiffness(mesh).matrix @ u
               + mesh.bulk_weights * spec.eval("f", u)
-              + tr.T @ weighted_mismatch)
+              + trace_adjoint(mesh) @ weighted_mismatch)
     g_surf = (surface_stiffness(mesh).matrix @ phi
               + mesh.surface_weights * spec.eval("f_G", phi)
               - spec.eval("h'", phi) * weighted_mismatch)

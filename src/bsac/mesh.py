@@ -185,6 +185,13 @@ def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
                          shape=(n_s, mesh.n_bulk)).tocsr()
 
 
+@per_mesh
+def trace_adjoint(mesh: Mesh) -> sp.csc_matrix:
+    """Tr' as a sparse (n_bulk, n_surface) matrix, a view on trace_matrix's
+    arrays: pulls surface functionals back to bulk ones."""
+    return trace_matrix(mesh).T
+
+
 def boundary_trace(mesh: Mesh, bulk_values) -> np.ndarray:
     """Extrapolate a bulk field to the boundary, second order along each ray."""
     return trace_matrix(mesh) @ mesh.check_bulk(bulk_values)

@@ -32,7 +32,7 @@ from .nonlinearity import NonlinearitySpec
 class DiscreteOperator:
     """Symmetric form matrix with its diagonal quadrature companion."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | sp.csc_matrix
     mass: np.ndarray            # diagonal quadrature weights, same dimension
 
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -141,50 +141,103 @@ def joint_mass(mesh: Mesh) -> np.ndarray:
     return np.concatenate([mesh.bulk_weights, mesh.surface_weights])
 
 
-def trace_coupling_block(mesh: Mesh, coef: np.ndarray) -> sp.csr_matrix:
-    """Joint-space block Tr' diag(coef) between bulk rows and surface columns,
-    mirrored below the diagonal, assembled entrywise symmetric."""
-    tr = trace_matrix(mesh).tocoo()
-    n = mesh.n_bulk + mesh.n_surface
-    rows = tr.col
-    cols = mesh.n_bulk + tr.row
-    vals = tr.data * coef[tr.row]
-    return sp.coo_matrix(
-        (np.concatenate([vals, vals]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n)).tocsr()
+@per_mesh
+def trace_lift(mesh: Mesh, alpha: float) -> sp.csr_matrix:
+    """The lift [I; Tr/alpha] from bulk vectors to joint ones: the surface
+    field a bulk field u fixes through the constraint alpha phi + eta = u|_G,
+    up to the constant eta/alpha."""
+    return sp.vstack([sp.identity(mesh.n_bulk), trace_matrix(mesh) / alpha], format="csr")
+
+
+def _spread(lift: sp.csr_matrix, index: np.ndarray, *carried):
+    """One copy of each entry per stored entry of row `index` of lift: the
+    column and value of that lift entry, and the carried arrays repeated."""
+    counts = np.diff(lift.indptr)[index]
+    first = np.cumsum(counts) - counts
+    slot = np.repeat(lift.indptr[index] - first, counts) + np.arange(counts.sum())
+    return lift.indices[slot], lift.data[slot], [np.repeat(c, counts) for c in carried]
+
+
+@dataclass(frozen=True)
+class JacobianMap:
+    """The joint form P' (B + diag(d) + C(c) + diag(m)) P on one fixed CSC pattern.
+
+    B is the joint base [S_bulk + K^-1 Tr' D_s Tr, S_surf] of one K, C(c)
+    the trace coupling block Tr' diag(c) between bulk rows and surface
+    columns, mirrored, and P the identity or a trace lift. The values are
+    base + coef @ [d; c], then + coef @ [m; 0]: with P the identity each
+    entry takes at most one term from each, so a diagonal entry is
+    (B_ii + d_i) + m_i, the order the sums of separate sparse matrices round
+    in. A matrix over these arrays shares indptr and indices with every
+    other one.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    base: np.ndarray
+    coef: sp.csr_matrix         # (nnz, n_joint + n_surface)
+
+    def matrix(self, diagonal: np.ndarray, coupling: np.ndarray,
+               mass: np.ndarray | None = None) -> sp.csc_matrix:
+        data = self.base + self.coef @ np.concatenate([diagonal, coupling])
+        if mass is not None:
+            data += self.coef @ np.concatenate([mass, np.zeros_like(coupling)])
+        n = self.indptr.size - 1
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 @per_mesh
-def _joint_base(mesh: Mesh, K: float) -> sp.csr_matrix:
-    """The block-diagonal joint form [S_bulk + K^-1 Tr' D_s Tr, S_surf]."""
-    return sp.block_diag([assemble_bulk_laplacian(mesh, K).matrix,
+def jacobian_map(mesh: Mesh, K: float, alpha: float | None) -> JacobianMap:
+    """The JacobianMap of K, pulled back through trace_lift(mesh, alpha)
+    unless alpha is None."""
+    n_b, n = mesh.n_bulk, mesh.n_bulk + mesh.n_surface
+    tr = trace_matrix(mesh).tocoo()
+    # (row, column, input, coefficient) of diag(d) and C(c) on the joint space
+    k = np.arange(n)
+    rows = np.concatenate([k, tr.col, n_b + tr.row])
+    cols = np.concatenate([k, n_b + tr.row, tr.col])
+    inputs = np.concatenate([k, n + tr.row, n + tr.row])
+    coefs = np.concatenate([np.ones(n), tr.data, tr.data])
+    base = sp.block_diag([assemble_bulk_laplacian(mesh, K).matrix,
                           surface_stiffness(mesh).matrix], format="csr")
+    if alpha is not None:
+        lift = trace_lift(mesh, alpha)
+        base = lift.T @ base @ lift
+        rows, row_w, (cols, inputs, coefs) = _spread(lift, rows, cols, inputs, coefs)
+        cols, col_w, (rows, inputs, coefs, row_w) = _spread(lift, cols, rows, inputs,
+                                                             coefs, row_w)
+        coefs = coefs * row_w * col_w
+    base = base.tocoo()
+    size = base.shape[0]
+
+    def key(row, col):
+        # column-major, in the order CSC stores the entries
+        return col.astype(np.int64) * size + row
+
+    base_keys = key(base.row, base.col)
+    keys = np.sort(np.concatenate([base_keys, key(rows, cols)]))
+    keys = keys[np.diff(keys, prepend=-1) > 0]     # np.unique, without its hash table
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+    values = np.zeros(keys.size)
+    values[np.searchsorted(keys, base_keys)] = base.data
+    coef = sp.csr_matrix((coefs, (np.searchsorted(keys, key(rows, cols)), inputs)),
+                         shape=(keys.size, n + mesh.n_surface))
+    return JacobianMap(indptr.astype(np.int32), (keys % size).astype(np.int32), values, coef)
 
 
 def assemble_joint(mesh: Mesh, K: float, diagonal: np.ndarray,
-                   coupling: np.ndarray | None = None) -> sp.csr_matrix:
+                   coupling: np.ndarray | None = None) -> sp.csc_matrix:
     """Joint-space form matrix [S_bulk + K^-1 Tr' D_s Tr, S_surf] + diag(diagonal),
     plus the trace coupling block Tr' diag(coupling) when one is given."""
-    mat = _joint_base(mesh, K) + sp.diags(diagonal)
-    if coupling is not None:
-        mat = mat + trace_coupling_block(mesh, coupling)
-    return mat
+    if coupling is None:
+        coupling = np.zeros(mesh.n_surface)
+    return jacobian_map(mesh, K, None).matrix(diagonal, coupling)
 
 
-def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> DiscreteOperator:
-    """Second variation of the energy at the given state, on the joint space.
-
-    Block structure (form level, all weighted by quadrature):
-
-        [ S_bulk + M diag(f'(u)) + K^-1 Tr' D_s Tr   |  -K^-1 Tr' D_s diag(h'(phi)) ]
-        [ (transpose)                                |  S_surf + D_s diag(f_G'(phi))
-                                                        + K^-1 D_s diag(h'(phi)^2)
-                                                        + K^-1 D_s diag(h''(phi) (h(phi) - u|_G)) ]
-
-    This is the exact Jacobian of the energy gradient, including the
-    second-derivative coupling term that appears for nonaffine h.
-    """
+def linearized_coefficients(mesh: Mesh, spec: NonlinearitySpec, state,
+                            K: float) -> tuple[np.ndarray, np.ndarray]:
+    """The reaction diagonal and the trace coupling vector of the second
+    variation at state; see assemble_linearized."""
     if K <= 0:
         raise ConfigurationError("K must be positive")
     u = mesh.check_bulk(state.bulk)
@@ -200,8 +253,24 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
                   + s_w * hp * hp / K
                   + s_w * hpp * (hval - tr_u) / K)
     diagonal = np.concatenate([mesh.bulk_weights * spec.eval("f'", u), surf_react])
-    return DiscreteOperator(assemble_joint(mesh, K, diagonal, -s_w * hp / K),
-                            joint_mass(mesh))
+    return diagonal, -s_w * hp / K
+
+
+def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> DiscreteOperator:
+    """Second variation of the energy at the given state, on the joint space.
+
+    Block structure (form level, all weighted by quadrature):
+
+        [ S_bulk + M diag(f'(u)) + K^-1 Tr' D_s Tr   |  -K^-1 Tr' D_s diag(h'(phi)) ]
+        [ (transpose)                                |  S_surf + D_s diag(f_G'(phi))
+                                                        + K^-1 D_s diag(h'(phi)^2)
+                                                        + K^-1 D_s diag(h''(phi) (h(phi) - u|_G)) ]
+
+    This is the exact Jacobian of the energy gradient, including the
+    second-derivative coupling term that appears for nonaffine h.
+    """
+    diagonal, coupling = linearized_coefficients(mesh, spec, state, K)
+    return DiscreteOperator(assemble_joint(mesh, K, diagonal, coupling), joint_mass(mesh))
 
 
 def linearized_lower_bound(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> float:

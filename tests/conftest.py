@@ -1,7 +1,10 @@
-"""Shared fixtures: one validated default spec, a few small meshes."""
+"""Shared fixtures: one validated default spec, a few small meshes; and the
+root-finding oracles of the boundary eigenproblems at K = 1."""
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.special import jv, jvp
 
 from bsac import FieldPair, build_disk, build_interval, make_spec
 
@@ -30,6 +33,43 @@ def interval_small():
 def random_pair(mesh, rng, mean=0.0, amplitude=1.0):
     return FieldPair(mean + amplitude * rng.standard_normal(mesh.n_bulk),
                      mean + amplitude * rng.standard_normal(mesh.n_surface))
+
+
+def _bracketed_roots(g, grid):
+    """brentq roots of g in every grid cell whose end values differ in sign;
+    the signs come from one vectorized evaluation of g on the grid."""
+    signs = np.sign(g(grid))
+    return [scipy.optimize.brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15)
+            for i in np.flatnonzero(signs[:-1] != signs[1:])]
+
+
+# characteristic functions for the interval (0, 1) with K = 1, lam = c^2:
+# even modes cos(c(x - 1/2)), odd modes sin(c(x - 1/2))
+def _interval_even(c):
+    return c * np.sin(c / 2.0) - (1.0 - c * c) * np.cos(c / 2.0)
+
+
+def _interval_odd(c):
+    return c * np.cos(c / 2.0) - (c * c - 1.0) * np.sin(c / 2.0)
+
+
+def interval_boundary_eigenvalues(count):
+    """Smallest eigenvalues for the interval pair at K=1 by scalar root finding."""
+    grid = np.linspace(1e-4, 40.0, 40001)
+    roots = _bracketed_roots(_interval_even, grid) + _bracketed_roots(_interval_odd, grid)
+    return np.sort(np.array(roots) ** 2)[:count]
+
+
+def disk_boundary_eigenvalues(count, k_max=8):
+    """Disk eigenvalues at K=1: roots of c J_k'(c) + (1 - c^2) J_k(c), with
+    angular multiplicity two for k >= 1."""
+    grid = np.linspace(1e-6, 30.0, 30001)
+    lams = []
+    for k in range(k_max + 1):
+        for c in _bracketed_roots(lambda c, k=k: c * jvp(k, c) + (1.0 - c * c) * jv(k, c),
+                                  grid):
+            lams.extend([c * c] if k == 0 else [c * c, c * c])
+    return np.sort(np.array(lams))[:count]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,8 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.special import jv, jvp
 
 from bsac import (
     FieldPair,
@@ -36,7 +34,7 @@ from bsac import (
 from bsac.cli import main as cli_main
 from bsac.dynamics import ROW_HEADER, read_checkpoint
 
-from conftest import random_pair
+from conftest import disk_boundary_eigenvalues, interval_boundary_eigenvalues, random_pair
 
 VERDICTS = []
 
@@ -140,39 +138,6 @@ def test_criterion_3_first_variation_consistency(dw_spec):
     verdict(ok, "3 (gradient consistency)",
             f"20 directions at eps=1e-5: gradient rel {worst_grad:.2e}, "
             f"jacobian rel {worst_jac:.2e} (allowed 1e-6), {elapsed:.1f}s")
-
-
-# characteristic functions of the boundary eigenproblems at K = 1; these are
-# the independent oracles, evaluated by scalar root finding only
-def _interval_even(c):
-    return c * np.sin(c / 2.0) - (1.0 - c * c) * np.cos(c / 2.0)
-
-
-def _interval_odd(c):
-    return c * np.cos(c / 2.0) - (c * c - 1.0) * np.sin(c / 2.0)
-
-
-def interval_boundary_eigenvalues(count):
-    roots = []
-    for g in (_interval_even, _interval_odd):
-        grid = np.linspace(1e-4, 40.0, 40001)
-        for a, b in zip(grid[:-1], grid[1:]):
-            if np.sign(g(a)) != np.sign(g(b)):
-                roots.append(scipy.optimize.brentq(g, a, b, xtol=1e-14,
-                                                   rtol=1e-15))
-    return np.sort(np.array(roots) ** 2)[:count]
-
-
-def disk_boundary_eigenvalues(count, k_max=8):
-    lams = []
-    for k in range(k_max + 1):
-        g = lambda c, k=k: c * jvp(k, c) + (1.0 - c * c) * jv(k, c)
-        grid = np.linspace(1e-6, 30.0, 30001)
-        for a, b in zip(grid[:-1], grid[1:]):
-            if np.sign(g(a)) != np.sign(g(b)):
-                c = scipy.optimize.brentq(g, a, b, xtol=1e-14, rtol=1e-15)
-                lams.extend([c * c] if k == 0 else [c * c, c * c])
-    return np.sort(np.array(lams))[:count]
 
 
 def test_criterion_4_spectral_oracles(dw_spec):

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bsac import (
     Checkpoint,
@@ -494,15 +495,49 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
     built = stepper.factorizations
     iterations = []
 
-    def stalled(a, b, **kwargs):
-        iterations.append(kwargs["maxiter"])
-        return np.zeros_like(b), kwargs["maxiter"]
+    def stalled(matrix, b, precondition, rtol, max_iter):
+        iterations.append(max_iter)
+        return np.zeros_like(b), max_iter, False
 
-    monkeypatch.setattr(dynamics.spla, "cg", stalled)
+    monkeypatch.setattr(dynamics, "_pcg", stalled)
     _, newton, rnorm = stepper.implicit_step(x1, 0.2, tol, 50)
     assert rnorm < tol
     assert len(iterations) == newton
     assert stepper.factorizations == built + newton
+
+
+def test_pcg_is_scipy_cg_step_for_step(disk_mid, dw_spec):
+    stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
+    y = stepper.unknowns(smoothed_random_state(disk_mid, 5))
+    lu = spla.splu(stepper.jacobian(y, 0.05), permc_spec="MMD_AT_PLUS_A")
+    # five iterations at dt = 0.06
+    jac = stepper.jacobian(y, 0.06)
+    rhs = -stepper.residual(y, y + 0.01, 0.06)
+    converged = []
+    for max_iter in (dynamics.KRYLOV_MAX_ITER, 2):
+        steps = []
+        expected, info = spla.cg(jac, rhs, rtol=dynamics.KRYLOV_RTOL, maxiter=max_iter,
+                                 M=spla.LinearOperator(jac.shape, lu.solve),
+                                 callback=steps.append)
+        x, iterations, ok = dynamics._pcg(jac, rhs, lu.solve, dynamics.KRYLOV_RTOL, max_iter)
+        assert np.array_equal(x, expected)
+        assert ok == (info == 0)
+        assert iterations == len(steps)
+        converged.append(ok)
+    # the first solve needs more than two iterations, so the cap of two fails it
+    assert converged == [True, False]
+
+
+def test_jacobians_share_one_pattern(disk_small, dw_spec):
+    rng = np.random.default_rng(4)
+    for stepper in (_RobinStepper(disk_small, dw_spec, 0.5),
+                    _TransmissionStepper(disk_small, dw_spec)):
+        y = stepper.unknowns(random_pair(disk_small, rng))
+        first, second = stepper.jacobian(y, 0.1), stepper.jacobian(1.1 * y, 0.2)
+        assert np.shares_memory(first.indices, second.indices)
+        assert np.shares_memory(first.indptr, second.indptr)
+        assert not np.shares_memory(first.data, second.data)
+        assert (first != second).nnz > 0
 
 
 def test_checkpoint_with_half_an_anchor_is_malformed(tmp_path):

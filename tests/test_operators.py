@@ -8,10 +8,7 @@ brentq, are the reference values here.
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.optimize
 import scipy.sparse as sp
-from scipy.special import jv, jvp
 
 from bsac import (
     ConfigurationError,
@@ -30,47 +27,7 @@ from bsac import (
 from bsac.energy import FieldPair
 from bsac.operators import bulk_dirichlet_stiffness, surface_stiffness
 
-from conftest import random_pair
-
-
-# characteristic functions for the interval (0, 1) with K = 1, lam = c^2:
-# even modes cos(c(x - 1/2)), odd modes sin(c(x - 1/2))
-def _interval_even(c):
-    return c * np.sin(c / 2.0) - (1.0 - c * c) * np.cos(c / 2.0)
-
-
-def _interval_odd(c):
-    return c * np.cos(c / 2.0) - (c * c - 1.0) * np.sin(c / 2.0)
-
-
-def interval_boundary_eigenvalues(count):
-    """Smallest eigenvalues for the interval pair at K=1 by scalar root finding."""
-    roots = []
-    for g in (_interval_even, _interval_odd):
-        grid = np.linspace(1e-4, 40.0, 40001)
-        vals = g(grid)
-        for a, b in zip(grid[:-1], grid[1:]):
-            if g(a) == 0.0:
-                roots.append(a)
-            elif np.sign(g(a)) != np.sign(g(b)):
-                roots.append(scipy.optimize.brentq(g, a, b, xtol=1e-14, rtol=1e-15))
-        del vals
-    lam = np.sort(np.array(roots) ** 2)
-    return lam[:count]
-
-
-def disk_boundary_eigenvalues(count, k_max=8):
-    """Disk eigenvalues at K=1: roots of c J_k'(c) + (1 - c^2) J_k(c), with
-    angular multiplicity two for k >= 1."""
-    lams = []
-    for k in range(k_max + 1):
-        g = lambda c, k=k: c * jvp(k, c) + (1.0 - c * c) * jv(k, c)
-        grid = np.linspace(1e-6, 30.0, 30001)
-        for a, b in zip(grid[:-1], grid[1:]):
-            if np.sign(g(a)) != np.sign(g(b)):
-                c = scipy.optimize.brentq(g, a, b, xtol=1e-14, rtol=1e-15)
-                lams.extend([c * c] if k == 0 else [c * c, c * c])
-    return np.sort(np.array(lams))[:count]
+from conftest import disk_boundary_eigenvalues, interval_boundary_eigenvalues, random_pair
 
 
 def test_bulk_laplacian_interior_rows_annihilate_constants():
@@ -158,10 +115,13 @@ def test_interval_boundary_spectrum_matches_root_oracle():
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
 
-def test_disk_boundary_spectrum_matches_bessel_oracle():
+@pytest.mark.parametrize("path", ["arpack", "blocks"])
+def test_disk_boundary_spectrum_matches_bessel_oracle(path):
     oracle = disk_boundary_eigenvalues(5)
     mesh = build_disk(1.0, 32, 64)
-    res = eigen_solve(assemble_wentzell_robin_pair(mesh, 1.0), 5)
+    period = mesh.angular_period if path == "blocks" else 1
+    res = eigen_solve(assemble_wentzell_robin_pair(mesh, 1.0), 5, period=period)
+    assert res.path == path
     rel = np.abs(res.values - oracle) / oracle
     assert np.max(rel) < 3e-3
 

@@ -1,18 +1,22 @@
 """Property tests over random admissible nonlinearities on small meshes: the
 gradient is the derivative of the energy, the second variation is the
-derivative of the gradient, its form bound lies below its spectrum, and an
-implicit step below the convexity limit dissipates energy, for every family
-and both geometries."""
+derivative of the gradient, the steppers' Jacobians written on their fixed
+patterns equal the same forms summed as plain sparse matrices, the form bound
+lies below the spectrum, and an implicit step below the convexity limit
+dissipates energy, for every family and both geometries."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from bsac import (FieldPair, advance_step, assemble_linearized, build_disk, build_interval,
-                  compute_energy, compute_gradient, joint_mass, linearized_lower_bound,
-                  make_spec)
+from bsac import (FieldPair, advance_step, assemble_bulk_laplacian, assemble_linearized,
+                  build_disk, build_interval, compute_energy, compute_gradient, joint_mass,
+                  linearized_lower_bound, make_spec, trace_matrix)
+from bsac.dynamics import _RobinStepper, _TransmissionStepper
+from bsac.operators import surface_stiffness
 
 MESHES = {"disk": build_disk(1.0, 8, 16), "interval": build_interval(1.0, 16)}
 EPS = 1e-5
@@ -94,6 +98,42 @@ def test_jacobian_is_derivative_of_gradient(case):
     fd = (gradient(EPS) - gradient(-EPS)) / (2 * EPS)
     an = assemble_linearized(mesh, spec, state, K).matrix @ d.joint()
     assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
+
+
+def plain_hessian(mesh, spec, state, K):
+    """The second variation summed block by block from scipy.sparse pieces."""
+    u, phi = state.bulk, state.surface
+    tr, w_s = trace_matrix(mesh), mesh.surface_weights
+    hp = spec.eval("h'", phi)
+    cross = sp.diags(-w_s * hp / K) @ tr
+    surface = w_s * (spec.eval("f_G'", phi) + hp * hp / K
+                     + spec.eval("h''", phi) * (spec.eval("h", phi) - tr @ u) / K)
+    bulk = (assemble_bulk_laplacian(mesh, K).matrix
+            + sp.diags(mesh.bulk_weights * spec.eval("f'", u)))
+    return sp.bmat([[bulk, cross.T], [cross, surface_stiffness(mesh).matrix + sp.diags(surface)]])
+
+
+def _assert_close(matrix, reference):
+    assert matrix.shape == reference.shape
+    assert abs(matrix - reference).max() <= 1e-13 * abs(reference).max()
+
+
+@PROPERTY
+@given(cases(), st.floats(0.01, 1.0))
+def test_pattern_jacobians_equal_plain_sparse_sums(case, dt):
+    spec, mesh, K, state, _ = case
+    mass = sp.diags(joint_mass(mesh) / dt)
+    robin = _RobinStepper(mesh, spec, K)
+    jac = robin.jacobian(robin.unknowns(state), dt)
+    # bitwise: the Robin outputs rest on this sum's rounding
+    assert (jac != assemble_linearized(mesh, spec, state, K).matrix + mass).nnz == 0
+    _assert_close(jac, plain_hessian(mesh, spec, state, K) + mass)
+    if spec.coupling.kind == "affine":
+        limit = _TransmissionStepper(mesh, spec)
+        lift = sp.vstack([sp.identity(mesh.n_bulk), trace_matrix(mesh) / spec.coupling.alpha])
+        hessian = plain_hessian(mesh, spec, limit.state_of(state.bulk), limit.K)
+        _assert_close(limit.jacobian(state.bulk, dt),
+                      limit.metric / dt + lift.T @ hessian @ lift)
 
 
 @PROPERTY

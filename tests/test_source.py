@@ -1,6 +1,7 @@
 """Static checks on the package source: no module imports a name it never uses,
-only mesh.py knows the geometry of a mesh or touches its operator memo, and
-dynamics.py factors a matrix in one counted helper."""
+only mesh.py knows the geometry of a mesh or touches its operator memo,
+dynamics.py factors a matrix in one counted helper, and the steppers build no
+sparse matrix per Newton iteration."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,43 @@ def test_dynamics_factors_only_in_its_counted_helper():
     # the factorization count in a record is honest only if every LU,
     # semi-implicit ones included, goes through the counting helper
     assert splu_callers((SRC / "dynamics.py").read_text(encoding="utf-8")) == ["_factor"]
+
+
+# evaluated every Newton iteration: values go through a fixed-pattern map
+PER_ITERATION = ("jacobian", "residual", "functional")
+
+
+def sparse_builds_per_iteration(source: str) -> list:
+    """sp.* calls, .T and .tocsc()/.tocsr() inside the PER_ITERATION methods
+    of _Stepper and of the classes derived from it."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and "_Stepper" in
+                {cls.name, *(ast.unparse(base) for base in cls.bases)}):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name in PER_ITERATION):
+                continue
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and ast.unparse(node.func.value) in ("sp", "scipy.sparse")
+                        or isinstance(node, ast.Attribute)
+                        and node.attr in ("T", "tocsc", "tocsr")):
+                    found.append(f"{cls.name}.{method.name}: {ast.unparse(node)}")
+    return found
+
+
+def test_detector_sees_sparse_builds_in_stepper_methods():
+    source = ("class _Stepper:\n    def jacobian(self, y):\n        return sp.diags(y).tocsc()\n"
+              "class _Robin(_Stepper):\n    def residual(self, y):\n        return self.a.T @ y\n"
+              "    def functional(self, s):\n        return scipy.sparse.identity(3).tocsr()\n"
+              "    def semi_implicit_step(self, s):\n        return sp.diags(s).tocsc()\n"
+              "class Other:\n    def jacobian(self, y):\n        return sp.diags(y).T\n")
+    assert sparse_builds_per_iteration(source) == [
+        "_Stepper.jacobian: sp.diags(y).tocsc", "_Stepper.jacobian: sp.diags(y)",
+        "_Robin.residual: self.a.T", "_Robin.functional: scipy.sparse.identity(3).tocsr",
+        "_Robin.functional: scipy.sparse.identity(3)"]
+
+
+def test_steppers_build_no_sparse_matrix_per_iteration():
+    assert sparse_builds_per_iteration((SRC / "dynamics.py").read_text(encoding="utf-8")) == []

@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 from .errors import (ConfigurationError, InputError, NumericalError, RunAbort,
                      ShapeError, StepFailure)
 from .nonlinearity import (CouplingFamily, NonlinearitySpec, PotentialFamily,
-                           ValidationReport, eval_nonlinearity, make_spec,
-                           validate_assumptions)
+                           ValidationReport, make_spec, validate_assumptions)
 from .mesh import (Mesh, boundary_trace, build_disk, build_interval,
-                   build_mesh, integrate, normal_derivative, trace_matrix)
+                   build_mesh, normal_derivative, trace_matrix)
 from .operators import (DiscreteOperator, DualVector, RieszMap,
                         assemble_bulk_laplacian, assemble_linearized,
                         assemble_surface_shifted_pair,

@@ -344,6 +344,10 @@ def _cmd_steady(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) 
         "surface = " + " ".join(float(v).hex() for v in eq.state.surface),
     ]
     (run_dir / "equilibrium.txt").write_text("\n".join(lines) + "\n")
+    manifest.counts.update(newton_iterations=eq.newton_iterations,
+                           factorizations=eq.factorizations,
+                           krylov_iterations=eq.krylov_iterations,
+                           eigen_path_stability=eq.stability_path)
     manifest.checks["newton_converged"] = eq.converged
 
 
@@ -447,6 +451,9 @@ def _cmd_probe(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -
     if probe.reason:
         lines.append(f"reason = {probe.reason}")
     (run_dir / "probe.txt").write_text("\n".join(lines) + "\n")
+    manifest.counts.update(newton_iterations=eq.newton_iterations,
+                           factorizations=eq.factorizations,
+                           krylov_iterations=eq.krylov_iterations)
     manifest.checks["newton_converged"] = eq.converged
     manifest.checks["probe_valid"] = probe.valid
 

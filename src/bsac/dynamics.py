@@ -28,6 +28,9 @@ backward-Euler Newton iteration shared by all steppers):
   the constraint flux of the reduced solve. Its Jacobian is written the
   same way, on the pattern of the pulled-back form.
 
+Equilibria are the same Newton iteration at dt = inf, damped by a line search
+on the dual norm of the functional (_Stepper.stationary).
+
 Steps that would raise the energy are rejected and retried with half the
 step size; five consecutive acceptances grow the step by 1.2x up to dt_max.
 The loop is fully deterministic for a fixed configuration and seed, and a
@@ -49,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, InputError, RunAbort, ShapeError, StepFailure
+from .errors import ConfigurationError, InputError, NumericalError, RunAbort, ShapeError, StepFailure
 from .mesh import Mesh, build_mesh, normal_derivative, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
@@ -327,6 +330,46 @@ class _Stepper:
                 raise StepFailure(f"implicit iteration diverged (residual {rnorm:.3g})")
             best = min(best, rnorm)
         raise StepFailure(f"implicit iteration cap reached (residual {rnorm:.3g})")
+
+    def stationary(self, y: np.ndarray, tolerance: float, max_iter: int,
+                   max_halvings: int) -> tuple[np.ndarray, float, int, bool]:
+        """Damped Newton for functional = 0 from the unknowns y, the Newton of
+        implicit_step at dt = inf. Each update is halved until the H1 dual norm
+        of the functional falls; that norm below tolerance, tested before the
+        first iteration too, is convergence. Returns the unknowns, their dual
+        norm, the iterations and whether it converged; drops the factor. A
+        singular Jacobian raises NumericalError."""
+        self.start(None)
+        riesz = RieszMap(self.mesh)
+
+        def evaluate(y):
+            # laid out like a state, the functional's unknowns are the residual
+            functional = self.functional(self.state_of(y))
+            return riesz.dual_norm(functional), self.unknowns(functional)
+
+        rho, res = evaluate(y)
+        iters = 0
+        while rho >= tolerance and iters < max_iter:
+            iters += 1
+            try:
+                direction = self._newton_direction(self.jacobian(y, math.inf), -res, y,
+                                                   math.inf)
+            except StepFailure as exc:
+                raise NumericalError(f"singular linearized operator: {exc}",
+                                     residuals=np.array([rho])) from exc
+            step = 1.0
+            for _ in range(max_halvings + 1):
+                trial = y + step * direction
+                if np.all(np.isfinite(trial)):
+                    rho_trial, res_trial = evaluate(trial)
+                    if rho_trial < rho:
+                        y, rho, res = trial, rho_trial, res_trial
+                        break
+                step /= 2.0
+            else:
+                break
+        self.lu = self.anchor = None
+        return y, rho, iters, rho < tolerance
 
 
 class _RobinStepper(_Stepper):

@@ -104,9 +104,9 @@ def h_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:
 
 def v_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:
     """Product first-order norm (L2 plus Dirichlet forms)."""
-    q = ((mesh.bulk_weights @ bulk**2) + bulk_dirichlet_stiffness(mesh).form(bulk, bulk)
+    q = ((mesh.bulk_weights @ bulk**2) + bulk @ (bulk_dirichlet_stiffness(mesh).matrix @ bulk)
          + (mesh.surface_weights @ surface**2)
-         + surface_stiffness(mesh).form(surface, surface))
+         + surface @ (surface_stiffness(mesh).matrix @ surface))
     return float(np.sqrt(max(q, 0.0)))
 
 
@@ -117,8 +117,8 @@ def w_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:
     mesh this is a genuine norm and is used only inside rate-bound checks
     where the fitted constant absorbs equivalence factors.
     """
-    lap_b = bulk_dirichlet_stiffness(mesh).strong_action(bulk)
-    lap_s = surface_stiffness(mesh).strong_action(surface)
+    lap_b = (bulk_dirichlet_stiffness(mesh).matrix @ bulk) / mesh.bulk_weights
+    lap_s = (surface_stiffness(mesh).matrix @ surface) / mesh.surface_weights
     q = (v_norm(mesh, bulk, surface) ** 2
          + (mesh.bulk_weights @ lap_b**2) + (mesh.surface_weights @ lap_s**2))
     return float(np.sqrt(max(q, 0.0)))

@@ -149,14 +149,6 @@ def build_mesh(geometry: str, **params) -> Mesh:
     raise ConfigurationError(f"unknown geometry {geometry!r}")
 
 
-def integrate(mesh: Mesh, values, region: str = "bulk") -> float:
-    if region == "bulk":
-        return float(np.dot(mesh.bulk_weights, mesh.check_bulk(values)))
-    if region == "surface":
-        return float(np.dot(mesh.surface_weights, mesh.check_surface(values)))
-    raise ConfigurationError(f"unknown region {region!r}")
-
-
 def per_mesh(build):
     """Memoize build(mesh, *args) in mesh.cache under (build.__name__, *args);
     every operator cached on a mesh goes through here."""

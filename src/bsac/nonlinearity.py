@@ -30,7 +30,7 @@ COUPLING_KINDS = ("affine", "tanh", "custom")
 SCAN_RANGE = (-10.0, 10.0)
 SCAN_POINTS = 2001
 
-# selector strings accepted by eval_nonlinearity
+# selector strings accepted by NonlinearitySpec.eval
 SELECTORS = (
     "f", "f'", "f''", "F",
     "f_G", "f_G'", "f_G''", "F_G",
@@ -257,18 +257,6 @@ def make_spec(bulk_kind: str = PotentialFamily.kind,
     if validate:
         validate_assumptions(spec, scan_range=scan_range, scan_points=scan_points)
     return spec
-
-
-def eval_nonlinearity(spec: NonlinearitySpec, which: str, s):
-    """Evaluate one family member at s. The spec must have been validated."""
-    if spec.validation is None:
-        raise ConfigurationError("spec has not been validated; run validate_assumptions first")
-    if not spec.validation.accepted:
-        failed = ", ".join(c.name for c in spec.validation.failed_clauses())
-        raise ConfigurationError(f"spec rejected by validation (failed: {failed})")
-    if not np.all(np.isfinite(np.asarray(s, dtype=float))):
-        raise ConfigurationError("evaluation point must be finite")
-    return spec.eval(which, s)
 
 
 def _within(sampled: float, bound: float, slack: float = 1e-9) -> bool:

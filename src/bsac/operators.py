@@ -35,12 +35,6 @@ class DiscreteOperator:
     matrix: sp.csr_matrix | sp.csc_matrix
     mass: np.ndarray            # diagonal quadrature weights, same dimension
 
-    def form(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ (self.matrix @ y))
-
-    def strong_action(self, x: np.ndarray) -> np.ndarray:
-        return (self.matrix @ x) / self.mass
-
 
 @dataclass
 class DualVector:

@@ -2,11 +2,12 @@
 
 The stationary solver is damped Newton on the energy gradient with the exact
 second variation as Jacobian; the line search halves the step until the dual
-norm of the gradient decreases. The eigen solver handles both generalized
-pairs (bulk with boundary-weighted mass, surface with shifted stiffness) and
-the second variation: dense for small pencils, one radial pencil per Fourier
-mode for rotation-invariant disk pencils, shift-invert Lanczos otherwise. It
-reports per-pair residuals, the mass Gram defect and the path it took.
+norm of the gradient decreases; it is the Robin time step's Newton at dt = inf.
+The eigen solver handles both generalized pairs (bulk with boundary-weighted
+mass, surface with shifted stiffness) and the second variation: dense for
+small pencils, one radial pencil per Fourier mode for rotation-invariant disk
+pencils, shift-invert Lanczos otherwise. It reports per-pair residuals, the
+mass Gram defect and the path it took.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -16,6 +17,7 @@ weighted spectral gap theta_m = min(1, 1/K) * min(lambda_m, mu_m) clears
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +29,9 @@ from .errors import ConfigurationError, InputError, NumericalError
 from .mesh import Mesh, boundary_trace, normal_derivative
 from .nonlinearity import NonlinearitySpec
 from .energy import FieldPair, compute_gradient
-from .operators import (DiscreteOperator, RieszMap, assemble_linearized,
-                        assemble_surface_shifted_pair,
-                        assemble_wentzell_robin_pair, joint_mass,
-                        linearized_lower_bound)
+from .operators import (DiscreteOperator, assemble_surface_shifted_pair,
+                        assemble_wentzell_robin_pair, linearized_lower_bound)
+from .dynamics import _RobinStepper
 
 
 @dataclass
@@ -40,6 +41,9 @@ class EquilibriumState:
     newton_iterations: int
     converged: bool
     stability_tag: float = np.nan   # smallest eigenvalue of the linearized operator
+    factorizations: int = 0         # LU factors the Newton solve built
+    krylov_iterations: int = 0      # CG iterations of its directions
+    stability_path: str = "none"    # EigenResult.path of the tag's eigensolve
 
     @property
     def is_stable(self) -> bool:
@@ -266,54 +270,25 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
                             compute_stability: bool = True) -> EquilibriumState:
     """Damped Newton for the stationary system; residual measured in V'.
 
-    The line search halves the update until the dual norm of the gradient
-    decreases. Hitting the iteration cap returns a non-converged state
-    carrying the last residual instead of raising.
+    The Robin stepper's Newton at dt = inf (_Stepper.stationary): its
+    Jacobian, and CG directions on one kept, counted LU factor. The line search
+    halves the update until the dual norm of the gradient decreases. Hitting
+    the iteration cap returns a non-converged state carrying the last residual
+    instead of raising.
     """
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
-    riesz = RieszMap(mesh)
-    n_b = mesh.n_bulk
-    x = guess.joint().copy()
-
-    def dual_res(vec):
-        g = compute_gradient(mesh, spec, FieldPair(vec[:n_b], vec[n_b:]), K)
-        return riesz.dual_norm(g), g
-
-    rho, grad = dual_res(x)
-    iters = 0
-    converged = rho < tolerance
-    while not converged and iters < max_iter:
-        iters += 1
-        jac = assemble_linearized(mesh, spec,
-                                  FieldPair(x[:n_b], x[n_b:]), K).matrix.tocsc()
-        try:
-            direction = spla.splu(jac).solve(-grad.joint())
-        except RuntimeError as exc:
-            raise NumericalError(f"singular linearized operator: {exc}",
-                                 residuals=np.array([rho])) from exc
-        step = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            trial = x + step * direction
-            if np.all(np.isfinite(trial)):
-                rho_trial, grad_trial = dual_res(trial)
-                if rho_trial < rho:
-                    x, rho, grad = trial, rho_trial, grad_trial
-                    accepted = True
-                    break
-            step /= 2.0
-        if not accepted:
-            break
-        converged = rho < tolerance
-    state = FieldPair(x[:n_b], x[n_b:])
-    tag = np.nan
+    stepper = _RobinStepper(mesh, spec, K)
+    y, rho, iters, converged = stepper.stationary(stepper.unknowns(guess), tolerance,
+                                                  max_iter, max_halvings)
+    state = stepper.state_of(y)
+    tag, path = np.nan, "none"
     if converged and compute_stability:
-        lin = assemble_linearized(mesh, spec, state, K)
-        tag = float(eigen_solve((lin.matrix, joint_mass(mesh)), 1,
-                                lower_bound=linearized_lower_bound(mesh, spec, state, K)
-                                ).values[0])
-    return EquilibriumState(state, float(rho), iters, converged, tag)
+        lowest = eigen_solve((stepper.jacobian(y, math.inf), stepper.joint_mass), 1,
+                             lower_bound=linearized_lower_bound(mesh, spec, state, K))
+        tag, path = float(lowest.values[0]), lowest.path
+    return EquilibriumState(state, float(rho), iters, converged, tag,
+                            stepper.factorizations, stepper.krylov_iterations, path)
 
 
 def strong_form_residuals(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair,

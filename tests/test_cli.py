@@ -417,6 +417,25 @@ def manifest_entries(root, subcommand):
     return dict(line.split(" = ", 1) for line in lines if " = " in line)
 
 
+@pytest.mark.parametrize("subcommand", ["steady", "probe"])
+def test_newton_manifests_report_repeatable_solver_counts(tmp_path, subcommand):
+    # from 0.58 the steady solve needs line-search halvings; probe solves from
+    # the end of a short run. Either takes several directions on one factor.
+    keys = ("newton_iterations", "factorizations", "krylov_iterations")
+    if subcommand == "steady":
+        keys += ("eigen_path_stability",)
+    counts = []
+    for tag in ("a", "b"):
+        status, root = run_main(tmp_path, tag, [subcommand, "--set", "steady_guess=0.58"] + TINY)
+        assert status in (0, 1)
+        entries = manifest_entries(root, subcommand)
+        counts.append({key: entries[key] for key in keys})
+    assert counts[0] == counts[1]
+    assert 1 <= int(counts[0]["factorizations"]) < int(counts[0]["newton_iterations"])
+    if subcommand == "steady":
+        assert counts[0]["eigen_path_stability"] == "dense"
+
+
 @pytest.mark.parametrize("args, bulk_path", [
     (["--set", "n_r=24", "--set", "n_theta=48"], "blocks"),
     (["--set", "geometry=interval", "--set", "n=512"], "arpack"),

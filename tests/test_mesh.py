@@ -6,13 +6,11 @@ import pytest
 from bsac import (
     ConfigurationError,
     FieldPair,
-    ShapeError,
     advance_step,
     boundary_trace,
     build_disk,
     build_interval,
     build_mesh,
-    integrate,
     normal_derivative,
 )
 
@@ -21,7 +19,7 @@ def test_disk_counts_and_exact_area():
     mesh = build_disk(1.0, 4, 8)
     assert mesh.n_bulk == 32
     assert mesh.n_surface == 8
-    assert integrate(mesh, np.ones(32), "bulk") == pytest.approx(np.pi, rel=1e-14)
+    assert mesh.bulk_weights @ np.ones(32) == pytest.approx(np.pi, rel=1e-14)
 
 
 def test_interval_counts_and_boundary_measure():
@@ -69,15 +67,10 @@ def test_degenerate_sizes_rejected():
 def test_integrate_constant_exact_everywhere():
     for mesh in (build_disk(1.0, 6, 12), build_disk(0.7, 9, 20), build_interval(2.0, 13)):
         area = np.pi * mesh.extent**2 if mesh.geometry == "disk" else mesh.extent
-        assert integrate(mesh, np.ones(mesh.n_bulk), "bulk") == pytest.approx(area, rel=1e-14)
+        assert mesh.bulk_weights @ np.ones(mesh.n_bulk) == pytest.approx(area, rel=1e-14)
         perim = 2 * np.pi * mesh.extent if mesh.geometry == "disk" else 2.0
-        assert integrate(mesh, np.ones(mesh.n_surface), "surface") == pytest.approx(perim, rel=1e-14)
-
-
-def test_integrate_shape_guard():
-    mesh = build_interval(1.0, 8)
-    with pytest.raises(ShapeError):
-        integrate(mesh, np.ones(5), "bulk")
+        assert (mesh.surface_weights @ np.ones(mesh.n_surface)
+                == pytest.approx(perim, rel=1e-14))
 
 
 def test_quadratic_integration_second_order():
@@ -85,7 +78,7 @@ def test_quadratic_integration_second_order():
     errs = []
     for n_r, n_t in ((8, 16), (16, 32)):
         mesh = build_disk(1.0, n_r, n_t)
-        val = integrate(mesh, mesh.bulk_points[:, 0] ** 2, "bulk")
+        val = mesh.bulk_weights @ mesh.bulk_points[:, 0] ** 2
         errs.append(abs(val - np.pi / 4))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
 

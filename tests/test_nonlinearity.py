@@ -4,27 +4,28 @@ and the sampled admissibility gate."""
 import numpy as np
 import pytest
 
-from bsac import ConfigurationError, eval_nonlinearity, make_spec, validate_assumptions
+from bsac import ConfigurationError, make_spec, validate_assumptions
 from bsac.nonlinearity import CouplingFamily, PotentialFamily
 
 
 def test_double_well_point_values(dw_spec):
-    assert eval_nonlinearity(dw_spec, "F", 0.0) == pytest.approx(0.25, abs=0)
-    assert eval_nonlinearity(dw_spec, "f", 0.0) == 0.0
-    assert eval_nonlinearity(dw_spec, "f'", 0.0) == -1.0
-    assert eval_nonlinearity(dw_spec, "f", 1.0) == 0.0
-    assert eval_nonlinearity(dw_spec, "F", 1.0) == 0.0
+    assert dw_spec.eval("F", 0.0) == pytest.approx(0.25, abs=0)
+    assert dw_spec.eval("f", 0.0) == 0.0
+    assert dw_spec.eval("f'", 0.0) == -1.0
+    assert dw_spec.eval("f", 1.0) == 0.0
+    assert dw_spec.eval("F", 1.0) == 0.0
+    assert dw_spec.eval("f", 0.5) == pytest.approx(0.5**3 - 0.5)
     # surface family is the same double well
-    assert eval_nonlinearity(dw_spec, "f_G'", 1.0) == 2.0
+    assert dw_spec.eval("f_G'", 1.0) == 2.0
 
 
 def test_tanh_coupling_curvature_bound():
     spec = make_spec(coupling_kind="tanh")
-    assert eval_nonlinearity(spec, "h'", 0.0) == 1.0
+    assert spec.eval("h'", 0.0) == 1.0
     # independent oracle: scan |h''| on a fine grid, refine by maximizing the
     # exact formula -2 t (1 - t^2) at t = 1/sqrt(3)
     s = np.linspace(-5.0, 5.0, 400001)
-    scanned = np.abs(eval_nonlinearity(spec, "h''", s)).max()
+    scanned = np.abs(spec.eval("h''", s)).max()
     exact = 4.0 / (3.0 * np.sqrt(3.0))
     assert scanned == pytest.approx(exact, rel=1e-8)
     assert spec.coupling.bound_h2 == pytest.approx(exact, rel=1e-12)
@@ -41,8 +42,8 @@ def test_default_spec_accepted_with_expected_constants(dw_spec):
     assert dw_spec.c4 == 1.0
     # affine coupling has identically vanishing curvature
     s = np.linspace(-10, 10, 101)
-    assert np.all(eval_nonlinearity(dw_spec, "h''", s) == 0.0)
-    assert np.all(eval_nonlinearity(dw_spec, "h'''", s) == 0.0)
+    assert np.all(dw_spec.eval("h''", s) == 0.0)
+    assert np.all(dw_spec.eval("h'''", s) == 0.0)
 
 
 def test_exponential_potential_rejected_on_lower_bound():
@@ -59,8 +60,6 @@ def test_exponential_potential_rejected_on_lower_bound():
     # exp(s) undershoots every linear lower bound as s -> -inf
     assert "bulk potential linear lower bound" in failed
     assert "bulk second-derivative growth" not in failed
-    with pytest.raises(ConfigurationError):
-        eval_nonlinearity(spec, "f", 0.0)
 
 
 def test_quadratic_coupling_rejected_unbounded_slope():
@@ -81,9 +80,9 @@ def test_quadratic_coupling_rejected_unbounded_slope():
 def test_derivative_chain_central_difference(dw_spec):
     s = np.linspace(-10.0, 10.0, 401)
     step = 1e-5
-    cd = (eval_nonlinearity(dw_spec, "F", s + step)
-          - eval_nonlinearity(dw_spec, "F", s - step)) / (2 * step)
-    f = eval_nonlinearity(dw_spec, "f", s)
+    cd = (dw_spec.eval("F", s + step)
+          - dw_spec.eval("F", s - step)) / (2 * step)
+    f = dw_spec.eval("f", s)
     rel = np.abs(cd - f) / np.maximum(1.0, np.abs(f))
     assert rel.max() < 1e-8
 
@@ -91,21 +90,8 @@ def test_derivative_chain_central_difference(dw_spec):
 def test_one_sided_bound_on_scan_grid(dw_spec):
     s = np.linspace(-10.0, 10.0, 2001)
     c4 = dw_spec.c4
-    assert np.all(eval_nonlinearity(dw_spec, "f'", s) + c4 >= 0.0)
-    assert np.all(eval_nonlinearity(dw_spec, "f_G'", s) + c4 >= 0.0)
-
-
-def test_eval_requires_validation():
-    spec = make_spec(validate=False)
-    with pytest.raises(ConfigurationError):
-        eval_nonlinearity(spec, "f", 0.5)
-    validate_assumptions(spec)
-    assert eval_nonlinearity(spec, "f", 0.5) == pytest.approx(0.5**3 - 0.5)
-
-
-def test_eval_rejects_nonfinite(dw_spec):
-    with pytest.raises(ConfigurationError):
-        eval_nonlinearity(dw_spec, "f", np.nan)
+    assert np.all(dw_spec.eval("f'", s) + c4 >= 0.0)
+    assert np.all(dw_spec.eval("f_G'", s) + c4 >= 0.0)
 
 
 def test_scan_grid_too_coarse_rejected(dw_spec):
@@ -115,4 +101,4 @@ def test_scan_grid_too_coarse_rejected(dw_spec):
 
 def test_unknown_selector(dw_spec):
     with pytest.raises(ConfigurationError):
-        eval_nonlinearity(dw_spec, "g", 0.0)
+        dw_spec.eval("g", 0.0)

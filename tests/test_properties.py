@@ -1,9 +1,12 @@
 """Property tests over random admissible nonlinearities on small meshes: the
 gradient is the derivative of the energy, the second variation is the
 derivative of the gradient, the steppers' Jacobians written on their fixed
-patterns equal the same forms summed as plain sparse matrices, the form bound
-lies below the spectrum, and an implicit step below the convexity limit
-dissipates energy, for every family and both geometries."""
+patterns equal the same forms summed as plain sparse matrices and, at
+dt = inf, the stationary system, the form bound lies below the spectrum, and
+an implicit step below the convexity limit dissipates energy, for every family
+and both geometries."""
+
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +137,27 @@ def test_pattern_jacobians_equal_plain_sparse_sums(case, dt):
         hessian = plain_hessian(mesh, spec, limit.state_of(state.bulk), limit.K)
         _assert_close(limit.jacobian(state.bulk, dt),
                       limit.metric / dt + lift.T @ hessian @ lift)
+
+
+@PROPERTY
+@given(cases())
+def test_steppers_at_infinite_dt_are_the_stationary_system(case):
+    # equilibria are the steppers' Newton at dt = inf: M/dt vanishes exactly,
+    # leaving the second variation and the gradient entry for entry
+    spec, mesh, K, state, _ = case
+    robin = _RobinStepper(mesh, spec, K)
+    y = robin.unknowns(state)
+    jac = robin.jacobian(y, math.inf)
+    hessian = assemble_linearized(mesh, spec, state, K).matrix
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(jac, attr), getattr(hessian, attr))
+    assert np.array_equal(robin.residual(y, y, math.inf),
+                          compute_gradient(mesh, spec, state, K).joint())
+    if spec.coupling.kind == "affine":
+        limit = _TransmissionStepper(mesh, spec)
+        u = state.bulk
+        assert np.array_equal(limit.residual(u, u, math.inf),
+                              limit.functional(limit.state_of(u)).bulk)
 
 
 @PROPERTY

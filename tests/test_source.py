@@ -1,7 +1,7 @@
 """Static checks on the package source: no module imports a name it never uses,
 only mesh.py knows the geometry of a mesh or touches its operator memo,
-dynamics.py factors a matrix in one counted helper, and the steppers build no
-sparse matrix per Newton iteration."""
+the only splu call of the package is dynamics.py's counted helper, and the
+steppers build no sparse matrix per Newton iteration."""
 
 import ast
 from pathlib import Path
@@ -87,10 +87,13 @@ def test_detector_sees_every_splu_call():
     assert splu_callers(source) == ["<module>", "inner", "<lambda>", "step"]
 
 
-def test_dynamics_factors_only_in_its_counted_helper():
-    # the factorization count in a record is honest only if every LU,
-    # semi-implicit ones included, goes through the counting helper
-    assert splu_callers((SRC / "dynamics.py").read_text(encoding="utf-8")) == ["_factor"]
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dynamics_factors_only_in_its_counted_helper(path):
+    # the factorization counts of records and equilibria are honest only if
+    # every LU, semi-implicit and stationary ones included, goes through the
+    # counting helper, and no other module factors a Newton system itself
+    expected = ["_factor"] if path.name == "dynamics.py" else []
+    assert splu_callers(path.read_text(encoding="utf-8")) == expected
 
 
 # evaluated every Newton iteration: values go through a fixed-pattern map

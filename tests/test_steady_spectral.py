@@ -20,6 +20,7 @@ from bsac import (
     joint_mass,
     riesz_dual_norm,
     run_trajectory,
+    smoothed_random_state,
     solve_stationary_newton,
     strong_form_residuals,
 )
@@ -62,9 +63,51 @@ def test_newton_saddle_has_negative_tag(dw_spec):
     eq = solve_stationary_newton(mesh, dw_spec, 1.0, uniform_guess(mesh, 0.0),
                                  1e-12)
     assert eq.converged
+    assert eq.newton_iterations == 0
     assert eq.residual_dual_norm < 1e-13
     assert eq.stability_tag == pytest.approx(-1.0, abs=1e-9)
     assert not eq.is_stable
+
+
+@pytest.mark.parametrize("mesh_name", ["interval_small", "disk_small"])
+def test_line_search_damps_an_overshooting_step(dw_spec, mesh_name, request):
+    # f'(0.58) is nearly 0, so the full Newton step from 0.58 lands near 42;
+    # the halvings keep the dual norm falling until the +1 well is reached
+    mesh = request.getfixturevalue(mesh_name)
+    guess = uniform_guess(mesh, 0.58)
+    eq = solve_stationary_newton(mesh, dw_spec, 1.0, guess, 1e-12)
+    assert eq.converged
+    assert eq.newton_iterations <= 5
+    assert np.max(np.abs(eq.state.joint() - 1.0)) < 1e-10
+    assert 1 <= eq.factorizations < eq.newton_iterations
+    # without halvings the full step is refused and the solve stops at the guess
+    stopped = solve_stationary_newton(mesh, dw_spec, 1.0, guess, 1e-12, max_halvings=0,
+                                      compute_stability=False)
+    assert not stopped.converged
+    assert stopped.newton_iterations == 1
+    assert np.array_equal(stopped.state.joint(), guess.joint())
+
+
+@pytest.mark.parametrize("mesh_name", ["interval_small", "disk_small"])
+def test_newton_reaches_the_saddle_from_small_noise(dw_spec, mesh_name, request):
+    # the Hessian near 0 is indefinite: CG on the kept factor must still give
+    # usable directions, or the current Jacobian is factored
+    mesh = request.getfixturevalue(mesh_name)
+    guess = smoothed_random_state(mesh, 3, mean=0.0, amplitude=0.05)
+    eq = solve_stationary_newton(mesh, dw_spec, 1.0, guess, 1e-12)
+    assert eq.converged
+    assert np.max(np.abs(eq.state.joint())) < 1e-10
+    assert eq.stability_tag == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_singular_jacobian_raises_numerical_error(dw_spec, interval_small, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    with pytest.raises(NumericalError, match="singular linearized operator"):
+        solve_stationary_newton(interval_small, dw_spec, 1.0,
+                                uniform_guess(interval_small, 0.9), 1e-12)
 
 
 def test_newton_nonconvergence_reports_instead_of_raising(dw_spec):
@@ -246,6 +289,7 @@ def test_coercivity_constant_closed_form(dw_spec):
     eq = solve_stationary_newton(mesh, dw_spec, 1.0, uniform_guess(mesh, 1.0),
                                  1e-12)
     assert eq.converged
+    assert eq.newton_iterations == 0
     report = compute_coercivity_margin(mesh, dw_spec, 1.0, eq, max_m=12)
     # max(|f'(1)|, 1/2 + |h'|^2 + |f_G'(1)| + 0) = max(2, 3.5)
     assert report.c_star == 3.5

@@ -21,7 +21,7 @@ from .operators import (DiscreteOperator, DualVector, RieszMap,
                         assemble_bulk_laplacian, assemble_linearized,
                         assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair, joint_mass,
-                        linearized_lower_bound, riesz_dual_norm)
+                        linearized_lower_bound)
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      energy_identity_residual, h_norm, v_norm, w_norm)
 from .dynamics import (Checkpoint, RunConfig, StepDiagnostics,

@@ -10,16 +10,18 @@ backward-Euler Newton iteration shared by all steppers):
     variation as Jacobian. The gold standard; every accepted step
     dissipates the discrete energy. Each Newton direction is a CG solve of
     the current Jacobian (symmetric, and SPD for dt c4 <= 1), preconditioned
-    with a kept SuperLU factor of an earlier one; only when CG does not
-    converge is the current Jacobian factored. The Newton test, the
-    divergence guard and the energy rule still decide every step. A
-    Newton iteration builds no sparse matrix: the Jacobian's values are
-    written onto one pattern per mesh and K (operators.jacobian_map), and
-    CG is the short loop _pcg, scipy's arithmetic without its set-up.
+    with the band solve of its angle average (operators.RingBands), built
+    afresh from its values; only when CG does not converge is the Jacobian
+    factored. The Newton test, the divergence guard and the energy rule
+    still decide every step. A Newton iteration builds no sparse matrix:
+    the Jacobian's values are written onto one pattern per mesh and K
+    (operators.jacobian_map), and CG is the short loop _pcg, scipy's
+    arithmetic without its set-up.
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
-    from the current field range each step.
+    from the current field range each step. Its matrix is unchanged by the
+    angular shift and reflection, so the band solve is exact.
 
 * the affine transmission system (trace of the bulk field slaved to the
   surface field): the Robin flow pulled back through the lift that solves
@@ -35,9 +37,8 @@ Steps that would raise the energy are rejected and retried with half the
 step size; five consecutive acceptances grow the step by 1.2x up to dt_max.
 The loop is fully deterministic for a fixed configuration and seed, and a
 checkpoint (hex-encoded floats) restores the exact loop state for bitwise
-resume. That state includes the factor's anchor, the unknowns and dt its
-Jacobian was built at, so a resume rebuilds the same preconditioner and
-writing checkpoints never changes a run.
+resume. No solver state outlives a Newton iteration, so that is the whole
+state, and writing checkpoints never changes a run.
 """
 
 from __future__ import annotations
@@ -52,18 +53,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, InputError, NumericalError, RunAbort, ShapeError, StepFailure
+from .errors import ConfigurationError, InputError, NumericalError, RunAbort, StepFailure
 from .mesh import Mesh, build_mesh, normal_derivative, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      h_norm)
-from .operators import (DualVector, RieszMap, assemble_joint, bulk_dirichlet_stiffness,
-                        jacobian_map, joint_mass, linearized_coefficients,
-                        surface_stiffness, trace_lift)
+from .operators import (DualVector, RieszMap, RingBands, assemble_joint, h1_solves,
+                        jacobian_map, joint_mass, linearized_coefficients, trace_lift)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
-KRYLOV_MAX_ITER = 8    # CG iterations on the stale factor before a fresh one
+KRYLOV_MAX_ITER = 30   # CG iterations before the Jacobian is factored
 
 
 def _pcg(matrix, b: np.ndarray, precondition, rtol: float,
@@ -178,9 +178,6 @@ class Checkpoint:
     dt_policy: float
     accept_streak: int
     state: FieldPair
-    # unknowns and dt of the Jacobian whose LU the Newton solves were
-    # preconditioned with; a resume rebuilds that factor bit for bit
-    anchor: tuple[np.ndarray, float] | None = None
 
 
 @dataclass
@@ -228,15 +225,12 @@ class _Stepper:
     The Jacobian is P' (H + M/dt) P, with H the second variation, M the
     joint mass and P the stepper's map from unknowns to joint vectors; its
     values are written through the stepper's JacobianMap (jac_map) on one
-    fixed pattern. Newton directions are found by CG preconditioned with one
-    kept LU factor of an earlier Jacobian (the live factor); the factor is
-    rebuilt from the current Jacobian only when CG does not converge. start
-    resets it.
+    fixed pattern. Newton directions are found by CG preconditioned with the
+    band solve of the Jacobian's angle average, rebuilt every iteration from
+    the band layout of that pattern (bands); a stepper holds no factor
+    between iterations, only that layout and its solver counts.
     """
 
-    # the live factor, the (unknowns, dt) it was built at, and solver counts
-    lu = None
-    anchor = None
     factorizations = 0
     krylov_iterations = 0
 
@@ -269,14 +263,6 @@ class _Stepper:
         diag = StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
         return new, diag, new_report
 
-    def start(self, anchor: tuple[np.ndarray, float] | None) -> None:
-        """Zero the solver counts and set the live factor: none without an
-        anchor, else the factor of the Jacobian at the anchor's unknowns and dt."""
-        self.factorizations = self.krylov_iterations = 0
-        self.anchor, self.lu = anchor, None
-        if anchor is not None:
-            self.lu = self._factor(self.jacobian(*anchor))
-
     def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
         coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
         return self.jac_map.matrix(*coefficients, self.joint_mass / dt)
@@ -285,26 +271,22 @@ class _Stepper:
         """Sparse LU of matrix; the only factorization of the steppers, counted."""
         self.factorizations += 1
         try:
-            return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+            return spla.splu(matrix)
         except RuntimeError as exc:
             raise StepFailure(f"implicit solve failed: {exc}") from exc
 
-    def _newton_direction(self, jac: sp.csc_matrix, rhs: np.ndarray, y: np.ndarray,
-                          dt: float) -> np.ndarray:
-        """Solve jac delta = rhs by CG preconditioned with the live factor; when
-        CG does not converge, or there is no factor, factor jac and solve."""
-        if self.lu is not None:
-            delta, iterations, converged = _pcg(jac, rhs, self.lu.solve, KRYLOV_RTOL,
+    def _newton_direction(self, jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        """Solve jac delta = rhs by CG preconditioned with the band solve of
+        jac's angle average; when CG does not converge, or the band factor is
+        singular, factor jac and solve."""
+        precondition = self.bands.factor(jac.data)
+        if precondition is not None:
+            delta, iterations, converged = _pcg(jac, rhs, precondition, KRYLOV_RTOL,
                                                 KRYLOV_MAX_ITER)
             self.krylov_iterations += iterations
             if converged:
                 return delta
-        # drop the stale factor first, so only one is held; a failed build
-        # leaves no factor and no anchor, which a resume reproduces
-        self.lu = self.anchor = None
-        self.lu = self._factor(jac)
-        self.anchor = (y, dt)
-        return self.lu.solve(rhs)
+        return self._factor(jac).solve(rhs)
 
     def _residual_norm(self, r: np.ndarray) -> float:
         # L2 norm of the strong-form residual (coefficients divided by weights)
@@ -318,7 +300,7 @@ class _Stepper:
         rnorm = self._residual_norm(res)
         best = rnorm
         for it in range(1, max_iter + 1):
-            delta = self._newton_direction(self.jacobian(y, dt), -res, y, dt)
+            delta = self._newton_direction(self.jacobian(y, dt), -res)
             y = y + delta
             if not np.all(np.isfinite(y)):
                 raise StepFailure("implicit iteration produced non-finite state")
@@ -337,9 +319,9 @@ class _Stepper:
         implicit_step at dt = inf. Each update is halved until the H1 dual norm
         of the functional falls; that norm below tolerance, tested before the
         first iteration too, is convergence. Returns the unknowns, their dual
-        norm, the iterations and whether it converged; drops the factor. A
-        singular Jacobian raises NumericalError."""
-        self.start(None)
+        norm, the iterations and whether it converged. A singular Jacobian
+        raises NumericalError."""
+        self.factorizations = self.krylov_iterations = 0
         riesz = RieszMap(self.mesh)
 
         def evaluate(y):
@@ -352,8 +334,7 @@ class _Stepper:
         while rho >= tolerance and iters < max_iter:
             iters += 1
             try:
-                direction = self._newton_direction(self.jacobian(y, math.inf), -res, y,
-                                                   math.inf)
+                direction = self._newton_direction(self.jacobian(y, math.inf), -res)
             except StepFailure as exc:
                 raise NumericalError(f"singular linearized operator: {exc}",
                                      residuals=np.array([rho])) from exc
@@ -368,7 +349,6 @@ class _Stepper:
                 step /= 2.0
             else:
                 break
-        self.lu = self.anchor = None
         return y, rho, iters, rho < tolerance
 
 
@@ -384,6 +364,7 @@ class _RobinStepper(_Stepper):
         self.tr = trace_matrix(mesh)
         self.affine = spec.coupling.kind == "affine"
         self.jac_map = jacobian_map(mesh, K, None)
+        self.bands = RingBands(mesh, self.jac_map.pattern())
 
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.joint()
@@ -425,7 +406,7 @@ class _RobinStepper(_Stepper):
             surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
         rhs += np.concatenate([trace_adjoint(mesh) @ bulk_src, surf_src])
         lhs = assemble_joint(mesh, K, diagonal, coupling)
-        y = self._factor(lhs).solve(rhs)
+        y = self.bands.factor(lhs.data)(rhs)
         if not np.all(np.isfinite(y)):
             raise StepFailure("semi-implicit solve produced non-finite state")
         return self.state_of(y), s_stab
@@ -461,6 +442,7 @@ class _TransmissionStepper(_Stepper):
         self.lift_adjoint = lift.T
         self.metric = (self.lift_adjoint @ sp.diags(self.joint_mass) @ lift).tocsr()
         self.jac_map = jacobian_map(mesh, self.K, self.alpha)
+        self.bands = RingBands(mesh, self.jac_map.pattern())
 
     def surface_of(self, u: np.ndarray) -> np.ndarray:
         return ((self.tr @ u) - self.eta) / self.alpha
@@ -501,12 +483,7 @@ def smoothed_random_state(mesh: Mesh, seed: int, mean: float = RunConfig.init_me
     rng = np.random.default_rng(seed)
     raw_b = rng.standard_normal(mesh.n_bulk)
     raw_s = rng.standard_normal(mesh.n_surface)
-    sm_b = (bulk_dirichlet_stiffness(mesh).matrix * smoothing
-            + sp.diags(mesh.bulk_weights)).tocsc()
-    sm_s = (surface_stiffness(mesh).matrix * smoothing
-            + sp.diags(mesh.surface_weights)).tocsc()
-    solve_b = spla.factorized(sm_b)
-    solve_s = spla.factorized(sm_s)
+    solve_b, solve_s = h1_solves(mesh, smoothing)
     for _ in range(2):
         raw_b = solve_b(mesh.bulk_weights * raw_b)
         raw_s = solve_s(mesh.surface_weights * raw_s)
@@ -573,15 +550,14 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                            krylov_iterations=stepper.krylov_iterations)
         return rec.build(checkpoints, diagnostics)
 
+    stepper.factorizations = stepper.krylov_iterations = 0
     if isinstance(start, Checkpoint):
         _check_checkpoint(stepper, config, start)
-        stepper.start(start.anchor)
         state = start.state.copy()
         t, step = start.time, start.step
         dt_policy, streak = start.dt_policy, start.accept_streak
         report = stepper.report(state)
     else:
-        stepper.start(None)
         state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
         report = stepper.report(state)
@@ -614,8 +590,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
             if step % config.sample_every == 0:
                 rec.sample(t, state, report, delta_b, delta_s)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
-                checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy(),
-                                              stepper.anchor))
+                checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
         else:
             diagnostics["rejected"] += 1
             if not config.adaptive:
@@ -628,7 +603,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 raise RunAbort(f"dt underflow below dt_min: {diag.reason}", build())
     if not rec.times or rec.times[-1] < t - 1e-12 * max(1.0, t_end):
         rec.sample(t, state, report)    # endpoint always lands in the record
-    checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy(), stepper.anchor))
+    checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
     if not config.keep_states:
         rec.states = [state.copy()]   # keep the endpoint reachable regardless
     return build()
@@ -643,13 +618,6 @@ def _check_checkpoint(stepper: _Stepper, config: RunConfig, cp: Checkpoint) -> N
                          f"dt_min {config.dt_min!r}")
     stepper.mesh.check_bulk(cp.state.bulk)
     stepper.mesh.check_surface(cp.state.surface)
-    if cp.anchor is not None:
-        y, dt = cp.anchor
-        if np.shape(y) != stepper.weights.shape:
-            raise ShapeError(f"checkpoint anchor has shape {np.shape(y)}, "
-                             f"expected {stepper.weights.shape}")
-        if not (np.all(np.isfinite(y)) and math.isfinite(dt) and dt > 0):
-            raise InputError("checkpoint anchor must be finite with a positive dt")
 
 
 def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
@@ -724,15 +692,11 @@ def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
         fh.write(f"config_hash = {config_hash}\n")
         fh.write("bulk = " + " ".join(v.hex() for v in cp.state.bulk) + "\n")
         fh.write("surface = " + " ".join(v.hex() for v in cp.state.surface) + "\n")
-        if cp.anchor is not None:
-            y, dt = cp.anchor
-            fh.write(f"anchor_dt = {float(dt).hex()}\n")
-            fh.write("anchor = " + " ".join(v.hex() for v in y) + "\n")
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
-    """Inverse of write_checkpoint; a missing, malformed or non-finite field
-    raises InputError."""
+    """Inverse of write_checkpoint, ignoring keys it does not write; a missing,
+    malformed or non-finite field raises InputError."""
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -755,10 +719,7 @@ def read_checkpoint(path) -> tuple[Checkpoint, str]:
         return np.array([float.fromhex(tok) for tok in text.split()])
 
     state = FieldPair(parse("bulk", hex_floats), parse("surface", hex_floats))
-    anchor = None
-    if "anchor" in entries or "anchor_dt" in entries:
-        anchor = (parse("anchor", hex_floats), parse("anchor_dt", float.fromhex))
     cp = Checkpoint(parse("step", int), parse("time", float.fromhex),
                     parse("dt_policy", float.fromhex),
-                    parse("accept_streak", int), state, anchor)
+                    parse("accept_streak", int), state)
     return cp, entries.get("config_hash", "")

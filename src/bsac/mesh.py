@@ -10,6 +10,7 @@ of width h and a two-point boundary with unit weights.
 Each builder also writes its grids' faces, (i, j, coef) arrays for the
 Dirichlet form sum_faces coef (x_i - x_j)^2: energies evaluated in this shape
 are exactly nonnegative in floating point, and the stiffnesses are built from it.
+It also writes the ring of every joint unknown, the order of operators.RingBands.
 
 The trace onto the boundary is linear extrapolation through the two outermost
 cell centers of each normal ray, which is exact for fields affine in the
@@ -41,6 +42,7 @@ class Mesh:
     bulk_faces: tuple           # (i, j, coef) interior faces of the bulk grid
     surface_faces: tuple        # (i, j, coef) faces of the boundary grid; empty on the interval
     angular_period: int         # bulk index i * period + j is ring i, angle j; 1 on the interval
+    rings: np.ndarray           # ring of each joint unknown; see operators.RingBands
     cache: dict = field(default_factory=dict, repr=False)   # see per_mesh
 
     @property
@@ -117,7 +119,8 @@ def build_disk(radius: float = 1.0, n_r: int = 64, n_theta: int = 128) -> Mesh:
     bulk_faces = (np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
     surface_faces = (jj, (jj + 1) % n_theta, np.full(n_theta, 1.0 / (radius * h_t)))
     return Mesh("disk", points, weights, surf_points, surf_weights, bmap,
-                {"h_r": h_r, "h_theta": h_t}, radius, bulk_faces, surface_faces, n_theta)
+                {"h_r": h_r, "h_theta": h_t}, radius, bulk_faces, surface_faces, n_theta,
+                np.arange((n_r + 1) * n_theta) // n_theta)
 
 
 def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
@@ -138,7 +141,8 @@ def build_interval(length: float = 1.0, n: int = 64) -> Mesh:
                   np.concatenate([np.full(n - 1, 1.0 / h), np.full(2, 0.5 / h)]))
     empty = np.array([], dtype=int)
     return Mesh("interval", points, weights, surf_points, surf_weights, bmap,
-                {"h": h}, length, bulk_faces, (empty, empty, np.array([])), 1)
+                {"h": h}, length, bulk_faces, (empty, empty, np.array([])), 1,
+                np.concatenate([np.arange(1, n + 1), [0, n + 1]]))   # [s_0, cells, s_1]
 
 
 def build_mesh(geometry: str, **params) -> Mesh:

@@ -271,10 +271,10 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
     """Damped Newton for the stationary system; residual measured in V'.
 
     The Robin stepper's Newton at dt = inf (_Stepper.stationary): its
-    Jacobian, and CG directions on one kept, counted LU factor. The line search
-    halves the update until the dual norm of the gradient decreases. Hitting
-    the iteration cap returns a non-converged state carrying the last residual
-    instead of raising.
+    Jacobian, and CG directions on the band solve of its angle average. The
+    line search halves the update until the dual norm of the gradient
+    decreases. Hitting the iteration cap returns a non-converged state
+    carrying the last residual instead of raising.
     """
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")

@@ -409,7 +409,7 @@ def test_simulate_manifest_reports_repeatable_solver_counts(tmp_path):
         counts.append({key: int(entries[key]) for key in keys})
     assert counts[0] == counts[1]
     assert counts[0]["steps_accepted"] == 6 and counts[0]["steps_rejected"] == 0
-    assert 1 <= counts[0]["factorizations"] < counts[0]["newton_iterations"]
+    assert counts[0]["factorizations"] == 0 and counts[0]["krylov_iterations"] > 0
 
 
 def manifest_entries(root, subcommand):
@@ -420,7 +420,7 @@ def manifest_entries(root, subcommand):
 @pytest.mark.parametrize("subcommand", ["steady", "probe"])
 def test_newton_manifests_report_repeatable_solver_counts(tmp_path, subcommand):
     # from 0.58 the steady solve needs line-search halvings; probe solves from
-    # the end of a short run. Either takes several directions on one factor.
+    # the end of a short run. Every direction is CG on a band solve.
     keys = ("newton_iterations", "factorizations", "krylov_iterations")
     if subcommand == "steady":
         keys += ("eigen_path_stability",)
@@ -431,7 +431,7 @@ def test_newton_manifests_report_repeatable_solver_counts(tmp_path, subcommand):
         entries = manifest_entries(root, subcommand)
         counts.append({key: entries[key] for key in keys})
     assert counts[0] == counts[1]
-    assert 1 <= int(counts[0]["factorizations"]) < int(counts[0]["newton_iterations"])
+    assert int(counts[0]["factorizations"]) == 0 and int(counts[0]["krylov_iterations"]) > 0
     if subcommand == "steady":
         assert counts[0]["eigen_path_stability"] == "dense"
 

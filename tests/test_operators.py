@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from bsac import (
     ConfigurationError,
     DualVector,
+    RieszMap,
     assemble_bulk_laplacian,
     assemble_linearized,
     assemble_surface_shifted_pair,
@@ -22,10 +23,11 @@ from bsac import (
     compute_gradient,
     eigen_solve,
     joint_mass,
-    riesz_dual_norm,
 )
+from bsac import dynamics, make_spec, operators, smoothed_random_state
 from bsac.energy import FieldPair
-from bsac.operators import bulk_dirichlet_stiffness, surface_stiffness
+from bsac.operators import (RingBands, assemble_joint, bulk_dirichlet_stiffness,
+                            h1_solves, surface_stiffness)
 
 from conftest import disk_boundary_eigenvalues, interval_boundary_eigenvalues, random_pair
 
@@ -188,7 +190,7 @@ def test_linearized_surface_reaction_coefficient_at_uniform_state(dw_spec):
 
 def test_riesz_zero_functional(disk_small):
     z = DualVector(np.zeros(disk_small.n_bulk), np.zeros(disk_small.n_surface))
-    assert riesz_dual_norm(disk_small, z) == 0.0
+    assert RieszMap(disk_small).dual_norm(z) == 0.0
 
 
 def test_riesz_roundtrip_identity(disk_small):
@@ -200,7 +202,7 @@ def test_riesz_roundtrip_identity(disk_small):
     rs = rng.standard_normal(mesh.n_surface)
     func = DualVector(gb @ rb, gs @ rs)
     direct = np.sqrt(rb @ (gb @ rb) + rs @ (gs @ rs))
-    assert riesz_dual_norm(mesh, func) == pytest.approx(direct, rel=1e-10)
+    assert RieszMap(mesh).dual_norm(func) == pytest.approx(direct, rel=1e-10)
 
 
 def test_riesz_against_dense_factorization():
@@ -213,7 +215,59 @@ def test_riesz_against_dense_factorization():
                        rng.standard_normal(mesh.n_surface))
         dense = np.sqrt(f.bulk @ np.linalg.solve(gb, f.bulk)
                         + f.surface @ np.linalg.solve(gs, f.surface))
-        assert riesz_dual_norm(mesh, f) == pytest.approx(dense, rel=1e-9)
+        assert RieszMap(mesh).dual_norm(f) == pytest.approx(dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("mesh_name", ["interval_small", "disk_small"])
+def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request, monkeypatch):
+    mesh = request.getfixturevalue(mesh_name)
+    cases = []      # (matrix, its solve)
+    # the Riesz map's H1 blocks and smoothed_random_state's smoothing matrices
+    for scale in (1.0, dynamics.RunConfig.init_smoothing):
+        blocks = ((bulk_dirichlet_stiffness(mesh), mesh.bulk_weights),
+                  (surface_stiffness(mesh), mesh.surface_weights))
+        cases += [(scale * stiffness.matrix + sp.diags(weights), solve)
+                  for (stiffness, weights), solve in zip(blocks, h1_solves(mesh, scale))]
+
+    # the semi-implicit left-hand sides, affine coupling in the matrix and tanh as a source
+    def recorded(*args):
+        lhs = operators.assemble_joint(*args)
+        cases.append((lhs, RingBands(mesh, lhs).factor(lhs.data)))
+        return lhs
+
+    monkeypatch.setattr(dynamics, "assemble_joint", recorded)
+    state = smoothed_random_state(mesh, 4)
+    for coupling in ("affine", "tanh"):
+        dynamics._RobinStepper(mesh, make_spec(coupling_kind=coupling), 0.5).semi_implicit_step(
+            state, 0.05)
+    assert len(cases) == 6
+    rng = np.random.default_rng(8)
+    for matrix, solve in cases:
+        b = rng.standard_normal(matrix.shape[0])
+        assert np.linalg.norm(matrix @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_band_solve_inverts_the_angle_average(disk_small):
+    # on a Jacobian whose reaction varies with the angle the solve is the
+    # inverse of the mean over every angular shift and the reflection
+    mesh = disk_small
+    rng = np.random.default_rng(9)
+    n, period = mesh.n_bulk + mesh.n_surface, mesh.angular_period
+    matrix = assemble_joint(mesh, 0.5, joint_mass(mesh) * rng.uniform(1, 30, n),
+                            -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface))
+    ring, angle = np.divmod(np.arange(n), period)
+    dense = matrix.toarray()
+    mean = sum(dense[np.ix_(p, p)] for p in (ring * period + (angle + s) % period
+                                             for s in range(period))) / period
+    flip = ring * period + (-angle) % period
+    mean = (mean + mean[np.ix_(flip, flip)]) / 2
+    b = rng.standard_normal(n)
+    bands = dynamics._RobinStepper(mesh, make_spec(), 0.5).bands
+    x = bands.factor(matrix.data)(b)
+    np.testing.assert_allclose(x, np.linalg.solve(mean, b), rtol=1e-10, atol=1e-12)
+    assert np.linalg.norm(matrix @ x - b) > 1e-3 * np.linalg.norm(b)
+    # a singular band factor is reported, not used
+    assert bands.factor(0 * matrix.data) is None
 
 
 def test_nonpositive_k_rejected():

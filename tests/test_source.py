@@ -1,7 +1,7 @@
 """Static checks on the package source: no module imports a name it never uses,
 only mesh.py knows the geometry of a mesh or touches its operator memo,
-the only splu call of the package is dynamics.py's counted helper, and the
-steppers build no sparse matrix per Newton iteration."""
+the only sparse factorization of the package is dynamics.py's counted splu
+helper, and the steppers build no sparse matrix per Newton iteration."""
 
 import ast
 from pathlib import Path
@@ -62,13 +62,13 @@ def test_only_mesh_module_knows_geometry_and_memo(path):
     assert mesh_internals(path.read_text(encoding="utf-8")) == []
 
 
-def splu_callers(source: str) -> list:
-    """The innermost enclosing function of each splu call, in source order."""
+def callers(source: str, name: str) -> list:
+    """The innermost enclosing function of each call of name, in source order."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "splu" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "attr", None), getattr(child.func, "id", None)):
                 found.append(owner)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
@@ -83,8 +83,10 @@ def test_detector_sees_every_splu_call():
               "class S:\n    def step(self, m):\n"
               "        def inner():\n            return spla.splu(m).solve(b)\n"
               "        f = lambda: splu(m)\n        return spla.splu(m, permc_spec='x')\n"
-              "spla.factorized(a)\nspla.spsolve(a, b)\n")
-    assert splu_callers(source) == ["<module>", "inner", "<lambda>", "step"]
+              "spla.factorized(a)\nclass T:\n    def f(self):\n        spsolve(a, b)\n")
+    assert callers(source, "splu") == ["<module>", "inner", "<lambda>", "step"]
+    assert callers(source, "factorized") == ["<module>"]
+    assert callers(source, "spsolve") == ["f"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -93,11 +95,19 @@ def test_dynamics_factors_only_in_its_counted_helper(path):
     # every LU, semi-implicit and stationary ones included, goes through the
     # counting helper, and no other module factors a Newton system itself
     expected = ["_factor"] if path.name == "dynamics.py" else []
-    assert splu_callers(path.read_text(encoding="utf-8")) == expected
+    assert callers(path.read_text(encoding="utf-8"), "splu") == expected
 
 
-# evaluated every Newton iteration: values go through a fixed-pattern map
-PER_ITERATION = ("jacobian", "residual", "functional")
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_factors_outside_the_counted_helper(path):
+    # factorized and spsolve build an LU too, one that no count would see
+    source = path.read_text(encoding="utf-8")
+    assert callers(source, "factorized") + callers(source, "spsolve") == []
+
+
+# evaluated every Newton iteration: values go through a fixed-pattern map, and
+# the preconditioner is built from those values alone
+PER_ITERATION = ("jacobian", "residual", "functional", "_newton_direction")
 
 
 def sparse_builds_per_iteration(source: str) -> list:

@@ -64,6 +64,7 @@ from .operators import (DualVector, RieszMap, RingBands, assemble_joint, h1_solv
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
 KRYLOV_MAX_ITER = 30   # CG iterations before the Jacobian is factored
+SHIFT_RTOL = 1e-10     # CG tolerance of the shift-invert solves of the stability tag
 
 
 def _pcg(matrix, b: np.ndarray, precondition, rtol: float,
@@ -288,6 +289,31 @@ class _Stepper:
                 return delta
         return self._factor(jac).solve(rhs)
 
+    def shift_inverse(self, y: np.ndarray, shift: float):
+        """The solve with P' (H - shift M) P at the unknowns y, for a shift
+        below the spectrum of the pencil (P' H P, P' M P), where the matrix
+        is SPD: CG to SHIFT_RTOL preconditioned with the band solve of its
+        angle average, and from the first time CG misses its cap, or the band
+        factor is singular, the factor of the matrix. Both add to the
+        stepper's counts."""
+        coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
+        matrix = self.jac_map.matrix(*coefficients, -shift * self.joint_mass)
+        precondition = self.bands.factor(matrix.data)
+        lu = None
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            nonlocal lu
+            if lu is None and precondition is not None:
+                x, iterations, converged = _pcg(matrix, b, precondition, SHIFT_RTOL,
+                                                KRYLOV_MAX_ITER)
+                self.krylov_iterations += iterations
+                if converged:
+                    return x
+            if lu is None:
+                lu = self._factor(matrix)
+            return lu.solve(b)
+        return solve
+
     def _residual_norm(self, r: np.ndarray) -> float:
         # L2 norm of the strong-form residual (coefficients divided by weights)
         return float(np.sqrt(np.sum(r * r / self.weights)))
@@ -364,7 +390,7 @@ class _RobinStepper(_Stepper):
         self.tr = trace_matrix(mesh)
         self.affine = spec.coupling.kind == "affine"
         self.jac_map = jacobian_map(mesh, K, None)
-        self.bands = RingBands(mesh, self.jac_map.pattern())
+        self.bands = RingBands(self.jac_map.pattern(), mesh.rings, mesh.angular_period)
 
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.joint()
@@ -442,7 +468,8 @@ class _TransmissionStepper(_Stepper):
         self.lift_adjoint = lift.T
         self.metric = (self.lift_adjoint @ sp.diags(self.joint_mass) @ lift).tocsr()
         self.jac_map = jacobian_map(mesh, self.K, self.alpha)
-        self.bands = RingBands(mesh, self.jac_map.pattern())
+        self.bands = RingBands(self.jac_map.pattern(), mesh.rings[:mesh.n_bulk],
+                               mesh.angular_period)
 
     def surface_of(self, u: np.ndarray) -> np.ndarray:
         return ((self.tr @ u) - self.eta) / self.alpha

@@ -155,21 +155,21 @@ def _spread(lift: sp.csr_matrix, index: np.ndarray, *carried):
 class RingBands:
     """Band solves with the angle average of matrices on one sparse pattern.
 
-    The matrix acts on the joint unknowns first, first + 1, ...; sorted by
-    mesh.rings they run ring by ring, each through its angular_period angles.
-    The mean of the entries over the angle, per ring pair and angular offset,
-    is the nearest matrix the angular shift leaves unchanged (Chan, SISSC 9,
-    1988). Its Fourier transform along the angle, a cosine sum over the
-    pattern's offsets, splits it into one radial band block per mode
-    (Swarztrauber, SIAM Rev. 19, 1977); stacked, the blocks are one band
-    matrix for LAPACK's dgbtrf. The solve is exact for a matrix the shift and
-    the reflection leave unchanged, and a symmetric preconditioner for any
-    other symmetric one.
+    Sorted by rings, the ring of each unknown of the pattern, the unknowns
+    run ring by ring, each through its period angles. The mean of the
+    entries over the angle, per ring pair and angular offset, is the nearest
+    matrix the angular shift leaves unchanged (Chan, SISSC 9, 1988). Its
+    Fourier transform along the angle, a cosine sum over the pattern's
+    offsets, splits it into one radial band block per mode (Swarztrauber,
+    SIAM Rev. 19, 1977); stacked, the blocks are one band matrix for LAPACK's
+    dgbtrf. The solve is exact for a matrix the shift and the reflection
+    leave unchanged, and a symmetric preconditioner for any other symmetric
+    one. The same blocks, dense, are the radial pencils of the eigen path.
     """
 
-    def __init__(self, mesh: Mesh, pattern: sp.spmatrix, first: int = 0):
-        n, period = pattern.shape[0], mesh.angular_period
-        self.order = np.argsort(mesh.rings[first:first + n], kind="stable")
+    def __init__(self, pattern: sp.spmatrix, rings: np.ndarray, period: int):
+        n = pattern.shape[0]
+        self.order = np.argsort(rings, kind="stable")
         self.place = np.argsort(self.order)     # the inverse permutation
         ring, angle = np.divmod(self.place, period)
         entries = pattern.tocoo()           # entries in the order of pattern.data
@@ -184,12 +184,31 @@ class RingBands:
         # table[offset, column ring, band row]; per mode, LAPACK's band storage
         self.bins = (offset * (n // period) + col) * (3 * w + 1) + 2 * w + row - col
 
+    def _band(self, data: np.ndarray) -> np.ndarray:
+        """The mode blocks of the angle average of the matrix whose stored
+        values are data, stacked in LAPACK's band storage."""
+        n_rings, _, rows = self.sizes
+        table = np.bincount(self.bins, data, self.cosines.shape[1] * n_rings * rows)
+        return (self.cosines @ table.reshape(self.cosines.shape[1], -1)).reshape(-1, rows).T
+
+    def blocks(self, data: np.ndarray):
+        """The dense radial block of each Fourier mode of the same average,
+        mode 0 first, one at a time."""
+        n_rings, w = self.sizes[0], self.width
+        band = self._band(data)[w:].reshape(2 * w + 1, -1, n_rings)  # [row - col, mode, col]
+        row = np.arange(n_rings) + np.arange(-w, w + 1)[:, None]
+        inside = (row >= 0) & (row < n_rings)
+        rows, cols = row[inside], np.nonzero(inside)[1]
+        for mode in range(band.shape[1]):
+            block = np.zeros((n_rings, n_rings))
+            block[rows, cols] = band[:, mode][inside]
+            yield block
+
     def factor(self, data: np.ndarray):
         """The solve with the angle average of the matrix whose stored values
         are data, or None when its band factor is singular."""
-        (n_rings, period, rows), w = self.sizes, self.width
-        table = np.bincount(self.bins, data, self.cosines.shape[1] * n_rings * rows)
-        band = (self.cosines @ table.reshape(self.cosines.shape[1], -1)).reshape(-1, rows).T
+        (n_rings, period, _), w = self.sizes, self.width
+        band = self._band(data)
         lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=1)
 
         def solve(r: np.ndarray) -> np.ndarray:
@@ -342,10 +361,10 @@ def h1_solves(mesh: Mesh, scale: float = 1.0) -> list:
     """Band solves with scale * S + M on the bulk and on the surface, S the
     Dirichlet form and M the quadrature mass; exact, as the angular shift and
     reflection leave both matrices unchanged."""
-    blocks = ((bulk_dirichlet_stiffness(mesh), mesh.bulk_weights, 0),
-              (surface_stiffness(mesh), mesh.surface_weights, mesh.n_bulk))
-    matrices = [((s.matrix * scale + sp.diags(w)).tocsr(), first) for s, w, first in blocks]
-    return [RingBands(mesh, m, first).factor(m.data) for m, first in matrices]
+    blocks = ((bulk_dirichlet_stiffness(mesh), mesh.bulk_weights, mesh.rings[:mesh.n_bulk]),
+              (surface_stiffness(mesh), mesh.surface_weights, mesh.rings[mesh.n_bulk:]))
+    matrices = [((s.matrix * scale + sp.diags(w)).tocsr(), rings) for s, w, rings in blocks]
+    return [RingBands(m, rings, mesh.angular_period).factor(m.data) for m, rings in matrices]
 
 
 class RieszMap:

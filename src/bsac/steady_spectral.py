@@ -6,8 +6,11 @@ norm of the gradient decreases; it is the Robin time step's Newton at dt = inf.
 The eigen solver handles both generalized pairs (bulk with boundary-weighted
 mass, surface with shifted stiffness) and the second variation: dense for
 small pencils, one radial pencil per Fourier mode for rotation-invariant disk
-pencils, shift-invert Lanczos otherwise. It reports per-pair residuals, the
-mass Gram defect and the path it took.
+pencils (only the modes that can hold a requested value), shift-invert
+Lanczos otherwise. The stability tag's shift-invert solves are CG on the
+stepper's band solve, so it factors nothing. The solver reports per-pair
+residuals, the mass Gram defect and the path it took; the eigenfields are
+normalized and checked as whole arrays, not column by column.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -17,6 +20,7 @@ weighted spectral gap theta_m = min(1, 1/K) * min(lambda_m, mu_m) clears
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +33,7 @@ from .errors import ConfigurationError, InputError, NumericalError
 from .mesh import Mesh, boundary_trace, normal_derivative
 from .nonlinearity import NonlinearitySpec
 from .energy import FieldPair, compute_gradient
-from .operators import (DiscreteOperator, assemble_surface_shifted_pair,
+from .operators import (DiscreteOperator, RingBands, assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair, linearized_lower_bound)
 from .dynamics import _RobinStepper
 
@@ -41,8 +45,8 @@ class EquilibriumState:
     newton_iterations: int
     converged: bool
     stability_tag: float = np.nan   # smallest eigenvalue of the linearized operator
-    factorizations: int = 0         # LU factors the Newton solve built
-    krylov_iterations: int = 0      # CG iterations of its directions
+    factorizations: int = 0         # LU factors the Newton solve and the tag built
+    krylov_iterations: int = 0      # CG iterations of its directions and the tag's solves
     stability_path: str = "none"    # EigenResult.path of the tag's eigensolve
 
     @property
@@ -118,59 +122,76 @@ def _rotation_invariant(mat: sp.csr_matrix, period: int) -> bool:
     return True
 
 
+def _modes_rise(stiff: sp.csr_matrix, mass: sp.csr_matrix, period: int) -> bool:
+    """Whether the Fourier blocks of the pencil rise with the mode: the mass
+    has entries only at angular offset 0, and every stiffness entry off
+    offset 0 sits at offset +-1 within one ring and is nonpositive. Then
+    block k - block j = 2 A_1 (cos 2 pi k / period - cos 2 pi j / period) is
+    positive semidefinite for j < k <= period / 2, A_1 the diagonal of the
+    offset-1 entries, over one mass block shared by every mode."""
+    def entries(mat):
+        coo = mat.tocoo()
+        (ring_r, angle_r), (ring_c, angle_c) = (np.divmod(i, period) for i in (coo.row, coo.col))
+        return ring_r == ring_c, (angle_c - angle_r) % period, coo.data
+
+    _, mass_offset, _ = entries(mass)
+    same_ring, offset, data = entries(stiff)
+    off = offset != 0
+    return bool(np.all(mass_offset == 0) and np.all(
+        same_ring[off] & (data[off] <= 0) & np.isin(offset[off], (1, period - 1))))
+
+
 def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix, period: int,
                          count: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest `count` eigenpairs of a rotation-invariant pencil, one dense
     radial pencil per Fourier mode.
 
-    The block of mode k is read off the rows at angle 0: entry (i, l) sums the
-    row-i entries of ring l weighted by cos(2 pi k d / period), d the angular
-    offset. Modes 0 and period/2 give one field each, every other mode a cos
-    and a sin field. Pairs are ordered by (value, mode, cos before sin, index);
-    the values are the block Rayleigh quotients, which meet the residual gate
-    where the generalized eigh values lose digits.
+    The blocks are the Fourier blocks of operators.RingBands, the unknowns
+    numbered ring * period + angle. Modes 0 and period/2 give one field
+    each, every other mode a cos and a sin field. Pairs are ordered by
+    (value, mode, cos before sin, index); the values are the block Rayleigh
+    quotients, which meet the residual gate where the generalized eigh
+    values lose digits. When the blocks rise with the mode (_modes_rise),
+    each eigenvalue of a block bounds those of every later block from below
+    (Courant-Fischer), so the modes stop at the first one whose smallest
+    value exceeds the count-th smallest value kept; otherwise every mode is
+    solved.
     """
-    n_rings = stiff.shape[0] // period
-    q = np.arange(period)
-    # exact under q -> period - q, so every block is exactly symmetric
-    cos_q = np.cos(2.0 * np.pi * np.minimum(q, period - q) / period)
-    sin_q = np.sin(2.0 * np.pi * q / period)
-    entries = []
-    for mat in (stiff, mass):
-        rows = mat[np.arange(n_rings) * period].tocoo()
-        ring, offset = np.divmod(rows.col, period)
-        entries.append((rows.row * n_rings + ring, offset, rows.data))
-
-    def block(mode, flat, offset, data):
-        return np.bincount(flat, weights=data * cos_q[(mode * offset) % period],
-                           minlength=n_rings * n_rings).reshape(n_rings, n_rings)
-
-    radial, keys = [], []
-    for mode in range(period // 2 + 1):
-        b_s, b_m = (block(mode, *e) for e in entries)
+    rings = np.arange(stiff.shape[0]) // period
+    stiff_blocks, mass_blocks = (RingBands(mat, rings, period).blocks(mat.data)
+                                 for mat in (stiff, mass))
+    rising = _modes_rise(stiff, mass, period)
+    radial, keys, kept = [], [], []
+    for mode, (b_s, b_m) in enumerate(zip(stiff_blocks, mass_blocks)):
         _, vecs = scipy.linalg.eigh(b_s, b_m, driver="gvd")
         kinds = (0,) if mode == 0 or 2 * mode == period else (0, 1)
         # index j of a cos/sin mode has 2j values of its own mode below it
         vecs = vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
         values = (np.einsum("ij,ij->j", vecs, b_s @ vecs)
                   / np.einsum("ij,ij->j", vecs, b_m @ vecs))
+        if rising and len(kept) >= count and np.min(values) > np.sort(kept)[count - 1]:
+            break
         radial.append(vecs)
         index = np.arange(vecs.shape[1])
         for kind in kinds:
             keys.append(np.stack([values, np.full_like(values, mode),
                                   np.full_like(values, kind), index]))
+            kept.extend(values)
     keys = np.concatenate(keys, axis=1)
     chosen = np.lexsort(keys[::-1])[:count]
-    fields = np.empty((stiff.shape[0], count))
-    for col, (_, mode, kind, index) in enumerate(keys[:, chosen].T):
-        mode, index = int(mode), int(index)
-        angular = (cos_q if kind == 0 else sin_q)[(mode * q) % period]
-        fields[:, col] = np.outer(radial[mode][:, index], angular).ravel()
-    return keys[0, chosen], fields
+    _, mode, kind, index = keys[:, chosen].astype(int)
+    turns = mode * np.arange(period)[:, None] % period
+    # the cos factor exactly even under turns -> period - turns
+    angular = np.where(kind == 0,
+                       np.cos(2.0 * np.pi * np.minimum(turns, period - turns) / period),
+                       np.sin(2.0 * np.pi * turns / period))
+    radial = np.stack([radial[m][:, i] for m, i in zip(mode, index)], axis=1)
+    # ring * period + angle, C order: one broadcast, no copy for the sparse products
+    return keys[0, chosen], (radial[:, None, :] * angular).reshape(-1, count)
 
 
-def eigen_solve(pair, count: int, *, period: int = 1,
-                lower_bound: float | None = None) -> EigenResult:
+def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None = None,
+                shift_inverse=None) -> EigenResult:
     """Smallest `count` eigenpairs of a symmetric pencil, mass-orthonormal.
 
     Three paths, recorded in `EigenResult.path`:
@@ -180,15 +201,23 @@ def eigen_solve(pair, count: int, *, period: int = 1,
     - "blocks": with `period > 1`, unknowns numbered ring * period + angle,
       and both matrices exactly unchanged by the angular shift and the
       reflection, the pencil splits into period/2 + 1 radial pencils, one per
-      Fourier mode, each solved dense. Degenerate cos/sin pairs come out in a
-      fixed order, so reruns are bitwise.
+      Fourier mode, each solved dense. When the blocks rise with the mode, as
+      for every pencil the meshes assemble, the modes above the requested
+      part of the spectrum are not solved (_fourier_block_solve). Degenerate
+      cos/sin pairs come out in a fixed order, so reruns are bitwise.
     - "arpack": otherwise, shift-invert Lanczos with the mass as weight. The
       shift sits just below `lower_bound`, a lower bound on the spectrum the
       caller knows; without one, below the Gershgorin bound of a diagonal
-      mass, or at -1e-8 for a positive-definite stiffness. An ARPACK error
-      falls back to "dense".
+      mass, or at -1e-8 for a positive-definite stiffness. The inner solve
+      with stiffness - shift * mass is `shift_inverse(shift)` when the caller
+      gives one: the stability tag of solve_stationary_newton passes CG on
+      the stepper's band solve, which factors nothing. Every other caller,
+      bsac spectrum and the coercivity scan on pencils without the symmetry
+      (the interval) among them, gets scipy's sparse LU of that matrix. An
+      ARPACK error falls back to "dense".
 
-    Residuals above 1e-8 raise NumericalError.
+    Residuals that are not below 1e-8, non-finite ones included, raise
+    NumericalError.
     """
     stiff_in, mass_in = pair
     stiff = _as_matrix(stiff_in)
@@ -224,40 +253,46 @@ def eigen_solve(pair, count: int, *, period: int = 1,
         # random per process. Random rather than constant: a constant can be
         # an exact eigenvector of the pencil.
         v0 = np.random.default_rng(0).standard_normal(n)
+        opinv = None if shift_inverse is None else spla.LinearOperator(
+            (n, n), matvec=shift_inverse(sigma), dtype=float)
         try:
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
-                                    which="LM", tol=0, v0=v0)
+                                    which="LM", tol=0, v0=v0, OPinv=opinv)
         except (RuntimeError, spla.ArpackError, ValueError):
             path = "dense"
     if path == "dense":
-        vals, vecs = scipy.linalg.eigh(stiff.toarray(), mass.toarray(),
-                                       subset_by_index=[0, count - 1])
+        try:
+            vals, vecs = scipy.linalg.eigh(stiff.toarray(), mass.toarray(),
+                                           subset_by_index=[0, count - 1])
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"dense eigensolve failed: {exc}") from exc
 
     order = np.argsort(vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
+    vals = vals[order]
+    if np.any(order != np.arange(count)) or not vecs.flags.c_contiguous:
+        vecs = np.ascontiguousarray(vecs[:, order])
 
-    # enforce the weighted normalization exactly and fix the sign convention
-    for j in range(count):
-        y = vecs[:, j]
-        nrm = float(np.sqrt(y @ (mass @ y)))
-        if nrm <= 0:
-            raise NumericalError("eigenfield with nonpositive weighted norm",
-                                 residuals=vals)
-        y /= nrm
-        lead = np.argmax(np.abs(y))
-        if y[lead] < 0:
-            y *= -1
-        vecs[:, j] = y
-
-    res = np.empty(count)
-    for j in range(count):
-        y = vecs[:, j]
-        r = stiff @ y - vals[j] * (mass @ y)
-        res[j] = float(np.linalg.norm(r) / np.linalg.norm(y))
-    gram = vecs.T @ (mass @ vecs)
+    # enforce the weighted normalization exactly and fix the sign convention;
+    # the mass products are scaled along, and at most two more field arrays live
+    mass_vecs = mass @ vecs
+    norms = np.sqrt(np.einsum("ij,ij->j", vecs, mass_vecs))
+    if not np.all(norms > 0):
+        raise NumericalError("eigenfield with nonpositive weighted norm", residuals=vals)
+    vecs /= norms
+    size = np.abs(vecs)
+    # the first largest entry, as np.argmax(size, axis=0) finds it, without its copy
+    lead = np.argmax(size == np.max(size, axis=0), axis=0)
+    del size
+    scale = np.where(vecs[lead, np.arange(count)] < 0, -1.0, 1.0)
+    vecs *= scale
+    mass_vecs *= scale / norms
+    gram = vecs.T @ mass_vecs
     gram_defect = float(np.max(np.abs(gram - np.eye(count))))
-    if np.max(res) >= 1e-8:
+    mass_vecs *= vals
+    r = stiff @ vecs
+    r -= mass_vecs
+    res = np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", vecs, vecs))
+    if not np.all(res < 1e-8):
         raise NumericalError(
             f"eigen residuals not converged (max {np.max(res):.3g})",
             residuals=res)
@@ -274,7 +309,9 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
     Jacobian, and CG directions on the band solve of its angle average. The
     line search halves the update until the dual norm of the gradient
     decreases. Hitting the iteration cap returns a non-converged state
-    carrying the last residual instead of raising.
+    carrying the last residual instead of raising. The stability tag's
+    shift-invert solves are the stepper's too (_Stepper.shift_inverse), and
+    the state's solver counts include them.
     """
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
@@ -285,7 +322,8 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
     tag, path = np.nan, "none"
     if converged and compute_stability:
         lowest = eigen_solve((stepper.jacobian(y, math.inf), stepper.joint_mass), 1,
-                             lower_bound=linearized_lower_bound(mesh, spec, state, K))
+                             lower_bound=linearized_lower_bound(mesh, spec, state, K),
+                             shift_inverse=functools.partial(stepper.shift_inverse, y))
         tag, path = float(lowest.values[0]), lowest.path
     return EquilibriumState(state, float(rho), iters, converged, tag,
                             stepper.factorizations, stepper.krylov_iterations, path)

@@ -158,7 +158,8 @@ def test_criterion_4_spectral_oracles(dw_spec):
     rel_i = float(np.max(np.abs(rep_i.values[:4] / oracle_i[:4] - 1.0)))
 
     mesh_d = build_disk(1.0, 128, 256)
-    rep_d = eigen_solve(assemble_wentzell_robin_pair(mesh_d, 1.0), 5)
+    rep_d = eigen_solve(assemble_wentzell_robin_pair(mesh_d, 1.0), 5,
+                        period=mesh_d.angular_period)
     oracle_d = disk_boundary_eigenvalues(5)
     rel_d = float(np.max(np.abs(rep_d.values / oracle_d - 1.0)))
 
@@ -169,6 +170,7 @@ def test_criterion_4_spectral_oracles(dw_spec):
     verdict(ok, "4 (spectral oracles)",
             f"circle ratio {circle_ratio:.2f} in [3.5, 4.5]; interval n=256 "
             f"first 4 rel {rel_i:.2e}, disk (128,256) first 5 rel {rel_d:.2e} "
+            f"({rep_d.path} path) "
             f"(allowed 1e-4); gram defect {gram:.1e}; {elapsed:.1f}s")
 
 

@@ -232,7 +232,7 @@ def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request, monke
     # the semi-implicit left-hand sides, affine coupling in the matrix and tanh as a source
     def recorded(*args):
         lhs = operators.assemble_joint(*args)
-        cases.append((lhs, RingBands(mesh, lhs).factor(lhs.data)))
+        cases.append((lhs, RingBands(lhs, mesh.rings, mesh.angular_period).factor(lhs.data)))
         return lhs
 
     monkeypatch.setattr(dynamics, "assemble_joint", recorded)

@@ -1,7 +1,10 @@
 """Stationary Newton solves, generalized eigensolves, coercivity scan."""
 
+import importlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -19,6 +22,7 @@ from bsac import (
     compute_gradient,
     eigen_solve,
     joint_mass,
+    linearized_lower_bound,
     run_trajectory,
     smoothed_random_state,
     solve_stationary_newton,
@@ -116,6 +120,60 @@ def test_singular_jacobian_raises_numerical_error(dw_spec, interval_small, monke
                                 uniform_guess(interval_small, 0.9), 1e-12)
 
 
+def lu_reference_tag(mesh, spec, state):
+    """The stability tag at state by scipy's own shift-invert, a sparse LU."""
+    pencil = (assemble_linearized(mesh, spec, state, 1.0), joint_mass(mesh))
+    result = eigen_solve(pencil, 1, lower_bound=linearized_lower_bound(mesh, spec, state, 1.0))
+    assert result.path == "arpack"
+    return result.values[0]
+
+
+def test_stability_tag_counts_its_solves_and_factors_nothing(dw_spec, disk_mid):
+    guess = uniform_guess(disk_mid, 0.9)
+    runs = [solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12) for _ in range(2)]
+    untagged = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12,
+                                       compute_stability=False)
+    counts = [(eq.newton_iterations, eq.factorizations, eq.krylov_iterations,
+               eq.stability_tag, eq.stability_path) for eq in runs]
+    assert counts[0] == counts[1]
+    assert runs[0].factorizations == 0 and runs[0].stability_path == "arpack"
+    # the tag's CG iterations add to the same count
+    assert runs[0].krylov_iterations > untagged.krylov_iterations
+
+
+def test_stability_tag_builds_no_sparse_lu(dw_spec, disk_mid, monkeypatch):
+    guess = uniform_guess(disk_mid, 0.9)
+    eq = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
+    reference = lu_reference_tag(disk_mid, dw_spec, eq.state)
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    for module in (scipy.sparse.linalg, arpack):
+        monkeypatch.setattr(module, "splu", no_lu)
+    again = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
+    assert again.stability_path == "arpack" and again.factorizations == 0
+    assert again.stability_tag == eq.stability_tag
+    assert abs(again.stability_tag / reference - 1.0) < 1e-12
+
+
+def test_stalled_tag_solves_fall_back_to_the_counted_factor(dw_spec, disk_mid, monkeypatch):
+    guess = uniform_guess(disk_mid, 0.9)
+    cg = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
+
+    def stalled(matrix, b, precondition, rtol, max_iter):
+        return np.zeros_like(b), max_iter, False
+
+    monkeypatch.setattr(dynamics, "_pcg", stalled)
+    eq = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
+    assert eq.converged and eq.stability_path == "arpack"
+    # one factor per Newton direction, and one that serves every solve of the tag
+    assert eq.factorizations == eq.newton_iterations + 1
+    assert abs(eq.stability_tag / lu_reference_tag(disk_mid, dw_spec, eq.state) - 1.0) < 1e-12
+    assert abs(eq.stability_tag / cg.stability_tag - 1.0) < 1e-12
+
+
 def test_newton_nonconvergence_reports_instead_of_raising(dw_spec):
     mesh = build_interval(1.0, 16)
     eq = solve_stationary_newton(mesh, dw_spec, 1.0, uniform_guess(mesh, 30.0),
@@ -171,6 +229,23 @@ def test_eigen_solve_orthonormality_and_residual_contract():
         assert rq == pytest.approx(res.values[i], rel=1e-8)
 
 
+@pytest.mark.parametrize("period", [1, 32], ids=["arpack", "blocks"])
+def test_array_checks_match_the_column_loop(disk_mid, period):
+    # each eigenfield on its own: unit mass norm, largest entry (the first of
+    # equal size) positive, and its residual and the Gram matrix recomputed
+    pair = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    result = eigen_solve(pair, 12, period=period)
+    stiff, mass = pair[0].matrix, pair[1].matrix
+    residuals = []
+    for value, y in zip(result.values, result.fields.T):
+        assert y @ (mass @ y) == pytest.approx(1.0, abs=1e-14)
+        assert y[np.argmax(np.abs(y))] > 0
+        residuals.append(np.linalg.norm(stiff @ y - value * (mass @ y)) / np.linalg.norm(y))
+    assert np.allclose(result.residuals, residuals, rtol=0, atol=1e-12)
+    gram = np.array([[a @ (mass @ b) for b in result.fields.T] for a in result.fields.T])
+    assert result.gram_defect == pytest.approx(np.max(np.abs(gram - np.eye(12))), abs=1e-14)
+
+
 def test_eigen_solve_reruns_are_bitwise():
     # 512 unknowns: the shift-invert Lanczos path, not the dense fallback
     pair = assemble_wentzell_robin_pair(build_disk(1.0, 16, 32), 1.0)
@@ -178,6 +253,18 @@ def test_eigen_solve_reruns_are_bitwise():
     second = eigen_solve(pair, 6)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.fields, second.fields)
+
+
+@pytest.mark.parametrize("bad, path", [(np.inf, "arpack"), (np.nan, "dense")])
+def test_non_finite_pencil_raises_numerical_error(bad, path):
+    # inf gives ARPACK values with nan residuals; nan makes ARPACK fail and
+    # the dense solve refuse the matrix
+    stiff, mass = assemble_wentzell_robin_pair(build_disk(1.0, 16, 32), 1.0)
+    broken = stiff.matrix.copy()
+    broken.data[0] = bad
+    message = "residuals not converged" if path == "arpack" else "dense eigensolve failed"
+    with pytest.raises(NumericalError, match=message):
+        eigen_solve((broken, mass), 3)
 
 
 def test_arpack_failure_falls_back_to_dense_and_says_so(monkeypatch):
@@ -206,15 +293,9 @@ def _clusters(values):
         start = stop
 
 
-# 128x4 has three Fourier modes, so the 24 pairs reach deep radial indices
-@pytest.mark.parametrize("shape", [(16, 32), (32, 64), (128, 4)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("K", [1.0, 0.01])
-def test_fourier_blocks_match_the_sparse_solve(shape, K):
-    mesh = build_disk(1.0, *shape)
-    pair = assemble_wentzell_robin_pair(mesh, K)
-    blocks = eigen_solve(pair, 24, period=mesh.angular_period)
-    sparse = eigen_solve(pair, 24)
+def assert_blocks_match_the_sparse_solve(pair, count, period):
+    blocks = eigen_solve(pair, count, period=period)
+    sparse = eigen_solve(pair, count)
     assert (blocks.path, sparse.path) == ("blocks", "arpack")
     assert np.max(np.abs(blocks.values / sparse.values - 1.0)) < 1e-9
     # both bases are mass-orthonormal, so the mass norm of the part of one
@@ -226,6 +307,57 @@ def test_fourier_blocks_match_the_sparse_solve(shape, K):
         y_b, y_s = blocks.fields[:, start:stop], sparse.fields[:, start:stop]
         outside = y_s - y_b @ (y_b.T @ (mass @ y_s))
         assert np.sqrt(np.max(np.sum(outside * (mass @ outside), axis=0))) < 1e-8
+
+
+# 128x4 has three Fourier modes, so the 24 pairs reach deep radial indices
+@pytest.mark.parametrize("shape", [(16, 32), (32, 64), (128, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("K", [1.0, 0.01])
+def test_fourier_blocks_match_the_sparse_solve(shape, K):
+    mesh = build_disk(1.0, *shape)
+    assert_blocks_match_the_sparse_solve(assemble_wentzell_robin_pair(mesh, K), 24,
+                                         mesh.angular_period)
+
+
+def count_dense_solves(monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return calls
+
+
+def test_fourier_modes_stop_once_no_later_mode_can_contribute(disk_mid, monkeypatch):
+    calls = count_dense_solves(monkeypatch)
+    result = eigen_solve(assemble_wentzell_robin_pair(disk_mid, 1.0), 7,
+                         period=disk_mid.angular_period)
+    modes = disk_mid.angular_period // 2 + 1
+    assert result.path == "blocks" and len(calls) < modes
+
+
+def test_every_fourier_mode_is_solved_when_the_blocks_need_not_rise(disk_mid, monkeypatch):
+    # same-ring faces at angular offset 2 keep the shift and reflection
+    # invariance, but mode k's block then moves like cos(4 pi k / period)
+    period = disk_mid.angular_period
+    stiff, wmass = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    cells = np.arange(disk_mid.n_bulk)
+    across = cells - cells % period + (cells + 2) % period
+    faces = scipy.sparse.coo_matrix((np.full(cells.size, 5.0), (cells, across)),
+                                    shape=stiff.matrix.shape)
+    faces = faces + faces.T
+    skipping = (stiff.matrix + scipy.sparse.diags(np.asarray(faces.sum(axis=1)).ravel())
+                - faces).tocsr()
+    calls = count_dense_solves(monkeypatch)
+    result = eigen_solve((skipping, wmass), 8, period=period)
+    assert result.path == "blocks" and len(calls) == period // 2 + 1
+    monkeypatch.undo()
+    # stopping at the first mode above the 8th value kept would miss the
+    # low modes near period / 2
+    assert_blocks_match_the_sparse_solve((skipping, wmass), 8, period)
 
 
 def test_blocks_only_for_pencils_with_the_symmetry(dw_spec, disk_mid):

@@ -8,15 +8,16 @@ backward-Euler Newton iteration shared by all steppers):
 
   * fully_implicit: backward Euler solved by Newton with the exact second
     variation as Jacobian. The gold standard; every accepted step
-    dissipates the discrete energy. Each Newton direction is a CG solve of
-    the current Jacobian (symmetric, and SPD for dt c4 <= 1), preconditioned
-    with the band solve of its angle average (operators.RingBands), built
-    afresh from its values; only when CG does not converge is the Jacobian
-    factored. The Newton test, the divergence guard and the energy rule
-    still decide every step. A Newton iteration builds no sparse matrix:
-    the Jacobian's values are written onto one pattern per mesh and K
-    (operators.jacobian_map), and CG is the short loop _pcg, scipy's
-    arithmetic without its set-up.
+    dissipates the discrete energy. Each Newton direction comes from the
+    band solve of the Jacobian's angle average (operators.RingBands), built
+    afresh from its values: on the interval (one angle) it is the
+    direction, on the disk it preconditions CG (the Jacobian is symmetric,
+    and SPD for dt c4 <= 1); the Jacobian is factored only when CG does not
+    converge or the band factor is singular. A Newton iteration builds no
+    sparse matrix (operators.jacobian_map writes the values on one pattern,
+    _pcg is scipy's CG arithmetic without its set-up) and evaluates its
+    functional once; the last one is the new state's, for the record and
+    the next step.
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
@@ -143,6 +144,7 @@ class RunConfig:
              f"unknown scheme {self.scheme!r}"),
             (self.init_kind in ("smoothed_noise", "constant"),
              f"unknown init_kind {self.init_kind!r}"),
+            (self.init_smoothing >= 0, "init_smoothing must be nonnegative"),
             (self.sample_every >= 1 and self.checkpoint_every >= 0,
              "sampling cadences must be positive"),
         ]
@@ -219,17 +221,17 @@ class _Stepper:
 
     A stepper carries mesh, spec, the relaxation constant K its energy uses,
     and the quadrature weights of its unknown vector. It maps states to
-    unknowns and back (unknowns, state_of), evaluates the backward-Euler
-    residual and its Jacobian, and names the functional whose dual norm the
-    recorder logs. advance takes one step under the energy rejection rule.
+    unknowns and back (unknowns, state_of), evaluates the functional whose
+    dual norm the recorder logs, the backward-Euler residual on it and its
+    Jacobian. advance takes one step under the energy rejection rule.
 
     The Jacobian is P' (H + M/dt) P, with H the second variation, M the
     joint mass and P the stepper's map from unknowns to joint vectors; its
     values are written through the stepper's JacobianMap (jac_map) on one
-    fixed pattern. Newton directions are found by CG preconditioned with the
-    band solve of the Jacobian's angle average, rebuilt every iteration from
-    the band layout of that pattern (bands); a stepper holds no factor
-    between iterations, only that layout and its solver counts.
+    fixed pattern. Its solves (_solver) use the band solve of its angle
+    average, rebuilt every iteration from the band layout of that pattern
+    (bands); a stepper holds no factor between iterations, only that layout
+    and its solver counts.
     """
 
     factorizations = 0
@@ -238,19 +240,22 @@ class _Stepper:
     def report(self, state: FieldPair) -> EnergyReport:
         return compute_energy(self.mesh, self.spec, state, self.K)
 
-    def advance(self, state: FieldPair, report: EnergyReport, dt: float, scheme: str, *,
-                newton_tol: float, newton_max_iter: int, reject_energy_increase: bool
-                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport]:
-        """One step from state, whose energy report is given; returns the new
-        state, the step's diagnostics and the new state's energy report.
-        Acceptance requires the discrete energy not to increase."""
+    def advance(self, state: FieldPair, report: EnergyReport, functional: DualVector,
+                dt: float, scheme: str, *, newton_tol: float, newton_max_iter: int,
+                reject_energy_increase: bool
+                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport, DualVector]:
+        """One step from state, given its energy report and functional; returns
+        the new state, the step's diagnostics and the new state's report and
+        functional. Acceptance requires the discrete energy not to increase."""
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
         if scheme == "fully_implicit":
-            new, iters, rnorm = self.implicit_step(state, dt, newton_tol, newton_max_iter)
+            new, functional, iters, rnorm = self.implicit_step(state, functional, dt,
+                                                               newton_tol, newton_max_iter)
             s_stab = 0.0
         elif scheme == "stabilized_semi_implicit":
             new, s_stab = self.semi_implicit_step(state, dt)
+            functional = self.functional(new)
             iters, rnorm = 1, np.nan
         else:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -262,11 +267,12 @@ class _Stepper:
             accepted = False
             reason = f"energy increased by {e_new - e_old:.3g}"
         diag = StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
-        return new, diag, new_report
+        return new, diag, new_report, functional
 
-    def jacobian(self, y: np.ndarray, dt: float) -> sp.csc_matrix:
+    def jacobian(self, y: np.ndarray, dt: float) -> np.ndarray:
+        """The values of the Jacobian at the unknowns y on jac_map's pattern."""
         coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
-        return self.jac_map.matrix(*coefficients, self.joint_mass / dt)
+        return self.jac_map.values(*coefficients, self.joint_mass / dt)
 
     def _factor(self, matrix: sp.csc_matrix):
         """Sparse LU of matrix; the only factorization of the steppers, counted."""
@@ -276,35 +282,23 @@ class _Stepper:
         except RuntimeError as exc:
             raise StepFailure(f"implicit solve failed: {exc}") from exc
 
-    def _newton_direction(self, jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve jac delta = rhs by CG preconditioned with the band solve of
-        jac's angle average; when CG does not converge, or the band factor is
-        singular, factor jac and solve."""
-        precondition = self.bands.factor(jac.data)
-        if precondition is not None:
-            delta, iterations, converged = _pcg(jac, rhs, precondition, KRYLOV_RTOL,
-                                                KRYLOV_MAX_ITER)
-            self.krylov_iterations += iterations
-            if converged:
-                return delta
-        return self._factor(jac).solve(rhs)
-
-    def shift_inverse(self, y: np.ndarray, shift: float):
-        """The solve with P' (H - shift M) P at the unknowns y, for a shift
-        below the spectrum of the pencil (P' H P, P' M P), where the matrix
-        is SPD: CG to SHIFT_RTOL preconditioned with the band solve of its
-        angle average, and from the first time CG misses its cap, or the band
-        factor is singular, the factor of the matrix. Both add to the
-        stepper's counts."""
-        coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
-        matrix = self.jac_map.matrix(*coefficients, -shift * self.joint_mass)
-        precondition = self.bands.factor(matrix.data)
+    def _solver(self, data: np.ndarray, rtol: float):
+        """The solve with the matrix of values data on jac_map's pattern: the
+        band solve itself where it is exact (bands.exact); otherwise CG to
+        rtol preconditioned with the band solve of the matrix's angle
+        average, and from the first time CG misses its cap, or when the band
+        factor is singular, the factor of the matrix. CG iterations and
+        factors add to the stepper's counts."""
+        precondition = self.bands.factor(data)
+        if precondition is not None and self.bands.exact:
+            return precondition
+        matrix = self.jac_map.matrix(data)
         lu = None
 
         def solve(b: np.ndarray) -> np.ndarray:
             nonlocal lu
             if lu is None and precondition is not None:
-                x, iterations, converged = _pcg(matrix, b, precondition, SHIFT_RTOL,
+                x, iterations, converged = _pcg(matrix, b, precondition, rtol,
                                                 KRYLOV_MAX_ITER)
                 self.krylov_iterations += iterations
                 if converged:
@@ -314,26 +308,35 @@ class _Stepper:
             return lu.solve(b)
         return solve
 
+    def shift_inverse(self, y: np.ndarray, shift: float):
+        """The solve with P' (H - shift M) P at the unknowns y, for a shift
+        below the spectrum of the pencil (P' H P, P' M P), where the matrix
+        is SPD; _solver to SHIFT_RTOL."""
+        coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
+        return self._solver(self.jac_map.values(*coefficients, -shift * self.joint_mass),
+                            SHIFT_RTOL)
+
     def _residual_norm(self, r: np.ndarray) -> float:
         # L2 norm of the strong-form residual (coefficients divided by weights)
         return float(np.sqrt(np.sum(r * r / self.weights)))
 
-    def implicit_step(self, state: FieldPair, dt: float, tol: float,
-                      max_iter: int) -> tuple[FieldPair, int, float]:
-        x = self.unknowns(state)
-        y = x.copy()
-        res = self.residual(y, x, dt)
-        rnorm = self._residual_norm(res)
-        best = rnorm
+    def implicit_step(self, state: FieldPair, functional: DualVector, dt: float, tol: float,
+                      max_iter: int) -> tuple[FieldPair, DualVector, int, float]:
+        """Backward-Euler Newton from state, given its functional: the new
+        state, its functional, the iterations and the last residual norm."""
+        x = y = self.unknowns(state)
+        res = self.unknowns(functional)     # the residual at y = x: the mass term is 0
+        rnorm = best = self._residual_norm(res)
         for it in range(1, max_iter + 1):
-            delta = self._newton_direction(self.jacobian(y, dt), -res)
-            y = y + delta
+            y = y + self._solver(self.jacobian(y, dt), KRYLOV_RTOL)(-res)
             if not np.all(np.isfinite(y)):
                 raise StepFailure("implicit iteration produced non-finite state")
-            res = self.residual(y, x, dt)
+            new = self.state_of(y)
+            functional = self.functional(new)
+            res = self.residual(y, x, dt, functional)
             rnorm = self._residual_norm(res)
             if rnorm < tol:
-                return self.state_of(y), it, rnorm
+                return new, functional, it, rnorm
             if rnorm > 1e4 * max(best, tol):
                 raise StepFailure(f"implicit iteration diverged (residual {rnorm:.3g})")
             best = min(best, rnorm)
@@ -360,7 +363,7 @@ class _Stepper:
         while rho >= tolerance and iters < max_iter:
             iters += 1
             try:
-                direction = self._newton_direction(self.jacobian(y, math.inf), -res)
+                direction = self._solver(self.jacobian(y, math.inf), KRYLOV_RTOL)(-res)
             except StepFailure as exc:
                 raise NumericalError(f"singular linearized operator: {exc}",
                                      residuals=np.array([rho])) from exc
@@ -396,13 +399,16 @@ class _RobinStepper(_Stepper):
         return state.joint()
 
     def state_of(self, y: np.ndarray) -> FieldPair:
-        return FieldPair(y[:self.n_b], y[self.n_b:])
+        # y is finite: a Newton iterate, tested, or the unknowns of a FieldPair
+        return FieldPair.trusted(y[:self.n_b], y[self.n_b:])
 
     def functional(self, state: FieldPair) -> DualVector:
         return compute_gradient(self.mesh, self.spec, state, self.K)
 
-    def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-        return self.weights * (y - x) / dt + self.functional(self.state_of(y)).joint()
+    def residual(self, y: np.ndarray, x: np.ndarray, dt: float,
+                 functional: DualVector) -> np.ndarray:
+        """The backward-Euler residual at y from x, given the functional at y."""
+        return self.weights * (y - x) / dt + functional.joint()
 
     def stabilization(self, state: FieldPair) -> float:
         sup_fp = float(np.max(self.spec.eval("f'", state.bulk)))
@@ -431,8 +437,10 @@ class _RobinStepper(_Stepper):
             bulk_src = ws * hphi / K
             surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
         rhs += np.concatenate([trace_adjoint(mesh) @ bulk_src, surf_src])
-        lhs = assemble_joint(mesh, K, diagonal, coupling)
-        y = self.bands.factor(lhs.data)(rhs)
+        solve = self.bands.factor(assemble_joint(mesh, K, diagonal, coupling).data)
+        if solve is None:
+            raise StepFailure("semi-implicit band factor is singular")
+        y = solve(rhs)
         if not np.all(np.isfinite(y)):
             raise StepFailure("semi-implicit solve produced non-finite state")
         return self.state_of(y), s_stab
@@ -478,14 +486,15 @@ class _TransmissionStepper(_Stepper):
         return state.bulk
 
     def state_of(self, u: np.ndarray) -> FieldPair:
-        return FieldPair(u, self.surface_of(u))
+        return FieldPair.trusted(u, self.surface_of(u))
 
     def functional(self, state: FieldPair) -> DualVector:
         grad = compute_gradient(self.mesh, self.spec, state, self.K).joint()
         return DualVector(self.lift_adjoint @ grad, np.zeros(self.mesh.n_surface))
 
-    def residual(self, y: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
-        return self.metric @ (y - x) / dt + self.functional(self.state_of(y)).bulk
+    def residual(self, y: np.ndarray, x: np.ndarray, dt: float,
+                 functional: DualVector) -> np.ndarray:
+        return self.metric @ (y - x) / dt + functional.bulk
 
 
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
@@ -497,9 +506,10 @@ def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
     """One time step of the Robin system; acceptance requires the discrete
     energy not to increase."""
     stepper = _RobinStepper(mesh, spec, K)
-    new, diag, _ = stepper.advance(state, stepper.report(state), dt, scheme,
-                                   newton_tol=newton_tol, newton_max_iter=newton_max_iter,
-                                   reject_energy_increase=reject_energy_increase)
+    new, diag, _, _ = stepper.advance(state, stepper.report(state), stepper.functional(state),
+                                      dt, scheme, newton_tol=newton_tol,
+                                      newton_max_iter=newton_max_iter,
+                                      reject_energy_increase=reject_energy_increase)
     return new, diag
 
 
@@ -536,13 +546,14 @@ class _Recorder:
         self.diss_b, self.diss_s, self.dual = [], [], []
         self.states = []
 
-    def sample(self, t, state, rep: EnergyReport, diss_b=0.0, diss_s=0.0):
+    def sample(self, t, state, rep: EnergyReport, functional: DualVector,
+               diss_b=0.0, diss_s=0.0):
         self.times.append(t)
         self.parts.append(rep.parts())
         self.total.append(rep.total)
         self.diss_b.append(diss_b)
         self.diss_s.append(diss_s)
-        self.dual.append(self.riesz.dual_norm(self.stepper.functional(state)))
+        self.dual.append(self.riesz.dual_norm(functional))
         if self.keep_states:
             self.states.append(state.copy())
 
@@ -562,8 +573,9 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     checkpoint cadences and keep_states. A FieldPair start is sampled at
     t = 0; a Checkpoint start continues that exact loop state, and the record
     then holds only the samples after it, bitwise equal to the original run.
-    The energy report of each accepted state is computed once: it is the
-    recorded sample and the next step's starting energy.
+    The energy report and the functional of each accepted state are
+    computed once: they are the recorded sample, and the next step's
+    starting energy and first Newton residual.
     """
     mesh = stepper.mesh
     rec = _Recorder(stepper, config.keep_states)
@@ -583,19 +595,19 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
         state = start.state.copy()
         t, step = start.time, start.step
         dt_policy, streak = start.dt_policy, start.accept_streak
-        report = stepper.report(state)
     else:
         state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
-        report = stepper.report(state)
-        rec.sample(t, state, report)
+    report, functional = stepper.report(state), stepper.functional(state)
+    if not isinstance(start, Checkpoint):
+        rec.sample(t, state, report, functional)
 
     t_end = config.t_final
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(dt_policy, t_end - t)
         try:
-            new, diag, new_report = stepper.advance(
-                state, report, dt, config.scheme,
+            new, diag, new_report, new_functional = stepper.advance(
+                state, report, functional, dt, config.scheme,
                 newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
                 reject_energy_increase=config.reject_energy_increase)
             diagnostics["newton_iterations"] += diag.newton_iterations
@@ -606,7 +618,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                              np.zeros(mesh.n_surface))
             delta_s = h_norm(mesh, np.zeros(mesh.n_bulk),
                              (new.surface - state.surface) / dt)
-            state, report = new, new_report
+            state, report, functional = new, new_report, new_functional
             t += dt
             step += 1
             streak += 1
@@ -615,7 +627,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 dt_policy = min(dt_policy * 1.2, config.dt_max)
                 streak = 0
             if step % config.sample_every == 0:
-                rec.sample(t, state, report, delta_b, delta_s)
+                rec.sample(t, state, report, functional, delta_b, delta_s)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
                 checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
         else:
@@ -629,7 +641,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 diagnostics["aborted"] = True
                 raise RunAbort(f"dt underflow below dt_min: {diag.reason}", build())
     if not rec.times or rec.times[-1] < t - 1e-12 * max(1.0, t_end):
-        rec.sample(t, state, report)    # endpoint always lands in the record
+        rec.sample(t, state, report, functional)    # endpoint always lands in the record
     checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
     if not config.keep_states:
         rec.states = [state.copy()]   # keep the endpoint reachable regardless

@@ -164,11 +164,13 @@ class RingBands:
     SIAM Rev. 19, 1977); stacked, the blocks are one band matrix for LAPACK's
     dgbtrf. The solve is exact for a matrix the shift and the reflection
     leave unchanged, and a symmetric preconditioner for any other symmetric
-    one. The same blocks, dense, are the radial pencils of the eigen path.
+    one; with one angle (exact) it is exact for every matrix. The same
+    blocks, dense, are the radial pencils of the eigen path.
     """
 
     def __init__(self, pattern: sp.spmatrix, rings: np.ndarray, period: int):
         n = pattern.shape[0]
+        self.exact = period == 1
         self.order = np.argsort(rings, kind="stable")
         self.place = np.argsort(self.order)     # the inverse permutation
         ring, angle = np.divmod(self.place, period)
@@ -233,8 +235,8 @@ class JacobianMap:
     base + coef @ [d; c], then + coef @ [m; 0]: with P the identity each
     entry takes at most one term from each, so a diagonal entry is
     (B_ii + d_i) + m_i, the order the sums of separate sparse matrices round
-    in. A matrix over these arrays shares indptr and indices with every
-    other one.
+    in. values writes the values alone; matrix wraps them on the pattern,
+    sharing indptr and indices with every other matrix of the map.
     """
 
     indptr: np.ndarray
@@ -243,14 +245,16 @@ class JacobianMap:
     coef: sp.csr_matrix         # (nnz, n_joint + n_surface)
 
     def pattern(self) -> sp.csc_matrix:
-        n = self.indptr.size - 1
-        return sp.csc_matrix((self.base, self.indices, self.indptr), shape=(n, n))
+        return self.matrix(self.base)
 
-    def matrix(self, diagonal: np.ndarray, coupling: np.ndarray,
-               mass: np.ndarray | None = None) -> sp.csc_matrix:
+    def values(self, diagonal: np.ndarray, coupling: np.ndarray,
+               mass: np.ndarray | None = None) -> np.ndarray:
         data = self.base + self.coef @ np.concatenate([diagonal, coupling])
         if mass is not None:
             data += self.coef @ np.concatenate([mass, np.zeros_like(coupling)])
+        return data
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         n = self.indptr.size - 1
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
@@ -300,7 +304,8 @@ def assemble_joint(mesh: Mesh, K: float, diagonal: np.ndarray,
     plus the trace coupling block Tr' diag(coupling) when one is given."""
     if coupling is None:
         coupling = np.zeros(mesh.n_surface)
-    return jacobian_map(mesh, K, None).matrix(diagonal, coupling)
+    jac = jacobian_map(mesh, K, None)
+    return jac.matrix(jac.values(diagonal, coupling))
 
 
 def linearized_coefficients(mesh: Mesh, spec: NonlinearitySpec, state,
@@ -360,11 +365,14 @@ def linearized_lower_bound(mesh: Mesh, spec: NonlinearitySpec, state, K: float) 
 def h1_solves(mesh: Mesh, scale: float = 1.0) -> list:
     """Band solves with scale * S + M on the bulk and on the surface, S the
     Dirichlet form and M the quadrature mass; exact, as the angular shift and
-    reflection leave both matrices unchanged."""
+    reflection leave both matrices unchanged; a singular one raises NumericalError."""
     blocks = ((bulk_dirichlet_stiffness(mesh), mesh.bulk_weights, mesh.rings[:mesh.n_bulk]),
               (surface_stiffness(mesh), mesh.surface_weights, mesh.rings[mesh.n_bulk:]))
     matrices = [((s.matrix * scale + sp.diags(w)).tocsr(), rings) for s, w, rings in blocks]
-    return [RingBands(m, rings, mesh.angular_period).factor(m.data) for m, rings in matrices]
+    solves = [RingBands(m, rings, mesh.angular_period).factor(m.data) for m, rings in matrices]
+    if None in solves:
+        raise NumericalError(f"singular H1 band factor at scale {scale!r}")
+    return solves
 
 
 class RieszMap:

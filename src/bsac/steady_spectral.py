@@ -306,7 +306,8 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
     """Damped Newton for the stationary system; residual measured in V'.
 
     The Robin stepper's Newton at dt = inf (_Stepper.stationary): its
-    Jacobian, and CG directions on the band solve of its angle average. The
+    Jacobian, and directions from the band solve of its angle average (by
+    CG on the disk, the band solve itself on the interval). The
     line search halves the update until the dual norm of the gradient
     decreases. Hitting the iteration cap returns a non-converged state
     carrying the last residual instead of raising. The stability tag's
@@ -321,7 +322,8 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
     state = stepper.state_of(y)
     tag, path = np.nan, "none"
     if converged and compute_stability:
-        lowest = eigen_solve((stepper.jacobian(y, math.inf), stepper.joint_mass), 1,
+        jacobian = stepper.jac_map.matrix(stepper.jacobian(y, math.inf))
+        lowest = eigen_solve((jacobian, stepper.joint_mass), 1,
                              lower_bound=linearized_lower_bound(mesh, spec, state, K),
                              shift_inverse=functools.partial(stepper.shift_inverse, y))
         tag, path = float(lowest.values[0]), lowest.path

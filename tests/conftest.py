@@ -35,12 +35,21 @@ def random_pair(mesh, rng, mean=0.0, amplitude=1.0):
                      mean + amplitude * rng.standard_normal(mesh.n_surface))
 
 
-def _bracketed_roots(g, grid):
-    """brentq roots of g in every grid cell whose end values differ in sign;
-    the signs come from one vectorized evaluation of g on the grid."""
+def _brackets(g, grid):
+    """The grid cells whose end values of g differ in sign, from one
+    vectorized evaluation of g on the grid."""
     signs = np.sign(g(grid))
+    return np.flatnonzero(signs[:-1] != signs[1:])
+
+
+def _polish(g, grid, cells):
     return [scipy.optimize.brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15)
-            for i in np.flatnonzero(signs[:-1] != signs[1:])]
+            for i in cells]
+
+
+def _bracketed_roots(g, grid):
+    """brentq roots of g in every grid cell whose end values differ in sign."""
+    return _polish(g, grid, _brackets(g, grid))
 
 
 # characteristic functions for the interval (0, 1) with K = 1, lam = c^2:
@@ -62,13 +71,22 @@ def interval_boundary_eigenvalues(count):
 
 def disk_boundary_eigenvalues(count, k_max=8):
     """Disk eigenvalues at K=1: roots of c J_k'(c) + (1 - c^2) J_k(c), with
-    angular multiplicity two for k >= 1."""
+    angular multiplicity two for k >= 1. The sign scan covers growing
+    prefixes of one grid until count roots lie in the prefix; every other
+    root lies beyond it and is larger, so polishing the prefix's brackets
+    alone gives the full scan's values."""
     grid = np.linspace(1e-6, 30.0, 30001)
-    lams = []
-    for k in range(k_max + 1):
-        for c in _bracketed_roots(lambda c, k=k: c * jvp(k, c) + (1.0 - c * c) * jv(k, c),
-                                  grid):
-            lams.extend([c * c] if k == 0 else [c * c, c * c])
+    orders = [lambda c, k=k: c * jvp(k, c) + (1.0 - c * c) * jv(k, c)
+              for k in range(k_max + 1)]
+    multiplicity = [1] + [2] * k_max
+    end = 1000
+    while True:
+        end = min(2 * end, grid.size)
+        cells = [_brackets(g, grid[:end]) for g in orders]
+        if end == grid.size or sum(m * c.size for m, c in zip(multiplicity, cells)) >= count:
+            break
+    lams = [c * c for g, m, found in zip(orders, multiplicity, cells)
+            for c in _polish(g, grid, found) for _ in range(m)]
     return np.sort(np.array(lams))[:count]
 
 

@@ -16,6 +16,9 @@ TINY = ["--set", "geometry=interval", "--set", "n=12",
         "--set", "dt=0.05", "--set", "t_final=0.3",
         "--set", "adaptive=false", "--set", "checkpoint_every=2",
         "--set", "seed=5"]
+# the same run on the 8x16 disk: the interval's Newton direction is its band
+# solve, the disk's is CG preconditioned with the band solve of an average
+SMALL_DISK = ["--set", "n_r=8", "--set", "n_theta=16"] + TINY[4:]
 
 
 def run_main(tmp_path, tag, args):
@@ -116,6 +119,13 @@ def test_config_error_exits_2(tmp_path, capsys):
     status, _ = run_main(tmp_path, "a", ["simulate", "--set", "K=-1"])
     assert status == 2
     assert "K must be positive" in capsys.readouterr().err
+
+
+def test_negative_smoothing_exits_2(tmp_path, capsys):
+    status, _ = run_main(tmp_path, "a", ["simulate", "--set", "geometry=interval",
+                                         "--set", "n=16", "--set", "init_smoothing=-0.25"])
+    assert status == 2
+    assert "init_smoothing must be nonnegative" in capsys.readouterr().err
 
 
 def test_resume_flag_restricted_to_simulate(tmp_path, capsys):
@@ -400,16 +410,18 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
 def test_simulate_manifest_reports_repeatable_solver_counts(tmp_path):
     keys = ("steps_accepted", "steps_rejected", "newton_iterations", "factorizations",
             "krylov_iterations")
-    counts = []
-    for tag in ("a", "b"):
-        status, root = run_main(tmp_path, tag, ["simulate"] + TINY)
-        assert status == 0
-        lines = (single_run_dir(root, "simulate") / "manifest.txt").read_text().splitlines()
-        entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
-        counts.append({key: int(entries[key]) for key in keys})
-    assert counts[0] == counts[1]
-    assert counts[0]["steps_accepted"] == 6 and counts[0]["steps_rejected"] == 0
-    assert counts[0]["factorizations"] == 0 and counts[0]["krylov_iterations"] > 0
+    for case, args in (("interval", TINY), ("disk", SMALL_DISK)):
+        counts = []
+        for tag in ("a", "b"):
+            status, root = run_main(tmp_path, case + tag, ["simulate"] + args)
+            assert status == 0
+            lines = (single_run_dir(root, "simulate") / "manifest.txt").read_text().splitlines()
+            entries = dict(line.split(" = ", 1) for line in lines if " = " in line)
+            counts.append({key: int(entries[key]) for key in keys})
+        assert counts[0] == counts[1]
+        assert counts[0]["steps_accepted"] == 6 and counts[0]["steps_rejected"] == 0
+        assert counts[0]["factorizations"] == 0
+        assert (counts[0]["krylov_iterations"] > 0) == (case == "disk")
 
 
 def manifest_entries(root, subcommand):
@@ -420,20 +432,24 @@ def manifest_entries(root, subcommand):
 @pytest.mark.parametrize("subcommand", ["steady", "probe"])
 def test_newton_manifests_report_repeatable_solver_counts(tmp_path, subcommand):
     # from 0.58 the steady solve needs line-search halvings; probe solves from
-    # the end of a short run. Every direction is CG on a band solve.
+    # the end of a short run. Every direction is a band solve: on the interval
+    # the direction itself, on the disk CG's preconditioner.
     keys = ("newton_iterations", "factorizations", "krylov_iterations")
     if subcommand == "steady":
         keys += ("eigen_path_stability",)
-    counts = []
-    for tag in ("a", "b"):
-        status, root = run_main(tmp_path, tag, [subcommand, "--set", "steady_guess=0.58"] + TINY)
-        assert status in (0, 1)
-        entries = manifest_entries(root, subcommand)
-        counts.append({key: entries[key] for key in keys})
-    assert counts[0] == counts[1]
-    assert int(counts[0]["factorizations"]) == 0 and int(counts[0]["krylov_iterations"]) > 0
-    if subcommand == "steady":
-        assert counts[0]["eigen_path_stability"] == "dense"
+    for case, args in (("interval", TINY), ("disk", SMALL_DISK)):
+        counts = []
+        for tag in ("a", "b"):
+            status, root = run_main(tmp_path, case + tag,
+                                    [subcommand, "--set", "steady_guess=0.58"] + args)
+            assert status in (0, 1)
+            entries = manifest_entries(root, subcommand)
+            counts.append({key: entries[key] for key in keys})
+        assert counts[0] == counts[1]
+        assert int(counts[0]["factorizations"]) == 0
+        assert (int(counts[0]["krylov_iterations"]) > 0) == (case == "disk")
+        if subcommand == "steady":
+            assert counts[0]["eigen_path_stability"] == "dense"
 
 
 @pytest.mark.parametrize("args, bulk_path", [

@@ -30,8 +30,10 @@ from bsac import (
     write_checkpoint,
 )
 
-from bsac import dynamics
+from bsac import dynamics, operators
 from bsac.dynamics import _integrate, _RobinStepper, _TransmissionStepper
+from bsac.errors import StepFailure
+from bsac.operators import RieszMap
 
 from conftest import random_pair
 
@@ -342,12 +344,15 @@ def test_transmission_on_disk_with_shifted_affine_coupling(disk_small):
     dt = 0.02
     x = rec.states[3].bulk
     y = x + 0.05 * rng.standard_normal(mesh.n_bulk)
-    jac = stepper.jacobian(y, dt)
+    jac = stepper.jac_map.matrix(stepper.jacobian(y, dt))
+
+    def residual(z):
+        return stepper.residual(z, x, dt, stepper.functional(stepper.state_of(z)))
+
     eps = 1e-6
     for _ in range(5):
         d = rng.standard_normal(mesh.n_bulk)
-        fd = (stepper.residual(y + eps * d, x, dt)
-              - stepper.residual(y - eps * d, x, dt)) / (2 * eps)
+        fd = (residual(y + eps * d) - residual(y - eps * d)) / (2 * eps)
         an = jac @ d
         assert np.linalg.norm(fd - an) <= 1e-7 * np.linalg.norm(an)
 
@@ -387,6 +392,9 @@ def test_config_validation_guards(dw_spec):
         RunConfig(geometry="sphere", spec=dw_spec)
     with pytest.raises(ConfigurationError, match="unknown init_kind 'blob'"):
         RunConfig(init_kind="blob", spec=dw_spec)
+    # a negative smoothing scale would sharpen the noise instead
+    with pytest.raises(ConfigurationError, match="init_smoothing must be nonnegative"):
+        RunConfig(init_smoothing=-0.25, spec=dw_spec)
 
 
 def test_nonfinite_values_and_newton_settings_rejected_together(dw_spec):
@@ -451,18 +459,88 @@ def test_default_disk_run_needs_no_factor(monkeypatch):
     # every Newton direction of the default run converges within the CG cap
     # on the band solve of the Jacobian's angle average
     runs, pcg = [], dynamics._pcg
+    gradients, gradient = [], dynamics.compute_gradient
 
     def counted(*args):
         runs.append(pcg(*args))
         return runs[-1]
 
+    def counted_gradient(*args):
+        gradients.append(None)
+        return gradient(*args)
+
     monkeypatch.setattr(dynamics, "_pcg", counted)
+    monkeypatch.setattr(dynamics, "compute_gradient", counted_gradient)
     diagnostics = run_trajectory(RunConfig(checkpoint_every=0)).diagnostics
     assert (diagnostics["accepted"], diagnostics["newton_iterations"]) == (109, 194)
+    # each Newton iterate's gradient is evaluated once, the initial state's too:
+    # the record and the next step reuse the last iterate's
+    assert diagnostics["rejected"] == 0 and len(gradients) == 194 + 1
     assert len(runs) == 194 and all(converged for _, _, converged in runs)
     assert max(iterations for _, iterations, _ in runs) <= dynamics.KRYLOV_MAX_ITER
     assert diagnostics["krylov_iterations"] == sum(iterations for _, iterations, _ in runs)
     assert diagnostics["factorizations"] == 0
+
+
+def assert_dual_norms_are_the_states(stepper, record):
+    # the carried functional is the one the kept state gives, bit for bit
+    riesz = RieszMap(stepper.mesh)
+    assert len(record.states) == record.n_samples() > 1
+    assert [riesz.dual_norm(stepper.functional(state)) for state in record.states] == list(
+        record.dual_norm)
+
+
+def test_recorded_dual_norms_are_the_kept_states(disk_run, disk_mid, dw_spec):
+    stepper, config, full = disk_run
+    assert_dual_norms_are_the_states(stepper, full)
+    assert_dual_norms_are_the_states(stepper, _integrate(stepper, config, full.checkpoints[1]))
+    config = small_config(dw_spec, scheme="stabilized_semi_implicit")
+    stepper = _RobinStepper(config.build_mesh(), dw_spec, config.K)
+    assert_dual_norms_are_the_states(
+        stepper, _integrate(stepper, config, initial_state(config, stepper.mesh)))
+    mesh = build_interval(1.0, 24)
+    limit = solve_transmission_limit(mesh, dw_spec, smoothed_random_state(mesh, 2), 0.2, 0.02)
+    assert_dual_norms_are_the_states(_TransmissionStepper(mesh, dw_spec), limit)
+
+
+@pytest.mark.parametrize("make_stepper", [
+    pytest.param(lambda mesh, spec: _RobinStepper(mesh, spec, 0.5), id="robin"),
+    pytest.param(_TransmissionStepper, id="transmission")])
+def test_interval_direction_is_the_band_solve(dw_spec, make_stepper, monkeypatch):
+    # one angle: the band solve is the Jacobian's own, so it is the Newton
+    # direction, with no CG and no sparse matrix
+    mesh = build_interval(1.0, 24)
+    stepper = make_stepper(mesh, dw_spec)
+    state = stepper.state_of(stepper.unknowns(smoothed_random_state(mesh, 6)))
+    y = stepper.unknowns(state)
+    data = stepper.jacobian(y, 0.05)
+    rhs = np.random.default_rng(3).standard_normal(y.size)
+    dense = np.linalg.solve(stepper.jac_map.matrix(data).toarray(), rhs)
+
+    def forbidden(*args):
+        raise AssertionError("CG or a sparse matrix in an interval Newton iteration")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_pcg", forbidden)
+        patch.setattr(operators.JacobianMap, "matrix", forbidden)
+        delta = stepper._solver(data, dynamics.KRYLOV_RTOL)(rhs)
+        _, _, newton, _ = stepper.implicit_step(state, stepper.functional(state), 0.05,
+                                                1e-10, 50)
+    assert np.linalg.norm(delta - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert newton >= 1 and stepper.krylov_iterations == stepper.factorizations == 0
+    # a singular band factor still falls back to one counted factor
+    monkeypatch.setattr(stepper.bands, "factor", lambda data: None)
+    delta = stepper._solver(data, dynamics.KRYLOV_RTOL)(rhs)
+    assert np.linalg.norm(delta - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert (stepper.krylov_iterations, stepper.factorizations) == (0, 1)
+
+
+def test_singular_semi_implicit_band_factor_is_a_step_failure(dw_spec, monkeypatch):
+    mesh = build_interval(1.0, 16)
+    stepper = _RobinStepper(mesh, dw_spec, 1.0)
+    monkeypatch.setattr(stepper.bands, "factor", lambda data: None)
+    with pytest.raises(StepFailure, match="band factor is singular"):
+        stepper.semi_implicit_step(smoothed_random_state(mesh, 1), 0.05)
 
 
 def test_checkpoints_do_not_change_the_run(disk_run, disk_mid):
@@ -510,7 +588,7 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
     stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
     x0 = smoothed_random_state(disk_mid, 3)
     tol = 1e-10
-    x1, _, _ = stepper.implicit_step(x0, 0.05, tol, 50)
+    x1, g1, _, _ = stepper.implicit_step(x0, stepper.functional(x0), 0.05, tol, 50)
     built = stepper.factorizations
     iterations = []
 
@@ -519,7 +597,7 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
         return np.zeros_like(b), max_iter, False
 
     monkeypatch.setattr(dynamics, "_pcg", stalled)
-    _, newton, rnorm = stepper.implicit_step(x1, 0.2, tol, 50)
+    _, _, newton, rnorm = stepper.implicit_step(x1, g1, 0.2, tol, 50)
     assert rnorm < tol
     assert len(iterations) == newton
     assert stepper.factorizations == built + newton
@@ -528,10 +606,11 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
 def test_pcg_is_scipy_cg_step_for_step(disk_mid, dw_spec):
     stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
     y = stepper.unknowns(smoothed_random_state(disk_mid, 5))
-    lu = spla.splu(stepper.jacobian(y, 0.05), permc_spec="MMD_AT_PLUS_A")
+    lu = spla.splu(stepper.jac_map.matrix(stepper.jacobian(y, 0.05)),
+                   permc_spec="MMD_AT_PLUS_A")
     # five iterations at dt = 0.06
-    jac = stepper.jacobian(y, 0.06)
-    rhs = -stepper.residual(y, y + 0.01, 0.06)
+    jac = stepper.jac_map.matrix(stepper.jacobian(y, 0.06))
+    rhs = -stepper.residual(y, y + 0.01, 0.06, stepper.functional(stepper.state_of(y)))
     converged = []
     for max_iter in (dynamics.KRYLOV_MAX_ITER, 2):
         steps = []
@@ -552,7 +631,8 @@ def test_jacobians_share_one_pattern(disk_small, dw_spec):
     for stepper in (_RobinStepper(disk_small, dw_spec, 0.5),
                     _TransmissionStepper(disk_small, dw_spec)):
         y = stepper.unknowns(random_pair(disk_small, rng))
-        first, second = stepper.jacobian(y, 0.1), stepper.jacobian(1.1 * y, 0.2)
+        first, second = (stepper.jac_map.matrix(stepper.jacobian(z, dt))
+                         for z, dt in ((y, 0.1), (1.1 * y, 0.2)))
         assert np.shares_memory(first.indices, second.indices)
         assert np.shares_memory(first.indptr, second.indptr)
         assert not np.shares_memory(first.data, second.data)

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from bsac import (
     ConfigurationError,
     DualVector,
+    NumericalError,
     RieszMap,
     assemble_bulk_laplacian,
     assemble_linearized,
@@ -268,6 +269,12 @@ def test_band_solve_inverts_the_angle_average(disk_small):
     assert np.linalg.norm(matrix @ x - b) > 1e-3 * np.linalg.norm(b)
     # a singular band factor is reported, not used
     assert bands.factor(0 * matrix.data) is None
+
+
+def test_singular_h1_band_factor_raises(disk_small, monkeypatch):
+    monkeypatch.setattr(RingBands, "factor", lambda self, data: None)
+    with pytest.raises(NumericalError, match="singular H1 band factor"):
+        h1_solves(disk_small, 0.5)
 
 
 def test_nonpositive_k_rejected():

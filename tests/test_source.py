@@ -1,7 +1,8 @@
 """Static checks on the package source: no module imports a name it never uses,
 only mesh.py knows the geometry of a mesh or touches its operator memo,
 the only sparse factorization of the package is dynamics.py's counted splu
-helper, and the steppers build no sparse matrix per Newton iteration."""
+helper, and neither the steppers nor the recorder build a sparse matrix per
+Newton iteration or per step."""
 
 import ast
 from pathlib import Path
@@ -105,17 +106,18 @@ def test_no_module_factors_outside_the_counted_helper(path):
     assert callers(source, "factorized") + callers(source, "spsolve") == []
 
 
-# evaluated every Newton iteration: values go through a fixed-pattern map, and
-# the preconditioner is built from those values alone
-PER_ITERATION = ("jacobian", "residual", "functional", "_newton_direction")
+# evaluated every Newton iteration or every step: values go through a
+# fixed-pattern map, and the band solves are built from those values alone
+PER_ITERATION = ("jacobian", "residual", "functional", "_solver", "implicit_step",
+                 "stationary", "advance", "sample")
 
 
 def sparse_builds_per_iteration(source: str) -> list:
     """sp.* calls, .T and .tocsc()/.tocsr() inside the PER_ITERATION methods
-    of _Stepper and of the classes derived from it."""
+    of _Stepper, of the classes derived from it, and of _Recorder."""
     found = []
     for cls in ast.walk(ast.parse(source)):
-        if not (isinstance(cls, ast.ClassDef) and "_Stepper" in
+        if not (isinstance(cls, ast.ClassDef) and {"_Stepper", "_Recorder"} &
                 {cls.name, *(ast.unparse(base) for base in cls.bases)}):
             continue
         for method in cls.body:
@@ -135,11 +137,18 @@ def test_detector_sees_sparse_builds_in_stepper_methods():
               "class _Robin(_Stepper):\n    def residual(self, y):\n        return self.a.T @ y\n"
               "    def functional(self, s):\n        return scipy.sparse.identity(3).tocsr()\n"
               "    def semi_implicit_step(self, s):\n        return sp.diags(s).tocsc()\n"
+              "    def implicit_step(self, s):\n        return self.m.tocsr()\n"
+              "    def stationary(self, y):\n        return sp.eye(3)\n"
+              "    def advance(self, s):\n        return self.p.T\n"
+              "class _Recorder:\n    def sample(self, t, s):\n        return sp.diags(s)\n"
+              "    def build(self):\n        return sp.diags(self.t)\n"
               "class Other:\n    def jacobian(self, y):\n        return sp.diags(y).T\n")
     assert sparse_builds_per_iteration(source) == [
         "_Stepper.jacobian: sp.diags(y).tocsc", "_Stepper.jacobian: sp.diags(y)",
         "_Robin.residual: self.a.T", "_Robin.functional: scipy.sparse.identity(3).tocsr",
-        "_Robin.functional: scipy.sparse.identity(3)"]
+        "_Robin.functional: scipy.sparse.identity(3)", "_Robin.implicit_step: self.m.tocsr",
+        "_Robin.stationary: sp.eye(3)", "_Robin.advance: self.p.T",
+        "_Recorder.sample: sp.diags(s)"]
 
 
 def test_steppers_build_no_sparse_matrix_per_iteration():

@@ -165,7 +165,9 @@ class RingBands:
     dgbtrf. The solve is exact for a matrix the shift and the reflection
     leave unchanged, and a symmetric preconditioner for any other symmetric
     one; with one angle (exact) it is exact for every matrix. The same
-    blocks, dense, are the radial pencils of the eigen path.
+    blocks, dense, are the radial pencils of the eigen path; invariant tells
+    it whether a matrix is unchanged by the shift and the reflection, so
+    that they are exact.
     """
 
     def __init__(self, pattern: sp.spmatrix, rings: np.ndarray, period: int):
@@ -176,8 +178,11 @@ class RingBands:
         ring, angle = np.divmod(self.place, period)
         entries = pattern.tocoo()           # entries in the order of pattern.data
         row, col = ring[entries.row], ring[entries.col]
-        offsets, offset = np.unique((angle[entries.col] - angle[entries.row]) % period,
-                                    return_inverse=True)
+        angles = (angle[entries.col] - angle[entries.row]) % period
+        present = np.bincount(angles, minlength=period) > 0
+        # the distinct angular offsets, and the index of each entry's among them
+        self.offsets = offsets = np.flatnonzero(present)
+        offset = (np.cumsum(present) - 1)[angles]
         self.width = w = int(np.max(np.abs(row - col)))
         self.sizes = (n // period, period, 3 * w + 1)   # rings, angles, band rows
         # mode m's mean over the angle, exactly even in the offset
@@ -185,6 +190,25 @@ class RingBands:
             np.arange(period // 2 + 1), np.minimum(offsets, period - offsets))) / period
         # table[offset, column ring, band row]; per mode, LAPACK's band storage
         self.bins = (offset * (n // period) + col) * (3 * w + 1) + 2 * w + row - col
+
+    def invariant(self, data: np.ndarray) -> bool:
+        """Whether the matrix whose stored values are data is exactly
+        unchanged by the angular shift j -> j+1 and the reflection j -> -j:
+        every (offset, ring pair) bin holds period equal entries, absent
+        ones counting as zeros, and offsets o and period - o agree."""
+        period = self.sizes[1]
+        size = self.offsets.size * self.sizes[0] * self.sizes[2]
+        low = np.where(np.bincount(self.bins, minlength=size) == period, np.inf, 0.0)
+        high = -low
+        np.minimum.at(low, self.bins, data)
+        np.maximum.at(high, self.bins, data)
+        if not np.array_equal(low, high):
+            return False
+        index = np.full(period, -1)
+        index[self.offsets] = np.arange(self.offsets.size)
+        mirror = index[-self.offsets % period]
+        table = low.reshape(self.offsets.size, -1)
+        return np.array_equal(table, np.where(mirror[:, None] >= 0, table[mirror], 0.0))
 
     def _band(self, data: np.ndarray) -> np.ndarray:
         """The mode blocks of the angle average of the matrix whose stored

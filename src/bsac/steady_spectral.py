@@ -6,8 +6,9 @@ norm of the gradient decreases; it is the Robin time step's Newton at dt = inf.
 The eigen solver handles both generalized pairs (bulk with boundary-weighted
 mass, surface with shifted stiffness) and the second variation: dense for
 small pencils, one radial pencil per Fourier mode for rotation-invariant disk
-pencils (only the modes that can hold a requested value), shift-invert
-Lanczos otherwise. The stability tag's shift-invert solves are CG on the
+pencils (reduced through one Cholesky factor of the mass block, and only the
+modes and pairs that can hold a requested value), shift-invert Lanczos
+otherwise. The stability tag's shift-invert solves are CG on the
 stepper's band solve, so it factors nothing. The solver reports per-pair
 residuals, the mass Gram defect and the path it took; the eigenfields are
 normalized and checked as whole arrays, not column by column.
@@ -112,65 +113,75 @@ def _pencil_lower_bound(stiff: sp.csr_matrix, mass_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
-def _rotation_invariant(mat: sp.csr_matrix, period: int) -> bool:
-    """Whether mat, on unknowns numbered ring * period + angle, is exactly
-    unchanged by the angular shift j -> j+1 and the reflection j -> -j."""
-    ring, angle = np.divmod(np.arange(mat.shape[0]), period)
-    for perm in (ring * period + (angle + 1) % period, ring * period + (-angle) % period):
-        if (mat[perm][:, perm] != mat).nnz:
-            return False
-    return True
-
-
-def _modes_rise(stiff: sp.csr_matrix, mass: sp.csr_matrix, period: int) -> bool:
+def _modes_rise(stiff: RingBands, data: np.ndarray, mass: RingBands) -> bool:
     """Whether the Fourier blocks of the pencil rise with the mode: the mass
     has entries only at angular offset 0, and every stiffness entry off
     offset 0 sits at offset +-1 within one ring and is nonpositive. Then
     block k - block j = 2 A_1 (cos 2 pi k / period - cos 2 pi j / period) is
     positive semidefinite for j < k <= period / 2, A_1 the diagonal of the
     offset-1 entries, over one mass block shared by every mode."""
-    def entries(mat):
-        coo = mat.tocoo()
-        (ring_r, angle_r), (ring_c, angle_c) = (np.divmod(i, period) for i in (coo.row, coo.col))
-        return ring_r == ring_c, (angle_c - angle_r) % period, coo.data
-
-    _, mass_offset, _ = entries(mass)
-    same_ring, offset, data = entries(stiff)
-    off = offset != 0
-    return bool(np.all(mass_offset == 0) and np.all(
-        same_ring[off] & (data[off] <= 0) & np.isin(offset[off], (1, period - 1))))
+    n_rings, period, rows = stiff.sizes
+    offset, band_row = np.divmod(stiff.bins, n_rings * rows)
+    angle = stiff.offsets[offset]
+    off = angle != 0
+    same_ring = band_row % rows == 2 * stiff.width
+    return bool(np.array_equal(mass.offsets, [0]) and np.all(
+        same_ring[off] & (data[off] <= 0) & np.isin(angle[off], (1, period - 1))))
 
 
-def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix, period: int,
+# relative widening of the by-value cut: near the cut a dense eigh value and its
+# block Rayleigh quotient differ by at most 5e-12 relative on the 128x256 disk
+# for 1e-8 <= K <= 1, and eps * max|W A_m W'| stays below 3e-9 of the cut
+_CUT_MARGIN = 1e-6
+
+
+def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
+                         layouts: list[RingBands], period: int,
                          count: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest `count` eigenpairs of a rotation-invariant pencil, one dense
     radial pencil per Fourier mode.
 
-    The blocks are the Fourier blocks of operators.RingBands, the unknowns
-    numbered ring * period + angle. Modes 0 and period/2 give one field
-    each, every other mode a cos and a sin field. Pairs are ordered by
-    (value, mode, cos before sin, index); the values are the block Rayleigh
-    quotients, which meet the residual gate where the generalized eigh
-    values lose digits. When the blocks rise with the mode (_modes_rise),
-    each eigenvalue of a block bounds those of every later block from below
-    (Courant-Fischer), so the modes stop at the first one whose smallest
-    value exceeds the count-th smallest value kept; otherwise every mode is
-    solved.
+    The blocks are the Fourier blocks of the pencil's RingBands layouts, the
+    unknowns numbered ring * period + angle. Modes 0 and period/2 give one
+    field each, every other mode a cos and a sin field. Each radial pencil
+    (A_m, M_m) is reduced once through the Cholesky factor L of its mass
+    block to the standard problem W A_m W', W = L^-1 (Parlett, The
+    Symmetric Eigenvalue Problem, sec. 15); L is factored again only for a
+    mode whose mass block differs, which no assembled pencil has. Until
+    `count` values are kept each mode gives all its pairs (LAPACK dsyevd);
+    after that only those at or below the count-th kept value, widened by
+    a relative margin, since no larger one can be chosen (dsyevr, Dhillon &
+    Parlett, LAA 387, 2004). Pairs are ordered by (value, mode, cos before
+    sin, index); the values are the block Rayleigh quotients. When the
+    blocks rise with the mode (_modes_rise), each eigenvalue of a block
+    bounds those of every later block from below (Courant-Fischer), so the
+    modes stop at the first one with no value at or below the cut;
+    otherwise every mode is solved.
     """
-    rings = np.arange(stiff.shape[0]) // period
-    stiff_blocks, mass_blocks = (RingBands(mat, rings, period).blocks(mat.data)
-                                 for mat in (stiff, mass))
-    rising = _modes_rise(stiff, mass, period)
+    stiff_bands, mass_bands = layouts
+    rising = _modes_rise(stiff_bands, stiff.data, mass_bands)
     radial, keys, kept = [], [], []
-    for mode, (b_s, b_m) in enumerate(zip(stiff_blocks, mass_blocks)):
-        _, vecs = scipy.linalg.eigh(b_s, b_m, driver="gvd")
+    factored = None
+    for mode, (b_s, b_m) in enumerate(zip(stiff_bands.blocks(stiff.data),
+                                          mass_bands.blocks(mass.data))):
+        if factored is None or not np.array_equal(b_m, factored):
+            factored = b_m
+            w = scipy.linalg.solve_triangular(scipy.linalg.cholesky(b_m, lower=True),
+                                              np.eye(len(b_m)), lower=True)
+        reduced = w @ b_s @ w.T
         kinds = (0,) if mode == 0 or 2 * mode == period else (0, 1)
+        if len(kept) < count:
+            _, vecs = scipy.linalg.eigh(reduced, driver="evd")
+        else:
+            cut = np.partition(kept, count - 1)[count - 1]
+            _, vecs = scipy.linalg.eigh(reduced, driver="evr", subset_by_value=(
+                -np.inf, cut + _CUT_MARGIN * abs(cut)))
+            if rising and vecs.shape[1] == 0:
+                break
         # index j of a cos/sin mode has 2j values of its own mode below it
-        vecs = vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
+        vecs = w.T @ vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
         values = (np.einsum("ij,ij->j", vecs, b_s @ vecs)
                   / np.einsum("ij,ij->j", vecs, b_m @ vecs))
-        if rising and len(kept) >= count and np.min(values) > np.sort(kept)[count - 1]:
-            break
         radial.append(vecs)
         index = np.arange(vecs.shape[1])
         for kind in kinds:
@@ -200,11 +211,15 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
       one dense `eigh`.
     - "blocks": with `period > 1`, unknowns numbered ring * period + angle,
       and both matrices exactly unchanged by the angular shift and the
-      reflection, the pencil splits into period/2 + 1 radial pencils, one per
-      Fourier mode, each solved dense. When the blocks rise with the mode, as
-      for every pencil the meshes assemble, the modes above the requested
-      part of the spectrum are not solved (_fourier_block_solve). Degenerate
-      cos/sin pairs come out in a fixed order, so reruns are bitwise.
+      reflection (RingBands.invariant, one layout per matrix), the pencil
+      splits into period/2 + 1 radial pencils, one per Fourier mode, each
+      solved dense as a standard problem through the Cholesky factor of its
+      mass block. Once `count` values are kept, a mode gives only the pairs
+      at or below the count-th of them, and when the blocks rise with the
+      mode, as for every pencil the meshes assemble, the modes above the
+      requested part of the spectrum are not solved (_fourier_block_solve).
+      Degenerate cos/sin pairs come out in a fixed order, so reruns are
+      bitwise.
     - "arpack": otherwise, shift-invert Lanczos with the mass as weight. The
       shift sits just below `lower_bound`, a lower bound on the spectrum the
       caller knows; without one, below the Gershgorin bound of a diagonal
@@ -233,14 +248,14 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     if count > n:
         raise ConfigurationError(f"requested {count} eigenpairs of a {n}-pencil")
 
-    if n < 400 or count >= n - 1:
-        path = "dense"
-    elif (period > 1 and n % period == 0 and _rotation_invariant(stiff, period)
-          and _rotation_invariant(mass, period)):
-        path = "blocks"
-        vals, vecs = _fourier_block_solve(stiff, mass, period, count)
-    else:
-        path = "arpack"
+    path = "dense" if n < 400 or count >= n - 1 else "arpack"
+    if path == "arpack" and period > 1 and n % period == 0:
+        rings = np.arange(n) // period
+        layouts = [RingBands(mat, rings, period) for mat in (stiff, mass)]
+        if all(layout.invariant(mat.data) for layout, mat in zip(layouts, (stiff, mass))):
+            path = "blocks"
+            vals, vecs = _fourier_block_solve(stiff, mass, layouts, period, count)
+    if path == "arpack":
         mass_diag = mass.diagonal()
         if lower_bound is None and (mass.nnz == np.count_nonzero(mass_diag)
                                     and np.all(mass_diag > 0)):

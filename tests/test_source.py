@@ -1,8 +1,9 @@
 """Static checks on the package source: no module imports a name it never uses,
 only mesh.py knows the geometry of a mesh or touches its operator memo,
 the only sparse factorization of the package is dynamics.py's counted splu
-helper, and neither the steppers nor the recorder build a sparse matrix per
-Newton iteration or per step."""
+helper, neither the steppers nor the recorder build a sparse matrix per
+Newton iteration or per step, and the Fourier block eigensolve solves each
+mode as one standard problem through scipy.linalg.eigh."""
 
 import ast
 from pathlib import Path
@@ -153,3 +154,40 @@ def test_detector_sees_sparse_builds_in_stepper_methods():
 
 def test_steppers_build_no_sparse_matrix_per_iteration():
     assert sparse_builds_per_iteration((SRC / "dynamics.py").read_text(encoding="utf-8")) == []
+
+
+def eigh_calls(source: str, function: str) -> list:
+    """(callee as written, matrices passed) of each eigh call inside the
+    named function; the matrices are the positional arguments and the a=
+    and b= keywords."""
+    found = []
+    for owner in ast.walk(ast.parse(source)):
+        if not (isinstance(owner, ast.FunctionDef) and owner.name == function):
+            continue
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Call) and "eigh" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                matrices = len(node.args) + sum(k.arg in ("a", "b") for k in node.keywords)
+                found.append((ast.unparse(node.func), matrices))
+    return found
+
+
+def test_detector_sees_every_eigh_call():
+    source = ("def solve(a, m):\n    scipy.linalg.eigh(a, driver='evd')\n"
+              "    def inner():\n        return eigh(a, m)\n"
+              "    la.eigh(a, b=m)\n    np.linalg.eigh(a)\n"
+              "    scipy.linalg.eigh(a=a, subset_by_value=(0, 1))\n"
+              "def other(a):\n    scipy.linalg.eigh(a, a)\n")
+    assert eigh_calls(source, "solve") == [
+        ("scipy.linalg.eigh", 1), ("la.eigh", 2), ("np.linalg.eigh", 1),
+        ("scipy.linalg.eigh", 1), ("eigh", 2)]
+    assert eigh_calls(source, "other") == [("scipy.linalg.eigh", 2)]
+
+
+def test_fourier_modes_are_solved_as_standard_problems():
+    # through scipy.linalg.eigh, so the tests' call counts and perfbench's
+    # dense_eigh layer see every per-mode solve, and with one matrix: each
+    # radial pencil is reduced through its mass factor, not solved generalized
+    source = (SRC / "steady_spectral.py").read_text(encoding="utf-8")
+    calls = eigh_calls(source, "_fourier_block_solve")
+    assert calls and set(calls) == {("scipy.linalg.eigh", 1)}

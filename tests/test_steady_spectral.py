@@ -9,6 +9,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from bsac import (
+    DiscreteOperator,
     FieldPair,
     NumericalError,
     RieszMap,
@@ -28,7 +29,7 @@ from bsac import (
     solve_stationary_newton,
     strong_form_residuals,
 )
-from bsac import dynamics
+from bsac import dynamics, steady_spectral
 from conftest import random_pair
 
 
@@ -297,20 +298,22 @@ def _clusters(values):
         start = stop
 
 
+def assert_same_eigenspaces(first, second, mass):
+    # both bases are mass-orthonormal, so the mass norm of the part of one
+    # cluster's basis outside the other's span is the projector difference
+    for start, stop in _clusters(first.values):
+        y_f, y_s = first.fields[:, start:stop], second.fields[:, start:stop]
+        outside = y_s - y_f @ (y_f.T @ (mass @ y_s))
+        assert np.sqrt(np.max(np.sum(outside * (mass @ outside), axis=0))) < 1e-8
+
+
 def assert_blocks_match_the_sparse_solve(pair, count, period):
     blocks = eigen_solve(pair, count, period=period)
     sparse = eigen_solve(pair, count)
     assert (blocks.path, sparse.path) == ("blocks", "arpack")
     assert np.max(np.abs(blocks.values / sparse.values - 1.0)) < 1e-9
-    # both bases are mass-orthonormal, so the mass norm of the part of one
-    # cluster's basis outside the other's span is the projector difference
-    mass = pair[1].matrix
-    clusters = list(_clusters(blocks.values))
-    assert any(stop - start == 2 for start, stop in clusters)
-    for start, stop in clusters:
-        y_b, y_s = blocks.fields[:, start:stop], sparse.fields[:, start:stop]
-        outside = y_s - y_b @ (y_b.T @ (mass @ y_s))
-        assert np.sqrt(np.max(np.sum(outside * (mass @ outside), axis=0))) < 1e-8
+    assert any(stop - start == 2 for start, stop in _clusters(blocks.values))
+    assert_same_eigenspaces(blocks, sparse, pair[1].matrix)
 
 
 # 128x4 has three Fourier modes, so the 24 pairs reach deep radial indices
@@ -323,20 +326,69 @@ def test_fourier_blocks_match_the_sparse_solve(shape, K):
                                          mesh.angular_period)
 
 
-def count_dense_solves(monkeypatch):
+@pytest.mark.parametrize("K", [1e-5, 1e-6, 1e-7])
+def test_blocks_meet_the_residual_gate_at_small_robin_strength(K):
+    # the trace block scales like 1/K against an absolute 1e-8 gate; one
+    # generalized eigh per mode missed it here (1.35e-8, 3.42e-8, 9.07e-8)
+    mesh = build_disk(1.0, 64, 128)
+    result = eigen_solve(assemble_wentzell_robin_pair(mesh, K), 96,
+                         period=mesh.angular_period)
+    assert result.path == "blocks"
+    assert np.max(result.residuals) < 1e-8
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of scipy.linalg.<name>."""
     calls = []
-    eigh = scipy.linalg.eigh
+    function = getattr(scipy.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eigh(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(scipy.linalg, name, counted)
     return calls
 
 
+@pytest.mark.parametrize("count", [2, 7, 12, 24])
+def test_the_by_value_cut_chooses_what_a_full_solve_chooses(count, disk_mid, monkeypatch):
+    pair = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    period = disk_mid.angular_period
+    cut = eigen_solve(pair, count, period=period)
+    # every mode solved, and each for all its pairs
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda matrix, **kwargs: eigh(matrix))
+    monkeypatch.setattr(steady_spectral, "_modes_rise", lambda *args: False)
+    full = eigen_solve(pair, count, period=period)
+    assert cut.path == full.path == "blocks"
+    assert np.allclose(cut.values, full.values, rtol=1e-12, atol=0)
+    assert_same_eigenspaces(cut, full, pair[1].matrix)
+
+
+def test_one_mass_factor_unless_the_mass_blocks_differ(disk_mid, monkeypatch):
+    period = disk_mid.angular_period
+    stiff, wmass = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    factors = count_calls(monkeypatch, "cholesky")
+    assert eigen_solve((stiff, wmass), 8, period=period).path == "blocks"
+    assert len(factors) == 1
+    # same-ring entries at angular offset +-1, a quarter of the cell's weight
+    # each, keep the mass invariant and diagonally dominant, but give every
+    # mode its own mass block, and the blocks need not rise with the mode
+    cells = np.arange(disk_mid.n_bulk)
+    across = cells - cells % period + (cells + 1) % period
+    faces = scipy.sparse.coo_matrix((0.25 * disk_mid.bulk_weights, (cells, across)),
+                                    shape=wmass.matrix.shape)
+    general = DiscreteOperator((wmass.matrix + faces + faces.T).tocsr(), wmass.mass)
+    factors.clear()
+    solves = count_calls(monkeypatch, "eigh")
+    assert eigen_solve((stiff, general), 8, period=period).path == "blocks"
+    assert len(factors) == len(solves) == period // 2 + 1
+    monkeypatch.undo()
+    assert_blocks_match_the_sparse_solve((stiff, general), 8, period)
+
+
 def test_fourier_modes_stop_once_no_later_mode_can_contribute(disk_mid, monkeypatch):
-    calls = count_dense_solves(monkeypatch)
+    calls = count_calls(monkeypatch, "eigh")
     result = eigen_solve(assemble_wentzell_robin_pair(disk_mid, 1.0), 7,
                          period=disk_mid.angular_period)
     modes = disk_mid.angular_period // 2 + 1
@@ -355,7 +407,7 @@ def test_every_fourier_mode_is_solved_when_the_blocks_need_not_rise(disk_mid, mo
     faces = faces + faces.T
     skipping = (stiff.matrix + scipy.sparse.diags(np.asarray(faces.sum(axis=1)).ravel())
                 - faces).tocsr()
-    calls = count_dense_solves(monkeypatch)
+    calls = count_calls(monkeypatch, "eigh")
     result = eigen_solve((skipping, wmass), 8, period=period)
     assert result.path == "blocks" and len(calls) == period // 2 + 1
     monkeypatch.undo()

@@ -32,7 +32,7 @@ print(f"energy             {compute_energy(mesh, spec, eq.state, args.K).total:.
 report = compute_coercivity_margin(mesh, spec, args.K, eq, max_m=96)
 print(f"\nc_* (nodewise max of the closed-form bounds) = {report.c_star}")
 print(f"need min(lambda_m, mu_m) > 8 c_* = {8 * report.c_star}")
-if report.succeeded:
+if report.succeeded():
     print(f"m = {report.chosen_m}: spectral floor {report.theta_m:.3f}, "
           f"margin {report.margin:+.3f}")
 else:

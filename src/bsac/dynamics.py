@@ -22,7 +22,8 @@ backward-Euler Newton iteration shared by all steppers):
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
     from the current field range each step. Its matrix is unchanged by the
-    angular shift and reflection, so the band solve is exact.
+    angular shift and reflection, so the band solve of its values, written
+    through the same JacobianMap, is exact and no sparse matrix is built.
 
 * the affine transmission system (trace of the bulk field slaved to the
   surface field): the Robin flow pulled back through the lift that solves
@@ -59,8 +60,8 @@ from .mesh import Mesh, build_mesh, normal_derivative, trace_adjoint, trace_matr
 from .nonlinearity import NonlinearitySpec, make_spec
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      h_norm)
-from .operators import (DualVector, RieszMap, RingBands, assemble_joint, h1_solves,
-                        jacobian_map, joint_mass, linearized_coefficients, trace_lift)
+from .operators import (DualVector, RieszMap, RingBands, h1_solves, jacobian_map,
+                        joint_mass, linearized_coefficients, trace_lift)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
@@ -433,11 +434,11 @@ class _RobinStepper(_Stepper):
         else:
             # nonlinear coupling explicit: a source on the block-diagonal solve
             hphi = spec.eval("h", phi)
-            coupling = None
+            coupling = np.zeros(mesh.n_surface)
             bulk_src = ws * hphi / K
             surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
         rhs += np.concatenate([trace_adjoint(mesh) @ bulk_src, surf_src])
-        solve = self.bands.factor(assemble_joint(mesh, K, diagonal, coupling).data)
+        solve = self.bands.factor(self.jac_map.values(diagonal, coupling))
         if solve is None:
             raise StepFailure("semi-implicit band factor is singular")
         y = solve(rhs)
@@ -649,12 +650,16 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
 
 
 def _check_checkpoint(stepper: _Stepper, config: RunConfig, cp: Checkpoint) -> None:
-    """A checkpoint start must be finite, above dt_min and sized for stepper."""
+    """A checkpoint start must be finite, within [dt_min, dt_max], where the
+    loop keeps dt_policy, and sized for stepper."""
     if not (math.isfinite(cp.time) and math.isfinite(cp.dt_policy)):
         raise InputError("checkpoint time and dt_policy must be finite")
     if not cp.dt_policy >= config.dt_min:
         raise InputError(f"checkpoint dt_policy {cp.dt_policy!r} is below "
                          f"dt_min {config.dt_min!r}")
+    if cp.dt_policy > config.dt_max:
+        raise InputError(f"checkpoint dt_policy {cp.dt_policy!r} is above "
+                         f"dt_max {config.dt_max!r}")
     stepper.mesh.check_bulk(cp.state.bulk)
     stepper.mesh.check_surface(cp.state.surface)
 
@@ -676,9 +681,8 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
     state = initial if initial is not None else initial_state(config, mesh)
     mesh.check_bulk(state.bulk)
     mesh.check_surface(state.surface)
-    dnu = normal_derivative(mesh, state.bulk, state.surface, spec,
-                            config.K, "one_sided")
-    mism = config.K * dnu + (stepper.tr @ state.bulk) - spec.eval("h", state.surface)
+    mism = (config.K * normal_derivative(mesh, state.bulk) + (stepper.tr @ state.bulk)
+            - spec.eval("h", state.surface))
     compatibility = float(np.sqrt(mesh.surface_weights @ mism**2))
     return _integrate(stepper, config, state,
                       {"compatibility_residual": compatibility})

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
-from .nonlinearity import NonlinearitySpec
 
 
 @dataclass
@@ -193,21 +192,10 @@ def boundary_trace(mesh: Mesh, bulk_values) -> np.ndarray:
     return trace_matrix(mesh) @ mesh.check_bulk(bulk_values)
 
 
-def normal_derivative(mesh: Mesh, bulk_values, surface_values, spec: NonlinearitySpec,
-                      K: float, method: str = "robin_identity") -> np.ndarray:
-    """Outward normal derivative of the bulk field on the boundary.
-
-    robin_identity evaluates K^-1 (h(phi) - u|_G), the flux the boundary
-    condition assigns; one_sided differentiates the trace extrapolant, a first
-    order estimate independent of the boundary condition.
-    """
-    if K <= 0:
-        raise ConfigurationError("K must be positive")
+def normal_derivative(mesh: Mesh, bulk_values) -> np.ndarray:
+    """Outward normal derivative of the bulk field on the boundary: the
+    one-sided difference of the two outermost cells of each normal ray, a
+    first order estimate independent of the boundary condition."""
     u = mesh.check_bulk(bulk_values)
-    if method == "robin_identity":
-        phi = mesh.check_surface(surface_values)
-        return (spec.eval("h", phi) - boundary_trace(mesh, u)) / K
-    if method == "one_sided":
-        step = mesh.spacings["h_r"] if mesh.geometry == "disk" else mesh.spacings["h"]
-        return (u[mesh.boundary_map[:, 0]] - u[mesh.boundary_map[:, 1]]) / step
-    raise ConfigurationError(f"unknown normal-derivative method {method!r}")
+    step = mesh.spacings["h_r"] if mesh.geometry == "disk" else mesh.spacings["h"]
+    return (u[mesh.boundary_map[:, 0]] - u[mesh.boundary_map[:, 1]]) / step

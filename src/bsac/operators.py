@@ -167,7 +167,8 @@ class RingBands:
     one; with one angle (exact) it is exact for every matrix. The same
     blocks, dense, are the radial pencils of the eigen path; invariant tells
     it whether a matrix is unchanged by the shift and the reflection, so
-    that they are exact.
+    that they are exact, and rises whether a pencil's blocks rise with the
+    mode, so that its modes past the requested values need no solve.
     """
 
     def __init__(self, pattern: sp.spmatrix, rings: np.ndarray, period: int):
@@ -209,6 +210,23 @@ class RingBands:
         mirror = index[-self.offsets % period]
         table = low.reshape(self.offsets.size, -1)
         return np.array_equal(table, np.where(mirror[:, None] >= 0, table[mirror], 0.0))
+
+    def rises(self, data: np.ndarray, mass: RingBands) -> bool:
+        """Whether the Fourier blocks of the pencil (the matrix whose stored
+        values are data, the matrix of mass's layout) rise with the mode: the
+        mass has entries only at angular offset 0, and every entry of data
+        off offset 0 sits at offset +-1 within one ring and is nonpositive.
+        Then block k - block j = 2 A_1 (cos 2 pi k / period - cos 2 pi j /
+        period) is positive semidefinite for j < k <= period / 2, A_1 the
+        diagonal of the offset-1 entries, over one mass block shared by
+        every mode."""
+        n_rings, period, rows = self.sizes
+        offset, band_row = np.divmod(self.bins, n_rings * rows)
+        angle = self.offsets[offset]
+        off = angle != 0
+        same_ring = band_row % rows == 2 * self.width
+        return bool(np.array_equal(mass.offsets, [0]) and np.all(
+            same_ring[off] & (data[off] <= 0) & np.isin(angle[off], (1, period - 1))))
 
     def _band(self, data: np.ndarray) -> np.ndarray:
         """The mode blocks of the angle average of the matrix whose stored
@@ -322,16 +340,6 @@ def jacobian_map(mesh: Mesh, K: float, alpha: float | None) -> JacobianMap:
     return JacobianMap(indptr.astype(np.int32), (keys % size).astype(np.int32), values, coef)
 
 
-def assemble_joint(mesh: Mesh, K: float, diagonal: np.ndarray,
-                   coupling: np.ndarray | None = None) -> sp.csc_matrix:
-    """Joint-space form matrix [S_bulk + K^-1 Tr' D_s Tr, S_surf] + diag(diagonal),
-    plus the trace coupling block Tr' diag(coupling) when one is given."""
-    if coupling is None:
-        coupling = np.zeros(mesh.n_surface)
-    jac = jacobian_map(mesh, K, None)
-    return jac.matrix(jac.values(diagonal, coupling))
-
-
 def linearized_coefficients(mesh: Mesh, spec: NonlinearitySpec, state,
                             K: float) -> tuple[np.ndarray, np.ndarray]:
     """The reaction diagonal and the trace coupling vector of the second
@@ -368,7 +376,8 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
     second-derivative coupling term that appears for nonaffine h.
     """
     diagonal, coupling = linearized_coefficients(mesh, spec, state, K)
-    return DiscreteOperator(assemble_joint(mesh, K, diagonal, coupling), joint_mass(mesh))
+    jac = jacobian_map(mesh, K, None)
+    return DiscreteOperator(jac.matrix(jac.values(diagonal, coupling)), joint_mass(mesh))
 
 
 def linearized_lower_bound(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> float:

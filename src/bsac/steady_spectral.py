@@ -6,12 +6,13 @@ norm of the gradient decreases; it is the Robin time step's Newton at dt = inf.
 The eigen solver handles both generalized pairs (bulk with boundary-weighted
 mass, surface with shifted stiffness) and the second variation: dense for
 small pencils, one radial pencil per Fourier mode for rotation-invariant disk
-pencils (reduced through one Cholesky factor of the mass block, and only the
-modes and pairs that can hold a requested value), shift-invert Lanczos
-otherwise. The stability tag's shift-invert solves are CG on the
-stepper's band solve, so it factors nothing. The solver reports per-pair
-residuals, the mass Gram defect and the path it took; the eigenfields are
-normalized and checked as whole arrays, not column by column.
+pencils whose blocks rise with the mode (reduced through one Cholesky factor
+of the mass block they share, and only the modes and pairs that can hold a
+requested value), shift-invert Lanczos otherwise. The stability tag's
+shift-invert solves are CG on the stepper's band solve, so it factors
+nothing. The solver reports per-pair residuals, the mass Gram defect and the
+path it took; the eigenfields are normalized and checked as whole arrays, not
+column by column.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -79,23 +80,6 @@ class SpectralReport:
     def succeeded(self) -> bool:
         return self.chosen_m > 0 and self.margin > 0
 
-    def serialize(self) -> str:
-        lines = [
-            "spectral report",
-            f"K = {self.K!r}",
-            f"c_star = {self.c_star!r}",
-            f"chosen_m = {self.chosen_m}",
-            f"theta_m = {self.theta_m!r}",
-            f"margin = {self.margin!r}",
-            f"scan = {'ok' if self.succeeded() else 'failed'}",
-            "bulk spectrum:",
-        ]
-        lines += [f"  lambda[{i + 1}] = {v!r}"
-                  for i, v in enumerate(self.lambda_values)]
-        lines.append("surface spectrum:")
-        lines += [f"  mu[{j + 1}] = {v!r}" for j, v in enumerate(self.mu_values)]
-        return "\n".join(lines) + "\n"
-
 
 def _as_matrix(op) -> sp.csr_matrix:
     if isinstance(op, DiscreteOperator):
@@ -113,22 +97,6 @@ def _pencil_lower_bound(stiff: sp.csr_matrix, mass_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
-def _modes_rise(stiff: RingBands, data: np.ndarray, mass: RingBands) -> bool:
-    """Whether the Fourier blocks of the pencil rise with the mode: the mass
-    has entries only at angular offset 0, and every stiffness entry off
-    offset 0 sits at offset +-1 within one ring and is nonpositive. Then
-    block k - block j = 2 A_1 (cos 2 pi k / period - cos 2 pi j / period) is
-    positive semidefinite for j < k <= period / 2, A_1 the diagonal of the
-    offset-1 entries, over one mass block shared by every mode."""
-    n_rings, period, rows = stiff.sizes
-    offset, band_row = np.divmod(stiff.bins, n_rings * rows)
-    angle = stiff.offsets[offset]
-    off = angle != 0
-    same_ring = band_row % rows == 2 * stiff.width
-    return bool(np.array_equal(mass.offsets, [0]) and np.all(
-        same_ring[off] & (data[off] <= 0) & np.isin(angle[off], (1, period - 1))))
-
-
 # relative widening of the by-value cut: near the cut a dense eigh value and its
 # block Rayleigh quotient differ by at most 5e-12 relative on the 128x256 disk
 # for 1e-8 <= K <= 1, and eps * max|W A_m W'| stays below 3e-9 of the cut
@@ -138,36 +106,31 @@ _CUT_MARGIN = 1e-6
 def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
                          layouts: list[RingBands], period: int,
                          count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest `count` eigenpairs of a rotation-invariant pencil, one dense
-    radial pencil per Fourier mode.
+    """Smallest `count` eigenpairs of a rotation-invariant pencil whose
+    Fourier blocks rise with the mode (RingBands.rises), one dense radial
+    pencil per Fourier mode.
 
     The blocks are the Fourier blocks of the pencil's RingBands layouts, the
     unknowns numbered ring * period + angle. Modes 0 and period/2 give one
-    field each, every other mode a cos and a sin field. Each radial pencil
-    (A_m, M_m) is reduced once through the Cholesky factor L of its mass
-    block to the standard problem W A_m W', W = L^-1 (Parlett, The
-    Symmetric Eigenvalue Problem, sec. 15); L is factored again only for a
-    mode whose mass block differs, which no assembled pencil has. Until
-    `count` values are kept each mode gives all its pairs (LAPACK dsyevd);
-    after that only those at or below the count-th kept value, widened by
-    a relative margin, since no larger one can be chosen (dsyevr, Dhillon &
-    Parlett, LAA 387, 2004). Pairs are ordered by (value, mode, cos before
-    sin, index); the values are the block Rayleigh quotients. When the
-    blocks rise with the mode (_modes_rise), each eigenvalue of a block
-    bounds those of every later block from below (Courant-Fischer), so the
-    modes stop at the first one with no value at or below the cut;
-    otherwise every mode is solved.
+    field each, every other mode a cos and a sin field. The mass has
+    entries at angular offset 0 only, so every mode has the same mass block
+    M. It is factored once, M = L L', and each radial pencil (A_m, M) is
+    reduced to the standard problem W A_m W', W = L^-1 (Parlett, The
+    Symmetric Eigenvalue Problem, sec. 15). Until `count` values are kept
+    each mode gives all its pairs (LAPACK dsyevd); after that only those at
+    or below the count-th kept value, widened by a relative margin, since no
+    larger one can be chosen (dsyevr, Dhillon & Parlett, LAA 387, 2004). As
+    the blocks rise, each eigenvalue of a block bounds those of every later
+    block from below (Courant-Fischer), so the modes stop at the first one
+    with no value at or below the cut. Pairs are ordered by (value, mode,
+    cos before sin, index); the values are the block Rayleigh quotients.
     """
     stiff_bands, mass_bands = layouts
-    rising = _modes_rise(stiff_bands, stiff.data, mass_bands)
+    b_m = next(mass_bands.blocks(mass.data))
+    w = scipy.linalg.solve_triangular(scipy.linalg.cholesky(b_m, lower=True),
+                                      np.eye(len(b_m)), lower=True)
     radial, keys, kept = [], [], []
-    factored = None
-    for mode, (b_s, b_m) in enumerate(zip(stiff_bands.blocks(stiff.data),
-                                          mass_bands.blocks(mass.data))):
-        if factored is None or not np.array_equal(b_m, factored):
-            factored = b_m
-            w = scipy.linalg.solve_triangular(scipy.linalg.cholesky(b_m, lower=True),
-                                              np.eye(len(b_m)), lower=True)
+    for mode, b_s in enumerate(stiff_bands.blocks(stiff.data)):
         reduced = w @ b_s @ w.T
         kinds = (0,) if mode == 0 or 2 * mode == period else (0, 1)
         if len(kept) < count:
@@ -176,7 +139,7 @@ def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
             cut = np.partition(kept, count - 1)[count - 1]
             _, vecs = scipy.linalg.eigh(reduced, driver="evr", subset_by_value=(
                 -np.inf, cut + _CUT_MARGIN * abs(cut)))
-            if rising and vecs.shape[1] == 0:
+            if vecs.shape[1] == 0:
                 break
         # index j of a cos/sin mode has 2j values of its own mode below it
         vecs = w.T @ vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
@@ -210,16 +173,17 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     - "dense": pencils under 400 unknowns, or near-full requests, go through
       one dense `eigh`.
     - "blocks": with `period > 1`, unknowns numbered ring * period + angle,
-      and both matrices exactly unchanged by the angular shift and the
-      reflection (RingBands.invariant, one layout per matrix), the pencil
-      splits into period/2 + 1 radial pencils, one per Fourier mode, each
-      solved dense as a standard problem through the Cholesky factor of its
-      mass block. Once `count` values are kept, a mode gives only the pairs
-      at or below the count-th of them, and when the blocks rise with the
-      mode, as for every pencil the meshes assemble, the modes above the
+      both matrices exactly unchanged by the angular shift and the
+      reflection (RingBands.invariant, one layout per matrix), and blocks
+      that rise with the mode (RingBands.rises: the mass at angular offset 0
+      only), as for the pairs the meshes assemble, the pencil splits
+      into period/2 + 1 radial pencils, one per Fourier mode, each solved
+      dense as a standard problem through the one Cholesky factor of the
+      mass block they share. Once `count` values are kept, a mode gives only
+      the pairs at or below the count-th of them, and the modes above the
       requested part of the spectrum are not solved (_fourier_block_solve).
       Degenerate cos/sin pairs come out in a fixed order, so reruns are
-      bitwise.
+      bitwise. Invariant pencils whose blocks need not rise take "arpack".
     - "arpack": otherwise, shift-invert Lanczos with the mass as weight. The
       shift sits just below `lower_bound`, a lower bound on the spectrum the
       caller knows; without one, below the Gershgorin bound of a diagonal
@@ -252,7 +216,8 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     if path == "arpack" and period > 1 and n % period == 0:
         rings = np.arange(n) // period
         layouts = [RingBands(mat, rings, period) for mat in (stiff, mass)]
-        if all(layout.invariant(mat.data) for layout, mat in zip(layouts, (stiff, mass))):
+        if (all(layout.invariant(mat.data) for layout, mat in zip(layouts, (stiff, mass)))
+                and layouts[0].rises(stiff.data, layouts[1])):
             path = "blocks"
             vals, vecs = _fourier_block_solve(stiff, mass, layouts, period, count)
     if path == "arpack":
@@ -351,8 +316,8 @@ def strong_form_residuals(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair,
     """Nodewise stationary residuals: bulk equation, boundary balance law
     (one-sided normal derivative), surface equation."""
     g = compute_gradient(mesh, spec, state, K)
-    dnu = normal_derivative(mesh, state.bulk, state.surface, spec, K, "one_sided")
-    robin = K * dnu + boundary_trace(mesh, state.bulk) - spec.eval("h", state.surface)
+    robin = (K * normal_derivative(mesh, state.bulk) + boundary_trace(mesh, state.bulk)
+             - spec.eval("h", state.surface))
     return {
         "bulk": g.bulk / mesh.bulk_weights,
         "robin": robin,

@@ -340,6 +340,22 @@ def test_resume_rejects_malformed_checkpoint(tmp_path, damage, field):
     assert re.search(rf"^error = InputError: .*'{field}'", manifest, re.MULTILINE)
 
 
+def test_resume_rejects_a_checkpoint_above_dt_max(tmp_path):
+    # the loop never writes a dt_policy above dt_max; an edited one that
+    # keeps the config hash must not set the next step
+    _, root_a = run_main(tmp_path, "a", ["simulate"] + TINY)
+    dir_a = single_run_dir(root_a, "simulate")
+    edited = tmp_path / "edited_checkpoint.txt"
+    edited.write_text(re.sub(r"^dt_policy = .*$", f"dt_policy = {(2.0).hex()}",
+                             (dir_a / "checkpoint_2.txt").read_text(), flags=re.MULTILINE))
+    status, root_c = run_main(
+        tmp_path, "c", ["simulate", str(dir_a / "manifest.txt"), "--resume", str(edited)])
+    assert status == 2
+    manifest = (single_run_dir(root_c, "simulate") / "manifest.txt").read_text()
+    assert re.search(r"^error = InputError: checkpoint dt_policy 2\.0 is above dt_max 1\.0$",
+                     manifest, re.MULTILINE)
+
+
 def test_override_cast_failure_names_expected_type():
     # overrides are checked by the same code as config-file lines
     with pytest.raises(ConfigurationError) as err:

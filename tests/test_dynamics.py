@@ -421,9 +421,11 @@ def test_energy_totals_nonincreasing_in_record(dw_spec):
     (dict(dt_policy=np.inf), InputError, "must be finite"),
     (dict(state=FieldPair(np.full(16, 0.5), np.full(3, 0.5))), ShapeError, "surface field"),
     (dict(state=FieldPair(np.full(20, 0.5), np.full(2, 0.5))), ShapeError, "bulk field"),
+    (dict(dt_policy=2.0), InputError, "above dt_max"),
 ])
 def test_resume_rejects_a_bad_checkpoint_before_stepping(dw_spec, over, error, match):
-    # a nan dt_policy used to halve to nan on every rejection and never underflow
+    # a nan dt_policy used to halve to nan on every rejection and never
+    # underflow; one above dt_max was taken as the next step
     config = RunConfig(geometry="interval", n=16, t_final=1.0, spec=dw_spec)
     state = FieldPair(np.full(16, 0.5), np.full(2, 0.5))
     cp = dataclasses.replace(Checkpoint(1, 0.1, 0.05, 0, state), **over)
@@ -541,6 +543,22 @@ def test_singular_semi_implicit_band_factor_is_a_step_failure(dw_spec, monkeypat
     monkeypatch.setattr(stepper.bands, "factor", lambda data: None)
     with pytest.raises(StepFailure, match="band factor is singular"):
         stepper.semi_implicit_step(smoothed_random_state(mesh, 1), 0.05)
+
+
+@pytest.mark.parametrize("coupling", ["affine", "tanh"])
+@pytest.mark.parametrize("mesh_name", ["interval_small", "disk_small"])
+def test_semi_implicit_step_builds_no_sparse_matrix(mesh_name, coupling, request,
+                                                    monkeypatch):
+    # its left-hand side goes to the band factor as values on jac_map's pattern
+    mesh = request.getfixturevalue(mesh_name)
+    stepper = _RobinStepper(mesh, make_spec(coupling_kind=coupling), 0.5)
+
+    def no_matrix(self, data):
+        raise AssertionError("a sparse matrix was built")
+
+    monkeypatch.setattr(operators.JacobianMap, "matrix", no_matrix)
+    new, _ = stepper.semi_implicit_step(smoothed_random_state(mesh, 4), 0.05)
+    assert np.all(np.isfinite(new.joint()))
 
 
 def test_checkpoints_do_not_change_the_run(disk_run, disk_mid):

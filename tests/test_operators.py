@@ -25,10 +25,10 @@ from bsac import (
     eigen_solve,
     joint_mass,
 )
-from bsac import dynamics, make_spec, operators, smoothed_random_state
+from bsac import dynamics, make_spec, smoothed_random_state
 from bsac.energy import FieldPair
-from bsac.operators import (RingBands, assemble_joint, bulk_dirichlet_stiffness,
-                            h1_solves, surface_stiffness)
+from bsac.operators import (RingBands, bulk_dirichlet_stiffness, h1_solves, jacobian_map,
+                            surface_stiffness)
 
 from conftest import disk_boundary_eigenvalues, interval_boundary_eigenvalues, random_pair
 
@@ -220,7 +220,7 @@ def test_riesz_against_dense_factorization():
 
 
 @pytest.mark.parametrize("mesh_name", ["interval_small", "disk_small"])
-def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request, monkeypatch):
+def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     cases = []      # (matrix, its solve)
     # the Riesz map's H1 blocks and smoothed_random_state's smoothing matrices
@@ -230,17 +230,20 @@ def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request, monke
         cases += [(scale * stiffness.matrix + sp.diags(weights), solve)
                   for (stiffness, weights), solve in zip(blocks, h1_solves(mesh, scale))]
 
-    # the semi-implicit left-hand sides, affine coupling in the matrix and tanh as a source
-    def recorded(*args):
-        lhs = operators.assemble_joint(*args)
-        cases.append((lhs, RingBands(lhs, mesh.rings, mesh.angular_period).factor(lhs.data)))
-        return lhs
-
-    monkeypatch.setattr(dynamics, "assemble_joint", recorded)
+    # the semi-implicit left-hand sides, affine coupling in the matrix and tanh
+    # as a source, each with the solve its step took
     state = smoothed_random_state(mesh, 4)
     for coupling in ("affine", "tanh"):
-        dynamics._RobinStepper(mesh, make_spec(coupling_kind=coupling), 0.5).semi_implicit_step(
-            state, 0.05)
+        stepper = dynamics._RobinStepper(mesh, make_spec(coupling_kind=coupling), 0.5)
+        factor = stepper.bands.factor
+
+        def recorded(data):
+            solve = factor(data)
+            cases.append((stepper.jac_map.matrix(data), solve))
+            return solve
+
+        stepper.bands.factor = recorded
+        stepper.semi_implicit_step(state, 0.05)
     assert len(cases) == 6
     rng = np.random.default_rng(8)
     for matrix, solve in cases:
@@ -254,8 +257,9 @@ def test_band_solve_inverts_the_angle_average(disk_small):
     mesh = disk_small
     rng = np.random.default_rng(9)
     n, period = mesh.n_bulk + mesh.n_surface, mesh.angular_period
-    matrix = assemble_joint(mesh, 0.5, joint_mass(mesh) * rng.uniform(1, 30, n),
-                            -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface))
+    jac = jacobian_map(mesh, 0.5, None)
+    matrix = jac.matrix(jac.values(joint_mass(mesh) * rng.uniform(1, 30, n),
+                                   -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface)))
     ring, angle = np.divmod(np.arange(n), period)
     dense = matrix.toarray()
     mean = sum(dense[np.ix_(p, p)] for p in (ring * period + (angle + s) % period

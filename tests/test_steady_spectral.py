@@ -1,6 +1,7 @@
 """Stationary Newton solves, generalized eigensolves, coercivity scan."""
 
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from bsac import (
-    DiscreteOperator,
     FieldPair,
     NumericalError,
     RieszMap,
@@ -29,7 +29,7 @@ from bsac import (
     solve_stationary_newton,
     strong_form_residuals,
 )
-from bsac import dynamics, steady_spectral
+from bsac import dynamics
 from conftest import random_pair
 
 
@@ -326,6 +326,18 @@ def test_fourier_blocks_match_the_sparse_solve(shape, K):
                                          mesh.angular_period)
 
 
+def assert_arpack_matches_a_dense_solve(stiff, mass, count, period):
+    # an invariant pencil whose blocks need not rise takes ARPACK even with
+    # its period, and agrees with one dense generalized eigh
+    result = eigen_solve((stiff, mass), count, period=period)
+    assert result.path == "arpack"
+    values, fields = scipy.linalg.eigh(stiff.toarray(), mass.toarray(),
+                                       subset_by_index=[0, count - 1])
+    assert np.max(np.abs(result.values / values - 1.0)) < 1e-9
+    assert any(stop - start == 2 for start, stop in _clusters(values))
+    assert_same_eigenspaces(result, SimpleNamespace(values=values, fields=fields), mass)
+
+
 @pytest.mark.parametrize("K", [1e-5, 1e-6, 1e-7])
 def test_blocks_meet_the_residual_gate_at_small_robin_strength(K):
     # the trace block scales like 1/K against an absolute 1e-8 gate; one
@@ -355,10 +367,10 @@ def test_the_by_value_cut_chooses_what_a_full_solve_chooses(count, disk_mid, mon
     pair = assemble_wentzell_robin_pair(disk_mid, 1.0)
     period = disk_mid.angular_period
     cut = eigen_solve(pair, count, period=period)
-    # every mode solved, and each for all its pairs
+    # every mode solved, and each for all its pairs: a full eigh never
+    # returns an empty mode, so the modes never stop early
     eigh = scipy.linalg.eigh
     monkeypatch.setattr(scipy.linalg, "eigh", lambda matrix, **kwargs: eigh(matrix))
-    monkeypatch.setattr(steady_spectral, "_modes_rise", lambda *args: False)
     full = eigen_solve(pair, count, period=period)
     assert cut.path == full.path == "blocks"
     assert np.allclose(cut.values, full.values, rtol=1e-12, atol=0)
@@ -378,13 +390,8 @@ def test_one_mass_factor_unless_the_mass_blocks_differ(disk_mid, monkeypatch):
     across = cells - cells % period + (cells + 1) % period
     faces = scipy.sparse.coo_matrix((0.25 * disk_mid.bulk_weights, (cells, across)),
                                     shape=wmass.matrix.shape)
-    general = DiscreteOperator((wmass.matrix + faces + faces.T).tocsr(), wmass.mass)
-    factors.clear()
-    solves = count_calls(monkeypatch, "eigh")
-    assert eigen_solve((stiff, general), 8, period=period).path == "blocks"
-    assert len(factors) == len(solves) == period // 2 + 1
-    monkeypatch.undo()
-    assert_blocks_match_the_sparse_solve((stiff, general), 8, period)
+    general = (wmass.matrix + faces + faces.T).tocsr()
+    assert_arpack_matches_a_dense_solve(stiff.matrix, general, 8, period)
 
 
 def test_fourier_modes_stop_once_no_later_mode_can_contribute(disk_mid, monkeypatch):
@@ -395,9 +402,11 @@ def test_fourier_modes_stop_once_no_later_mode_can_contribute(disk_mid, monkeypa
     assert result.path == "blocks" and len(calls) < modes
 
 
-def test_every_fourier_mode_is_solved_when_the_blocks_need_not_rise(disk_mid, monkeypatch):
+def test_pencils_whose_blocks_need_not_rise_take_arpack(disk_mid):
     # same-ring faces at angular offset 2 keep the shift and reflection
-    # invariance, but mode k's block then moves like cos(4 pi k / period)
+    # invariance, but mode k's block then moves like cos(4 pi k / period),
+    # so stopping at the first mode above the 8th value kept would miss the
+    # low modes near period / 2
     period = disk_mid.angular_period
     stiff, wmass = assemble_wentzell_robin_pair(disk_mid, 1.0)
     cells = np.arange(disk_mid.n_bulk)
@@ -407,13 +416,7 @@ def test_every_fourier_mode_is_solved_when_the_blocks_need_not_rise(disk_mid, mo
     faces = faces + faces.T
     skipping = (stiff.matrix + scipy.sparse.diags(np.asarray(faces.sum(axis=1)).ravel())
                 - faces).tocsr()
-    calls = count_calls(monkeypatch, "eigh")
-    result = eigen_solve((skipping, wmass), 8, period=period)
-    assert result.path == "blocks" and len(calls) == period // 2 + 1
-    monkeypatch.undo()
-    # stopping at the first mode above the 8th value kept would miss the
-    # low modes near period / 2
-    assert_blocks_match_the_sparse_solve((skipping, wmass), 8, period)
+    assert_arpack_matches_a_dense_solve(skipping, wmass.matrix, 8, period)
 
 
 def test_blocks_only_for_pencils_with_the_symmetry(dw_spec, disk_mid):
@@ -531,13 +534,3 @@ def test_scan_outcome_across_robin_strengths(dw_spec):
     for K in (0.1, 10.0):
         rep = reports[K]
         assert (not rep.succeeded()) or rep.chosen_m > m_ref
-
-
-def test_spectral_report_serializes(dw_spec):
-    mesh = build_disk(1.0, 16, 32)
-    eq = solve_stationary_newton(mesh, dw_spec, 1.0, uniform_guess(mesh, 0.9),
-                                 1e-11)
-    report = compute_coercivity_margin(mesh, dw_spec, 1.0, eq, max_m=6)
-    text = report.serialize()
-    assert "c_star" in text
-    assert str(report.K) in text or "1" in text

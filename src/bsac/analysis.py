@@ -248,10 +248,11 @@ def k_sweep(base_config: RunConfig, k_values,
         rows.append(SweepRow(k, gap, mism))
 
     uniq = sorted({r.K: r for r in rows}.values(), key=lambda r: r.K)
-    if len(uniq) >= 2 and all(r.gap > 0 for r in uniq) and all(r.mismatch > 0 for r in uniq):
-        ks = np.log([r.K for r in uniq])
-        gap_slope, _, _ = _log_fit(ks, np.log([r.gap for r in uniq]))
-        mis_slope, _, _ = _log_fit(ks, np.log([r.mismatch for r in uniq]))
+    # the smallest_k reference's own gap is exactly 0: it leaves the gap fit
+    gapped = uniq[1:] if reference == "smallest_k" else uniq
+    if len(gapped) >= 2 and all(r.gap > 0 for r in gapped) and all(r.mismatch > 0 for r in uniq):
+        gap_slope = _log_fit(np.log([r.K for r in gapped]), np.log([r.gap for r in gapped]))[0]
+        mis_slope = _log_fit(np.log([r.K for r in uniq]), np.log([r.mismatch for r in uniq]))[0]
     else:
         gap_slope = mis_slope = np.nan
     return SweepTable(rows, gap_slope, mis_slope, reference)

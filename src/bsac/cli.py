@@ -29,8 +29,8 @@ from .nonlinearity import (SCAN_POINTS, SCAN_RANGE, CouplingFamily, Nonlinearity
                            PotentialFamily, make_spec, validate_assumptions)
 from .mesh import Mesh
 from .energy import FieldPair
-from .dynamics import (ENERGY_SLACK, ROW_HEADER, RunConfig, TrajectoryRecord, atomic_writer,
-                       read_checkpoint, run_trajectory, write_checkpoint)
+from .dynamics import (ENERGY_SLACK, ROW_HEADER, Checkpoint, RunConfig, TrajectoryRecord,
+                       atomic_writer, read_checkpoint, run_trajectory, write_checkpoint)
 from .steady_spectral import eigen_solve, solve_stationary_newton
 from .operators import (assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair)
@@ -293,16 +293,21 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     cfg = resolved.run_config
     mesh = cfg.build_mesh()
     manifest.hashes["mesh"] = mesh.content_hash()
+    config_hash = resolved.config_hash()
     resume = None
     if resume_path is not None:
         cp, stored_hash = read_checkpoint(resume_path)
-        if stored_hash and stored_hash != resolved.config_hash():
+        if stored_hash and stored_hash != config_hash:
             raise ConfigurationError(
                 "checkpoint belongs to a different configuration")
         resume = cp
+
+    def write(cp: Checkpoint) -> None:
+        write_checkpoint(run_dir / f"checkpoint_{cp.step}.txt", cp, config_hash)
+
     with _Phase(manifest, "simulate"):
         try:
-            record = run_trajectory(cfg, mesh=mesh, resume=resume)
+            record = run_trajectory(cfg, mesh=mesh, resume=resume, on_checkpoint=write)
             aborted = False
         except RunAbort as abort:
             record = abort.partial_record
@@ -310,9 +315,6 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
             manifest.errors.append(str(abort))
     (run_dir / "trajectory.csv").write_text(
         "\n".join(_trajectory_lines(record)) + "\n")
-    for cp in record.checkpoints:
-        write_checkpoint(run_dir / f"checkpoint_{cp.step}.txt", cp,
-                         resolved.config_hash())
     total = record.energy_total
     monotone = bool(np.all(np.diff(total)
                            <= ENERGY_SLACK * np.maximum(1.0, np.abs(total[:-1]))))

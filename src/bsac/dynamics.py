@@ -566,7 +566,7 @@ class _Recorder:
 
 
 def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoint,
-               diagnostics: dict | None = None) -> TrajectoryRecord:
+               diagnostics: dict | None = None, on_checkpoint=None) -> TrajectoryRecord:
     """The adaptive, energy-monotone time loop shared by every stepper.
 
     Reads only the loop settings of config: dt and its bounds, t_final,
@@ -576,7 +576,9 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     then holds only the samples after it, bitwise equal to the original run.
     The energy report and the functional of each accepted state are
     computed once: they are the recorded sample, and the next step's
-    starting energy and first Newton residual.
+    starting energy and first Newton residual. on_checkpoint, when given, is
+    called with each checkpoint as the loop reaches it, so a run that stops
+    early keeps every checkpoint before the failure.
     """
     mesh = stepper.mesh
     rec = _Recorder(stepper, config.keep_states)
@@ -589,6 +591,11 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
         diagnostics.update(factorizations=stepper.factorizations,
                            krylov_iterations=stepper.krylov_iterations)
         return rec.build(checkpoints, diagnostics)
+
+    def keep(cp: Checkpoint) -> None:
+        checkpoints.append(cp)
+        if on_checkpoint is not None:
+            on_checkpoint(cp)
 
     stepper.factorizations = stepper.krylov_iterations = 0
     if isinstance(start, Checkpoint):
@@ -630,7 +637,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
             if step % config.sample_every == 0:
                 rec.sample(t, state, report, functional, delta_b, delta_s)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
-                checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
+                keep(Checkpoint(step, t, dt_policy, streak, state.copy()))
         else:
             diagnostics["rejected"] += 1
             if not config.adaptive:
@@ -643,7 +650,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 raise RunAbort(f"dt underflow below dt_min: {diag.reason}", build())
     if not rec.times or rec.times[-1] < t - 1e-12 * max(1.0, t_end):
         rec.sample(t, state, report, functional)    # endpoint always lands in the record
-    checkpoints.append(Checkpoint(step, t, dt_policy, streak, state.copy()))
+    keep(Checkpoint(step, t, dt_policy, streak, state.copy()))
     if not config.keep_states:
         rec.states = [state.copy()]   # keep the endpoint reachable regardless
     return build()
@@ -666,18 +673,20 @@ def _check_checkpoint(stepper: _Stepper, config: RunConfig, cp: Checkpoint) -> N
 
 def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
                    mesh: Mesh | None = None,
-                   resume: Checkpoint | None = None) -> TrajectoryRecord:
+                   resume: Checkpoint | None = None, *,
+                   on_checkpoint=None) -> TrajectoryRecord:
     """Integrate the Robin system to t_final with adaptive step control.
 
     Fully deterministic. With resume, continues the exact loop state of a
     previous run: the record then contains only samples after the checkpoint,
-    and they match the original run bitwise.
+    and they match the original run bitwise. on_checkpoint, when given, is
+    called with each checkpoint as the loop reaches it (_integrate).
     """
     mesh = mesh if mesh is not None else config.build_mesh()
     spec = config.get_spec()
     stepper = _RobinStepper(mesh, spec, config.K)
     if resume is not None:
-        return _integrate(stepper, config, resume)
+        return _integrate(stepper, config, resume, on_checkpoint=on_checkpoint)
     state = initial if initial is not None else initial_state(config, mesh)
     mesh.check_bulk(state.bulk)
     mesh.check_surface(state.surface)
@@ -685,7 +694,7 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
             - spec.eval("h", state.surface))
     compatibility = float(np.sqrt(mesh.surface_weights @ mism**2))
     return _integrate(stepper, config, state,
-                      {"compatibility_residual": compatibility})
+                      {"compatibility_residual": compatibility}, on_checkpoint)
 
 
 def solve_transmission_limit(mesh: Mesh, spec: NonlinearitySpec,

@@ -4,11 +4,13 @@ The stationary solver is damped Newton on the energy gradient with the exact
 second variation as Jacobian; the line search halves the step until the dual
 norm of the gradient decreases; it is the Robin time step's Newton at dt = inf.
 The eigen solver handles both generalized pairs (bulk with boundary-weighted
-mass, surface with shifted stiffness) and the second variation: dense for
-small pencils, one radial pencil per Fourier mode for rotation-invariant disk
-pencils whose blocks rise with the mode (reduced through one Cholesky factor
-of the mass block they share, and only the modes and pairs that can hold a
-requested value), shift-invert Lanczos otherwise. The stability tag's
+mass, surface with shifted stiffness) and the second variation, and picks
+its path from the pencil's structure and the request alone: one radial
+pencil per Fourier mode for rotation-invariant disk pencils whose blocks
+rise with the mode (reduced through one Cholesky factor of the mass block
+they share, and only the modes and pairs that can hold a requested value),
+the same reduction with the whole pencil as one block for near-full
+requests, shift-invert Lanczos otherwise. The stability tag's
 shift-invert solves are CG on the stepper's band solve, so it factors
 nothing. The solver reports per-pair residuals, the mass Gram defect and the
 path it took; the eigenfields are normalized and checked as whole arrays, not
@@ -84,6 +86,8 @@ class SpectralReport:
 def _as_matrix(op) -> sp.csr_matrix:
     if isinstance(op, DiscreteOperator):
         return op.matrix
+    if isinstance(op, np.ndarray) and op.ndim == 1:
+        return sp.diags(op).tocsr()     # diagonal weights
     return sp.csr_matrix(op)
 
 
@@ -124,6 +128,8 @@ def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
     block from below (Courant-Fischer), so the modes stop at the first one
     with no value at or below the cut. Pairs are ordered by (value, mode,
     cos before sin, index); the values are the block Rayleigh quotients.
+    With period 1 and every unknown its own ring, the one block is the whole
+    pencil: eigen_solve's dense path.
     """
     stiff_bands, mass_bands = layouts
     b_m = next(mass_bands.blocks(mass.data))
@@ -168,10 +174,9 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
                 shift_inverse=None) -> EigenResult:
     """Smallest `count` eigenpairs of a symmetric pencil, mass-orthonormal.
 
-    Three paths, recorded in `EigenResult.path`:
+    The path depends only on the pencil's structure and `count`, and is
+    recorded in `EigenResult.path`:
 
-    - "dense": pencils under 400 unknowns, or near-full requests, go through
-      one dense `eigh`.
     - "blocks": with `period > 1`, unknowns numbered ring * period + angle,
       both matrices exactly unchanged by the angular shift and the
       reflection (RingBands.invariant, one layout per matrix), and blocks
@@ -183,7 +188,12 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
       the pairs at or below the count-th of them, and the modes above the
       requested part of the spectrum are not solved (_fourier_block_solve).
       Degenerate cos/sin pairs come out in a fixed order, so reruns are
-      bitwise. Invariant pencils whose blocks need not rise take "arpack".
+      bitwise. Invariant pencils whose blocks need not rise take one of
+      the other two paths.
+    - "dense": otherwise, a request for all pairs but at most one is the
+      same solve with the whole pencil as its one block (period 1, every
+      unknown its own ring): a Cholesky-reduced standard `eigh` with
+      Rayleigh-quotient values.
     - "arpack": otherwise, shift-invert Lanczos with the mass as weight. The
       shift sits just below `lower_bound`, a lower bound on the spectrum the
       caller knows; without one, below the Gershgorin bound of a diagonal
@@ -192,34 +202,31 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
       gives one: the stability tag of solve_stationary_newton passes CG on
       the stepper's band solve, which factors nothing. Every other caller,
       bsac spectrum and the coercivity scan on pencils without the symmetry
-      (the interval) among them, gets scipy's sparse LU of that matrix. An
-      ARPACK error falls back to "dense".
+      (the interval) among them, gets scipy's sparse LU of that matrix.
 
-    Residuals that are not below 1e-8, non-finite ones included, raise
-    NumericalError.
+    NumericalError is raised for a pencil with a non-finite entry, before
+    any solve; for an ARPACK error; for a mass block whose Cholesky factor
+    fails; and for residuals that are not below 1e-8. No path falls back to
+    another.
     """
-    stiff_in, mass_in = pair
-    stiff = _as_matrix(stiff_in)
-    if isinstance(mass_in, DiscreteOperator):
-        mass = mass_in.matrix
-    elif isinstance(mass_in, np.ndarray) and mass_in.ndim == 1:
-        mass = sp.diags(mass_in).tocsr()
-    else:
-        mass = sp.csr_matrix(mass_in)
+    stiff, mass = (_as_matrix(op) for op in pair)
     n = stiff.shape[0]
     if count < 1:
         raise ConfigurationError("count must be positive")
     if count > n:
         raise ConfigurationError(f"requested {count} eigenpairs of a {n}-pencil")
+    if not (np.all(np.isfinite(stiff.data)) and np.all(np.isfinite(mass.data))):
+        raise NumericalError("pencil has non-finite entries")
 
-    path = "dense" if n < 400 or count >= n - 1 else "arpack"
-    if path == "arpack" and period > 1 and n % period == 0:
-        rings = np.arange(n) // period
-        layouts = [RingBands(mat, rings, period) for mat in (stiff, mass)]
-        if (all(layout.invariant(mat.data) for layout, mat in zip(layouts, (stiff, mass)))
-                and layouts[0].rises(stiff.data, layouts[1])):
+    path, rings = "arpack", np.arange(n)
+    if period > 1 and n % period == 0:
+        bands = [RingBands(mat, rings // period, period) for mat in (stiff, mass)]
+        if (all(layout.invariant(mat.data) for layout, mat in zip(bands, (stiff, mass)))
+                and bands[0].rises(stiff.data, bands[1])):
             path = "blocks"
-            vals, vecs = _fourier_block_solve(stiff, mass, layouts, period, count)
+    if path == "arpack" and count >= n - 1:
+        path, period = "dense", 1
+        bands = [RingBands(mat, rings, 1) for mat in (stiff, mass)]
     if path == "arpack":
         mass_diag = mass.diagonal()
         if lower_bound is None and (mass.nnz == np.count_nonzero(mass_diag)
@@ -235,17 +242,14 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
         v0 = np.random.default_rng(0).standard_normal(n)
         opinv = None if shift_inverse is None else spla.LinearOperator(
             (n, n), matvec=shift_inverse(sigma), dtype=float)
-        try:
+    try:
+        if path == "arpack":
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
                                     which="LM", tol=0, v0=v0, OPinv=opinv)
-        except (RuntimeError, spla.ArpackError, ValueError):
-            path = "dense"
-    if path == "dense":
-        try:
-            vals, vecs = scipy.linalg.eigh(stiff.toarray(), mass.toarray(),
-                                           subset_by_index=[0, count - 1])
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+        else:
+            vals, vecs = _fourier_block_solve(stiff, mass, bands, period, count)
+    except (RuntimeError, ValueError) as exc:   # ArpackError, LinAlgError among them
+        raise NumericalError(f"{path} eigensolve failed: {exc}") from exc
 
     order = np.argsort(vals, kind="stable")
     vals = vals[order]

@@ -1,6 +1,14 @@
 """Shared fixtures: one validated default spec, a few small meshes; and the
 root-finding oracles of the boundary eigenproblems at K = 1."""
 
+import os
+
+# One BLAS thread, set before numpy is first imported: the suite's numbers
+# then do not depend on the core count, and the eigensolver's small dense
+# solves do not slow down on a pool that spins on every core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 import scipy.optimize

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from bsac import dynamics
 from bsac.cli import dispatch, main, parse_config
 from bsac.dynamics import ROW_HEADER, read_checkpoint
 from bsac.errors import ConfigurationError
@@ -195,6 +196,42 @@ def test_resume_reproduces_trajectory_tail(tmp_path):
     assert resumed and resumed == tail(dir_a)
 
 
+def test_checkpoints_are_written_as_the_run_reaches_them(tmp_path, monkeypatch):
+    # a run whose 60th step raises keeps every checkpoint before it, and the
+    # last one resumes to the uninterrupted run's rows bitwise
+    args = ["simulate", "--set", "geometry=interval", "--set", "n=32",
+            "--set", "dt=0.01", "--set", "t_final=0.8", "--set", "adaptive=false",
+            "--set", "checkpoint_every=10"]
+    _, root_a = run_main(tmp_path, "a", args)
+    advance, steps = dynamics._Stepper.advance, []
+
+    def failing_advance(self, *a, **kw):
+        steps.append(1)
+        if len(steps) == 60:
+            raise RuntimeError("injected failure at step 60")
+        return advance(self, *a, **kw)
+
+    monkeypatch.setattr(dynamics._Stepper, "advance", failing_advance)
+    status, root_b = run_main(tmp_path, "b", args)
+    monkeypatch.undo()
+    assert status == 2
+    dir_b = single_run_dir(root_b, "simulate")
+    assert "injected failure at step 60" in manifest_entries(root_b, "simulate")["error"]
+    assert sorted(p.name for p in dir_b.glob("checkpoint_*.txt")) == [
+        f"checkpoint_{step}.txt" for step in (10, 20, 30, 40, 50)]
+    last = dir_b / "checkpoint_50.txt"
+    cp, _ = read_checkpoint(last)
+    status, root_c = run_main(tmp_path, "c",
+                              ["simulate", str(dir_b / "manifest.txt"), "--resume", str(last)])
+    assert status == 0
+
+    def tail(root):
+        return [row for row in csv_rows(single_run_dir(root, "simulate") / "trajectory.csv")
+                if float(row.split(",")[0]) > cp.time]
+
+    assert tail(root_c) and tail(root_c) == tail(root_a)
+
+
 def test_resume_rejects_foreign_checkpoint(tmp_path):
     _, root_a = run_main(tmp_path, "a", ["simulate"] + TINY)
     dir_a = single_run_dir(root_a, "simulate")
@@ -305,6 +342,25 @@ def test_ksweep_csv_shape(tmp_path):
     manifest = (run_dir / "manifest.txt").read_text()
     assert "check_gap_monotone = ok" in manifest
     assert "hash_sweep_slopes = gap=" in manifest
+
+
+def test_ksweep_smallest_k_reference_fits_the_other_gaps(tmp_path):
+    # the reference row's own gap is exactly 0 and stays out of the gap fit
+    status, root = run_main(
+        tmp_path, "a",
+        ["ksweep", "--set", "geometry=interval", "--set", "n=32",
+         "--set", "dt=0.01", "--set", "t_final=0.4", "--set", "adaptive=false",
+         "--set", "sweep_reference=smallest_k"])
+    assert status == 0
+    run_dir = single_run_dir(root, "ksweep")
+    rows = [line.split(",") for line in
+            (run_dir / "sweep.csv").read_text().splitlines()[1:]]
+    gaps = {float(k): float(gap) for k, gap, _ in rows}
+    assert gaps[min(gaps)] == 0.0 and all(g > 0 for k, g in gaps.items() if k != min(gaps))
+    entries = manifest_entries(root, "ksweep")
+    assert entries["check_slopes_finite"] == "ok"
+    gap_slope = float(re.search(r"gap=([^,]+)", entries["hash_sweep_slopes"]).group(1))
+    assert 0.9 < gap_slope < 1.1
 
 
 def test_dispatch_rejects_unknown_subcommand(tmp_path):
@@ -465,7 +521,7 @@ def test_newton_manifests_report_repeatable_solver_counts(tmp_path, subcommand):
         assert int(counts[0]["factorizations"]) == 0
         assert (int(counts[0]["krylov_iterations"]) > 0) == (case == "disk")
         if subcommand == "steady":
-            assert counts[0]["eigen_path_stability"] == "dense"
+            assert counts[0]["eigen_path_stability"] == "arpack"
 
 
 @pytest.mark.parametrize("args, bulk_path", [
@@ -473,18 +529,24 @@ def test_newton_manifests_report_repeatable_solver_counts(tmp_path, subcommand):
     (["--set", "geometry=interval", "--set", "n=512"], "arpack"),
 ], ids=["disk", "interval"])
 def test_spectrum_manifest_names_each_eigensolver_path(tmp_path, args, bulk_path):
+    # the circle's surface pencil is circulant, so it takes the blocks path;
+    # the interval's is 2x2, and 4 pairs asked of it are all of them
     status, root = run_main(tmp_path, "a", ["spectrum", "--set", "eigen_count=4"] + args)
     assert status == 0
     entries = manifest_entries(root, "spectrum")
-    assert (entries["eigen_path_bulk"], entries["eigen_path_surface"]) == (bulk_path, "dense")
+    surface_path = "blocks" if bulk_path == "blocks" else "dense"
+    assert (entries["eigen_path_bulk"], entries["eigen_path_surface"]) == (bulk_path,
+                                                                         surface_path)
 
 
-def test_spectrum_manifest_shows_the_dense_fallback(tmp_path, monkeypatch):
+def test_spectrum_exits_2_on_an_arpack_error(tmp_path, monkeypatch):
     def failing_eigsh(*args, **kwargs):
         raise RuntimeError("ARPACK error -9999")
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
     status, root = run_main(tmp_path, "a", ["spectrum", "--set", "eigen_count=4",
                                             "--set", "geometry=interval", "--set", "n=512"])
-    assert status == 0
-    assert manifest_entries(root, "spectrum")["eigen_path_bulk"] == "dense"
+    assert status == 2
+    entries = manifest_entries(root, "spectrum")
+    assert "arpack eigensolve failed: ARPACK error -9999" in entries["error"]
+    assert "eigen_path_bulk" not in entries

@@ -150,6 +150,21 @@ def test_shifted_surface_spectrum_and_refinement():
     assert e32 / e64 == pytest.approx(4.0, abs=0.6)
 
 
+@pytest.mark.parametrize("n_theta", [16, 128, 256])
+def test_circle_surface_pair_matches_its_closed_form(n_theta):
+    # the shifted pair on the circle is circulant: mode k of the discrete
+    # Laplacian gives mu_k = 1 + 2 (1 - cos(2 pi k / N)) / (R h)^2, h = 2 pi / N
+    radius = 1.0
+    mesh = build_disk(radius, 4, n_theta)
+    res = eigen_solve(assemble_surface_shifted_pair(mesh), n_theta,
+                      period=mesh.angular_period)
+    assert res.path == "blocks"
+    k = np.arange(n_theta)
+    oracle = 1.0 + 2.0 * (1.0 - np.cos(2 * np.pi * k / n_theta)) / (
+        radius * 2 * np.pi / n_theta) ** 2
+    assert np.allclose(res.values, np.sort(oracle), rtol=1e-10, atol=0)
+
+
 def test_wr_positive_definite_after_robin_closure():
     # the boundary term removes the constant kernel: smallest eigenvalue > 0
     mesh = build_interval(1.0, 32)

@@ -4,7 +4,7 @@ knows the geometry of a mesh or touches its operator memo, the only sparse
 factorization of the package is dynamics.py's counted splu helper, neither
 the steppers nor the recorder build a sparse matrix per Newton iteration or
 per step, and the Fourier block eigensolve solves each mode as one standard
-problem through scipy.linalg.eigh."""
+problem through scipy.linalg.eigh, the only dense eigensolve of the package."""
 
 import ast
 from collections import Counter
@@ -271,3 +271,18 @@ def test_fourier_modes_are_solved_as_standard_problems():
     source = (SRC / "steady_spectral.py").read_text(encoding="utf-8")
     calls = eigh_calls(source, "_fourier_block_solve")
     assert calls and set(calls) == {("scipy.linalg.eigh", 1)}
+
+
+def test_detector_sees_eigh_calls_outside_the_block_solve():
+    source = ("def _fourier_block_solve(a):\n    return scipy.linalg.eigh(a, driver='evd')\n"
+              "def eigen_solve(s, m, dense):\n    if dense:\n"
+              "        return scipy.linalg.eigh(s.toarray(), m.toarray())\n"
+              "    return spla.eigsh(s, M=m)\n")
+    assert callers(source, "eigh") == ["_fourier_block_solve", "eigen_solve"]
+
+
+def test_every_dense_eigensolve_is_a_fourier_block_solve():
+    # the dense path is the block solve with the whole pencil as one block,
+    # so no generalized or second dense eigensolve exists beside it
+    owners = callers((SRC / "steady_spectral.py").read_text(encoding="utf-8"), "eigh")
+    assert owners and set(owners) == {"_fourier_block_solve"}

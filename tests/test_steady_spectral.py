@@ -261,28 +261,49 @@ def test_eigen_solve_reruns_are_bitwise():
 
 
 @pytest.mark.parametrize("bad, path", [(np.inf, "arpack"), (np.nan, "dense")])
-def test_non_finite_pencil_raises_numerical_error(bad, path):
-    # inf gives ARPACK values with nan residuals; nan makes ARPACK fail and
-    # the dense solve refuse the matrix
+def test_non_finite_pencil_raises_numerical_error(bad, path, monkeypatch):
+    # refused before any solve, whichever path the request would take: the
+    # dense one for all pairs but one, ARPACK for a few
     stiff, mass = assemble_wentzell_robin_pair(build_disk(1.0, 16, 32), 1.0)
     broken = stiff.matrix.copy()
     broken.data[0] = bad
-    message = "residuals not converged" if path == "arpack" else "dense eigensolve failed"
-    with pytest.raises(NumericalError, match=message):
-        eigen_solve((broken, mass), 3)
+    count = broken.shape[0] - 1 if path == "dense" else 3
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a non-finite pencil reached a solver")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_solve)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_solve)
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigen_solve((broken, mass), count)
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigen_solve((stiff, np.where(np.arange(mass.matrix.shape[0]) == 0, bad,
+                                     mass.matrix.diagonal())), count)
 
 
-def test_arpack_failure_falls_back_to_dense_and_says_so(monkeypatch):
+def test_arpack_failure_raises_numerical_error(monkeypatch):
+    # no re-route to a dense solve: at the sizes ARPACK serves it would
+    # densify both matrices of the pencil
     pair = assemble_wentzell_robin_pair(build_disk(1.0, 16, 32), 1.0)
-    reference = eigen_solve(pair, 6)
 
     def failing_eigsh(*args, **kwargs):
         raise RuntimeError("ARPACK error -9999")
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
-    fallback = eigen_solve(pair, 6)
-    assert (reference.path, fallback.path) == ("arpack", "dense")
-    assert np.allclose(fallback.values, reference.values, rtol=1e-10, atol=0)
+    with pytest.raises(NumericalError, match="arpack eigensolve failed: ARPACK error -9999"):
+        eigen_solve(pair, 6)
+
+
+@pytest.mark.parametrize("period", [1, 32], ids=["dense", "blocks"])
+def test_mass_without_cholesky_factor_raises_numerical_error(disk_mid, period):
+    # a negative weight keeps the mass diagonal, invariant and at offset 0,
+    # so the pencil keeps its path, and the mass block's Cholesky factor fails
+    stiff, mass = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    weights = -mass.matrix.diagonal() if period > 1 else np.where(
+        np.arange(stiff.matrix.shape[0]) == 5, -1.0, mass.matrix.diagonal())
+    count = 4 if period > 1 else stiff.matrix.shape[0] - 1
+    with pytest.raises(NumericalError, match="not positive definite"):
+        eigen_solve((stiff, weights), count, period=period)
 
 
 def _clusters(values):
@@ -346,6 +367,21 @@ def test_blocks_meet_the_residual_gate_at_small_robin_strength(K):
     result = eigen_solve(assemble_wentzell_robin_pair(mesh, K), 96,
                          period=mesh.angular_period)
     assert result.path == "blocks"
+    assert np.max(result.residuals) < 1e-8
+
+
+@pytest.mark.parametrize("shape, K", [((256,), 1e-4), ((256,), 1e-5), ((16, 16), 1e-5),
+                                      ((8, 16), 1e-7)],
+                         ids=["interval-1e-4", "interval-1e-5", "disk16x16-1e-5", "disk8x16-1e-7"])
+def test_small_pencils_meet_the_residual_gate_at_small_robin_strength(shape, K):
+    # bsac spectrum's 12 pairs. Pencils under 400 unknowns once went through
+    # a generalized dense eigh whatever their structure, and missed the gate
+    # here (1.8e-8, 3.6e-7, 5.3e-8, 3.6e-6); the disks take the blocks path
+    # at any size, the interval ARPACK
+    mesh = build_interval(1.0, *shape) if len(shape) == 1 else build_disk(1.0, *shape)
+    result = eigen_solve(assemble_wentzell_robin_pair(mesh, K), 12,
+                         period=mesh.angular_period)
+    assert result.path == ("arpack" if len(shape) == 1 else "blocks")
     assert np.max(result.residuals) < 1e-8
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .mesh import Mesh, boundary_trace
 from .nonlinearity import NonlinearitySpec
-from .energy import FieldPair, compute_energy, h_norm, v_norm
+from .energy import FieldPair, compute_energy, h_norm, part_norm, v_norm
 from .dynamics import (RunConfig, TrajectoryRecord, initial_state,
                        run_trajectory, solve_transmission_limit)
 from .steady_spectral import EquilibriumState
@@ -241,8 +241,8 @@ def k_sweep(base_config: RunConfig, k_values,
         gap = 0.0
         mism = 0.0
         for st, rf in zip(states, ref_states):
-            gap = max(gap, h_norm(mesh, st.bulk - rf.bulk, np.zeros(mesh.n_surface))
-                      + h_norm(mesh, np.zeros(mesh.n_bulk), st.surface - rf.surface))
+            gap = max(gap, part_norm(mesh.bulk_weights, st.bulk - rf.bulk)
+                      + part_norm(mesh.surface_weights, st.surface - rf.surface))
             bres = boundary_trace(mesh, st.bulk) - spec.eval("h", st.surface)
             mism = max(mism, float(np.sqrt(mesh.surface_weights @ bres**2)))
         rows.append(SweepRow(k, gap, mism))

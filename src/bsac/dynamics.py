@@ -15,9 +15,11 @@ backward-Euler Newton iteration shared by all steppers):
     and SPD for dt c4 <= 1); the Jacobian is factored only when CG does not
     converge or the band factor is singular. A Newton iteration builds no
     sparse matrix (operators.jacobian_map writes the values on one pattern,
-    _pcg is scipy's CG arithmetic without its set-up) and evaluates its
-    functional once; the last one is the new state's, for the record and
-    the next step.
+    the mass term once per dt; _pcg is scipy's CG arithmetic without its
+    set-up) and evaluates its iterate once (operators.Variation: the
+    functional, and the Jacobian coefficients when a Jacobian is built
+    there); the last iterate's is the new state's, for the record and the
+    next step. Fixed operators are applied by mesh.matvec.
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
@@ -39,8 +41,9 @@ Steps that would raise the energy are rejected and retried with half the
 step size; five consecutive acceptances grow the step by 1.2x up to dt_max.
 The loop is fully deterministic for a fixed configuration and seed, and a
 checkpoint (hex-encoded floats) restores the exact loop state for bitwise
-resume. No solver state outlives a Newton iteration, so that is the whole
-state, and writing checkpoints never changes a run.
+resume. No solver state outlives a Newton iteration but the mass term of
+the last dt, a pure function of it, so that is the whole state, and
+writing checkpoints never changes a run.
 """
 
 from __future__ import annotations
@@ -56,12 +59,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError, RunAbort, StepFailure
-from .mesh import Mesh, build_mesh, normal_derivative, trace_adjoint, trace_matrix
+from .mesh import Mesh, build_mesh, matvec, normal_derivative, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
-from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
-                     h_norm)
-from .operators import (DualVector, RieszMap, RingBands, h1_solves, jacobian_map,
-                        joint_mass, linearized_coefficients, trace_lift)
+from .energy import EnergyReport, FieldPair, compute_energy, part_norm
+from .operators import (DualVector, RieszMap, RingBands, Variation, h1_solves,
+                        jacobian_map, joint_mass, trace_lift)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
@@ -222,41 +224,46 @@ class _Stepper:
 
     A stepper carries mesh, spec, the relaxation constant K its energy uses,
     and the quadrature weights of its unknown vector. It maps states to
-    unknowns and back (unknowns, state_of), evaluates the functional whose
-    dual norm the recorder logs, the backward-Euler residual on it and its
+    unknowns and back (unknowns, state_of), evaluates a state once
+    (evaluate: the functional whose dual norm the recorder logs, and the
+    operators.Variation it comes from, whose coefficients give the Jacobian
+    there), the backward-Euler residual on the functional and the
     Jacobian. advance takes one step under the energy rejection rule.
 
     The Jacobian is P' (H + M/dt) P, with H the second variation, M the
     joint mass and P the stepper's map from unknowns to joint vectors; its
     values are written through the stepper's JacobianMap (jac_map) on one
-    fixed pattern. Its solves (_solver) use the band solve of its angle
-    average, rebuilt every iteration from the band layout of that pattern
-    (bands); a stepper holds no factor between iterations, only that layout
-    and its solver counts.
+    fixed pattern, the mass term once per dt. Its solves (_solver) use the
+    band solve of its angle average, rebuilt every iteration from the band
+    layout of that pattern (bands); a stepper holds no factor between
+    iterations, only that layout, the mass term of its last dt and its
+    solver counts.
     """
 
     factorizations = 0
     krylov_iterations = 0
+    _mass_dt = None     # the dt of _mass_data, the mass term of the Jacobian
 
     def report(self, state: FieldPair) -> EnergyReport:
         return compute_energy(self.mesh, self.spec, state, self.K)
 
     def advance(self, state: FieldPair, report: EnergyReport, functional: DualVector,
-                dt: float, scheme: str, *, newton_tol: float, newton_max_iter: int,
-                reject_energy_increase: bool
-                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport, DualVector]:
-        """One step from state, given its energy report and functional; returns
-        the new state, the step's diagnostics and the new state's report and
-        functional. Acceptance requires the discrete energy not to increase."""
+                variation: Variation, dt: float, scheme: str, *, newton_tol: float,
+                newton_max_iter: int, reject_energy_increase: bool
+                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport, DualVector, Variation]:
+        """One step from state, given its energy report, functional and
+        variation; returns the new state, the step's diagnostics and the new
+        state's report, functional and variation. Acceptance requires the
+        discrete energy not to increase."""
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
         if scheme == "fully_implicit":
-            new, functional, iters, rnorm = self.implicit_step(state, functional, dt,
-                                                               newton_tol, newton_max_iter)
+            new, functional, variation, iters, rnorm = self.implicit_step(
+                state, functional, variation, dt, newton_tol, newton_max_iter)
             s_stab = 0.0
         elif scheme == "stabilized_semi_implicit":
             new, s_stab = self.semi_implicit_step(state, dt)
-            functional = self.functional(new)
+            functional, variation = self.evaluate(new)
             iters, rnorm = 1, np.nan
         else:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -268,12 +275,15 @@ class _Stepper:
             accepted = False
             reason = f"energy increased by {e_new - e_old:.3g}"
         diag = StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
-        return new, diag, new_report, functional
+        return new, diag, new_report, functional, variation
 
-    def jacobian(self, y: np.ndarray, dt: float) -> np.ndarray:
-        """The values of the Jacobian at the unknowns y on jac_map's pattern."""
-        coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
-        return self.jac_map.values(*coefficients, self.joint_mass / dt)
+    def jacobian(self, variation: Variation, dt: float) -> np.ndarray:
+        """The values of the Jacobian at the state of variation on jac_map's
+        pattern."""
+        if dt != self._mass_dt:
+            self._mass_dt = dt
+            self._mass_data = self.jac_map.mass_values(self.joint_mass / dt)
+        return self.jac_map.values(*variation.coefficients, self._mass_data)
 
     def _factor(self, matrix: sp.csc_matrix):
         """Sparse LU of matrix; the only factorization of the steppers, counted."""
@@ -309,62 +319,65 @@ class _Stepper:
             return lu.solve(b)
         return solve
 
-    def shift_inverse(self, y: np.ndarray, shift: float):
-        """The solve with P' (H - shift M) P at the unknowns y, for a shift
-        below the spectrum of the pencil (P' H P, P' M P), where the matrix
-        is SPD; _solver to SHIFT_RTOL."""
-        coefficients = linearized_coefficients(self.mesh, self.spec, self.state_of(y), self.K)
-        return self._solver(self.jac_map.values(*coefficients, -shift * self.joint_mass),
-                            SHIFT_RTOL)
+    def shift_inverse(self, variation: Variation, shift: float):
+        """The solve with P' (H - shift M) P at the state of variation, for a
+        shift below the spectrum of the pencil (P' H P, P' M P), where the
+        matrix is SPD; _solver to SHIFT_RTOL."""
+        data = self.jac_map.values(*variation.coefficients,
+                                   self.jac_map.mass_values(-shift * self.joint_mass))
+        return self._solver(data, SHIFT_RTOL)
 
     def _residual_norm(self, r: np.ndarray) -> float:
         # L2 norm of the strong-form residual (coefficients divided by weights)
         return float(np.sqrt(np.sum(r * r / self.weights)))
 
-    def implicit_step(self, state: FieldPair, functional: DualVector, dt: float, tol: float,
-                      max_iter: int) -> tuple[FieldPair, DualVector, int, float]:
-        """Backward-Euler Newton from state, given its functional: the new
-        state, its functional, the iterations and the last residual norm."""
+    def implicit_step(self, state: FieldPair, functional: DualVector, variation: Variation,
+                      dt: float, tol: float, max_iter: int
+                      ) -> tuple[FieldPair, DualVector, Variation, int, float]:
+        """Backward-Euler Newton from state, given its functional and
+        variation: the new state, its functional and variation, the
+        iterations and the last residual norm."""
         x = y = self.unknowns(state)
         res = self.unknowns(functional)     # the residual at y = x: the mass term is 0
         rnorm = best = self._residual_norm(res)
         for it in range(1, max_iter + 1):
-            y = y + self._solver(self.jacobian(y, dt), KRYLOV_RTOL)(-res)
+            y = y + self._solver(self.jacobian(variation, dt), KRYLOV_RTOL)(-res)
             if not np.all(np.isfinite(y)):
                 raise StepFailure("implicit iteration produced non-finite state")
             new = self.state_of(y)
-            functional = self.functional(new)
+            functional, variation = self.evaluate(new)
             res = self.residual(y, x, dt, functional)
             rnorm = self._residual_norm(res)
             if rnorm < tol:
-                return new, functional, it, rnorm
+                return new, functional, variation, it, rnorm
             if rnorm > 1e4 * max(best, tol):
                 raise StepFailure(f"implicit iteration diverged (residual {rnorm:.3g})")
             best = min(best, rnorm)
         raise StepFailure(f"implicit iteration cap reached (residual {rnorm:.3g})")
 
-    def stationary(self, y: np.ndarray, tolerance: float, max_iter: int,
-                   max_halvings: int) -> tuple[np.ndarray, float, int, bool]:
+    def stationary(self, y: np.ndarray, tolerance: float, max_iter: int, max_halvings: int
+                   ) -> tuple[np.ndarray, Variation, float, int, bool]:
         """Damped Newton for functional = 0 from the unknowns y, the Newton of
         implicit_step at dt = inf. Each update is halved until the H1 dual norm
         of the functional falls; that norm below tolerance, tested before the
-        first iteration too, is convergence. Returns the unknowns, their dual
-        norm, the iterations and whether it converged. A singular Jacobian
-        raises NumericalError."""
+        first iteration too, is convergence. Returns the unknowns, their
+        variation, their dual norm, the iterations and whether it converged.
+        A singular Jacobian raises NumericalError."""
         self.factorizations = self.krylov_iterations = 0
         riesz = RieszMap(self.mesh)
 
         def evaluate(y):
             # laid out like a state, the functional's unknowns are the residual
-            functional = self.functional(self.state_of(y))
-            return riesz.dual_norm(functional), self.unknowns(functional)
+            functional, variation = self.evaluate(self.state_of(y))
+            return riesz.dual_norm(functional), self.unknowns(functional), variation
 
-        rho, res = evaluate(y)
+        rho, res, variation = evaluate(y)
         iters = 0
         while rho >= tolerance and iters < max_iter:
             iters += 1
             try:
-                direction = self._solver(self.jacobian(y, math.inf), KRYLOV_RTOL)(-res)
+                direction = self._solver(self.jacobian(variation, math.inf),
+                                         KRYLOV_RTOL)(-res)
             except StepFailure as exc:
                 raise NumericalError(f"singular linearized operator: {exc}",
                                      residuals=np.array([rho])) from exc
@@ -372,14 +385,14 @@ class _Stepper:
             for _ in range(max_halvings + 1):
                 trial = y + step * direction
                 if np.all(np.isfinite(trial)):
-                    rho_trial, res_trial = evaluate(trial)
+                    rho_trial, res_trial, variation_trial = evaluate(trial)
                     if rho_trial < rho:
-                        y, rho, res = trial, rho_trial, res_trial
+                        y, rho, res, variation = trial, rho_trial, res_trial, variation_trial
                         break
                 step /= 2.0
             else:
                 break
-        return y, rho, iters, rho < tolerance
+        return y, variation, rho, iters, rho < tolerance
 
 
 class _RobinStepper(_Stepper):
@@ -403,8 +416,9 @@ class _RobinStepper(_Stepper):
         # y is finite: a Newton iterate, tested, or the unknowns of a FieldPair
         return FieldPair.trusted(y[:self.n_b], y[self.n_b:])
 
-    def functional(self, state: FieldPair) -> DualVector:
-        return compute_gradient(self.mesh, self.spec, state, self.K)
+    def evaluate(self, state: FieldPair) -> tuple[DualVector, Variation]:
+        variation = Variation(self.mesh, self.spec, state, self.K)
+        return variation.gradient, variation
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float,
                  functional: DualVector) -> np.ndarray:
@@ -436,8 +450,8 @@ class _RobinStepper(_Stepper):
             hphi = spec.eval("h", phi)
             coupling = np.zeros(mesh.n_surface)
             bulk_src = ws * hphi / K
-            surf_src = spec.eval("h'", phi) * ws * ((self.tr @ u) - hphi) / K
-        rhs += np.concatenate([trace_adjoint(mesh) @ bulk_src, surf_src])
+            surf_src = spec.eval("h'", phi) * ws * (matvec(self.tr, u) - hphi) / K
+        rhs += np.concatenate([matvec(trace_adjoint(mesh), bulk_src), surf_src])
         solve = self.bands.factor(self.jac_map.values(diagonal, coupling))
         if solve is None:
             raise StepFailure("semi-implicit band factor is singular")
@@ -456,7 +470,8 @@ class _TransmissionStepper(_Stepper):
     the joint mass, functional P' times the Robin gradient, Jacobian P' times
     the Robin second variation times P. Testing with bulk directions thus
     reproduces both equations, the normal derivative entering as the
-    constraint flux.
+    constraint flux. Its states are lifted, so their operators.Variation is
+    the Robin one, and its coefficients give the Jacobian through the map.
     """
 
     K = 1.0     # the robin penalty and its derivatives vanish on the constraint manifold
@@ -481,7 +496,7 @@ class _TransmissionStepper(_Stepper):
                                mesh.angular_period)
 
     def surface_of(self, u: np.ndarray) -> np.ndarray:
-        return ((self.tr @ u) - self.eta) / self.alpha
+        return (matvec(self.tr, u) - self.eta) / self.alpha
 
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.bulk
@@ -489,13 +504,15 @@ class _TransmissionStepper(_Stepper):
     def state_of(self, u: np.ndarray) -> FieldPair:
         return FieldPair.trusted(u, self.surface_of(u))
 
-    def functional(self, state: FieldPair) -> DualVector:
-        grad = compute_gradient(self.mesh, self.spec, state, self.K).joint()
-        return DualVector(self.lift_adjoint @ grad, np.zeros(self.mesh.n_surface))
+    def evaluate(self, state: FieldPair) -> tuple[DualVector, Variation]:
+        variation = Variation(self.mesh, self.spec, state, self.K)
+        functional = DualVector(matvec(self.lift_adjoint, variation.gradient.joint()),
+                                np.zeros(self.mesh.n_surface))
+        return functional, variation
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float,
                  functional: DualVector) -> np.ndarray:
-        return self.metric @ (y - x) / dt + functional.bulk
+        return matvec(self.metric, y - x) / dt + functional.bulk
 
 
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
@@ -507,10 +524,10 @@ def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
     """One time step of the Robin system; acceptance requires the discrete
     energy not to increase."""
     stepper = _RobinStepper(mesh, spec, K)
-    new, diag, _, _ = stepper.advance(state, stepper.report(state), stepper.functional(state),
-                                      dt, scheme, newton_tol=newton_tol,
-                                      newton_max_iter=newton_max_iter,
-                                      reject_energy_increase=reject_energy_increase)
+    new, diag, *_ = stepper.advance(state, stepper.report(state), *stepper.evaluate(state),
+                                    dt, scheme, newton_tol=newton_tol,
+                                    newton_max_iter=newton_max_iter,
+                                    reject_energy_increase=reject_energy_increase)
     return new, diag
 
 
@@ -574,11 +591,13 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     checkpoint cadences and keep_states. A FieldPair start is sampled at
     t = 0; a Checkpoint start continues that exact loop state, and the record
     then holds only the samples after it, bitwise equal to the original run.
-    The energy report and the functional of each accepted state are
-    computed once: they are the recorded sample, and the next step's
-    starting energy and first Newton residual. on_checkpoint, when given, is
-    called with each checkpoint as the loop reaches it, so a run that stops
-    early keeps every checkpoint before the failure.
+    The energy report, the functional and the variation of each accepted
+    state are computed once: they are the recorded sample, and the next
+    step's starting energy, first Newton residual and first Jacobian; a
+    Checkpoint start computes them from its state, a pure function of it.
+    on_checkpoint, when given, is called with each checkpoint as the loop
+    reaches it, so a run that stops early keeps every checkpoint before the
+    failure.
     """
     mesh = stepper.mesh
     rec = _Recorder(stepper, config.keep_states)
@@ -606,7 +625,8 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     else:
         state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
-    report, functional = stepper.report(state), stepper.functional(state)
+    report = stepper.report(state)
+    functional, variation = stepper.evaluate(state)
     if not isinstance(start, Checkpoint):
         rec.sample(t, state, report, functional)
 
@@ -614,19 +634,18 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(dt_policy, t_end - t)
         try:
-            new, diag, new_report, new_functional = stepper.advance(
-                state, report, functional, dt, config.scheme,
+            new, diag, new_report, new_functional, new_variation = stepper.advance(
+                state, report, functional, variation, dt, config.scheme,
                 newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
                 reject_energy_increase=config.reject_energy_increase)
             diagnostics["newton_iterations"] += diag.newton_iterations
         except StepFailure as exc:
             diag = StepDiagnostics(False, str(exc), np.nan, np.nan)
         if diag.accepted:
-            delta_b = h_norm(mesh, (new.bulk - state.bulk) / dt,
-                             np.zeros(mesh.n_surface))
-            delta_s = h_norm(mesh, np.zeros(mesh.n_bulk),
-                             (new.surface - state.surface) / dt)
-            state, report, functional = new, new_report, new_functional
+            delta_b = part_norm(mesh.bulk_weights, (new.bulk - state.bulk) / dt)
+            delta_s = part_norm(mesh.surface_weights, (new.surface - state.surface) / dt)
+            state, report = new, new_report
+            functional, variation = new_functional, new_variation
             t += dt
             step += 1
             streak += 1

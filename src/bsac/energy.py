@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .mesh import Mesh, boundary_trace, trace_adjoint, trace_matrix
+from .mesh import Mesh, boundary_trace
 from .nonlinearity import NonlinearitySpec
-from .operators import (DualVector, bulk_dirichlet_stiffness, dirichlet_form_value,
-                        surface_stiffness)
+from .operators import (DualVector, Variation, bulk_dirichlet_stiffness,
+                        dirichlet_form_value, surface_stiffness)
 
 
 @dataclass
@@ -88,25 +88,23 @@ def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: fl
     """First variation of the energy as a quadrature-weighted functional.
 
     Pairing the result with any direction (w, xi) by plain dot product equals
-    the directional derivative of compute_energy at the state.
+    the directional derivative of compute_energy at the state. It is the
+    gradient of operators.Variation, the one pass that also gives the second
+    variation's coefficients.
     """
-    u = mesh.check_bulk(state.bulk)
-    phi = mesh.check_surface(state.surface)
-    mismatch = (trace_matrix(mesh) @ u) - spec.eval("h", phi)
-    weighted_mismatch = mesh.surface_weights * mismatch / K
-    g_bulk = (bulk_dirichlet_stiffness(mesh).matrix @ u
-              + mesh.bulk_weights * spec.eval("f", u)
-              + trace_adjoint(mesh) @ weighted_mismatch)
-    g_surf = (surface_stiffness(mesh).matrix @ phi
-              + mesh.surface_weights * spec.eval("f_G", phi)
-              - spec.eval("h'", phi) * weighted_mismatch)
-    return DualVector(g_bulk, g_surf)
+    return Variation(mesh, spec, state, K).gradient
 
 
 def h_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:
     """Product L2 norm of a (bulk, surface) pair."""
     q = (mesh.bulk_weights @ bulk**2) + (mesh.surface_weights @ surface**2)
     return float(np.sqrt(max(q, 0.0)))
+
+
+def part_norm(weights: np.ndarray, values: np.ndarray) -> float:
+    """L2 norm of one part, bulk or surface, with its quadrature weights:
+    h_norm of the pair whose other part is zero, bit for bit."""
+    return float(np.sqrt(max(weights @ values**2, 0.0)))
 
 
 def v_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:

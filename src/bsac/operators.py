@@ -17,6 +17,7 @@ Joint operators act on the concatenation [bulk values, surface values].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, NumericalError
-from .mesh import Mesh, boundary_trace, per_mesh, trace_matrix
+from .mesh import Mesh, matvec, per_mesh, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec
 
 
@@ -274,8 +275,9 @@ class JacobianMap:
     B is the joint base [S_bulk + K^-1 Tr' D_s Tr, S_surf] of one K, C(c)
     the trace coupling block Tr' diag(c) between bulk rows and surface
     columns, mirrored, and P the identity or a trace lift. The values are
-    base + coef @ [d; c], then + coef @ [m; 0]: with P the identity each
-    entry takes at most one term from each, so a diagonal entry is
+    base + coef @ [d; c], then + coef @ [m; 0] (mass_values, which a caller
+    with one mass for many Jacobians computes once): with P the identity
+    each entry takes at most one term from each, so a diagonal entry is
     (B_ii + d_i) + m_i, the order the sums of separate sparse matrices round
     in. values writes the values alone; matrix wraps them on the pattern,
     sharing indptr and indices with every other matrix of the map.
@@ -290,11 +292,15 @@ class JacobianMap:
         return self.matrix(self.base)
 
     def values(self, diagonal: np.ndarray, coupling: np.ndarray,
-               mass: np.ndarray | None = None) -> np.ndarray:
-        data = self.base + self.coef @ np.concatenate([diagonal, coupling])
-        if mass is not None:
-            data += self.coef @ np.concatenate([mass, np.zeros_like(coupling)])
+               mass_values: np.ndarray | None = None) -> np.ndarray:
+        data = self.base + matvec(self.coef, np.concatenate([diagonal, coupling]))
+        if mass_values is not None:
+            data += mass_values
         return data
+
+    def mass_values(self, mass: np.ndarray) -> np.ndarray:
+        """coef @ [mass; 0], the values diag(mass) adds on the pattern."""
+        return matvec(self.coef, np.concatenate([mass, np.zeros(self.coef.shape[1] - mass.size)]))
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         n = self.indptr.size - 1
@@ -340,26 +346,65 @@ def jacobian_map(mesh: Mesh, K: float, alpha: float | None) -> JacobianMap:
     return JacobianMap(indptr.astype(np.int32), (keys % size).astype(np.int32), values, coef)
 
 
+class Variation:
+    """The first variation of the energy at one state, and the pointwise
+    coefficients of its second: one pass over the state, in which every
+    pointwise term is evaluated once.
+
+    Built, it holds the gradient (energy.compute_gradient), from f(u),
+    f_G(phi), h(phi), h'(phi) and Tr u. The reaction terms f'(u), f_G'(phi)
+    and the cross term h''(phi) (h(phi) - Tr u) / K are evaluated on the
+    first read of reactions, and the coefficients of assemble_linearized on
+    the first read of coefficients, reusing h, h' and Tr u: a state whose
+    Jacobian is never built (a rejected trial point, a semi-implicit step)
+    pays only for its gradient.
+    """
+
+    def __init__(self, mesh: Mesh, spec: NonlinearitySpec, state, K: float):
+        self.mesh, self.spec, self.K = mesh, spec, K
+        self.u = u = mesh.check_bulk(state.bulk)
+        self.phi = phi = mesh.check_surface(state.surface)
+        self.tr_u = matvec(trace_matrix(mesh), u)
+        self.h = spec.eval("h", phi)
+        self.hp = spec.eval("h'", phi)
+        weighted_mismatch = mesh.surface_weights * (self.tr_u - self.h) / K
+        g_bulk = (matvec(bulk_dirichlet_stiffness(mesh).matrix, u)
+                  + mesh.bulk_weights * spec.eval("f", u)
+                  + matvec(trace_adjoint(mesh), weighted_mismatch))
+        g_surf = (matvec(surface_stiffness(mesh).matrix, phi)
+                  + mesh.surface_weights * spec.eval("f_G", phi)
+                  - self.hp * weighted_mismatch)
+        self.gradient = DualVector(g_bulk, g_surf)
+
+    @functools.cached_property
+    def reactions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f'(u), f_G'(phi) and the cross term h''(phi) (h(phi) - Tr u) / K."""
+        spec = self.spec
+        cross = spec.eval("h''", self.phi) * (self.h - self.tr_u) / self.K
+        return spec.eval("f'", self.u), spec.eval("f_G'", self.phi), cross
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reaction diagonal and the trace coupling vector of the second
+        variation; see assemble_linearized."""
+        fp, fgp, cross = self.reactions
+        s_w, hp, K = self.mesh.surface_weights, self.hp, self.K
+        surf_react = s_w * fgp + s_w * hp * hp / K + s_w * cross
+        return np.concatenate([self.mesh.bulk_weights * fp, surf_react]), -s_w * hp / K
+
+    def lower_bound(self) -> float:
+        """See linearized_lower_bound."""
+        fp, fgp, cross = self.reactions
+        return float(min(np.min(fp), np.min(fgp + cross)))
+
+
 def linearized_coefficients(mesh: Mesh, spec: NonlinearitySpec, state,
                             K: float) -> tuple[np.ndarray, np.ndarray]:
     """The reaction diagonal and the trace coupling vector of the second
     variation at state; see assemble_linearized."""
     if K <= 0:
         raise ConfigurationError("K must be positive")
-    u = mesh.check_bulk(state.bulk)
-    phi = mesh.check_surface(state.surface)
-
-    hp = spec.eval("h'", phi)
-    hpp = spec.eval("h''", phi)
-    hval = spec.eval("h", phi)
-    tr_u = boundary_trace(mesh, u)
-    s_w = mesh.surface_weights
-
-    surf_react = (s_w * spec.eval("f_G'", phi)
-                  + s_w * hp * hp / K
-                  + s_w * hpp * (hval - tr_u) / K)
-    diagonal = np.concatenate([mesh.bulk_weights * spec.eval("f'", u), surf_react])
-    return diagonal, -s_w * hp / K
+    return Variation(mesh, spec, state, K).coefficients
 
 
 def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> DiscreteOperator:
@@ -389,10 +434,7 @@ def linearized_lower_bound(mesh: Mesh, spec: NonlinearitySpec, state, K: float) 
     Against the diagonal joint mass its Rayleigh quotient is at least the
     smallest of their nodal ratios.
     """
-    u = mesh.check_bulk(state.bulk)
-    phi = mesh.check_surface(state.surface)
-    cross = spec.eval("h''", phi) * (spec.eval("h", phi) - boundary_trace(mesh, u)) / K
-    return float(min(np.min(spec.eval("f'", u)), np.min(spec.eval("f_G'", phi) + cross)))
+    return Variation(mesh, spec, state, K).lower_bound()
 
 
 def h1_solves(mesh: Mesh, scale: float = 1.0) -> list:

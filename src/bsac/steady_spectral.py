@@ -37,8 +37,8 @@ from .errors import ConfigurationError, InputError, NumericalError
 from .mesh import Mesh, boundary_trace, normal_derivative
 from .nonlinearity import NonlinearitySpec
 from .energy import FieldPair, compute_gradient
-from .operators import (DiscreteOperator, RingBands, assemble_surface_shifted_pair,
-                        assemble_wentzell_robin_pair, linearized_lower_bound)
+from .operators import (DiscreteOperator, RingBands, Variation,
+                        assemble_surface_shifted_pair, assemble_wentzell_robin_pair)
 from .dynamics import _RobinStepper
 
 
@@ -301,15 +301,15 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
     stepper = _RobinStepper(mesh, spec, K)
-    y, rho, iters, converged = stepper.stationary(stepper.unknowns(guess), tolerance,
-                                                  max_iter, max_halvings)
+    y, variation, rho, iters, converged = stepper.stationary(
+        stepper.unknowns(guess), tolerance, max_iter, max_halvings)
     state = stepper.state_of(y)
     tag, path = np.nan, "none"
     if converged and compute_stability:
-        jacobian = stepper.jac_map.matrix(stepper.jacobian(y, math.inf))
+        jacobian = stepper.jac_map.matrix(stepper.jacobian(variation, math.inf))
         lowest = eigen_solve((jacobian, stepper.joint_mass), 1,
-                             lower_bound=linearized_lower_bound(mesh, spec, state, K),
-                             shift_inverse=functools.partial(stepper.shift_inverse, y))
+                             lower_bound=variation.lower_bound(),
+                             shift_inverse=functools.partial(stepper.shift_inverse, variation))
         tag, path = float(lowest.values[0]), lowest.path
     return EquilibriumState(state, float(rho), iters, converged, tag,
                             stepper.factorizations, stepper.krylov_iterations, path)
@@ -342,16 +342,13 @@ def compute_coercivity_margin(mesh: Mesh, spec: NonlinearitySpec, K: float,
         raise InputError("coercivity margin needs a converged equilibrium")
     if max_m < 1:
         raise ConfigurationError("max_m must be positive")
-    u = equilibrium.state.bulk
-    phi = equilibrium.state.surface
-    tr_u = boundary_trace(mesh, u)
-
-    sup_fp = float(np.max(np.abs(spec.eval("f'", u))))
-    sup_hp2 = float(np.max(np.abs(spec.eval("h'", phi)) ** 2))
-    sup_fgp = float(np.max(np.abs(spec.eval("f_G'", phi))))
-    sup_cross = float(np.max(np.abs(spec.eval("h''", phi)
-                                    * (spec.eval("h", phi) - tr_u))))
-    c_star = max(sup_fp, 0.5 + sup_hp2 / K + sup_fgp + sup_cross / K)
+    variation = Variation(mesh, spec, equilibrium.state, K)
+    fp, fgp, cross = variation.reactions
+    sup_fp = float(np.max(np.abs(fp)))
+    sup_hp2 = float(np.max(np.abs(variation.hp) ** 2))
+    sup_fgp = float(np.max(np.abs(fgp)))
+    sup_cross = float(np.max(np.abs(cross)))
+    c_star = max(sup_fp, 0.5 + sup_hp2 / K + sup_fgp + sup_cross)
 
     k_bulk = min(max_m, mesh.n_bulk)
     k_surf = min(max_m, mesh.n_surface)

@@ -38,6 +38,12 @@ def interval_small():
     return build_interval(1.0, 16)
 
 
+def jacobian_at(stepper, y, dt):
+    """The values of a stepper's Jacobian at the unknowns y, from the
+    variation it evaluates there."""
+    return stepper.jacobian(stepper.evaluate(stepper.state_of(y))[1], dt)
+
+
 def random_pair(mesh, rng, mean=0.0, amplitude=1.0):
     return FieldPair(mean + amplitude * rng.standard_normal(mesh.n_bulk),
                      mean + amplitude * rng.standard_normal(mesh.n_surface))

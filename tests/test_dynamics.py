@@ -2,6 +2,7 @@
 and the trace-constrained limit system."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bsac import (
     ConfigurationError,
     FieldPair,
     InputError,
+    NonlinearitySpec,
     RunAbort,
     RunConfig,
     ShapeError,
@@ -35,7 +37,7 @@ from bsac.dynamics import _integrate, _RobinStepper, _TransmissionStepper
 from bsac.errors import StepFailure
 from bsac.operators import RieszMap
 
-from conftest import random_pair
+from conftest import jacobian_at, random_pair
 
 
 def small_config(dw_spec, **over):
@@ -344,10 +346,10 @@ def test_transmission_on_disk_with_shifted_affine_coupling(disk_small):
     dt = 0.02
     x = rec.states[3].bulk
     y = x + 0.05 * rng.standard_normal(mesh.n_bulk)
-    jac = stepper.jac_map.matrix(stepper.jacobian(y, dt))
+    jac = stepper.jac_map.matrix(jacobian_at(stepper, y, dt))
 
     def residual(z):
-        return stepper.residual(z, x, dt, stepper.functional(stepper.state_of(z)))
+        return stepper.residual(z, x, dt, stepper.evaluate(stepper.state_of(z))[0])
 
     eps = 1e-6
     for _ in range(5):
@@ -461,34 +463,66 @@ def test_default_disk_run_needs_no_factor(monkeypatch):
     # every Newton direction of the default run converges within the CG cap
     # on the band solve of the Jacobian's angle average
     runs, pcg = [], dynamics._pcg
-    gradients, gradient = [], dynamics.compute_gradient
+    passes, variation = [], dynamics.Variation
 
     def counted(*args):
         runs.append(pcg(*args))
         return runs[-1]
 
-    def counted_gradient(*args):
-        gradients.append(None)
-        return gradient(*args)
+    def counted_pass(*args):
+        passes.append(None)
+        return variation(*args)
 
     monkeypatch.setattr(dynamics, "_pcg", counted)
-    monkeypatch.setattr(dynamics, "compute_gradient", counted_gradient)
+    monkeypatch.setattr(dynamics, "Variation", counted_pass)
     diagnostics = run_trajectory(RunConfig(checkpoint_every=0)).diagnostics
     assert (diagnostics["accepted"], diagnostics["newton_iterations"]) == (109, 194)
-    # each Newton iterate's gradient is evaluated once, the initial state's too:
-    # the record and the next step reuse the last iterate's
-    assert diagnostics["rejected"] == 0 and len(gradients) == 194 + 1
+    # each Newton iterate is evaluated once, the initial state too: the
+    # record and the next step reuse the last iterate's pass
+    assert diagnostics["rejected"] == 0 and len(passes) == 194 + 1
     assert len(runs) == 194 and all(converged for _, _, converged in runs)
     assert max(iterations for _, iterations, _ in runs) <= dynamics.KRYLOV_MAX_ITER
     assert diagnostics["krylov_iterations"] == sum(iterations for _, iterations, _ in runs)
     assert diagnostics["factorizations"] == 0
 
 
+def test_interval_run_evaluates_each_iterate_once(dw_spec, monkeypatch):
+    # one pointwise pass per Newton iterate and the initial state; each
+    # Jacobian reads the coefficients of the pass at its iterate, so f',
+    # f_G' and h'' are evaluated once per Jacobian and h' once per pass
+    passes, variation = [], dynamics.Variation
+    names, evaluate = [], NonlinearitySpec.eval
+
+    def counted_pass(*args):
+        passes.append(None)
+        return variation(*args)
+
+    def counted_eval(spec, name, x):
+        names.append(name)
+        return evaluate(spec, name, x)
+
+    def forbidden(*args):
+        raise AssertionError("a separate coefficient pass in the time loop")
+
+    monkeypatch.setattr(dynamics, "Variation", counted_pass)
+    monkeypatch.setattr(NonlinearitySpec, "eval", counted_eval)
+    monkeypatch.setattr(operators, "linearized_coefficients", forbidden)
+    config = RunConfig(geometry="interval", n=64, dt=0.01, dt_min=0.01, dt_max=0.01,
+                       t_final=0.5, adaptive=False, checkpoint_every=0, spec=dw_spec)
+    diagnostics = run_trajectory(config).diagnostics
+    newton = diagnostics["newton_iterations"]
+    assert diagnostics["accepted"] == 50 and newton > 50
+    assert len(passes) == newton + 1
+    counts = Counter(names)
+    assert counts["h'"] == newton + 1
+    assert counts["f'"] == counts["f_G'"] == counts["h''"] == newton
+
+
 def assert_dual_norms_are_the_states(stepper, record):
     # the carried functional is the one the kept state gives, bit for bit
     riesz = RieszMap(stepper.mesh)
     assert len(record.states) == record.n_samples() > 1
-    assert [riesz.dual_norm(stepper.functional(state)) for state in record.states] == list(
+    assert [riesz.dual_norm(stepper.evaluate(state)[0]) for state in record.states] == list(
         record.dual_norm)
 
 
@@ -515,7 +549,7 @@ def test_interval_direction_is_the_band_solve(dw_spec, make_stepper, monkeypatch
     stepper = make_stepper(mesh, dw_spec)
     state = stepper.state_of(stepper.unknowns(smoothed_random_state(mesh, 6)))
     y = stepper.unknowns(state)
-    data = stepper.jacobian(y, 0.05)
+    data = jacobian_at(stepper, y, 0.05)
     rhs = np.random.default_rng(3).standard_normal(y.size)
     dense = np.linalg.solve(stepper.jac_map.matrix(data).toarray(), rhs)
 
@@ -526,8 +560,8 @@ def test_interval_direction_is_the_band_solve(dw_spec, make_stepper, monkeypatch
         patch.setattr(dynamics, "_pcg", forbidden)
         patch.setattr(operators.JacobianMap, "matrix", forbidden)
         delta = stepper._solver(data, dynamics.KRYLOV_RTOL)(rhs)
-        _, _, newton, _ = stepper.implicit_step(state, stepper.functional(state), 0.05,
-                                                1e-10, 50)
+        _, _, _, newton, _ = stepper.implicit_step(state, *stepper.evaluate(state), 0.05,
+                                                   1e-10, 50)
     assert np.linalg.norm(delta - dense) <= 1e-12 * np.linalg.norm(dense)
     assert newton >= 1 and stepper.krylov_iterations == stepper.factorizations == 0
     # a singular band factor still falls back to one counted factor
@@ -606,7 +640,7 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
     stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
     x0 = smoothed_random_state(disk_mid, 3)
     tol = 1e-10
-    x1, g1, _, _ = stepper.implicit_step(x0, stepper.functional(x0), 0.05, tol, 50)
+    x1, g1, v1, _, _ = stepper.implicit_step(x0, *stepper.evaluate(x0), 0.05, tol, 50)
     built = stepper.factorizations
     iterations = []
 
@@ -615,7 +649,7 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
         return np.zeros_like(b), max_iter, False
 
     monkeypatch.setattr(dynamics, "_pcg", stalled)
-    _, _, newton, rnorm = stepper.implicit_step(x1, g1, 0.2, tol, 50)
+    _, _, _, newton, rnorm = stepper.implicit_step(x1, g1, v1, 0.2, tol, 50)
     assert rnorm < tol
     assert len(iterations) == newton
     assert stepper.factorizations == built + newton
@@ -624,11 +658,11 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
 def test_pcg_is_scipy_cg_step_for_step(disk_mid, dw_spec):
     stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
     y = stepper.unknowns(smoothed_random_state(disk_mid, 5))
-    lu = spla.splu(stepper.jac_map.matrix(stepper.jacobian(y, 0.05)),
+    lu = spla.splu(stepper.jac_map.matrix(jacobian_at(stepper, y, 0.05)),
                    permc_spec="MMD_AT_PLUS_A")
     # five iterations at dt = 0.06
-    jac = stepper.jac_map.matrix(stepper.jacobian(y, 0.06))
-    rhs = -stepper.residual(y, y + 0.01, 0.06, stepper.functional(stepper.state_of(y)))
+    jac = stepper.jac_map.matrix(jacobian_at(stepper, y, 0.06))
+    rhs = -stepper.residual(y, y + 0.01, 0.06, stepper.evaluate(stepper.state_of(y))[0])
     converged = []
     for max_iter in (dynamics.KRYLOV_MAX_ITER, 2):
         steps = []
@@ -649,7 +683,7 @@ def test_jacobians_share_one_pattern(disk_small, dw_spec):
     for stepper in (_RobinStepper(disk_small, dw_spec, 0.5),
                     _TransmissionStepper(disk_small, dw_spec)):
         y = stepper.unknowns(random_pair(disk_small, rng))
-        first, second = (stepper.jac_map.matrix(stepper.jacobian(z, dt))
+        first, second = (stepper.jac_map.matrix(jacobian_at(stepper, z, dt))
                          for z, dt in ((y, 0.1), (1.1 * y, 0.2)))
         assert np.shares_memory(first.indices, second.indices)
         assert np.shares_memory(first.indptr, second.indptr)

@@ -12,7 +12,11 @@ from bsac import (
     build_interval,
     build_mesh,
     normal_derivative,
+    trace_matrix,
 )
+from bsac.dynamics import _TransmissionStepper
+from bsac.mesh import matvec, trace_adjoint
+from bsac.operators import bulk_dirichlet_stiffness, jacobian_map, surface_stiffness
 
 
 def test_disk_counts_and_exact_area():
@@ -137,3 +141,31 @@ def test_flux_methods_agree_after_implicit_step(dw_spec):
         gaps.append(np.max(np.abs(a - b)))
     assert gaps[1] < 0.75 * gaps[0]
     assert gaps[0] < 0.1
+
+
+@pytest.mark.parametrize("geometry", ["disk", "interval"])
+def test_matvec_is_scipys_product_bit_for_bit(geometry, dw_spec, disk_small):
+    # every operator the package applies by matvec, in the format it has there
+    mesh = disk_small if geometry == "disk" else build_interval(1.0, 24)
+    limit = _TransmissionStepper(mesh, dw_spec)
+    operators = {
+        "trace": trace_matrix(mesh),
+        "trace adjoint": trace_adjoint(mesh),
+        "bulk stiffness": bulk_dirichlet_stiffness(mesh).matrix,
+        "surface stiffness": surface_stiffness(mesh).matrix,
+        "jacobian coef": jacobian_map(mesh, 0.5, None).coef,
+        "lifted jacobian coef": limit.jac_map.coef,
+        "lift adjoint": limit.lift_adjoint,
+        "transmission metric": limit.metric,
+    }
+    assert {a.format for a in operators.values()} == {"csr", "csc"}
+    assert operators["trace adjoint"].format == operators["lift adjoint"].format == "csc"
+    rng = np.random.default_rng(2)
+    for name, a in operators.items():
+        wide = rng.standard_normal(3 * a.shape[1])
+        for x in (wide[:a.shape[1]], wide[::3]):
+            assert np.array_equal(matvec(a, x), a @ x), name
+    with pytest.raises(TypeError):
+        matvec(trace_matrix(mesh).tocoo(), np.ones(mesh.n_bulk))
+    with pytest.raises(ValueError):
+        matvec(trace_matrix(mesh), np.ones(mesh.n_bulk + 1))

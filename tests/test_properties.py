@@ -20,6 +20,7 @@ from bsac import (FieldPair, advance_step, assemble_bulk_laplacian, assemble_lin
                   linearized_lower_bound, make_spec, trace_matrix)
 from bsac.dynamics import _RobinStepper, _TransmissionStepper
 from bsac.operators import surface_stiffness
+from conftest import jacobian_at
 
 MESHES = {"disk": build_disk(1.0, 8, 16), "interval": build_interval(1.0, 16)}
 EPS = 1e-5
@@ -127,7 +128,7 @@ def test_pattern_jacobians_equal_plain_sparse_sums(case, dt):
     spec, mesh, K, state, _ = case
     mass = sp.diags(joint_mass(mesh) / dt)
     robin = _RobinStepper(mesh, spec, K)
-    jac = robin.jac_map.matrix(robin.jacobian(robin.unknowns(state), dt))
+    jac = robin.jac_map.matrix(robin.jacobian(robin.evaluate(state)[1], dt))
     # bitwise: the Robin outputs rest on this sum's rounding
     assert (jac != assemble_linearized(mesh, spec, state, K).matrix + mass).nnz == 0
     _assert_close(jac, plain_hessian(mesh, spec, state, K) + mass)
@@ -135,7 +136,7 @@ def test_pattern_jacobians_equal_plain_sparse_sums(case, dt):
         limit = _TransmissionStepper(mesh, spec)
         lift = sp.vstack([sp.identity(mesh.n_bulk), trace_matrix(mesh) / spec.coupling.alpha])
         hessian = plain_hessian(mesh, spec, limit.state_of(state.bulk), limit.K)
-        _assert_close(limit.jac_map.matrix(limit.jacobian(state.bulk, dt)),
+        _assert_close(limit.jac_map.matrix(jacobian_at(limit, state.bulk, dt)),
                       limit.metric / dt + lift.T @ hessian @ lift)
 
 
@@ -147,16 +148,16 @@ def test_steppers_at_infinite_dt_are_the_stationary_system(case):
     spec, mesh, K, state, _ = case
     robin = _RobinStepper(mesh, spec, K)
     y = robin.unknowns(state)
-    jac = robin.jac_map.matrix(robin.jacobian(y, math.inf))
+    jac = robin.jac_map.matrix(robin.jacobian(robin.evaluate(state)[1], math.inf))
     hessian = assemble_linearized(mesh, spec, state, K).matrix
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(jac, attr), getattr(hessian, attr))
-    assert np.array_equal(robin.residual(y, y, math.inf, robin.functional(state)),
+    assert np.array_equal(robin.residual(y, y, math.inf, robin.evaluate(state)[0]),
                           compute_gradient(mesh, spec, state, K).joint())
     if spec.coupling.kind == "affine":
         limit = _TransmissionStepper(mesh, spec)
         u = state.bulk
-        functional = limit.functional(limit.state_of(u))
+        functional = limit.evaluate(limit.state_of(u))[0]
         assert np.array_equal(limit.residual(u, u, math.inf, functional), functional.bulk)
 
 

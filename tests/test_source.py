@@ -2,9 +2,11 @@
 every public name has a caller or a stated reason to exist, only mesh.py
 knows the geometry of a mesh or touches its operator memo, the only sparse
 factorization of the package is dynamics.py's counted splu helper, neither
-the steppers nor the recorder build a sparse matrix per Newton iteration or
-per step, and the Fourier block eigensolve solves each mode as one standard
-problem through scipy.linalg.eigh, the only dense eigensolve of the package."""
+the steppers nor the recorder build a sparse matrix, apply an operator
+through scipy's @ or evaluate the nonlinearity outside the one pass per
+iterate, per Newton iteration or per step, and the Fourier block eigensolve
+solves each mode as one standard problem through scipy.linalg.eigh, the only
+dense eigensolve of the package."""
 
 import ast
 from collections import Counter
@@ -103,6 +105,10 @@ UNCALLED_PUBLIC = [
     "energy.w_norm",
     "energy.energy_identity_residual",
     "steady_spectral.strong_form_residuals",
+    # the lower bound of the linearized spectrum at any state, which the
+    # property tests check against dense eigh; the stability tag reads the
+    # same bound from its Newton solve's last pass (Variation.lower_bound)
+    "operators.linearized_lower_bound",
     # accessors of result objects the package returns; criterion 5 and
     # demos/equilibrium_report.py read a coercivity scan's outcome through
     # succeeded
@@ -189,34 +195,37 @@ def test_no_module_factors_outside_the_counted_helper(path):
 
 # evaluated every Newton iteration or every step: values go through a
 # fixed-pattern map, and the band solves are built from those values alone
-PER_ITERATION = ("jacobian", "residual", "functional", "_solver", "implicit_step",
-                 "stationary", "advance", "sample")
+PER_ITERATION = ("jacobian", "residual", "evaluate", "_solver", "implicit_step",
+                 "stationary", "advance", "sample", "state_of", "surface_of")
 
 
-def sparse_builds_per_iteration(source: str) -> list:
-    """sp.* calls, .T and .tocsc()/.tocsr() inside the PER_ITERATION methods
-    of _Stepper, of the classes derived from it, and of _Recorder."""
-    found = []
+def per_iteration_nodes(source: str):
+    """(owner, node) for each AST node inside the PER_ITERATION methods of
+    _Stepper, of the classes derived from it, and of _Recorder; owner is
+    Class.method."""
     for cls in ast.walk(ast.parse(source)):
         if not (isinstance(cls, ast.ClassDef) and {"_Stepper", "_Recorder"} &
                 {cls.name, *(ast.unparse(base) for base in cls.bases)}):
             continue
         for method in cls.body:
-            if not (isinstance(method, ast.FunctionDef) and method.name in PER_ITERATION):
-                continue
-            for node in ast.walk(method):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and ast.unparse(node.func.value) in ("sp", "scipy.sparse")
-                        or isinstance(node, ast.Attribute)
-                        and node.attr in ("T", "tocsc", "tocsr")):
-                    found.append(f"{cls.name}.{method.name}: {ast.unparse(node)}")
-    return found
+            if isinstance(method, ast.FunctionDef) and method.name in PER_ITERATION:
+                for node in ast.walk(method):
+                    yield f"{cls.name}.{method.name}", node
+
+
+def sparse_builds_per_iteration(source: str) -> list:
+    """sp.* calls, .T and .tocsc()/.tocsr() inside the PER_ITERATION methods
+    of _Stepper, of the classes derived from it, and of _Recorder."""
+    return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) in ("sp", "scipy.sparse")
+            or isinstance(node, ast.Attribute) and node.attr in ("T", "tocsc", "tocsr")]
 
 
 def test_detector_sees_sparse_builds_in_stepper_methods():
     source = ("class _Stepper:\n    def jacobian(self, y):\n        return sp.diags(y).tocsc()\n"
               "class _Robin(_Stepper):\n    def residual(self, y):\n        return self.a.T @ y\n"
-              "    def functional(self, s):\n        return scipy.sparse.identity(3).tocsr()\n"
+              "    def evaluate(self, s):\n        return scipy.sparse.identity(3).tocsr()\n"
               "    def semi_implicit_step(self, s):\n        return sp.diags(s).tocsc()\n"
               "    def implicit_step(self, s):\n        return self.m.tocsr()\n"
               "    def stationary(self, y):\n        return sp.eye(3)\n"
@@ -226,14 +235,47 @@ def test_detector_sees_sparse_builds_in_stepper_methods():
               "class Other:\n    def jacobian(self, y):\n        return sp.diags(y).T\n")
     assert sparse_builds_per_iteration(source) == [
         "_Stepper.jacobian: sp.diags(y).tocsc", "_Stepper.jacobian: sp.diags(y)",
-        "_Robin.residual: self.a.T", "_Robin.functional: scipy.sparse.identity(3).tocsr",
-        "_Robin.functional: scipy.sparse.identity(3)", "_Robin.implicit_step: self.m.tocsr",
+        "_Robin.residual: self.a.T", "_Robin.evaluate: scipy.sparse.identity(3).tocsr",
+        "_Robin.evaluate: scipy.sparse.identity(3)", "_Robin.implicit_step: self.m.tocsr",
         "_Robin.stationary: sp.eye(3)", "_Robin.advance: self.p.T",
         "_Recorder.sample: sp.diags(s)"]
 
 
 def test_steppers_build_no_sparse_matrix_per_iteration():
     assert sparse_builds_per_iteration((SRC / "dynamics.py").read_text(encoding="utf-8")) == []
+
+
+def dispatch_and_evals_per_iteration(source: str) -> list:
+    """Uses of the @ operator, and calls of a spec's eval, inside the
+    PER_ITERATION methods of _Stepper, its subclasses and _Recorder."""
+    return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "eval" and ast.unparse(node.func.value).endswith("spec")]
+
+
+def test_detector_sees_products_and_evals_in_stepper_methods():
+    source = ("class _Stepper:\n    def jacobian(self, y):\n        return self.a @ y\n"
+              "class _Robin(_Stepper):\n    def residual(self, y):\n        y @= self.m\n"
+              "    def evaluate(self, s):\n        return self.spec.eval('h', s)\n"
+              "    def surface_of(self, u):\n        return matvec(self.tr, u)\n"
+              "    def semi_implicit_step(self, s):\n        return spec.eval('f', s) @ s\n"
+              "    def stationary(self, y):\n        def inner(z):\n"
+              "            return spec.eval(\"h'\", z)\n        return x.eval()\n"
+              "class _Recorder:\n    def sample(self, t, s):\n        return t @ s\n"
+              "class Other:\n    def jacobian(self, y):\n        return self.a @ y\n")
+    assert dispatch_and_evals_per_iteration(source) == [
+        "_Stepper.jacobian: self.a @ y", "_Robin.residual: y @= self.m",
+        "_Robin.evaluate: self.spec.eval('h', s)", '_Robin.stationary: spec.eval("h\'", z)',
+        "_Recorder.sample: t @ s"]
+
+
+def test_steppers_use_matvec_and_the_single_pass_per_iteration():
+    # products through mesh.matvec, without scipy's @ dispatch, and the
+    # pointwise terms from the one operators.Variation pass per iterate
+    source = (SRC / "dynamics.py").read_text(encoding="utf-8")
+    assert dispatch_and_evals_per_iteration(source) == []
 
 
 def eigh_calls(source: str, function: str) -> list:

@@ -6,6 +6,13 @@ inequality), and the distance tail should sit under a polynomial envelope
 whose exponent comes from the fitted theta.
 """
 
+import os
+
+# One BLAS thread, set before numpy is first imported: the small dense solves
+# of the eigensolver get slower, not faster, on a pool that spins on every core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 
 from bsac import (RunConfig, ls_probe, majorization_check, make_spec,

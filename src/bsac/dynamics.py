@@ -16,16 +16,20 @@ backward-Euler Newton iteration shared by all steppers):
     converge or the band factor is singular. A Newton iteration builds no
     sparse matrix (operators.jacobian_map writes the values on one pattern,
     the mass term once per dt; _pcg is scipy's CG arithmetic without its
-    set-up) and evaluates its iterate once (operators.Variation: the
+    set-up, and its products are mesh.matvec's kernel on that pattern with
+    the iteration's values; only the counted LU fallback wraps them in a
+    matrix) and evaluates its iterate once (operators.Variation: the
     functional, and the Jacobian coefficients when a Jacobian is built
-    there); the last iterate's is the new state's, for the record and the
-    next step. Fixed operators are applied by mesh.matvec.
+    there); the last iterate's is the new state's, for its energy report,
+    the record and the next step. Fixed operators are applied by
+    mesh.matvec.
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
-    from the current field range each step. Its matrix is unchanged by the
-    angular shift and reflection, so the band solve of its values, written
-    through the same JacobianMap, is exact and no sparse matrix is built.
+    from the current field range each step; the explicit terms are read
+    from the state's pass. Its matrix is unchanged by the angular shift and
+    reflection, so the band solve of its values, written through the same
+    JacobianMap, is exact and no sparse matrix is built.
 
 * the affine transmission system (trace of the bulk field slaved to the
   surface field): the Robin flow pulled back through the lift that solves
@@ -59,9 +63,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError, RunAbort, StepFailure
-from .mesh import Mesh, build_mesh, matvec, normal_derivative, trace_adjoint, trace_matrix
+from .mesh import (Mesh, boundary_trace, build_mesh, matvec, normal_derivative, trace_adjoint,
+                   trace_matrix)
 from .nonlinearity import NonlinearitySpec, make_spec
-from .energy import EnergyReport, FieldPair, compute_energy, part_norm
+from .energy import EnergyReport, FieldPair, part_norm, variation_energy
 from .operators import (DualVector, RieszMap, RingBands, Variation, h1_solves,
                         jacobian_map, joint_mass, trace_lift)
 
@@ -71,13 +76,13 @@ KRYLOV_MAX_ITER = 30   # CG iterations before the Jacobian is factored
 SHIFT_RTOL = 1e-10     # CG tolerance of the shift-invert solves of the stability tag
 
 
-def _pcg(matrix, b: np.ndarray, precondition, rtol: float,
+def _pcg(product, b: np.ndarray, precondition, rtol: float,
          max_iter: int) -> tuple[np.ndarray, int, bool]:
-    """Preconditioned CG for matrix x = b from x = 0, the arithmetic of
-    scipy.sparse.linalg.cg step for step: the iterate, the iterations taken,
-    and whether |r| fell below rtol |b| before max_iter iterations ran out.
-    As in scipy, running out is failure even when the last iterate would
-    have passed the test."""
+    """Preconditioned CG for A x = b from x = 0, given the product x -> A x,
+    the arithmetic of scipy.sparse.linalg.cg step for step: the iterate, the
+    iterations taken, and whether |r| fell below rtol |b| before max_iter
+    iterations ran out. As in scipy, running out is failure even when the
+    last iterate would have passed the test."""
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         return b, 0, True
@@ -94,7 +99,7 @@ def _pcg(matrix, b: np.ndarray, precondition, rtol: float,
         else:
             p *= rho / rho_prev
             p += z
-        q = matrix @ p
+        q = product(p)
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
@@ -227,25 +232,24 @@ class _Stepper:
     unknowns and back (unknowns, state_of), evaluates a state once
     (evaluate: the functional whose dual norm the recorder logs, and the
     operators.Variation it comes from, whose coefficients give the Jacobian
-    there), the backward-Euler residual on the functional and the
-    Jacobian. advance takes one step under the energy rejection rule.
+    there and whose trace and h(phi) give the energy report,
+    energy.variation_energy), the backward-Euler residual on the functional
+    and the Jacobian. advance takes one step under the energy rejection rule.
 
     The Jacobian is P' (H + M/dt) P, with H the second variation, M the
     joint mass and P the stepper's map from unknowns to joint vectors; its
     values are written through the stepper's JacobianMap (jac_map) on one
-    fixed pattern, the mass term once per dt. Its solves (_solver) use the
-    band solve of its angle average, rebuilt every iteration from the band
-    layout of that pattern (bands); a stepper holds no factor between
-    iterations, only that layout, the mass term of its last dt and its
-    solver counts.
+    fixed pattern (pattern, the CSC matrix of the map's base values, whose
+    indptr and indices CG's products use), the mass term once per dt. Its
+    solves (_solver) use the band solve of its angle average, rebuilt every
+    iteration from the band layout of that pattern (bands); a stepper holds
+    no factor between iterations, only that layout, the mass term of its
+    last dt and its solver counts.
     """
 
     factorizations = 0
     krylov_iterations = 0
     _mass_dt = None     # the dt of _mass_data, the mass term of the Jacobian
-
-    def report(self, state: FieldPair) -> EnergyReport:
-        return compute_energy(self.mesh, self.spec, state, self.K)
 
     def advance(self, state: FieldPair, report: EnergyReport, functional: DualVector,
                 variation: Variation, dt: float, scheme: str, *, newton_tol: float,
@@ -262,12 +266,12 @@ class _Stepper:
                 state, functional, variation, dt, newton_tol, newton_max_iter)
             s_stab = 0.0
         elif scheme == "stabilized_semi_implicit":
-            new, s_stab = self.semi_implicit_step(state, dt)
+            new, s_stab = self.semi_implicit_step(state, variation, dt)
             functional, variation = self.evaluate(new)
             iters, rnorm = 1, np.nan
         else:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
-        new_report = self.report(new)
+        new_report = variation_energy(variation)
         e_old, e_new = report.total, new_report.total
         accepted = True
         reason = "ok"
@@ -285,11 +289,13 @@ class _Stepper:
             self._mass_data = self.jac_map.mass_values(self.joint_mass / dt)
         return self.jac_map.values(*variation.coefficients, self._mass_data)
 
-    def _factor(self, matrix: sp.csc_matrix):
-        """Sparse LU of matrix; the only factorization of the steppers, counted."""
+    def _factor(self, data: np.ndarray):
+        """Sparse LU of the matrix of values data on jac_map's pattern; the
+        only factorization of the steppers, counted, and the only place a
+        Newton iteration builds that matrix."""
         self.factorizations += 1
         try:
-            return spla.splu(matrix)
+            return spla.splu(self.jac_map.matrix(data))
         except RuntimeError as exc:
             raise StepFailure(f"implicit solve failed: {exc}") from exc
 
@@ -297,25 +303,28 @@ class _Stepper:
         """The solve with the matrix of values data on jac_map's pattern: the
         band solve itself where it is exact (bands.exact); otherwise CG to
         rtol preconditioned with the band solve of the matrix's angle
-        average, and from the first time CG misses its cap, or when the band
+        average, its products mesh.matvec's kernel on the pattern with these
+        values, and from the first time CG misses its cap, or when the band
         factor is singular, the factor of the matrix. CG iterations and
         factors add to the stepper's counts."""
         precondition = self.bands.factor(data)
         if precondition is not None and self.bands.exact:
             return precondition
-        matrix = self.jac_map.matrix(data)
         lu = None
+
+        def product(p: np.ndarray) -> np.ndarray:
+            return matvec(self.pattern, p, data)
 
         def solve(b: np.ndarray) -> np.ndarray:
             nonlocal lu
             if lu is None and precondition is not None:
-                x, iterations, converged = _pcg(matrix, b, precondition, rtol,
+                x, iterations, converged = _pcg(product, b, precondition, rtol,
                                                 KRYLOV_MAX_ITER)
                 self.krylov_iterations += iterations
                 if converged:
                     return x
             if lu is None:
-                lu = self._factor(matrix)
+                lu = self._factor(data)
             return lu.solve(b)
         return solve
 
@@ -404,10 +413,10 @@ class _RobinStepper(_Stepper):
         self.K = K
         self.weights = self.joint_mass = joint_mass(mesh)
         self.n_b = mesh.n_bulk
-        self.tr = trace_matrix(mesh)
         self.affine = spec.coupling.kind == "affine"
         self.jac_map = jacobian_map(mesh, K, None)
-        self.bands = RingBands(self.jac_map.pattern(), mesh.rings, mesh.angular_period)
+        self.pattern = self.jac_map.pattern()
+        self.bands = RingBands(self.pattern, mesh.rings, mesh.angular_period)
 
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.joint()
@@ -430,27 +439,29 @@ class _RobinStepper(_Stepper):
         sup_fgp = float(np.max(self.spec.eval("f_G'", state.surface)))
         return max(self.spec.c4, sup_fp, sup_fgp, 0.0)
 
-    def semi_implicit_step(self, state: FieldPair, dt: float) -> tuple[FieldPair, float]:
-        mesh, spec, K = self.mesh, self.spec, self.K
-        u, phi = state.bulk, state.surface
+    def semi_implicit_step(self, state: FieldPair, variation: Variation,
+                           dt: float) -> tuple[FieldPair, float]:
+        """One stabilized semi-implicit step from state, whose pass variation
+        holds the explicit terms: f(u), f_G(phi) and, for a coupling that is
+        not affine, h(phi), h'(phi) and Tr u."""
+        mesh, K = self.mesh, self.K
         ws = mesh.surface_weights
         x = state.joint()
         s_stab = self.stabilization(state)
         diagonal = self.weights * (1.0 / dt + s_stab)
         rhs = self.weights * (x / dt + s_stab * x
-                              - np.concatenate([spec.eval("f", u), spec.eval("f_G", phi)]))
+                              - np.concatenate([variation.f, variation.f_G]))
         if self.affine:
             # linear boundary coupling implicit: it sits in the matrix
-            alpha, eta = spec.coupling.alpha, spec.coupling.eta
+            alpha, eta = self.spec.coupling.alpha, self.spec.coupling.eta
             diagonal[self.n_b:] += ws * alpha * alpha / K
             coupling = -ws * alpha / K
             bulk_src, surf_src = ws * eta / K, -ws * alpha * eta / K
         else:
             # nonlinear coupling explicit: a source on the block-diagonal solve
-            hphi = spec.eval("h", phi)
             coupling = np.zeros(mesh.n_surface)
-            bulk_src = ws * hphi / K
-            surf_src = spec.eval("h'", phi) * ws * (matvec(self.tr, u) - hphi) / K
+            bulk_src = ws * variation.h / K
+            surf_src = variation.hp * ws * (variation.tr_u - variation.h) / K
         rhs += np.concatenate([matvec(trace_adjoint(mesh), bulk_src), surf_src])
         solve = self.bands.factor(self.jac_map.values(diagonal, coupling))
         if solve is None:
@@ -492,8 +503,8 @@ class _TransmissionStepper(_Stepper):
         self.lift_adjoint = lift.T
         self.metric = (self.lift_adjoint @ sp.diags(self.joint_mass) @ lift).tocsr()
         self.jac_map = jacobian_map(mesh, self.K, self.alpha)
-        self.bands = RingBands(self.jac_map.pattern(), mesh.rings[:mesh.n_bulk],
-                               mesh.angular_period)
+        self.pattern = self.jac_map.pattern()
+        self.bands = RingBands(self.pattern, mesh.rings[:mesh.n_bulk], mesh.angular_period)
 
     def surface_of(self, u: np.ndarray) -> np.ndarray:
         return (matvec(self.tr, u) - self.eta) / self.alpha
@@ -524,7 +535,8 @@ def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
     """One time step of the Robin system; acceptance requires the discrete
     energy not to increase."""
     stepper = _RobinStepper(mesh, spec, K)
-    new, diag, *_ = stepper.advance(state, stepper.report(state), *stepper.evaluate(state),
+    functional, variation = stepper.evaluate(state)
+    new, diag, *_ = stepper.advance(state, variation_energy(variation), functional, variation,
                                     dt, scheme, newton_tol=newton_tol,
                                     newton_max_iter=newton_max_iter,
                                     reject_energy_increase=reject_energy_increase)
@@ -591,9 +603,9 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     checkpoint cadences and keep_states. A FieldPair start is sampled at
     t = 0; a Checkpoint start continues that exact loop state, and the record
     then holds only the samples after it, bitwise equal to the original run.
-    The energy report, the functional and the variation of each accepted
-    state are computed once: they are the recorded sample, and the next
-    step's starting energy, first Newton residual and first Jacobian; a
+    The variation of each accepted state is computed once, and its energy
+    report and functional from it: they are the recorded sample, and the
+    next step's starting energy, first Newton residual and first Jacobian; a
     Checkpoint start computes them from its state, a pure function of it.
     on_checkpoint, when given, is called with each checkpoint as the loop
     reaches it, so a run that stops early keeps every checkpoint before the
@@ -625,8 +637,8 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     else:
         state, t, step = start, 0.0, 0
         dt_policy, streak = config.dt, 0
-    report = stepper.report(state)
     functional, variation = stepper.evaluate(state)
+    report = variation_energy(variation)
     if not isinstance(start, Checkpoint):
         rec.sample(t, state, report, functional)
 
@@ -709,7 +721,7 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
     state = initial if initial is not None else initial_state(config, mesh)
     mesh.check_bulk(state.bulk)
     mesh.check_surface(state.surface)
-    mism = (config.K * normal_derivative(mesh, state.bulk) + (stepper.tr @ state.bulk)
+    mism = (config.K * normal_derivative(mesh, state.bulk) + boundary_trace(mesh, state.bulk)
             - spec.eval("h", state.surface))
     compatibility = float(np.sqrt(mesh.surface_weights @ mism**2))
     return _integrate(stepper, config, state,

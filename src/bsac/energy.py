@@ -71,10 +71,10 @@ class EnergyReport:
                 self.surface_potential, self.robin_penalty)
 
 
-def compute_energy(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> EnergyReport:
-    u = mesh.check_bulk(state.bulk)
-    phi = mesh.check_surface(state.surface)
-    mismatch = boundary_trace(mesh, u) - spec.eval("h", phi)
+def _energy_report(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray, phi: np.ndarray,
+                   tr_u: np.ndarray, h: np.ndarray, K: float) -> EnergyReport:
+    """The energy at (u, phi), given the trace Tr u and h(phi)."""
+    mismatch = tr_u - h
     return EnergyReport(
         bulk_dirichlet=0.5 * dirichlet_form_value(mesh.bulk_faces, u),
         bulk_potential=float(mesh.bulk_weights @ spec.eval("F", u)),
@@ -82,6 +82,19 @@ def compute_energy(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: floa
         surface_potential=float(mesh.surface_weights @ spec.eval("F_G", phi)),
         robin_penalty=float(mesh.surface_weights @ mismatch**2) / (2.0 * K),
     )
+
+
+def compute_energy(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> EnergyReport:
+    u = mesh.check_bulk(state.bulk)
+    phi = mesh.check_surface(state.surface)
+    return _energy_report(mesh, spec, u, phi, boundary_trace(mesh, u), spec.eval("h", phi), K)
+
+
+def variation_energy(variation: Variation) -> EnergyReport:
+    """compute_energy at the state of variation, bit for bit, reading the
+    trace and h(phi) its pass holds instead of evaluating them again."""
+    return _energy_report(variation.mesh, variation.spec, variation.u, variation.phi,
+                          variation.tr_u, variation.h, variation.K)
 
 
 def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> DualVector:

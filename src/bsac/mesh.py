@@ -184,19 +184,26 @@ def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
 _MATVEC_KERNELS = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
 
 
-def matvec(a: sp.csr_matrix | sp.csc_matrix, x: np.ndarray) -> np.ndarray:
+def matvec(a: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
+           data: np.ndarray | None = None) -> np.ndarray:
     """a @ x for a CSR or CSC matrix a and a vector x, by the compiled kernel
     that scipy's own product calls, so bitwise the same, without its
     dispatch, which costs about as much as the product on the small
-    operators of a Newton iteration. Other formats raise TypeError."""
+    operators of a Newton iteration. With data, the product with the matrix
+    of a's pattern whose stored values are data, without building it. Other
+    formats raise TypeError."""
     kernel = _MATVEC_KERNELS.get(a.format)
     if kernel is None:
         raise TypeError(f"matvec needs a CSR or CSC matrix, got {a.format}")
+    if data is None:
+        data = a.data
+    elif data.shape != a.data.shape:
+        raise ValueError(f"matvec with {data.shape} values on a pattern of {a.data.shape}")
     m, n = a.shape
     if x.shape != (n,):
         raise ValueError(f"matvec of a {a.shape} matrix with a vector of shape {x.shape}")
-    out = np.zeros(m, dtype=np.promote_types(a.dtype, x.dtype))
-    kernel(m, n, a.indptr, a.indices, a.data, x, out)
+    out = np.zeros(m, dtype=np.promote_types(data.dtype, x.dtype))
+    kernel(m, n, a.indptr, a.indices, data, x, out)
     return out
 
 

@@ -177,6 +177,8 @@ class RingBands:
         self.exact = period == 1
         self.order = np.argsort(rings, kind="stable")
         self.place = np.argsort(self.order)     # the inverse permutation
+        # every disk layout is ring by ring already, and its solves gather nothing
+        self.in_order = np.array_equal(self.order, np.arange(n))
         ring, angle = np.divmod(self.place, period)
         entries = pattern.tocoo()           # entries in the order of pattern.data
         row, col = ring[entries.row], ring[entries.col]
@@ -251,21 +253,36 @@ class RingBands:
 
     def factor(self, data: np.ndarray):
         """The solve with the angle average of the matrix whose stored values
-        are data, or None when its band factor is singular."""
+        are data, or None when its band factor is singular. With more than
+        one angle, the rfft of the right-hand side is written, its real and
+        imaginary parts as the two columns and the modes one after the
+        other, into one Fortran-ordered buffer that dgbtrs solves in place,
+        and the solution's modes into one complex array for irfft."""
         (n_rings, period, _), w = self.sizes, self.width
         band = self._band(data)
         lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=1)
+        if info > 0:
+            return None
+        if period == 1:
+            def solve(r: np.ndarray) -> np.ndarray:
+                x, _ = dgbtrs(lu, w, w, r[self.order].reshape(n_rings, 1), pivots)
+                return x.ravel()[self.place]
+            return solve
+        n_modes = period // 2 + 1
+        parts = np.empty((2, n_modes, n_rings))     # [part, mode, ring]; (n_cols, 2) in F order
+        modes = np.empty((n_rings, n_modes), dtype=complex)
 
         def solve(r: np.ndarray) -> np.ndarray:
-            x = r[self.order].reshape(n_rings, period)
-            if period > 1:
-                x = np.fft.rfft(x).T.ravel()
-                x = np.column_stack([x.real, x.imag])
-            x, _ = dgbtrs(lu, w, w, x.reshape(band.shape[1], -1), pivots)
-            if period > 1:
-                x = np.fft.irfft((x[:, 0] + 1j * x[:, 1]).reshape(-1, n_rings).T, period)
-            return x.ravel()[self.place]
-        return None if info > 0 else solve
+            x = r if self.in_order else r[self.order]
+            spectrum = np.fft.rfft(x.reshape(n_rings, period))
+            parts[0] = spectrum.real.T
+            parts[1] = spectrum.imag.T
+            dgbtrs(lu, w, w, parts.reshape(2, -1).T, pivots, overwrite_b=1)
+            modes.real = parts[0].T
+            modes.imag = parts[1].T
+            x = np.fft.irfft(modes, period).ravel()
+            return x if self.in_order else x[self.place]
+        return solve
 
 
 @dataclass(frozen=True)
@@ -351,8 +368,9 @@ class Variation:
     coefficients of its second: one pass over the state, in which every
     pointwise term is evaluated once.
 
-    Built, it holds the gradient (energy.compute_gradient), from f(u),
-    f_G(phi), h(phi), h'(phi) and Tr u. The reaction terms f'(u), f_G'(phi)
+    Built, it holds the gradient (energy.compute_gradient), and the f(u),
+    f_G(phi), h(phi), h'(phi) and Tr u it comes from, which the energy
+    report and the semi-implicit step read too. The reaction terms f'(u), f_G'(phi)
     and the cross term h''(phi) (h(phi) - Tr u) / K are evaluated on the
     first read of reactions, and the coefficients of assemble_linearized on
     the first read of coefficients, reusing h, h' and Tr u: a state whose
@@ -367,12 +385,14 @@ class Variation:
         self.tr_u = matvec(trace_matrix(mesh), u)
         self.h = spec.eval("h", phi)
         self.hp = spec.eval("h'", phi)
+        self.f = spec.eval("f", u)
+        self.f_G = spec.eval("f_G", phi)
         weighted_mismatch = mesh.surface_weights * (self.tr_u - self.h) / K
         g_bulk = (matvec(bulk_dirichlet_stiffness(mesh).matrix, u)
-                  + mesh.bulk_weights * spec.eval("f", u)
+                  + mesh.bulk_weights * self.f
                   + matvec(trace_adjoint(mesh), weighted_mismatch))
         g_surf = (matvec(surface_stiffness(mesh).matrix, phi)
-                  + mesh.surface_weights * spec.eval("f_G", phi)
+                  + mesh.surface_weights * self.f_G
                   - self.hp * weighted_mismatch)
         self.gradient = DualVector(g_bulk, g_surf)
 

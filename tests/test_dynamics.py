@@ -35,6 +35,7 @@ from bsac import (
 from bsac import dynamics, operators
 from bsac.dynamics import _integrate, _RobinStepper, _TransmissionStepper
 from bsac.errors import StepFailure
+from bsac.mesh import matvec
 from bsac.operators import RieszMap
 
 from conftest import jacobian_at, random_pair
@@ -464,6 +465,7 @@ def test_default_disk_run_needs_no_factor(monkeypatch):
     # on the band solve of the Jacobian's angle average
     runs, pcg = [], dynamics._pcg
     passes, variation = [], dynamics.Variation
+    matrices, matrix = [], operators.JacobianMap.matrix
 
     def counted(*args):
         runs.append(pcg(*args))
@@ -473,10 +475,18 @@ def test_default_disk_run_needs_no_factor(monkeypatch):
         passes.append(None)
         return variation(*args)
 
+    def counted_matrix(*args):
+        matrices.append(None)
+        return matrix(*args)
+
     monkeypatch.setattr(dynamics, "_pcg", counted)
     monkeypatch.setattr(dynamics, "Variation", counted_pass)
+    monkeypatch.setattr(operators.JacobianMap, "matrix", counted_matrix)
     diagnostics = run_trajectory(RunConfig(checkpoint_every=0)).diagnostics
     assert (diagnostics["accepted"], diagnostics["newton_iterations"]) == (109, 194)
+    # the stepper's pattern is the one sparse matrix of the run: CG's
+    # products run on it with each iteration's values
+    assert len(matrices) == 1
     # each Newton iterate is evaluated once, the initial state too: the
     # record and the next step reuse the last iterate's pass
     assert diagnostics["rejected"] == 0 and len(passes) == 194 + 1
@@ -489,7 +499,9 @@ def test_default_disk_run_needs_no_factor(monkeypatch):
 def test_interval_run_evaluates_each_iterate_once(dw_spec, monkeypatch):
     # one pointwise pass per Newton iterate and the initial state; each
     # Jacobian reads the coefficients of the pass at its iterate, so f',
-    # f_G' and h'' are evaluated once per Jacobian and h' once per pass
+    # f_G' and h'' are evaluated once per Jacobian, and each energy report
+    # reads h and the trace of its state's pass, so h and h' are evaluated
+    # once per pass
     passes, variation = [], dynamics.Variation
     names, evaluate = [], NonlinearitySpec.eval
 
@@ -514,8 +526,37 @@ def test_interval_run_evaluates_each_iterate_once(dw_spec, monkeypatch):
     assert diagnostics["accepted"] == 50 and newton > 50
     assert len(passes) == newton + 1
     counts = Counter(names)
-    assert counts["h'"] == newton + 1
+    # run_trajectory's compatibility residual of the initial state adds one h
+    assert counts["h"] - 1 == counts["h'"] == newton + 1
     assert counts["f'"] == counts["f_G'"] == counts["h''"] == newton
+
+
+@pytest.mark.parametrize("coupling", ["affine", "tanh"])
+def test_semi_implicit_run_evaluates_each_state_once(coupling, monkeypatch):
+    # the explicit terms of a step are those of its state's pass: f and f_G
+    # once per state, and for a coupling that is not affine h and h' too
+    passes, variation = [], dynamics.Variation
+    names, evaluate = [], NonlinearitySpec.eval
+
+    def counted_pass(*args):
+        passes.append(None)
+        return variation(*args)
+
+    def counted_eval(spec, name, x):
+        names.append(name)
+        return evaluate(spec, name, x)
+
+    monkeypatch.setattr(dynamics, "Variation", counted_pass)
+    monkeypatch.setattr(NonlinearitySpec, "eval", counted_eval)
+    config = RunConfig(geometry="interval", n=64, scheme="stabilized_semi_implicit",
+                       t_final=5.0, checkpoint_every=0, spec=make_spec(coupling_kind=coupling))
+    diagnostics = run_trajectory(config).diagnostics
+    steps = diagnostics["accepted"] + diagnostics["rejected"]
+    assert steps > 10 and len(passes) == steps + 1
+    counts = Counter(names)
+    assert counts["f"] == counts["f_G"] == counts["h'"] == steps + 1
+    # and one h for run_trajectory's compatibility residual
+    assert counts["h"] == steps + 2
 
 
 def assert_dual_norms_are_the_states(stepper, record):
@@ -575,8 +616,9 @@ def test_singular_semi_implicit_band_factor_is_a_step_failure(dw_spec, monkeypat
     mesh = build_interval(1.0, 16)
     stepper = _RobinStepper(mesh, dw_spec, 1.0)
     monkeypatch.setattr(stepper.bands, "factor", lambda data: None)
+    state = smoothed_random_state(mesh, 1)
     with pytest.raises(StepFailure, match="band factor is singular"):
-        stepper.semi_implicit_step(smoothed_random_state(mesh, 1), 0.05)
+        stepper.semi_implicit_step(state, stepper.evaluate(state)[1], 0.05)
 
 
 @pytest.mark.parametrize("coupling", ["affine", "tanh"])
@@ -591,7 +633,8 @@ def test_semi_implicit_step_builds_no_sparse_matrix(mesh_name, coupling, request
         raise AssertionError("a sparse matrix was built")
 
     monkeypatch.setattr(operators.JacobianMap, "matrix", no_matrix)
-    new, _ = stepper.semi_implicit_step(smoothed_random_state(mesh, 4), 0.05)
+    state = smoothed_random_state(mesh, 4)
+    new, _ = stepper.semi_implicit_step(state, stepper.evaluate(state)[1], 0.05)
     assert np.all(np.isfinite(new.joint()))
 
 
@@ -644,7 +687,7 @@ def test_krylov_failure_falls_back_to_a_fresh_factor(disk_mid, dw_spec, monkeypa
     built = stepper.factorizations
     iterations = []
 
-    def stalled(matrix, b, precondition, rtol, max_iter):
+    def stalled(product, b, precondition, rtol, max_iter):
         iterations.append(max_iter)
         return np.zeros_like(b), max_iter, False
 
@@ -661,7 +704,8 @@ def test_pcg_is_scipy_cg_step_for_step(disk_mid, dw_spec):
     lu = spla.splu(stepper.jac_map.matrix(jacobian_at(stepper, y, 0.05)),
                    permc_spec="MMD_AT_PLUS_A")
     # five iterations at dt = 0.06
-    jac = stepper.jac_map.matrix(jacobian_at(stepper, y, 0.06))
+    data = jacobian_at(stepper, y, 0.06)
+    jac = stepper.jac_map.matrix(data)
     rhs = -stepper.residual(y, y + 0.01, 0.06, stepper.evaluate(stepper.state_of(y))[0])
     converged = []
     for max_iter in (dynamics.KRYLOV_MAX_ITER, 2):
@@ -669,7 +713,9 @@ def test_pcg_is_scipy_cg_step_for_step(disk_mid, dw_spec):
         expected, info = spla.cg(jac, rhs, rtol=dynamics.KRYLOV_RTOL, maxiter=max_iter,
                                  M=spla.LinearOperator(jac.shape, lu.solve),
                                  callback=steps.append)
-        x, iterations, ok = dynamics._pcg(jac, rhs, lu.solve, dynamics.KRYLOV_RTOL, max_iter)
+        # the product the stepper gives _pcg: the kernel on the pattern, no matrix
+        x, iterations, ok = dynamics._pcg(lambda p: matvec(stepper.pattern, p, data), rhs,
+                                          lu.solve, dynamics.KRYLOV_RTOL, max_iter)
         assert np.array_equal(x, expected)
         assert ok == (info == 0)
         assert iterations == len(steps)

@@ -16,8 +16,10 @@ from bsac import (
     energy_identity_residual,
     make_spec,
 )
+from bsac.energy import variation_energy
 from bsac.nonlinearity import CouplingFamily, NonlinearitySpec, PotentialFamily
 from bsac.nonlinearity import validate_assumptions
+from bsac.operators import Variation
 
 from conftest import random_pair
 
@@ -78,6 +80,19 @@ def test_linear_profile_energy_parts(dw_spec):
     ref_surf = float(fine.surface_weights @ ((1 - np.cos(ftheta) ** 2) ** 2 / 4))
     assert rep.bulk_potential == pytest.approx(ref_bulk, rel=1e-3)
     assert rep.surface_potential == pytest.approx(ref_surf, rel=1e-3)
+
+
+@pytest.mark.parametrize("coupling", ["affine", "tanh"])
+@pytest.mark.parametrize("geometry", ["disk", "interval"])
+def test_variation_energy_is_compute_energy_bit_for_bit(geometry, coupling):
+    # the time loop's report, from the trace and h(phi) of the state's pass
+    mesh = build_disk(1.0, 6, 12) if geometry == "disk" else build_interval(1.0, 20)
+    spec = make_spec(coupling_kind=coupling)
+    rng = np.random.default_rng(11)
+    for K in (1.0, 0.03):
+        state = random_pair(mesh, rng)
+        report = variation_energy(Variation(mesh, spec, state, K))
+        assert report == compute_energy(mesh, spec, state, K)
 
 
 def test_gradient_zero_at_both_uniform_critical_points(dw_spec):

@@ -14,9 +14,11 @@ from bsac import (
     normal_derivative,
     trace_matrix,
 )
-from bsac.dynamics import _TransmissionStepper
+from bsac.dynamics import _RobinStepper, _TransmissionStepper
 from bsac.mesh import matvec, trace_adjoint
 from bsac.operators import bulk_dirichlet_stiffness, jacobian_map, surface_stiffness
+
+from conftest import jacobian_at, random_pair
 
 
 def test_disk_counts_and_exact_area():
@@ -169,3 +171,19 @@ def test_matvec_is_scipys_product_bit_for_bit(geometry, dw_spec, disk_small):
         matvec(trace_matrix(mesh).tocoo(), np.ones(mesh.n_bulk))
     with pytest.raises(ValueError):
         matvec(trace_matrix(mesh), np.ones(mesh.n_bulk + 1))
+
+
+@pytest.mark.parametrize("geometry", ["disk", "interval"])
+def test_matvec_with_values_on_a_pattern_is_that_matrixs_product(geometry, dw_spec,
+                                                                   disk_small):
+    # CG's product: the Jacobian's values on its stepper's pattern, no matrix built
+    mesh = disk_small if geometry == "disk" else build_interval(1.0, 24)
+    rng = np.random.default_rng(3)
+    for stepper in (_RobinStepper(mesh, dw_spec, 0.5), _TransmissionStepper(mesh, dw_spec)):
+        y = stepper.unknowns(random_pair(mesh, rng))
+        data = jacobian_at(stepper, y, 0.1)
+        x = rng.standard_normal(y.size)
+        assert np.array_equal(matvec(stepper.pattern, x, data),
+                              stepper.jac_map.matrix(data) @ x)
+        with pytest.raises(ValueError):
+            matvec(stepper.pattern, x, data[1:])

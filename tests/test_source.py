@@ -4,9 +4,10 @@ knows the geometry of a mesh or touches its operator memo, the only sparse
 factorization of the package is dynamics.py's counted splu helper, neither
 the steppers nor the recorder build a sparse matrix, apply an operator
 through scipy's @ or evaluate the nonlinearity outside the one pass per
-iterate, per Newton iteration or per step, and the Fourier block eigensolve
-solves each mode as one standard problem through scipy.linalg.eigh, the only
-dense eigensolve of the package."""
+iterate, per Newton iteration or per step (CG's loop included), the Fourier
+block eigensolve solves each mode as one standard problem through
+scipy.linalg.eigh, the only dense eigensolve of the package, and every demo
+pins one BLAS thread before it imports numpy."""
 
 import ast
 from collections import Counter
@@ -125,6 +126,42 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(uncalled_public_names(modules, outside)) == sorted(UNCALLED_PUBLIC)
 
 
+BLAS_THREAD_VARIABLES = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+
+def pins_blas_before_numpy(source: str) -> bool:
+    """Whether a loop over the BLAS_THREAD_VARIABLES that sets os.environ
+    runs before the script's first import of numpy, scipy or bsac."""
+    pinned = False
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                a.name for a in node.names]
+            if any(str(name).partition(".")[0] in ("numpy", "scipy", "bsac") for name in names):
+                return pinned
+        elif isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+            variables = {getattr(e, "value", None) for e in node.iter.elts}
+            pinned |= variables == BLAS_THREAD_VARIABLES and "os.environ[" in ast.unparse(node)
+    return pinned
+
+
+def test_detector_sees_the_blas_pin_before_numpy():
+    pin = ('import os\nfor v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", '
+           '"MKL_NUM_THREADS"):\n    os.environ[v] = "1"\n')
+    assert pins_blas_before_numpy(pin + "import numpy as np\n")
+    assert pins_blas_before_numpy('"""doc"""\nimport argparse\n' + pin + "from bsac import x\n")
+    assert not pins_blas_before_numpy("import numpy as np\n" + pin)
+    assert not pins_blas_before_numpy(pin.replace('"MKL_NUM_THREADS"', "") + "import scipy\n")
+    assert not pins_blas_before_numpy("import os\nimport scipy.sparse\n")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demos_pin_one_blas_thread_before_numpy(path):
+    # as tests/conftest.py and the benchmark do: a BLAS pool with a thread
+    # per core slows the eigensolver's small dense solves down
+    assert pins_blas_before_numpy(path.read_text(encoding="utf-8"))
+
+
 def mesh_internals(source: str) -> list:
     """Attribute accesses named `cache`, and reads of `geometry` on a mesh."""
     found = []
@@ -197,13 +234,21 @@ def test_no_module_factors_outside_the_counted_helper(path):
 # fixed-pattern map, and the band solves are built from those values alone
 PER_ITERATION = ("jacobian", "residual", "evaluate", "_solver", "implicit_step",
                  "stationary", "advance", "sample", "state_of", "surface_of")
+# the module-level functions that run inside them: CG's loop
+PER_ITERATION_FUNCTIONS = ("_pcg",)
 
 
 def per_iteration_nodes(source: str):
     """(owner, node) for each AST node inside the PER_ITERATION methods of
-    _Stepper, of the classes derived from it, and of _Recorder; owner is
-    Class.method."""
-    for cls in ast.walk(ast.parse(source)):
+    _Stepper, of the classes derived from it, and of _Recorder, owner
+    Class.method, and inside the module-level PER_ITERATION_FUNCTIONS,
+    owner the function's name."""
+    tree = ast.parse(source)
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef) and function.name in PER_ITERATION_FUNCTIONS:
+            for node in ast.walk(function):
+                yield function.name, node
+    for cls in ast.walk(tree):
         if not (isinstance(cls, ast.ClassDef) and {"_Stepper", "_Recorder"} &
                 {cls.name, *(ast.unparse(base) for base in cls.bases)}):
             continue
@@ -214,11 +259,14 @@ def per_iteration_nodes(source: str):
 
 
 def sparse_builds_per_iteration(source: str) -> list:
-    """sp.* calls, .T and .tocsc()/.tocsr() inside the PER_ITERATION methods
-    of _Stepper, of the classes derived from it, and of _Recorder."""
+    """sp.* calls, .matrix() calls (JacobianMap.matrix wraps values in a CSC
+    matrix), .T and .tocsc()/.tocsr() inside the PER_ITERATION methods of
+    _Stepper, of the classes derived from it, and of _Recorder, and inside
+    the PER_ITERATION_FUNCTIONS."""
     return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and ast.unparse(node.func.value) in ("sp", "scipy.sparse")
+            and (ast.unparse(node.func.value) in ("sp", "scipy.sparse")
+                 or node.func.attr == "matrix")
             or isinstance(node, ast.Attribute) and node.attr in ("T", "tocsc", "tocsr")]
 
 
@@ -241,13 +289,31 @@ def test_detector_sees_sparse_builds_in_stepper_methods():
         "_Recorder.sample: sp.diags(s)"]
 
 
+def test_detector_sees_jacobian_matrices_in_stepper_methods():
+    source = ("def _pcg(a, b):\n    return jac.matrix(b)\n"
+              "def helper(m, d):\n    return m.matrix(d)\n"
+              "class _Stepper:\n    def _solver(self, data, rtol):\n"
+              "        def solve(b):\n            return self.jac_map.matrix(data) @ b\n"
+              "        return solve\n"
+              "    def _factor(self, data):\n        return splu(self.jac_map.matrix(data))\n"
+              "class _Robin(_Stepper):\n    def stationary(self, y):\n"
+              "        return self.jac_map.matrix\n"
+              "    def advance(self, s):\n        return self.matrix(s).T\n")
+    assert sparse_builds_per_iteration(source) == [
+        "_pcg: jac.matrix(b)", "_Stepper._solver: self.jac_map.matrix(data)",
+        "_Robin.advance: self.matrix(s).T", "_Robin.advance: self.matrix(s)"]
+
+
 def test_steppers_build_no_sparse_matrix_per_iteration():
+    # the Jacobian's CSC matrix is built only by _factor, the counted LU
+    # fallback; CG applies the values through mesh.matvec on the pattern
     assert sparse_builds_per_iteration((SRC / "dynamics.py").read_text(encoding="utf-8")) == []
 
 
 def dispatch_and_evals_per_iteration(source: str) -> list:
     """Uses of the @ operator, and calls of a spec's eval, inside the
-    PER_ITERATION methods of _Stepper, its subclasses and _Recorder."""
+    PER_ITERATION methods of _Stepper, its subclasses and _Recorder, and
+    inside the PER_ITERATION_FUNCTIONS."""
     return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
             if isinstance(node, (ast.BinOp, ast.AugAssign))
             and isinstance(node.op, ast.MatMult)
@@ -269,6 +335,16 @@ def test_detector_sees_products_and_evals_in_stepper_methods():
         "_Stepper.jacobian: self.a @ y", "_Robin.residual: y @= self.m",
         "_Robin.evaluate: self.spec.eval('h', s)", '_Robin.stationary: spec.eval("h\'", z)',
         "_Recorder.sample: t @ s"]
+
+
+def test_detector_sees_products_in_the_cg_loop():
+    source = ("def _pcg(matrix, b, precondition):\n    p = precondition(b)\n"
+              "    for _ in range(3):\n        q = matrix @ p\n        p @= q\n"
+              "    return spec.eval('f', p)\n"
+              "def _cg_setup(a, b):\n    return a @ b\n"
+              "class Other:\n    def _pcg(self, a, b):\n        return a @ b\n")
+    assert dispatch_and_evals_per_iteration(source) == [
+        "_pcg: p @= q", "_pcg: spec.eval('f', p)", "_pcg: matrix @ p"]
 
 
 def test_steppers_use_matvec_and_the_single_pass_per_iteration():

@@ -167,7 +167,7 @@ def test_stalled_tag_solves_fall_back_to_the_counted_factor(dw_spec, disk_mid, m
     guess = uniform_guess(disk_mid, 0.9)
     cg = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
 
-    def stalled(matrix, b, precondition, rtol, max_iter):
+    def stalled(product, b, precondition, rtol, max_iter):
         return np.zeros_like(b), max_iter, False
 
     monkeypatch.setattr(dynamics, "_pcg", stalled)

@@ -5,12 +5,7 @@ table of the energy split, the dissipation recorded per step, and the final
 balance check E(0) - E(T) vs the integrated dissipation.
 """
 
-import os
-
-# One BLAS thread, set before numpy is first imported: the small dense solves
-# of the eigensolver get slower, not faster, on a pool that spins on every core.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _one_blas_thread  # noqa: F401  before numpy
 
 import numpy as np
 

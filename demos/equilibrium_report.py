@@ -5,12 +5,7 @@ the dual norm, then searches for the mode count m whose eigenvalue floor
 clears 8 c_* so the shifted linearization is provably coercive.
 """
 
-import os
-
-# One BLAS thread, set before numpy is first imported: the small dense solves
-# of the eigensolver get slower, not faster, on a pool that spins on every core.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _one_blas_thread  # noqa: F401  before numpy
 
 import argparse
 

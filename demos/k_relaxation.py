@@ -5,12 +5,7 @@ hard constraint (trace of bulk) = (coupling of surface), with the state gap
 scaling like K^0.5 and the boundary mismatch like K^1.
 """
 
-import os
-
-# One BLAS thread, set before numpy is first imported: the small dense solves
-# of the eigensolver get slower, not faster, on a pool that spins on every core.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _one_blas_thread  # noqa: F401  before numpy
 
 import numpy as np
 

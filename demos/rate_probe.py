@@ -6,12 +6,7 @@ inequality), and the distance tail should sit under a polynomial envelope
 whose exponent comes from the fitted theta.
 """
 
-import os
-
-# One BLAS thread, set before numpy is first imported: the small dense solves
-# of the eigensolver get slower, not faster, on a pool that spins on every core.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _one_blas_thread  # noqa: F401  before numpy
 
 import numpy as np
 

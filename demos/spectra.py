@@ -7,12 +7,7 @@ so the discrete pair can be checked against scalar root finding, including
 the second-order convergence of the error under mesh refinement.
 """
 
-import os
-
-# One BLAS thread, set before numpy is first imported: the small dense solves
-# of the eigensolver get slower, not faster, on a pool that spins on every core.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import _one_blas_thread  # noqa: F401  before numpy
 
 import numpy as np
 import scipy.optimize

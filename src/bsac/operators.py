@@ -157,7 +157,10 @@ class RingBands:
     """Band solves with the angle average of matrices on one sparse pattern.
 
     Sorted by rings, the ring of each unknown of the pattern, the unknowns
-    run ring by ring, each through its period angles. The mean of the
+    run ring by ring, each through its period angles. With more than one
+    angle they must run so already (every disk layout does, bulk, surface
+    and transmission), and a solve gathers nothing; another order raises
+    ValueError. With one angle any order is sorted. The mean of the
     entries over the angle, per ring pair and angular offset, is the nearest
     matrix the angular shift leaves unchanged (Chan, SISSC 9, 1988). Its
     Fourier transform along the angle, a cosine sum over the pattern's
@@ -176,9 +179,9 @@ class RingBands:
         n = pattern.shape[0]
         self.exact = period == 1
         self.order = np.argsort(rings, kind="stable")
+        if period > 1 and not np.array_equal(self.order, np.arange(n)):
+            raise ValueError(f"the unknowns of a {period}-angle layout must run ring by ring")
         self.place = np.argsort(self.order)     # the inverse permutation
-        # every disk layout is ring by ring already, and its solves gather nothing
-        self.in_order = np.array_equal(self.order, np.arange(n))
         ring, angle = np.divmod(self.place, period)
         entries = pattern.tocoo()           # entries in the order of pattern.data
         row, col = ring[entries.row], ring[entries.col]
@@ -257,7 +260,9 @@ class RingBands:
         one angle, the rfft of the right-hand side is written, its real and
         imaginary parts as the two columns and the modes one after the
         other, into one Fortran-ordered buffer that dgbtrs solves in place,
-        and the solution's modes into one complex array for irfft."""
+        and the solution's modes into one complex array for irfft. The
+        buffers are the solve's own, so one solve must end before the next
+        starts: it is not reentrant."""
         (n_rings, period, _), w = self.sizes, self.width
         band = self._band(data)
         lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=1)
@@ -273,15 +278,14 @@ class RingBands:
         modes = np.empty((n_rings, n_modes), dtype=complex)
 
         def solve(r: np.ndarray) -> np.ndarray:
-            x = r if self.in_order else r[self.order]
-            spectrum = np.fft.rfft(x.reshape(n_rings, period))
+            spectrum = np.fft.rfft(r.reshape(n_rings, period))
             parts[0] = spectrum.real.T
             parts[1] = spectrum.imag.T
-            dgbtrs(lu, w, w, parts.reshape(2, -1).T, pivots, overwrite_b=1)
-            modes.real = parts[0].T
-            modes.imag = parts[1].T
-            x = np.fft.irfft(modes, period).ravel()
-            return x if self.in_order else x[self.place]
+            # parts itself, unless f2py had to copy it
+            x, _ = dgbtrs(lu, w, w, parts.reshape(2, -1).T, pivots, overwrite_b=1)
+            modes.real = x[:, 0].reshape(n_modes, n_rings).T
+            modes.imag = x[:, 1].reshape(n_modes, n_rings).T
+            return np.fft.irfft(modes, period).ravel()
         return solve
 
 

@@ -7,9 +7,12 @@ through scipy's @ or evaluate the nonlinearity outside the one pass per
 iterate, per Newton iteration or per step (CG's loop included), the Fourier
 block eigensolve solves each mode as one standard problem through
 scipy.linalg.eigh, the only dense eigensolve of the package, and every demo
-pins one BLAS thread before it imports numpy."""
+imports demos/_one_blas_thread.py, which pins one BLAS thread unless the
+caller chose a count, before it imports numpy."""
 
 import ast
+import os
+import runpy
 from collections import Counter
 from pathlib import Path
 
@@ -126,40 +129,40 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(uncalled_public_names(modules, outside)) == sorted(UNCALLED_PUBLIC)
 
 
-BLAS_THREAD_VARIABLES = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
-
-
 def pins_blas_before_numpy(source: str) -> bool:
-    """Whether a loop over the BLAS_THREAD_VARIABLES that sets os.environ
-    runs before the script's first import of numpy, scipy or bsac."""
-    pinned = False
+    """Whether the script imports demos/_one_blas_thread.py before its first
+    import of numpy, scipy or bsac."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module] if isinstance(node, ast.ImportFrom) else [
                 a.name for a in node.names]
+            if "_one_blas_thread" in names:
+                return True
             if any(str(name).partition(".")[0] in ("numpy", "scipy", "bsac") for name in names):
-                return pinned
-        elif isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
-            variables = {getattr(e, "value", None) for e in node.iter.elts}
-            pinned |= variables == BLAS_THREAD_VARIABLES and "os.environ[" in ast.unparse(node)
-    return pinned
+                return False
+    return False
 
 
 def test_detector_sees_the_blas_pin_before_numpy():
-    pin = ('import os\nfor v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", '
-           '"MKL_NUM_THREADS"):\n    os.environ[v] = "1"\n')
+    pin = "import _one_blas_thread  # noqa: F401\n"
     assert pins_blas_before_numpy(pin + "import numpy as np\n")
     assert pins_blas_before_numpy('"""doc"""\nimport argparse\n' + pin + "from bsac import x\n")
     assert not pins_blas_before_numpy("import numpy as np\n" + pin)
-    assert not pins_blas_before_numpy(pin.replace('"MKL_NUM_THREADS"', "") + "import scipy\n")
     assert not pins_blas_before_numpy("import os\nimport scipy.sparse\n")
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("[!_]*.py")), ids=lambda p: p.name)
 def test_demos_pin_one_blas_thread_before_numpy(path):
-    # as tests/conftest.py and the benchmark do: a BLAS pool with a thread
-    # per core slows the eigensolver's small dense solves down
+    # as tests/conftest.py and the benchmark do: a demo's numbers then do
+    # not depend on the core count
     assert pins_blas_before_numpy(path.read_text(encoding="utf-8"))
+
+
+def test_demo_blas_pin_keeps_the_callers_setting(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    runpy.run_path(str(ROOT / "demos" / "_one_blas_thread.py"))
+    assert (os.environ["OPENBLAS_NUM_THREADS"], os.environ["MKL_NUM_THREADS"]) == ("2", "1")
 
 
 def mesh_internals(source: str) -> list:

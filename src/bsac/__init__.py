@@ -17,11 +17,10 @@ from .nonlinearity import (CouplingFamily, NonlinearitySpec, PotentialFamily,
                            ValidationReport, make_spec, validate_assumptions)
 from .mesh import (Mesh, boundary_trace, build_disk, build_interval,
                    build_mesh, normal_derivative, trace_matrix)
-from .operators import (DiscreteOperator, DualVector, RieszMap,
+from .operators import (DiscreteOperator, DualVector, RieszMap, Variation,
                         assemble_bulk_laplacian, assemble_linearized,
                         assemble_surface_shifted_pair,
-                        assemble_wentzell_robin_pair, joint_mass,
-                        linearized_lower_bound)
+                        assemble_wentzell_robin_pair, joint_mass)
 from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
                      energy_identity_residual, h_norm, v_norm, w_norm)
 from .dynamics import (Checkpoint, RunConfig, StepDiagnostics,

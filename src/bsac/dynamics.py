@@ -153,8 +153,8 @@ class RunConfig:
             (self.init_kind in ("smoothed_noise", "constant"),
              f"unknown init_kind {self.init_kind!r}"),
             (self.init_smoothing >= 0, "init_smoothing must be nonnegative"),
-            (self.sample_every >= 1 and self.checkpoint_every >= 0,
-             "sampling cadences must be positive"),
+            (self.sample_every >= 1, "sample_every must be at least 1"),
+            (self.checkpoint_every >= 0, "checkpoint_every must be nonnegative"),
         ]
         problems = [message for ok, message in checks if not ok]
         if problems:
@@ -688,10 +688,14 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
 
 
 def _check_checkpoint(stepper: _Stepper, config: RunConfig, cp: Checkpoint) -> None:
-    """A checkpoint start must be finite, within [dt_min, dt_max], where the
-    loop keeps dt_policy, and sized for stepper."""
+    """A checkpoint start must be finite, its step, accept_streak and time
+    nonnegative and its dt_policy within [dt_min, dt_max], as the loop keeps
+    them, and its state sized for stepper."""
     if not (math.isfinite(cp.time) and math.isfinite(cp.dt_policy)):
         raise InputError("checkpoint time and dt_policy must be finite")
+    for name in ("step", "accept_streak", "time"):
+        if getattr(cp, name) < 0:
+            raise InputError(f"checkpoint {name} {getattr(cp, name)!r} is negative")
     if not cp.dt_policy >= config.dt_min:
         raise InputError(f"checkpoint dt_policy {cp.dt_policy!r} is below "
                          f"dt_min {config.dt_min!r}")

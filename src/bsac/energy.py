@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .mesh import Mesh, boundary_trace
+from .mesh import Mesh
 from .nonlinearity import NonlinearitySpec
 from .operators import (DualVector, Variation, bulk_dirichlet_stiffness,
                         dirichlet_form_value, surface_stiffness)
@@ -71,30 +71,22 @@ class EnergyReport:
                 self.surface_potential, self.robin_penalty)
 
 
-def _energy_report(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray, phi: np.ndarray,
-                   tr_u: np.ndarray, h: np.ndarray, K: float) -> EnergyReport:
-    """The energy at (u, phi), given the trace Tr u and h(phi)."""
-    mismatch = tr_u - h
+def compute_energy(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> EnergyReport:
+    return variation_energy(Variation(mesh, spec, state, K))
+
+
+def variation_energy(variation: Variation) -> EnergyReport:
+    """The energy at the state of variation, reading the trace and h(phi)
+    its pass holds instead of evaluating them again."""
+    mesh, spec, u, phi = variation.mesh, variation.spec, variation.u, variation.phi
+    mismatch = variation.tr_u - variation.h
     return EnergyReport(
         bulk_dirichlet=0.5 * dirichlet_form_value(mesh.bulk_faces, u),
         bulk_potential=float(mesh.bulk_weights @ spec.eval("F", u)),
         surface_dirichlet=0.5 * dirichlet_form_value(mesh.surface_faces, phi),
         surface_potential=float(mesh.surface_weights @ spec.eval("F_G", phi)),
-        robin_penalty=float(mesh.surface_weights @ mismatch**2) / (2.0 * K),
+        robin_penalty=float(mesh.surface_weights @ mismatch**2) / (2.0 * variation.K),
     )
-
-
-def compute_energy(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> EnergyReport:
-    u = mesh.check_bulk(state.bulk)
-    phi = mesh.check_surface(state.surface)
-    return _energy_report(mesh, spec, u, phi, boundary_trace(mesh, u), spec.eval("h", phi), K)
-
-
-def variation_energy(variation: Variation) -> EnergyReport:
-    """compute_energy at the state of variation, bit for bit, reading the
-    trace and h(phi) its pass holds instead of evaluating them again."""
-    return _energy_report(variation.mesh, variation.spec, variation.u, variation.phi,
-                          variation.tr_u, variation.h, variation.K)
 
 
 def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> DualVector:
@@ -122,9 +114,9 @@ def part_norm(weights: np.ndarray, values: np.ndarray) -> float:
 
 def v_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:
     """Product first-order norm (L2 plus Dirichlet forms)."""
-    q = ((mesh.bulk_weights @ bulk**2) + bulk @ (bulk_dirichlet_stiffness(mesh).matrix @ bulk)
+    q = ((mesh.bulk_weights @ bulk**2) + bulk @ (bulk_dirichlet_stiffness(mesh) @ bulk)
          + (mesh.surface_weights @ surface**2)
-         + surface @ (surface_stiffness(mesh).matrix @ surface))
+         + surface @ (surface_stiffness(mesh) @ surface))
     return float(np.sqrt(max(q, 0.0)))
 
 
@@ -135,8 +127,8 @@ def w_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:
     mesh this is a genuine norm and is used only inside rate-bound checks
     where the fitted constant absorbs equivalence factors.
     """
-    lap_b = (bulk_dirichlet_stiffness(mesh).matrix @ bulk) / mesh.bulk_weights
-    lap_s = (surface_stiffness(mesh).matrix @ surface) / mesh.surface_weights
+    lap_b = (bulk_dirichlet_stiffness(mesh) @ bulk) / mesh.bulk_weights
+    lap_s = (surface_stiffness(mesh) @ surface) / mesh.surface_weights
     q = (v_norm(mesh, bulk, surface) ** 2
          + (mesh.bulk_weights @ lap_b**2) + (mesh.surface_weights @ lap_s**2))
     return float(np.sqrt(max(q, 0.0)))

@@ -1,16 +1,15 @@
 """Sparse operator assembly on the finite-volume meshes.
 
-Every operator is stored at the bilinear-form level: a symmetric sparse
-matrix S together with a diagonal quadrature mass m, so that
-
-    x' S y   approximates the continuous form (Dirichlet integral, boundary
-             penalty, linearized quadratic form, ...),
-    S x / m  is the strong (pointwise) action.
+Every operator is its form matrix: a symmetric sparse matrix S such that
+x' S y approximates the continuous form (Dirichlet integral, boundary
+penalty, linearized quadratic form, ...). The diagonal quadrature weights m
+live only on the mesh (Mesh.bulk_weights, Mesh.surface_weights), and
+S x / m is the strong (pointwise) action.
 
 Storing the form keeps symmetry exact entrywise; the pointwise polar
 Laplacian is only self-adjoint against the weighted inner product, so
-symmetry must live at the form level. The same pairs feed the generalized
-eigenproblems directly.
+symmetry must live at the form level. The same matrices feed the
+generalized eigenproblems directly.
 
 Joint operators act on the concatenation [bulk values, surface values].
 """
@@ -31,10 +30,9 @@ from .nonlinearity import NonlinearitySpec
 
 @dataclass
 class DiscreteOperator:
-    """Symmetric form matrix with its diagonal quadrature companion."""
+    """One symmetric form matrix of an eigen pair."""
 
-    matrix: sp.csr_matrix | sp.csc_matrix
-    mass: np.ndarray            # diagonal quadrature weights, same dimension
+    matrix: sp.csr_matrix
 
 
 @dataclass
@@ -68,17 +66,15 @@ def dirichlet_form_value(faces, x: np.ndarray) -> float:
 
 
 @per_mesh
-def bulk_dirichlet_stiffness(mesh: Mesh) -> DiscreteOperator:
+def bulk_dirichlet_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Pure-diffusion Dirichlet form of the bulk Laplacian (no boundary terms)."""
-    return DiscreteOperator(_sym_from_faces(mesh.n_bulk, *mesh.bulk_faces),
-                            mesh.bulk_weights.copy())
+    return _sym_from_faces(mesh.n_bulk, *mesh.bulk_faces)
 
 
 @per_mesh
-def surface_stiffness(mesh: Mesh) -> DiscreteOperator:
+def surface_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Dirichlet form of the boundary Laplacian (zero in interval mode)."""
-    return DiscreteOperator(_sym_from_faces(mesh.n_surface, *mesh.surface_faces),
-                            mesh.surface_weights.copy())
+    return _sym_from_faces(mesh.n_surface, *mesh.surface_faces)
 
 
 def _robin_trace_block(mesh: Mesh, K: float) -> sp.csr_matrix:
@@ -88,7 +84,7 @@ def _robin_trace_block(mesh: Mesh, K: float) -> sp.csr_matrix:
 
 
 @per_mesh
-def assemble_bulk_laplacian(mesh: Mesh, K: float) -> DiscreteOperator:
+def assemble_bulk_laplacian(mesh: Mesh, K: float) -> sp.csr_matrix:
     """Bulk diffusion form closed by the Robin boundary flux.
 
     The matrix is S_bulk + K^-1 Tr' D_s Tr. The coupling to the surface
@@ -98,8 +94,7 @@ def assemble_bulk_laplacian(mesh: Mesh, K: float) -> DiscreteOperator:
     """
     if K <= 0:
         raise ConfigurationError("K must be positive")
-    mat = bulk_dirichlet_stiffness(mesh).matrix + _robin_trace_block(mesh, K)
-    return DiscreteOperator(mat.tocsr(), mesh.bulk_weights.copy())
+    return (bulk_dirichlet_stiffness(mesh) + _robin_trace_block(mesh, K)).tocsr()
 
 
 @per_mesh
@@ -113,10 +108,9 @@ def assemble_wentzell_robin_pair(mesh: Mesh, K: float):
     smallest eigenvalue is strictly positive; the weighted mass is positive
     definite.
     """
-    stiff = assemble_bulk_laplacian(mesh, K).matrix
     wmass = sp.diags(mesh.bulk_weights).tocsr() + _robin_trace_block(mesh, K)
-    return (DiscreteOperator(stiff, mesh.bulk_weights.copy()),
-            DiscreteOperator(wmass.tocsr(), mesh.bulk_weights.copy()))
+    return (DiscreteOperator(assemble_bulk_laplacian(mesh, K)),
+            DiscreteOperator(wmass.tocsr()))
 
 
 @per_mesh
@@ -127,9 +121,8 @@ def assemble_surface_shifted_pair(mesh: Mesh):
     to (mass, mass), whose spectrum is identically 1.
     """
     mass_mat = sp.diags(mesh.surface_weights).tocsr()
-    stiff = surface_stiffness(mesh).matrix + mass_mat
-    return (DiscreteOperator(stiff.tocsr(), mesh.surface_weights.copy()),
-            DiscreteOperator(mass_mat, mesh.surface_weights.copy()))
+    stiff = surface_stiffness(mesh) + mass_mat
+    return DiscreteOperator(stiff.tocsr()), DiscreteOperator(mass_mat)
 
 
 def joint_mass(mesh: Mesh) -> np.ndarray:
@@ -340,8 +333,8 @@ def jacobian_map(mesh: Mesh, K: float, alpha: float | None) -> JacobianMap:
     cols = np.concatenate([k, n_b + tr.row, tr.col])
     inputs = np.concatenate([k, n + tr.row, n + tr.row])
     coefs = np.concatenate([np.ones(n), tr.data, tr.data])
-    base = sp.block_diag([assemble_bulk_laplacian(mesh, K).matrix,
-                          surface_stiffness(mesh).matrix], format="csr")
+    base = sp.block_diag([assemble_bulk_laplacian(mesh, K), surface_stiffness(mesh)],
+                         format="csr")
     if alpha is not None:
         lift = trace_lift(mesh, alpha)
         base = lift.T @ base @ lift
@@ -392,10 +385,10 @@ class Variation:
         self.f = spec.eval("f", u)
         self.f_G = spec.eval("f_G", phi)
         weighted_mismatch = mesh.surface_weights * (self.tr_u - self.h) / K
-        g_bulk = (matvec(bulk_dirichlet_stiffness(mesh).matrix, u)
+        g_bulk = (matvec(bulk_dirichlet_stiffness(mesh), u)
                   + mesh.bulk_weights * self.f
                   + matvec(trace_adjoint(mesh), weighted_mismatch))
-        g_surf = (matvec(surface_stiffness(mesh).matrix, phi)
+        g_surf = (matvec(surface_stiffness(mesh), phi)
                   + mesh.surface_weights * self.f_G
                   - self.hp * weighted_mismatch)
         self.gradient = DualVector(g_bulk, g_surf)
@@ -417,21 +410,19 @@ class Variation:
         return np.concatenate([self.mesh.bulk_weights * fp, surf_react]), -s_w * hp / K
 
     def lower_bound(self) -> float:
-        """See linearized_lower_bound."""
+        """A lower bound on the spectrum of (assemble_linearized, joint_mass).
+
+        The second variation is a positive semidefinite part (both Dirichlet
+        forms and K^-1 |Tr w - h'(phi) xi|^2 weighted by D_s) plus the reaction
+        diagonals M f'(u) and D_s (f_G'(phi) + K^-1 h''(phi) (h(phi) - u|_G)).
+        Against the diagonal joint mass its Rayleigh quotient is at least the
+        smallest of their nodal ratios.
+        """
         fp, fgp, cross = self.reactions
         return float(min(np.min(fp), np.min(fgp + cross)))
 
 
-def linearized_coefficients(mesh: Mesh, spec: NonlinearitySpec, state,
-                            K: float) -> tuple[np.ndarray, np.ndarray]:
-    """The reaction diagonal and the trace coupling vector of the second
-    variation at state; see assemble_linearized."""
-    if K <= 0:
-        raise ConfigurationError("K must be positive")
-    return Variation(mesh, spec, state, K).coefficients
-
-
-def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> DiscreteOperator:
+def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> sp.csc_matrix:
     """Second variation of the energy at the given state, on the joint space.
 
     Block structure (form level, all weighted by quadrature):
@@ -444,21 +435,8 @@ def assemble_linearized(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> 
     This is the exact Jacobian of the energy gradient, including the
     second-derivative coupling term that appears for nonaffine h.
     """
-    diagonal, coupling = linearized_coefficients(mesh, spec, state, K)
-    jac = jacobian_map(mesh, K, None)
-    return DiscreteOperator(jac.matrix(jac.values(diagonal, coupling)), joint_mass(mesh))
-
-
-def linearized_lower_bound(mesh: Mesh, spec: NonlinearitySpec, state, K: float) -> float:
-    """A lower bound on the spectrum of (assemble_linearized, joint_mass).
-
-    The second variation is a positive semidefinite part (both Dirichlet
-    forms and K^-1 |Tr w - h'(phi) xi|^2 weighted by D_s) plus the reaction
-    diagonals M f'(u) and D_s (f_G'(phi) + K^-1 h''(phi) (h(phi) - u|_G)).
-    Against the diagonal joint mass its Rayleigh quotient is at least the
-    smallest of their nodal ratios.
-    """
-    return Variation(mesh, spec, state, K).lower_bound()
+    jac = jacobian_map(mesh, K, None)     # raises ConfigurationError for K <= 0
+    return jac.matrix(jac.values(*Variation(mesh, spec, state, K).coefficients))
 
 
 def h1_solves(mesh: Mesh, scale: float = 1.0) -> list:
@@ -467,7 +445,7 @@ def h1_solves(mesh: Mesh, scale: float = 1.0) -> list:
     reflection leave both matrices unchanged; a singular one raises NumericalError."""
     blocks = ((bulk_dirichlet_stiffness(mesh), mesh.bulk_weights, mesh.rings[:mesh.n_bulk]),
               (surface_stiffness(mesh), mesh.surface_weights, mesh.rings[mesh.n_bulk:]))
-    matrices = [((s.matrix * scale + sp.diags(w)).tocsr(), rings) for s, w, rings in blocks]
+    matrices = [((s * scale + sp.diags(w)).tocsr(), rings) for s, w, rings in blocks]
     solves = [RingBands(m, rings, mesh.angular_period).factor(m.data) for m, rings in matrices]
     if None in solves:
         raise NumericalError(f"singular H1 band factor at scale {scale!r}")

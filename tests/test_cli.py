@@ -120,6 +120,11 @@ def test_config_error_exits_2(tmp_path, capsys):
     status, _ = run_main(tmp_path, "a", ["simulate", "--set", "K=-1"])
     assert status == 2
     assert "K must be positive" in capsys.readouterr().err
+    # each cadence names its own bound: 0 is a valid checkpoint_every
+    status, _ = run_main(tmp_path, "b", ["simulate", "--set", "checkpoint_every=-1"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "checkpoint_every must be nonnegative" in err and "sample_every" not in err
 
 
 def test_negative_smoothing_exits_2(tmp_path, capsys):
@@ -410,6 +415,23 @@ def test_resume_rejects_a_checkpoint_above_dt_max(tmp_path):
     manifest = (single_run_dir(root_c, "simulate") / "manifest.txt").read_text()
     assert re.search(r"^error = InputError: checkpoint dt_policy 2\.0 is above dt_max 1\.0$",
                      manifest, re.MULTILINE)
+
+
+def test_resume_rejects_a_checkpoint_with_a_negative_step(tmp_path):
+    # the loop never writes a negative step; an edited one would number the
+    # resumed run's checkpoints from below zero
+    _, root_a = run_main(tmp_path, "a", ["simulate"] + TINY)
+    dir_a = single_run_dir(root_a, "simulate")
+    edited = tmp_path / "edited_checkpoint.txt"
+    edited.write_text(re.sub(r"^step = .*$", "step = -7",
+                             (dir_a / "checkpoint_2.txt").read_text(), flags=re.MULTILINE))
+    status, root_c = run_main(
+        tmp_path, "c", ["simulate", str(dir_a / "manifest.txt"), "--resume", str(edited)])
+    assert status == 2
+    run_dir = single_run_dir(root_c, "simulate")
+    assert re.search(r"^error = InputError: checkpoint step -7 is negative$",
+                     (run_dir / "manifest.txt").read_text(), re.MULTILINE)
+    assert not list(run_dir.glob("checkpoint_*.txt"))
 
 
 def test_override_cast_failure_names_expected_type():

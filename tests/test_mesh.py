@@ -153,8 +153,8 @@ def test_matvec_is_scipys_product_bit_for_bit(geometry, dw_spec, disk_small):
     operators = {
         "trace": trace_matrix(mesh),
         "trace adjoint": trace_adjoint(mesh),
-        "bulk stiffness": bulk_dirichlet_stiffness(mesh).matrix,
-        "surface stiffness": surface_stiffness(mesh).matrix,
+        "bulk stiffness": bulk_dirichlet_stiffness(mesh),
+        "surface stiffness": surface_stiffness(mesh),
         "jacobian coef": jacobian_map(mesh, 0.5, None).coef,
         "lifted jacobian coef": limit.jac_map.coef,
         "lift adjoint": limit.lift_adjoint,

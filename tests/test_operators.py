@@ -36,8 +36,7 @@ from conftest import disk_boundary_eigenvalues, interval_boundary_eigenvalues, r
 
 def test_bulk_laplacian_interior_rows_annihilate_constants():
     mesh = build_disk(1.0, 8, 16)
-    op = assemble_bulk_laplacian(mesh, 1.0)
-    action = op.matrix @ np.ones(mesh.n_bulk)
+    action = assemble_bulk_laplacian(mesh, 1.0) @ np.ones(mesh.n_bulk)
     coupled = set(mesh.boundary_map.ravel().tolist())
     interior = np.array([i for i in range(mesh.n_bulk) if i not in coupled])
     # row sums cancel pairwise by construction; the sparse matvec reassociates
@@ -48,9 +47,8 @@ def test_bulk_laplacian_interior_rows_annihilate_constants():
 def test_bulk_laplacian_manufactured_quadratic():
     # strong action is mass^{-1} times the form matrix; -Lap(r^2) = -4
     mesh = build_disk(1.0, 16, 32)
-    op = assemble_bulk_laplacian(mesh, 1.0)
     r2 = mesh.bulk_points[:, 0] ** 2 + mesh.bulk_points[:, 1] ** 2
-    action = (op.matrix @ r2) / op.mass
+    action = (assemble_bulk_laplacian(mesh, 1.0) @ r2) / mesh.bulk_weights
     coupled = set(mesh.boundary_map.ravel().tolist())
     interior = np.array([i for i in range(mesh.n_bulk) if i not in coupled])
     assert np.max(np.abs(action[interior] + 4.0)) < 1e-10
@@ -59,11 +57,11 @@ def test_bulk_laplacian_manufactured_quadratic():
 def test_all_assemblies_exactly_symmetric(dw_spec):
     rng = np.random.default_rng(11)
     for mesh in (build_disk(1.0, 6, 12), build_interval(1.0, 9)):
-        mats = [assemble_bulk_laplacian(mesh, 0.7).matrix,
-                surface_stiffness(mesh).matrix,
+        mats = [assemble_bulk_laplacian(mesh, 0.7),
+                surface_stiffness(mesh),
                 *[p.matrix for p in assemble_wentzell_robin_pair(mesh, 0.7)],
                 *[p.matrix for p in assemble_surface_shifted_pair(mesh)],
-                assemble_linearized(mesh, dw_spec, random_pair(mesh, rng), 0.7).matrix]
+                assemble_linearized(mesh, dw_spec, random_pair(mesh, rng), 0.7)]
         for m in mats:
             assert (m - m.T).nnz == 0 or abs(m - m.T).max() == 0.0
 
@@ -71,12 +69,12 @@ def test_all_assemblies_exactly_symmetric(dw_spec):
 def test_surface_laplacian_circle_fourier_action():
     mesh = build_disk(1.0, 8, 64)
     op = surface_stiffness(mesh)
-    assert np.all(op.matrix @ np.ones(mesh.n_surface) == 0.0)
+    assert np.all(op @ np.ones(mesh.n_surface) == 0.0)
     theta = np.arctan2(mesh.surface_points[:, 1], mesh.surface_points[:, 0])
     h_t = mesh.spacings["h_theta"]
     for k in (1, 3):
         w = np.cos(k * theta)
-        action = (op.matrix @ w) / op.mass
+        action = (op @ w) / mesh.surface_weights
         symbol = 4.0 * np.sin(k * h_t / 2.0) ** 2 / h_t**2
         # exact circulant symbol, and the symbol is k^2 + O(h^2)
         assert np.max(np.abs(action - symbol * w)) < 1e-11
@@ -85,8 +83,7 @@ def test_surface_laplacian_circle_fourier_action():
 
 def test_surface_laplacian_interval_is_zero():
     mesh = build_interval(1.0, 8)
-    op = surface_stiffness(mesh)
-    assert op.matrix.nnz == 0
+    assert surface_stiffness(mesh).nnz == 0
 
 
 def test_boundary_pair_constant_quadratic_forms():
@@ -190,7 +187,7 @@ def test_linearized_matches_fd_jacobian(dw_spec):
         gm = compute_gradient(mesh, dw_spec, sm, K)
         fd = (np.concatenate([gp.bulk, gp.surface])
               - np.concatenate([gm.bulk, gm.surface])) / (2 * eps)
-        an = lin.matrix @ joint
+        an = lin @ joint
         worst = max(worst, np.linalg.norm(fd - an) / max(np.linalg.norm(an), 1e-30))
     assert worst < 1e-6
 
@@ -200,7 +197,7 @@ def test_linearized_surface_reaction_coefficient_at_uniform_state(dw_spec):
     # plain reaction weight: f_G'(1) + h'(1)^2 / K = 2 + 1 = 3
     mesh = build_interval(1.0, 8)
     lin = assemble_linearized(mesh, dw_spec, FieldPair(np.ones(8), np.ones(2)), 1.0)
-    dense = lin.matrix.toarray()
+    dense = lin.toarray()
     for j in range(2):
         assert dense[8 + j, 8 + j] == pytest.approx(3.0, abs=1e-13)
 
@@ -213,8 +210,8 @@ def test_riesz_zero_functional(disk_small):
 def test_riesz_roundtrip_identity(disk_small):
     rng = np.random.default_rng(5)
     mesh = disk_small
-    gb = bulk_dirichlet_stiffness(mesh).matrix + sp.diags(mesh.bulk_weights)
-    gs = surface_stiffness(mesh).matrix + sp.diags(mesh.surface_weights)
+    gb = bulk_dirichlet_stiffness(mesh) + sp.diags(mesh.bulk_weights)
+    gs = surface_stiffness(mesh) + sp.diags(mesh.surface_weights)
     rb = rng.standard_normal(mesh.n_bulk)
     rs = rng.standard_normal(mesh.n_surface)
     func = DualVector(gb @ rb, gs @ rs)
@@ -225,8 +222,8 @@ def test_riesz_roundtrip_identity(disk_small):
 def test_riesz_against_dense_factorization():
     mesh = build_disk(1.0, 8, 16)
     rng = np.random.default_rng(17)
-    gb = (bulk_dirichlet_stiffness(mesh).matrix + sp.diags(mesh.bulk_weights)).toarray()
-    gs = (surface_stiffness(mesh).matrix + sp.diags(mesh.surface_weights)).toarray()
+    gb = (bulk_dirichlet_stiffness(mesh) + sp.diags(mesh.bulk_weights)).toarray()
+    gs = (surface_stiffness(mesh) + sp.diags(mesh.surface_weights)).toarray()
     for _ in range(5):
         f = DualVector(rng.standard_normal(mesh.n_bulk),
                        rng.standard_normal(mesh.n_surface))
@@ -243,7 +240,7 @@ def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request):
     for scale in (1.0, dynamics.RunConfig.init_smoothing):
         blocks = ((bulk_dirichlet_stiffness(mesh), mesh.bulk_weights),
                   (surface_stiffness(mesh), mesh.surface_weights))
-        cases += [(scale * stiffness.matrix + sp.diags(weights), solve)
+        cases += [(scale * stiffness + sp.diags(weights), solve)
                   for (stiffness, weights), solve in zip(blocks, h1_solves(mesh, scale))]
 
     # the semi-implicit left-hand sides, affine coupling in the matrix and tanh

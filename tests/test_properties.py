@@ -15,9 +15,9 @@ import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from bsac import (FieldPair, advance_step, assemble_bulk_laplacian, assemble_linearized,
-                  build_disk, build_interval, compute_energy, compute_gradient, joint_mass,
-                  linearized_lower_bound, make_spec, trace_matrix)
+from bsac import (FieldPair, Variation, advance_step, assemble_bulk_laplacian,
+                  assemble_linearized, build_disk, build_interval, compute_energy,
+                  compute_gradient, joint_mass, make_spec, trace_matrix)
 from bsac.dynamics import _RobinStepper, _TransmissionStepper
 from bsac.operators import surface_stiffness
 from conftest import jacobian_at
@@ -100,7 +100,7 @@ def test_jacobian_is_derivative_of_gradient(case):
         return compute_gradient(mesh, spec, _shifted(state, d, t), K).joint()
 
     fd = (gradient(EPS) - gradient(-EPS)) / (2 * EPS)
-    an = assemble_linearized(mesh, spec, state, K).matrix @ d.joint()
+    an = assemble_linearized(mesh, spec, state, K) @ d.joint()
     assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
 
 
@@ -112,9 +112,9 @@ def plain_hessian(mesh, spec, state, K):
     cross = sp.diags(-w_s * hp / K) @ tr
     surface = w_s * (spec.eval("f_G'", phi) + hp * hp / K
                      + spec.eval("h''", phi) * (spec.eval("h", phi) - tr @ u) / K)
-    bulk = (assemble_bulk_laplacian(mesh, K).matrix
+    bulk = (assemble_bulk_laplacian(mesh, K)
             + sp.diags(mesh.bulk_weights * spec.eval("f'", u)))
-    return sp.bmat([[bulk, cross.T], [cross, surface_stiffness(mesh).matrix + sp.diags(surface)]])
+    return sp.bmat([[bulk, cross.T], [cross, surface_stiffness(mesh) + sp.diags(surface)]])
 
 
 def _assert_close(matrix, reference):
@@ -130,7 +130,7 @@ def test_pattern_jacobians_equal_plain_sparse_sums(case, dt):
     robin = _RobinStepper(mesh, spec, K)
     jac = robin.jac_map.matrix(robin.jacobian(robin.evaluate(state)[1], dt))
     # bitwise: the Robin outputs rest on this sum's rounding
-    assert (jac != assemble_linearized(mesh, spec, state, K).matrix + mass).nnz == 0
+    assert (jac != assemble_linearized(mesh, spec, state, K) + mass).nnz == 0
     _assert_close(jac, plain_hessian(mesh, spec, state, K) + mass)
     if spec.coupling.kind == "affine":
         limit = _TransmissionStepper(mesh, spec)
@@ -149,7 +149,7 @@ def test_steppers_at_infinite_dt_are_the_stationary_system(case):
     robin = _RobinStepper(mesh, spec, K)
     y = robin.unknowns(state)
     jac = robin.jac_map.matrix(robin.jacobian(robin.evaluate(state)[1], math.inf))
-    hessian = assemble_linearized(mesh, spec, state, K).matrix
+    hessian = assemble_linearized(mesh, spec, state, K)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(jac, attr), getattr(hessian, attr))
     assert np.array_equal(robin.residual(y, y, math.inf, robin.evaluate(state)[0]),
@@ -165,8 +165,8 @@ def test_steppers_at_infinite_dt_are_the_stationary_system(case):
 @given(cases())
 def test_form_bound_is_below_the_linearized_spectrum(case):
     spec, mesh, K, state, _ = case
-    bound = linearized_lower_bound(mesh, spec, state, K)
-    lowest = scipy.linalg.eigh(assemble_linearized(mesh, spec, state, K).matrix.toarray(),
+    bound = Variation(mesh, spec, state, K).lower_bound()
+    lowest = scipy.linalg.eigh(assemble_linearized(mesh, spec, state, K).toarray(),
                                np.diag(joint_mass(mesh)), eigvals_only=True,
                                subset_by_index=[0, 0])[0]
     assert bound <= lowest + 1e-10 * max(1.0, abs(lowest))
@@ -177,7 +177,7 @@ def test_form_bound_is_exact_at_the_uniform_well(name):
     # f'(1) = f_G'(1) = 2 and h'' = 0; the constant pair attains it
     mesh, spec = MESHES[name], make_spec()
     state = FieldPair.constant(mesh, 1.0, 1.0)
-    assert linearized_lower_bound(mesh, spec, state, 1.0) == 2.0
+    assert Variation(mesh, spec, state, 1.0).lower_bound() == 2.0
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -199,10 +199,10 @@ def test_form_bound_is_attained_with_a_curved_coupling(name):
     a = scipy.optimize.brentq(ratio_gap, 0.0, 1.5, xtol=1e-15)
     state = FieldPair.constant(mesh, a, b)
     assert abs(spec.eval("h''", np.array([b]))[0]) > 0.1
-    lowest = scipy.linalg.eigh(assemble_linearized(mesh, spec, state, K).matrix.toarray(),
+    lowest = scipy.linalg.eigh(assemble_linearized(mesh, spec, state, K).toarray(),
                                np.diag(joint_mass(mesh)), eigvals_only=True,
                                subset_by_index=[0, 0])[0]
-    assert linearized_lower_bound(mesh, spec, state, K) == pytest.approx(lowest, rel=1e-10)
+    assert Variation(mesh, spec, state, K).lower_bound() == pytest.approx(lowest, rel=1e-10)
 
 
 @PROPERTY

@@ -433,7 +433,8 @@ def test_resume_rejects_a_bad_checkpoint_before_stepping(dw_spec, over, error, m
     # a nan dt_policy used to halve to nan on every rejection and never
     # underflow; one above dt_max was taken as the next step; a negative
     # step numbered the checkpoints from below zero, a negative streak
-    # delayed the growth of dt and a negative time ran past t_final's steps
+    # delayed the growth of dt and a negative time ran more steps than the
+    # run it continues
     config = RunConfig(geometry="interval", n=16, t_final=1.0, spec=dw_spec)
     state = FieldPair(np.full(16, 0.5), np.full(2, 0.5))
     cp = dataclasses.replace(Checkpoint(1, 0.1, 0.05, 0, state), **over)

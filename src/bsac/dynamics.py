@@ -150,6 +150,7 @@ class RunConfig:
             (self.newton_max_iter >= 1, "newton_max_iter must be at least 1"),
             (self.scheme in ("fully_implicit", "stabilized_semi_implicit"),
              f"unknown scheme {self.scheme!r}"),
+            (self.seed >= 0, "seed must be nonnegative"),
             (self.init_kind in ("smoothed_noise", "constant"),
              f"unknown init_kind {self.init_kind!r}"),
             (self.init_smoothing >= 0, "init_smoothing must be nonnegative"),

@@ -10,11 +10,11 @@ pencil per Fourier mode for rotation-invariant disk pencils whose blocks
 rise with the mode (reduced through one Cholesky factor of the mass block
 they share, and only the modes and pairs that can hold a requested value),
 the same reduction with the whole pencil as one block for near-full
-requests, shift-invert Lanczos otherwise. The stability tag's
-shift-invert solves are CG on the stepper's band solve, so it factors
-nothing. The solver reports per-pair residuals, the mass Gram defect and the
-path it took; the eigenfields are normalized and checked as whole arrays, not
-column by column.
+requests, shift-invert Lanczos otherwise, which inverts by CG on the
+stepper's band solve for the stability tag and by the shifted pencil's band
+solve for any other call, so no path factors a sparse LU. The solver reports
+per-pair residuals, the mass Gram defect and the path it took; the
+eigenfields are normalized and checked as whole arrays, not column by column.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -101,25 +101,37 @@ def _pencil_lower_bound(stiff: sp.csr_matrix, mass_diag: np.ndarray) -> float:
     return float(np.min(centers - radii))
 
 
+def _band_shift_inverse(stiff: sp.csr_matrix, mass: sp.csr_matrix, shift: float):
+    """The exact band solve with stiff - shift * mass in the reverse Cuthill-McKee
+    order of its pattern (George & Liu, 1981): width 3 for a joint interval pencil,
+    not n as in its natural order, and about the period on the disk; NumericalError if singular."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee   # only ARPACK's callers pay
+    shifted = (stiff - shift * mass).tocsr()
+    rank = np.argsort(reverse_cuthill_mckee(shifted, symmetric_mode=True))
+    solve = RingBands(shifted, rank, 1).factor(shifted.data)
+    if solve is None:
+        raise NumericalError(f"singular shifted factor at shift {shift:.6g}")
+    return solve
+
+
 # relative widening of the by-value cut: near the cut a dense eigh value and its
 # block Rayleigh quotient differ by at most 5e-12 relative on the 128x256 disk
 # for 1e-8 <= K <= 1, and eps * max|W A_m W'| stays below 3e-9 of the cut
 _CUT_MARGIN = 1e-6
 
 
-def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
-                         layouts: list[RingBands], period: int,
+def _fourier_block_solve(stiff_blocks, mass_block: np.ndarray, period: int,
                          count: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest `count` eigenpairs of a rotation-invariant pencil whose
     Fourier blocks rise with the mode (RingBands.rises), one dense radial
     pencil per Fourier mode.
 
-    The blocks are the Fourier blocks of the pencil's RingBands layouts, the
+    stiff_blocks yields each mode's dense stiffness block, mode 0 first, the
     unknowns numbered ring * period + angle. Modes 0 and period/2 give one
-    field each, every other mode a cos and a sin field. The mass has
-    entries at angular offset 0 only, so every mode has the same mass block
-    M. It is factored once, M = L L', and each radial pencil (A_m, M) is
-    reduced to the standard problem W A_m W', W = L^-1 (Parlett, The
+    field each, every other mode a cos and a sin field. The mass has entries
+    at angular offset 0 only, so every mode has the same mass block M,
+    mass_block. It is factored once, M = L L', and each radial pencil (A_m, M)
+    is reduced to the standard problem W A_m W', W = L^-1 (Parlett, The
     Symmetric Eigenvalue Problem, sec. 15). Until `count` values are kept
     each mode gives all its pairs (LAPACK dsyevd); after that only those at
     or below the count-th kept value, widened by a relative margin, since no
@@ -128,15 +140,13 @@ def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
     block from below (Courant-Fischer), so the modes stop at the first one
     with no value at or below the cut. Pairs are ordered by (value, mode,
     cos before sin, index); the values are the block Rayleigh quotients.
-    With period 1 and every unknown its own ring, the one block is the whole
-    pencil: eigen_solve's dense path.
+    With period 1 the one block is the whole pencil, the mass and stiffness
+    as dense arrays: eigen_solve's dense path.
     """
-    stiff_bands, mass_bands = layouts
-    b_m = next(mass_bands.blocks(mass.data))
-    w = scipy.linalg.solve_triangular(scipy.linalg.cholesky(b_m, lower=True),
-                                      np.eye(len(b_m)), lower=True)
+    w = scipy.linalg.solve_triangular(scipy.linalg.cholesky(mass_block, lower=True),
+                                      np.eye(len(mass_block)), lower=True)
     radial, keys, kept = [], [], []
-    for mode, b_s in enumerate(stiff_bands.blocks(stiff.data)):
+    for mode, b_s in enumerate(stiff_blocks):
         reduced = w @ b_s @ w.T
         kinds = (0,) if mode == 0 or 2 * mode == period else (0, 1)
         if len(kept) < count:
@@ -150,7 +160,7 @@ def _fourier_block_solve(stiff: sp.csr_matrix, mass: sp.csr_matrix,
         # index j of a cos/sin mode has 2j values of its own mode below it
         vecs = w.T @ vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
         values = (np.einsum("ij,ij->j", vecs, b_s @ vecs)
-                  / np.einsum("ij,ij->j", vecs, b_m @ vecs))
+                  / np.einsum("ij,ij->j", vecs, mass_block @ vecs))
         radial.append(vecs)
         index = np.arange(vecs.shape[1])
         for kind in kinds:
@@ -200,14 +210,14 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
       mass, or at -1e-8 for a positive-definite stiffness. The inner solve
       with stiffness - shift * mass is `shift_inverse(shift)` when the caller
       gives one: the stability tag of solve_stationary_newton passes CG on
-      the stepper's band solve, which factors nothing. Every other caller,
-      bsac spectrum and the coercivity scan on pencils without the symmetry
-      (the interval) among them, gets scipy's sparse LU of that matrix.
+      the stepper's band solve. Every other caller (bsac spectrum and the
+      coercivity scan on the interval among them) gets the exact band solve
+      of that matrix in reverse Cuthill-McKee order (_band_shift_inverse).
 
     NumericalError is raised for a pencil with a non-finite entry, before
-    any solve; for an ARPACK error; for a mass block whose Cholesky factor
-    fails; and for residuals that are not below 1e-8. No path falls back to
-    another.
+    any solve; for a singular shifted band factor; for an ARPACK error; for
+    a mass block whose Cholesky factor fails; and for residuals that are not
+    below 1e-8. No path falls back to another.
     """
     stiff, mass = (_as_matrix(op) for op in pair)
     n = stiff.shape[0]
@@ -218,15 +228,16 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     if not (np.all(np.isfinite(stiff.data)) and np.all(np.isfinite(mass.data))):
         raise NumericalError("pencil has non-finite entries")
 
-    path, rings = "arpack", np.arange(n)
+    path = "arpack"
     if period > 1 and n % period == 0:
-        bands = [RingBands(mat, rings // period, period) for mat in (stiff, mass)]
+        bands = [RingBands(mat, np.arange(n) // period, period) for mat in (stiff, mass)]
         if (all(layout.invariant(mat.data) for layout, mat in zip(bands, (stiff, mass)))
                 and bands[0].rises(stiff.data, bands[1])):
             path = "blocks"
+            blocks = bands[0].blocks(stiff.data), next(bands[1].blocks(mass.data))
     if path == "arpack" and count >= n - 1:
         path, period = "dense", 1
-        bands = [RingBands(mat, rings, 1) for mat in (stiff, mass)]
+        blocks = [stiff.toarray()], mass.toarray()
     if path == "arpack":
         mass_diag = mass.diagonal()
         if lower_bound is None and (mass.nnz == np.count_nonzero(mass_diag)
@@ -240,14 +251,14 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
         # random per process. Random rather than constant: a constant can be
         # an exact eigenvector of the pencil.
         v0 = np.random.default_rng(0).standard_normal(n)
-        opinv = None if shift_inverse is None else spla.LinearOperator(
-            (n, n), matvec=shift_inverse(sigma), dtype=float)
+        opinv = spla.LinearOperator((n, n), dtype=float, matvec=shift_inverse(sigma)
+                                    if shift_inverse else _band_shift_inverse(stiff, mass, sigma))
     try:
         if path == "arpack":
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
                                     which="LM", tol=0, v0=v0, OPinv=opinv)
         else:
-            vals, vecs = _fourier_block_solve(stiff, mass, bands, period, count)
+            vals, vecs = _fourier_block_solve(*blocks, period, count)
     except (RuntimeError, ValueError) as exc:   # ArpackError, LinAlgError among them
         raise NumericalError(f"{path} eigensolve failed: {exc}") from exc
 

@@ -9,9 +9,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.linalg
 from scipy.special import jv, jvp
 
 from bsac import FieldPair, build_disk, build_interval, make_spec
@@ -42,6 +45,17 @@ def jacobian_at(stepper, y, dt):
     """The values of a stepper's Jacobian at the unknowns y, from the
     variation it evaluates there."""
     return stepper.jacobian(stepper.evaluate(stepper.state_of(y))[1], dt)
+
+
+def forbid_sparse_lu(monkeypatch):
+    """Make every splu call raise: scipy's own, and the one ARPACK's
+    shift-invert makes for a pencil when it gets no OPinv."""
+    def no_lu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    for module in (scipy.sparse.linalg, arpack):
+        monkeypatch.setattr(module, "splu", no_lu)
 
 
 def random_pair(mesh, rng, mean=0.0, amplitude=1.0):

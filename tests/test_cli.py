@@ -12,6 +12,7 @@ from bsac.cli import dispatch, main, parse_config
 from bsac.dynamics import ROW_HEADER, read_checkpoint
 from bsac.errors import ConfigurationError
 from bsac.nonlinearity import make_spec
+from conftest import forbid_sparse_lu
 
 TINY = ["--set", "geometry=interval", "--set", "n=12",
         "--set", "dt=0.05", "--set", "t_final=0.3",
@@ -125,6 +126,11 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert "checkpoint_every must be nonnegative" in err and "sample_every" not in err
+    # refused at parse time, not by numpy's generator inside the run
+    status, root = run_main(tmp_path, "c", ["simulate", "--set", "seed=-1"])
+    assert status == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not list(root.glob("simulate-*"))
 
 
 def test_negative_smoothing_exits_2(tmp_path, capsys):
@@ -559,6 +565,16 @@ def test_spectrum_manifest_names_each_eigensolver_path(tmp_path, args, bulk_path
     surface_path = "blocks" if bulk_path == "blocks" else "dense"
     assert (entries["eigen_path_bulk"], entries["eigen_path_surface"]) == (bulk_path,
                                                                          surface_path)
+
+
+def test_interval_spectrum_builds_no_sparse_lu(tmp_path, monkeypatch):
+    forbid_sparse_lu(monkeypatch)
+    status, root = run_main(tmp_path, "a", ["spectrum", "--set", "eigen_count=12",
+                                            "--set", "geometry=interval", "--set", "n=512"])
+    assert status == 0
+    entries = manifest_entries(root, "spectrum")
+    assert entries["eigen_path_bulk"] == "arpack"
+    assert entries["check_eigen_residuals"] == "ok"
 
 
 def test_spectrum_exits_2_on_an_arpack_error(tmp_path, monkeypatch):

@@ -398,6 +398,9 @@ def test_config_validation_guards(dw_spec):
     # a negative smoothing scale would sharpen the noise instead
     with pytest.raises(ConfigurationError, match="init_smoothing must be nonnegative"):
         RunConfig(init_smoothing=-0.25, spec=dw_spec)
+    # numpy's generator would refuse it only once the run starts, with a ValueError
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        RunConfig(geometry="interval", n=16, seed=-1, spec=dw_spec)
 
 
 def test_nonfinite_values_and_newton_settings_rejected_together(dw_spec):

@@ -2,8 +2,9 @@
 name it never uses, every public name has a caller or a stated reason to
 exist, only mesh.py knows the geometry of a mesh or touches its operator
 memo, the only splu call of the package is dynamics.py's counted helper
-(eigsh's shift-invert without an OPinv still factors its shifted pencil by
-SuperLU), neither the steppers nor the recorder build a sparse matrix, apply an operator
+and every eigsh call passes its own OPinv, so that ARPACK's shift-invert
+factors nothing by SuperLU, neither the steppers nor the recorder build a
+sparse matrix, apply an operator
 through scipy's @ or evaluate the nonlinearity outside the one pass per
 iterate, per Newton iteration or per step (CG's loop included), the Fourier
 block eigensolve solves each mode as one standard problem through
@@ -236,6 +237,37 @@ def test_no_module_factors_outside_the_counted_helper(path):
     # factorized and spsolve build an LU too, one that no count would see
     source = path.read_text(encoding="utf-8")
     assert callers(source, "factorized") + callers(source, "spsolve") == []
+
+
+def eigsh_calls_without_opinv(source: str) -> list:
+    """Each eigsh call, as written, that passes no OPinv keyword: scipy
+    then factors the shifted pencil itself by SuperLU. A ** argument does
+    not count as one."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and "eigsh" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            and "OPinv" not in {k.arg for k in node.keywords}]
+
+
+def test_detector_sees_every_eigsh_call_without_opinv():
+    source = ("from scipy.sparse.linalg import eigsh\nv = eigsh(a, k=1, sigma=0.0)\n"
+              "def solve(a, m, op, options):\n"
+              "    spla.eigsh(a, M=m, sigma=0.0, OPinv=op)\n"
+              "    f = lambda: scipy.sparse.linalg.eigsh(a, 2, m)\n"
+              "    return spla.eigsh(a, **options)\n")
+    assert sorted(eigsh_calls_without_opinv(source)) == [
+        "eigsh(a, k=1, sigma=0.0)", "scipy.sparse.linalg.eigsh(a, 2, m)",
+        "spla.eigsh(a, **options)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_eigsh_call_passes_its_inverse(path):
+    # the one shift-invert route: eigen_solve's OPinv is the caller's solve
+    # or the band solve of the shifted pencil, never scipy's own SuperLU
+    source = path.read_text(encoding="utf-8")
+    assert eigsh_calls_without_opinv(source) == []
+    assert callers(source, "eigsh") == (["eigen_solve"] if path.name == "steady_spectral.py"
+                                        else [])
 
 
 # evaluated every Newton iteration or every step: values go through a

@@ -1,6 +1,5 @@
 """Stationary Newton solves, generalized eigensolves, coercivity scan."""
 
-import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,8 +28,8 @@ from bsac import (
     solve_stationary_newton,
     strong_form_residuals,
 )
-from bsac import dynamics
-from conftest import random_pair
+from bsac import dynamics, steady_spectral
+from conftest import forbid_sparse_lu, interval_boundary_eigenvalues, random_pair
 
 
 def uniform_guess(mesh, value):
@@ -126,11 +125,17 @@ def test_singular_jacobian_raises_numerical_error(dw_spec, interval_small, monke
 
 
 def lu_reference_tag(mesh, spec, state):
-    """The stability tag at state by scipy's own shift-invert, a sparse LU."""
-    pencil = (assemble_linearized(mesh, spec, state, 1.0), joint_mass(mesh))
-    result = eigen_solve(pencil, 1, lower_bound=Variation(mesh, spec, state, 1.0).lower_bound())
-    assert result.path == "arpack"
-    return result.values[0]
+    """The stability tag at state by scipy's own shift-invert, a sparse LU,
+    called here so that it shares no inverse with eigen_solve; the shift and
+    start vector are eigen_solve's."""
+    stiff = assemble_linearized(mesh, spec, state, 1.0)
+    bound = Variation(mesh, spec, state, 1.0).lower_bound()
+    values = scipy.sparse.linalg.eigsh(
+        stiff, k=1, M=scipy.sparse.diags(joint_mass(mesh)).tocsr(),
+        sigma=bound - 0.01 * (1.0 + abs(bound)), which="LM", tol=0,
+        v0=np.random.default_rng(0).standard_normal(stiff.shape[0]),
+        return_eigenvectors=False)
+    return values[0]
 
 
 def test_stability_tag_counts_its_solves_and_factors_nothing(dw_spec, disk_mid):
@@ -150,17 +155,50 @@ def test_stability_tag_builds_no_sparse_lu(dw_spec, disk_mid, monkeypatch):
     guess = uniform_guess(disk_mid, 0.9)
     eq = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
     reference = lu_reference_tag(disk_mid, dw_spec, eq.state)
-
-    def no_lu(*args, **kwargs):
-        raise AssertionError("splu called")
-
-    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
-    for module in (scipy.sparse.linalg, arpack):
-        monkeypatch.setattr(module, "splu", no_lu)
+    forbid_sparse_lu(monkeypatch)
     again = solve_stationary_newton(disk_mid, dw_spec, 1.0, guess, 1e-12)
     assert again.stability_path == "arpack" and again.factorizations == 0
     assert again.stability_tag == eq.stability_tag
     assert abs(again.stability_tag / reference - 1.0) < 1e-12
+
+
+def test_interval_coercivity_scan_builds_no_sparse_lu(dw_spec, monkeypatch):
+    # the Wentzell-Robin pencil without the symmetry takes ARPACK, whose
+    # shift-invert is the band solve in reverse Cuthill-McKee order
+    mesh = build_interval(1.0, 512)
+    eq = solve_stationary_newton(mesh, dw_spec, 1.0, uniform_guess(mesh, 0.9), 1e-12)
+    forbid_sparse_lu(monkeypatch)
+    report = compute_coercivity_margin(mesh, dw_spec, 1.0, eq, max_m=12)
+    oracle = interval_boundary_eigenvalues(4)
+    assert np.max(np.abs(report.lambda_values[:4] / oracle - 1.0)) < 1e-4
+
+
+def test_joint_pencil_without_shift_inverse_gets_a_narrow_band(dw_spec, monkeypatch):
+    # in its natural order the joint interval pencil couples bulk cell 0 to
+    # the last unknown, a band of width n; reverse Cuthill-McKee makes it 3
+    mesh = build_interval(1.0, 4096)
+    eq = solve_stationary_newton(mesh, dw_spec, 1.0, uniform_guess(mesh, 0.9), 1e-12)
+    widths = []
+
+    class RecordedBands(steady_spectral.RingBands):
+        def __init__(self, *args):
+            super().__init__(*args)
+            widths.append(self.width)
+
+    monkeypatch.setattr(steady_spectral, "RingBands", RecordedBands)
+    pencil = (assemble_linearized(mesh, dw_spec, eq.state, 1.0), joint_mass(mesh))
+    result = eigen_solve(pencil, 1,
+                         lower_bound=Variation(mesh, dw_spec, eq.state, 1.0).lower_bound())
+    assert result.path == "arpack"
+    assert len(widths) == 1 and widths[0] <= 3
+    assert abs(result.values[0] / eq.stability_tag - 1.0) < 1e-12
+
+
+def test_singular_shifted_factor_raises_numerical_error():
+    # the caller's bound puts the shift, bound - 0.01, exactly on an eigenvalue
+    stiff = scipy.sparse.diags(np.r_[-0.01, np.arange(1.0, 10.0)]).tocsr()
+    with pytest.raises(NumericalError, match="singular shifted factor"):
+        eigen_solve((stiff, np.ones(10)), 2, lower_bound=0.0)
 
 
 def test_stalled_tag_solves_fall_back_to_the_counted_factor(dw_spec, disk_mid, monkeypatch):

@@ -308,10 +308,8 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     with _Phase(manifest, "simulate"):
         try:
             record = run_trajectory(cfg, mesh=mesh, resume=resume, on_checkpoint=write)
-            aborted = False
         except RunAbort as abort:
             record = abort.partial_record
-            aborted = True
             manifest.errors.append(str(abort))
     (run_dir / "trajectory.csv").write_text(
         "\n".join(_trajectory_lines(record)) + "\n")
@@ -319,9 +317,9 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     monotone = bool(np.all(np.diff(total)
                            <= ENERGY_SLACK * np.maximum(1.0, np.abs(total[:-1]))))
     manifest.checks["energy_monotone"] = monotone
-    manifest.checks["completed"] = not aborted
-    manifest.checks["rejections_recoverable"] = not record.diagnostics.get("aborted", False)
     diag = record.diagnostics
+    manifest.checks["completed"] = not diag["aborted"]
+    manifest.checks["rejections_recoverable"] = not diag["aborted"]
     manifest.counts.update(steps_accepted=diag["accepted"], steps_rejected=diag["rejected"],
                            newton_iterations=diag["newton_iterations"],
                            factorizations=diag["factorizations"],

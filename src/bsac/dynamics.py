@@ -194,25 +194,25 @@ class Checkpoint:
 
 @dataclass
 class TrajectoryRecord:
+    """The samples of one run and its solver counts; states holds each
+    sample's state with keep_states, else the last accepted state alone."""
+
     times: np.ndarray
     energy_parts: np.ndarray        # (n_samples, 5)
     energy_total: np.ndarray
     dissipation_bulk: np.ndarray
     dissipation_surface: np.ndarray
     dual_norm: np.ndarray
-    states: list = dfield(default_factory=list)       # FieldPair per sample if kept
-    checkpoints: list = dfield(default_factory=list)  # Checkpoint objects
+    states: list = dfield(default_factory=list)
     diagnostics: dict = dfield(default_factory=dict)
 
     def n_samples(self) -> int:
         return self.times.size
 
     def final_state(self) -> FieldPair:
-        if self.states:
-            return self.states[-1]
-        if self.checkpoints:
-            return self.checkpoints[-1].state
-        raise ConfigurationError("record kept no states")
+        if not self.states:
+            raise ConfigurationError("record kept no states")
+        return self.states[-1]
 
     def rows(self) -> np.ndarray:
         return np.column_stack([
@@ -568,33 +568,6 @@ def initial_state(config: RunConfig, mesh: Mesh) -> FieldPair:
                                  config.init_amplitude, config.init_smoothing)
 
 
-class _Recorder:
-    def __init__(self, stepper: _Stepper, keep_states: bool):
-        self.stepper = stepper
-        self.riesz = RieszMap(stepper.mesh)
-        self.keep_states = keep_states
-        self.times, self.parts, self.total = [], [], []
-        self.diss_b, self.diss_s, self.dual = [], [], []
-        self.states = []
-
-    def sample(self, t, state, rep: EnergyReport, functional: DualVector,
-               diss_b=0.0, diss_s=0.0):
-        self.times.append(t)
-        self.parts.append(rep.parts())
-        self.total.append(rep.total)
-        self.diss_b.append(diss_b)
-        self.diss_s.append(diss_s)
-        self.dual.append(self.riesz.dual_norm(functional))
-        if self.keep_states:
-            self.states.append(state.copy())
-
-    def build(self, checkpoints, diagnostics) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            np.array(self.times), np.array(self.parts).reshape(len(self.times), 5),
-            np.array(self.total), np.array(self.diss_b), np.array(self.diss_s),
-            np.array(self.dual), self.states, checkpoints, diagnostics)
-
-
 def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoint,
                diagnostics: dict | None = None, on_checkpoint=None) -> TrajectoryRecord:
     """The adaptive, energy-monotone time loop shared by every stepper.
@@ -608,26 +581,38 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     report and functional from it: they are the recorded sample, and the
     next step's starting energy, first Newton residual and first Jacobian; a
     Checkpoint start computes them from its state, a pure function of it.
+    Each sample is a row in ROW_HEADER order; the record is built from them
+    once, as the run finishes or aborts (RunAbort carries it), and ends in
+    the last accepted state, sampled if the cadence skipped it.
     on_checkpoint, when given, is called with each checkpoint as the loop
-    reaches it, so a run that stops early keeps every checkpoint before the
-    failure.
+    reaches it and with the endpoint's: the only way one leaves the loop.
     """
     mesh = stepper.mesh
-    rec = _Recorder(stepper, config.keep_states)
-    checkpoints: list[Checkpoint] = []
+    riesz = RieszMap(mesh)
+    rows, kept = [], []     # the samples in ROW_HEADER order, and their states if kept
     diagnostics = {"accepted": 0, "rejected": 0, "newton_iterations": 0,
                    "factorizations": 0, "krylov_iterations": 0, "aborted": False,
                    **(diagnostics or {})}
 
+    def sample(diss_b=0.0, diss_s=0.0) -> None:
+        rows.append((t, *report.parts(), report.total, diss_b, diss_s,
+                     riesz.dual_norm(functional)))
+        if config.keep_states:
+            kept.append(state.copy())
+
+    def checkpoint() -> None:
+        if on_checkpoint is not None:
+            on_checkpoint(Checkpoint(step, t, dt_policy, streak, state.copy()))
+
     def build() -> TrajectoryRecord:
+        if not rows or rows[-1][0] < t - 1e-12 * max(1.0, t_end):
+            sample()
         diagnostics.update(factorizations=stepper.factorizations,
                            krylov_iterations=stepper.krylov_iterations)
-        return rec.build(checkpoints, diagnostics)
-
-    def keep(cp: Checkpoint) -> None:
-        checkpoints.append(cp)
-        if on_checkpoint is not None:
-            on_checkpoint(cp)
+        table = np.array(rows)
+        return TrajectoryRecord(table[:, 0], table[:, 1:6], table[:, 6], table[:, 7],
+                                table[:, 8], table[:, 9],
+                                kept if config.keep_states else [state.copy()], diagnostics)
 
     stepper.factorizations = stepper.krylov_iterations = 0
     if isinstance(start, Checkpoint):
@@ -641,7 +626,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
     functional, variation = stepper.evaluate(state)
     report = variation_energy(variation)
     if not isinstance(start, Checkpoint):
-        rec.sample(t, state, report, functional)
+        sample()
 
     t_end = config.t_final
     while t < t_end - 1e-12 * max(1.0, t_end):
@@ -667,9 +652,9 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
                 dt_policy = min(dt_policy * 1.2, config.dt_max)
                 streak = 0
             if step % config.sample_every == 0:
-                rec.sample(t, state, report, functional, delta_b, delta_s)
+                sample(delta_b, delta_s)
             if config.checkpoint_every and step % config.checkpoint_every == 0:
-                keep(Checkpoint(step, t, dt_policy, streak, state.copy()))
+                checkpoint()
         else:
             diagnostics["rejected"] += 1
             if not config.adaptive:
@@ -680,11 +665,7 @@ def _integrate(stepper: _Stepper, config: RunConfig, start: FieldPair | Checkpoi
             if dt_policy < config.dt_min:
                 diagnostics["aborted"] = True
                 raise RunAbort(f"dt underflow below dt_min: {diag.reason}", build())
-    if not rec.times or rec.times[-1] < t - 1e-12 * max(1.0, t_end):
-        rec.sample(t, state, report, functional)    # endpoint always lands in the record
-    keep(Checkpoint(step, t, dt_policy, streak, state.copy()))
-    if not config.keep_states:
-        rec.states = [state.copy()]   # keep the endpoint reachable regardless
+    checkpoint()
     return build()
 
 
@@ -716,7 +697,8 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
     Fully deterministic. With resume, continues the exact loop state of a
     previous run: the record then contains only samples after the checkpoint,
     and they match the original run bitwise. on_checkpoint, when given, is
-    called with each checkpoint as the loop reaches it (_integrate).
+    called with each checkpoint as the loop reaches it and with the
+    endpoint's (_integrate). RunAbort carries the record up to its abort.
     """
     mesh = mesh if mesh is not None else config.build_mesh()
     spec = config.get_spec()

@@ -275,8 +275,8 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
         raise NumericalError("eigenfield with nonpositive weighted norm", residuals=vals)
     vecs /= norms
     size = np.abs(vecs)
-    # the first largest entry, as np.argmax(size, axis=0) finds it, without its copy
-    lead = np.argmax(size == np.max(size, axis=0), axis=0)
+    # the first entry within 1e-8 of the largest: mirrored extremes tie, whatever the roundoff
+    lead = np.argmax(size >= (1.0 - 1e-8) * np.max(size, axis=0), axis=0)
     del size
     scale = np.where(vecs[lead, np.arange(count)] < 0, -1.0, 1.0)
     vecs *= scale

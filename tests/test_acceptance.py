@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bsac import (
+    EquilibriumState,
     FieldPair,
     RunConfig,
     advance_step,
@@ -23,10 +24,12 @@ from bsac import (
     compute_gradient,
     eigen_solve,
     energy_identity_residual,
+    fit_decay_rate,
     h_norm,
     k_sweep,
     ls_probe,
     majorization_check,
+    make_spec,
     run_trajectory,
     solve_stationary_newton,
     w_norm,
@@ -259,6 +262,57 @@ def test_criterion_8_rate_bound_from_probe(settled_disk, dw_spec):
             f"in (0, 0.5]; {times.size} resolvable samples over "
             f"{decades:.1f} decades majorized by C(1+t)^(-theta/(1-2 theta)) "
             f"with fitted C = {fitted_c:.2e}; {elapsed:.1f}s")
+
+
+# -- the paper's rate against closed forms, beside criterion 8 ----------------
+
+@pytest.mark.parametrize("geometry", ["interval", "disk"])
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_nondegenerate_rate_is_the_backward_euler_contraction(dw_spec, geometry, dt):
+    # at the uniform state 1 of the double well the stability tag is 2, and
+    # backward Euler contracts the slowest mode by 1 + 2 dt per step
+    config = RunConfig(geometry=geometry, n=64, n_r=16, n_theta=32, dt=dt, dt_min=dt,
+                       dt_max=dt, adaptive=False, t_final=8.0, init_mean=0.9,
+                       init_amplitude=0.05, seed=1, keep_states=True, checkpoint_every=0,
+                       spec=dw_spec)
+    mesh = config.build_mesh()
+    record = run_trajectory(config, mesh=mesh)
+    tail = record.times >= 2.0 - 1e-9
+    dists = [h_norm(mesh, s.bulk - 1.0, s.surface - 1.0)
+             for s, later in zip(record.states, tail) if later]
+    rate = -fit_decay_rate((record.times[tail], dists), "exponential").exponent
+    predicted = np.log1p(2.0 * dt) / dt
+    assert abs(rate - predicted) <= 1e-3 * predicted
+
+
+FOLD = 2.0 / (3.0 * np.sqrt(3.0))   # the tilt at which s^4/4 - s^2/2 folds
+
+
+@pytest.mark.parametrize("geometry", ["interval", "disk"])
+@pytest.mark.parametrize("coeffs, start, equilibrium, theta", [
+    # F = s^4/4: E - E* ~ d^4 and the dual norm ~ d^3
+    pytest.param((0, 0, 0, 0, 0.25), 0.5, 0.0, 1 / 4, id="quartic"),
+    # at the fold f and f' vanish at -1/sqrt(3): E - E* ~ d^3, dual norm ~ d^2
+    pytest.param((0, -FOLD, -0.5, 0, 0.25), -1.5, -1 / np.sqrt(3), 1 / 3, id="fold"),
+])
+def test_degenerate_rate_meets_the_closed_form(geometry, coeffs, start, equilibrium, theta):
+    # the probe's slope is 1 - theta, and the distance decays as
+    # t^(-theta/(1 - 2 theta)), the paper's rate, with no clip in play
+    params = {"coeffs": coeffs}
+    spec = make_spec("polynomial", "polynomial", bulk_params=params, surface_params=params)
+    config = RunConfig(geometry=geometry, n=32, n_r=8, n_theta=16, dt=0.05, dt_max=5.0,
+                       t_final=2000.0, init_kind="constant", init_mean=start,
+                       keep_states=True, checkpoint_every=0, spec=spec)
+    mesh = config.build_mesh()
+    record = run_trajectory(config, mesh=mesh)
+    eq = EquilibriumState(FieldPair.constant(mesh, equilibrium, equilibrium), 0.0, 0, True)
+    probe = ls_probe(mesh, spec, 1.0, record, eq, window_radius=10.0)
+    assert probe.valid and abs(probe.slope - (1.0 - theta)) <= 0.01
+    tail = record.times >= 20.0
+    dists = [h_norm(mesh, s.bulk - equilibrium, s.surface - equilibrium)
+             for s, later in zip(record.states, tail) if later]
+    exponent = np.polyfit(np.log(record.times[tail]), np.log(dists), 1)[0]
+    assert abs(exponent + theta / (1.0 - 2.0 * theta)) <= 0.02
 
 
 def test_criterion_9_bitwise_rerun_and_resume(tmp_path):

@@ -102,8 +102,9 @@ def test_seed_changes_trajectory(dw_spec):
 
 def test_resume_from_checkpoint_reproduces_tail(dw_spec):
     config = small_config(dw_spec)
-    full = run_trajectory(config)
-    cp = full.checkpoints[2]
+    checkpoints = []
+    full = run_trajectory(config, on_checkpoint=checkpoints.append)
+    cp = checkpoints[2]
     assert 0 < cp.time < config.t_final
     tail = run_trajectory(config, resume=cp)
     full_rows = full.rows()
@@ -204,6 +205,71 @@ def test_fixed_dt_rejection_aborts_immediately(dw_spec):
         run_trajectory(config, initial=_rough_pair(mesh), mesh=mesh)
 
 
+@pytest.fixture(scope="module")
+def steep_wells():
+    # wells of depth 50 and a start of small noise about their barrier at 0:
+    # a step of 0.5 overshoots, and the energy rises
+    mesh = build_interval(1.0, 16)
+    params = {"amplitude": 50.0, "width": 1.0}
+    spec = make_spec("scaled", "scaled", bulk_params=params, surface_params=params)
+    start = smoothed_random_state(mesh, 0, mean=0.0, amplitude=0.2, smoothing=0.001)
+    config = RunConfig(geometry="interval", n=16, dt=0.5, dt_max=0.5, t_final=2.0,
+                       checkpoint_every=0, spec=spec)
+    return mesh, spec, start, config
+
+
+def test_step_that_raises_the_energy_is_rejected(steep_wells):
+    mesh, spec, start, _ = steep_wells
+    _, diag = advance_step(mesh, spec, start, 1.0, 0.5)
+    assert not diag.accepted and diag.reason == "energy increased by 1.04"
+    assert (diag.energy_old, diag.energy_new) == pytest.approx((36.4526, 37.4971), abs=1e-4)
+    _, diag = advance_step(mesh, spec, start, 1.0, 0.5, reject_energy_increase=False)
+    assert diag.accepted and diag.energy_new > diag.energy_old
+
+
+def test_energy_rejections_halve_dt_or_abort_a_fixed_dt_run(steep_wells):
+    mesh, _, start, config = steep_wells
+    record = run_trajectory(config, initial=start, mesh=mesh)
+    assert (record.diagnostics["accepted"], record.diagnostics["rejected"]) == (35, 4)
+    assert np.all(np.diff(record.energy_total) <= 0)
+    with pytest.raises(RunAbort) as info:
+        run_trajectory(dataclasses.replace(config, adaptive=False), initial=start, mesh=mesh)
+    assert str(info.value) == "step rejected with fixed dt: energy increased by 1.04"
+    # the start is the last accepted state: nothing was kept before, and
+    # final_state raised
+    assert np.array_equal(info.value.partial_record.final_state().joint(), start.joint())
+
+
+@pytest.mark.parametrize("keep_states, sample_every", [(False, 1), (True, 2)])
+def test_aborted_record_ends_in_its_last_accepted_state(dw_spec, keep_states, sample_every,
+                                                        monkeypatch):
+    # three steps accepted and the fourth failed with fixed dt: the record
+    # ends as a run to the third step's time ends, not at the checkpoint of
+    # the second step nor at the sample of the second
+    dt = 2.0 ** -6     # step times are exact, so both runs take the same steps
+    config = small_config(dw_spec, dt=dt, dt_min=dt, keep_states=keep_states,
+                          sample_every=sample_every, checkpoint_every=2)
+    finished = run_trajectory(dataclasses.replace(config, t_final=3 * dt))
+    advance, calls = _RobinStepper.advance, []
+
+    def fourth_fails(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise StepFailure("injected failure")
+        return advance(self, *args, **kwargs)
+
+    monkeypatch.setattr(_RobinStepper, "advance", fourth_fails)
+    checkpoints = []
+    with pytest.raises(RunAbort, match="fixed dt: injected failure") as info:
+        run_trajectory(config, on_checkpoint=checkpoints.append)
+    record = info.value.partial_record
+    assert [cp.step for cp in checkpoints] == [2]
+    assert record.times[-1] == 3 * dt
+    assert np.array_equal(record.rows(), finished.rows())
+    assert np.array_equal(record.final_state().joint(), finished.final_state().joint())
+    assert len(record.states) == (record.n_samples() if keep_states else 1)
+
+
 def test_smoothed_initial_state_deterministic_and_centered():
     mesh = build_disk(1.0, 16, 32)
     a = smoothed_random_state(mesh, 9, mean=0.4, amplitude=0.2)
@@ -302,9 +368,11 @@ def test_transmission_resume_from_checkpoint_reproduces_tail(dw_spec):
     stepper = _TransmissionStepper(mesh, dw_spec)
     config = small_config(dw_spec, n=32, dt=0.01, dt_min=0.01, dt_max=0.01,
                           t_final=0.3, newton_tol=1e-11, checkpoint_every=7)
-    full = _integrate(stepper, config, stepper.state_of(u0.copy()))
+    checkpoints = []
+    full = _integrate(stepper, config, stepper.state_of(u0.copy()),
+                      on_checkpoint=checkpoints.append)
     assert np.array_equal(full.rows(), plain.rows())
-    cp = full.checkpoints[1]
+    cp = checkpoints[1]
     assert cp.step == 14
     tail = _integrate(stepper, config, cp)
     mask = full.times > cp.time + 1e-15
@@ -457,7 +525,10 @@ def disk_config(spec, **over):
 def disk_run(disk_mid, dw_spec):
     stepper = _RobinStepper(disk_mid, dw_spec, 1.0)
     config = disk_config(dw_spec)
-    return stepper, config, _integrate(stepper, config, initial_state(config, disk_mid))
+    checkpoints = []
+    full = _integrate(stepper, config, initial_state(config, disk_mid),
+                      on_checkpoint=checkpoints.append)
+    return stepper, config, full, checkpoints
 
 
 def test_solver_counts_repeat_and_no_factor_is_built(disk_mid, dw_spec):
@@ -573,9 +644,9 @@ def assert_dual_norms_are_the_states(stepper, record):
 
 
 def test_recorded_dual_norms_are_the_kept_states(disk_run, disk_mid, dw_spec):
-    stepper, config, full = disk_run
+    stepper, config, full, checkpoints = disk_run
     assert_dual_norms_are_the_states(stepper, full)
-    assert_dual_norms_are_the_states(stepper, _integrate(stepper, config, full.checkpoints[1]))
+    assert_dual_norms_are_the_states(stepper, _integrate(stepper, config, checkpoints[1]))
     config = small_config(dw_spec, scheme="stabilized_semi_implicit")
     stepper = _RobinStepper(config.build_mesh(), dw_spec, config.K)
     assert_dual_norms_are_the_states(
@@ -644,7 +715,7 @@ def test_semi_implicit_step_builds_no_sparse_matrix(mesh_name, coupling, request
 
 
 def test_checkpoints_do_not_change_the_run(disk_run, disk_mid):
-    _, config, full = disk_run
+    _, config, full, _ = disk_run
     plain = run_trajectory(dataclasses.replace(config, checkpoint_every=0), mesh=disk_mid)
     # the same solver counts; run_trajectory adds its compatibility residual
     assert full.diagnostics.items() <= plain.diagnostics.items()
@@ -652,9 +723,9 @@ def test_checkpoints_do_not_change_the_run(disk_run, disk_mid):
 
 
 def test_resume_from_every_checkpoint_is_bitwise(disk_run, disk_mid, tmp_path):
-    stepper, config, full = disk_run
-    assert len(full.checkpoints) >= 5
-    for cp in full.checkpoints[:-1]:
+    stepper, config, full, checkpoints = disk_run
+    assert len(checkpoints) >= 5
+    for cp in checkpoints[:-1]:
         mask = full.times > cp.time + 1e-15
         same_stepper = _integrate(stepper, config, cp)
         path = tmp_path / f"checkpoint_{cp.step}.txt"
@@ -669,8 +740,8 @@ def test_resume_from_every_checkpoint_is_bitwise(disk_run, disk_mid, tmp_path):
 def test_checkpoint_with_factor_anchor_lines_resumes_bitwise(disk_run, disk_mid, tmp_path):
     # older versions wrote the unknowns and dt of a kept LU factor after the
     # state; a resume ignores them
-    _, config, full = disk_run
-    cp = full.checkpoints[2]
+    _, config, full, checkpoints = disk_run
+    cp = checkpoints[2]
     plain, old = tmp_path / "checkpoint_plain.txt", tmp_path / "checkpoint_old.txt"
     write_checkpoint(plain, cp, "abc")
     old.write_text(plain.read_text() + "anchor_dt = " + (0.06).hex() + "\nanchor = "

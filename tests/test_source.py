@@ -274,8 +274,9 @@ def test_every_eigsh_call_passes_its_inverse(path):
 # fixed-pattern map, and the band solves are built from those values alone
 PER_ITERATION = ("jacobian", "residual", "evaluate", "_solver", "implicit_step",
                  "stationary", "advance", "sample", "state_of", "surface_of")
-# the module-level functions that run inside them: CG's loop
-PER_ITERATION_FUNCTIONS = ("_pcg",)
+# the module-level functions that run inside them: CG's loop, and the time
+# loop with the sample function nested in it
+PER_ITERATION_FUNCTIONS = ("_pcg", "_integrate")
 
 
 def per_iteration_nodes(source: str):
@@ -385,6 +386,15 @@ def test_detector_sees_products_in_the_cg_loop():
               "class Other:\n    def _pcg(self, a, b):\n        return a @ b\n")
     assert dispatch_and_evals_per_iteration(source) == [
         "_pcg: p @= q", "_pcg: spec.eval('f', p)", "_pcg: matrix @ p"]
+
+
+def test_detector_sees_products_in_the_time_loop():
+    source = ("def _integrate(stepper, config, start):\n"
+              "    def sample(state):\n        rows.append(weights @ state)\n"
+              "    for _ in range(3):\n        state = stepper.advance(state)\n"
+              "    sample(state)\n"
+              "def run_trajectory(config):\n    return mass @ config\n")
+    assert dispatch_and_evals_per_iteration(source) == ["_integrate: weights @ state"]
 
 
 def test_steppers_use_matvec_and_the_single_pass_per_iteration():

@@ -207,8 +207,8 @@ def test_fixed_dt_rejection_aborts_immediately(dw_spec):
 
 @pytest.fixture(scope="module")
 def steep_wells():
-    # wells of depth 50 and a start of small noise about their barrier at 0:
-    # a step of 0.5 overshoots, and the energy rises
+    # scaled wells of amplitude 50 and a start of small noise about their
+    # barrier at 0: a step of 0.5 overshoots, and the energy rises
     mesh = build_interval(1.0, 16)
     params = {"amplitude": 50.0, "width": 1.0}
     spec = make_spec("scaled", "scaled", bulk_params=params, surface_params=params)
@@ -235,8 +235,7 @@ def test_energy_rejections_halve_dt_or_abort_a_fixed_dt_run(steep_wells):
     with pytest.raises(RunAbort) as info:
         run_trajectory(dataclasses.replace(config, adaptive=False), initial=start, mesh=mesh)
     assert str(info.value) == "step rejected with fixed dt: energy increased by 1.04"
-    # the start is the last accepted state: nothing was kept before, and
-    # final_state raised
+    # no step was accepted: the record ends in the start
     assert np.array_equal(info.value.partial_record.final_state().joint(), start.joint())
 
 

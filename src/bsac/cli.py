@@ -12,6 +12,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import functools
 import hashlib
@@ -29,8 +30,8 @@ from .nonlinearity import (SCAN_POINTS, SCAN_RANGE, CouplingFamily, Nonlinearity
                            PotentialFamily, make_spec, validate_assumptions)
 from .mesh import Mesh
 from .energy import FieldPair
-from .dynamics import (ENERGY_SLACK, ROW_HEADER, Checkpoint, RunConfig, TrajectoryRecord,
-                       atomic_writer, read_checkpoint, run_trajectory, write_checkpoint)
+from .dynamics import (Checkpoint, RunConfig, TrajectoryRecord, atomic_writer, energy_rose,
+                       hex_line, read_checkpoint, run_trajectory, write_checkpoint)
 from .steady_spectral import eigen_solve, solve_stationary_newton
 from .operators import (assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair)
@@ -220,13 +221,6 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _trajectory_lines(record: TrajectoryRecord):
-    lines = [ROW_HEADER]
-    for row in record.rows():
-        lines.append(",".join(_fmt(v) for v in row))
-    return lines
-
-
 class RunManifest:
     def __init__(self, subcommand: str, resolved: ResolvedConfig):
         self.subcommand = subcommand
@@ -274,18 +268,13 @@ def _make_run_dir(root: Path, subcommand: str, resolved: ResolvedConfig) -> Path
     return candidate
 
 
-class _Phase:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.timings[self.name] = time.perf_counter() - self.start
-        return False
+@contextlib.contextmanager
+def _phase(manifest: RunManifest, name: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        manifest.timings[name] = time.perf_counter() - start
 
 
 def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest,
@@ -305,18 +294,15 @@ def _cmd_simulate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     def write(cp: Checkpoint) -> None:
         write_checkpoint(run_dir / f"checkpoint_{cp.step}.txt", cp, config_hash)
 
-    with _Phase(manifest, "simulate"):
+    with _phase(manifest, "simulate"):
         try:
             record = run_trajectory(cfg, mesh=mesh, resume=resume, on_checkpoint=write)
         except RunAbort as abort:
             record = abort.partial_record
             manifest.errors.append(str(abort))
-    (run_dir / "trajectory.csv").write_text(
-        "\n".join(_trajectory_lines(record)) + "\n")
+    (run_dir / "trajectory.csv").write_text("\n".join(record.csv_lines()) + "\n")
     total = record.energy_total
-    monotone = bool(np.all(np.diff(total)
-                           <= ENERGY_SLACK * np.maximum(1.0, np.abs(total[:-1]))))
-    manifest.checks["energy_monotone"] = monotone
+    manifest.checks["energy_monotone"] = not np.any(energy_rose(total[:-1], total[1:]))
     diag = record.diagnostics
     manifest.checks["completed"] = not diag["aborted"]
     manifest.checks["rejections_recoverable"] = not diag["aborted"]
@@ -332,7 +318,7 @@ def _cmd_steady(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) 
     manifest.hashes["mesh"] = mesh.content_hash()
     g = resolved.values["steady_guess"]
     guess = FieldPair.constant(mesh, g, g)
-    with _Phase(manifest, "newton"):
+    with _phase(manifest, "newton"):
         eq = solve_stationary_newton(mesh, resolved.spec, cfg.K, guess,
                                      resolved.values["steady_tol"])
     lines = [
@@ -340,8 +326,7 @@ def _cmd_steady(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) 
         f"residual_dual_norm = {_fmt(eq.residual_dual_norm)}",
         f"newton_iterations = {eq.newton_iterations}",
         f"stability_tag = {_fmt(eq.stability_tag)}",
-        "bulk = " + " ".join(float(v).hex() for v in eq.state.bulk),
-        "surface = " + " ".join(float(v).hex() for v in eq.state.surface),
+        hex_line("bulk", eq.state.bulk), hex_line("surface", eq.state.surface),
     ]
     (run_dir / "equilibrium.txt").write_text("\n".join(lines) + "\n")
     manifest.counts.update(newton_iterations=eq.newton_iterations,
@@ -356,7 +341,7 @@ def _cmd_spectrum(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     mesh = cfg.build_mesh()
     manifest.hashes["mesh"] = mesh.content_hash()
     count = resolved.values["eigen_count"]
-    with _Phase(manifest, "eigen"):
+    with _phase(manifest, "eigen"):
         wr = eigen_solve(assemble_wentzell_robin_pair(mesh, cfg.K),
                          min(count, mesh.n_bulk), period=mesh.angular_period)
         surf = eigen_solve(assemble_surface_shifted_pair(mesh),
@@ -377,7 +362,7 @@ def _cmd_spectrum(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
 
 def _cmd_ksweep(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:
     cfg = resolved.run_config
-    with _Phase(manifest, "sweep"):
+    with _phase(manifest, "sweep"):
         table = k_sweep(cfg, resolved.values["k_values"],
                         resolved.values["sweep_reference"])
     (run_dir / "sweep.csv").write_text("\n".join(table.csv_lines()) + "\n")
@@ -394,7 +379,7 @@ def _run_for_analysis(resolved: ResolvedConfig, manifest: RunManifest,
     cfg = replace(resolved.run_config, keep_states=keep_states)
     mesh = cfg.build_mesh()
     manifest.hashes["mesh"] = mesh.content_hash()
-    with _Phase(manifest, "simulate"):
+    with _phase(manifest, "simulate"):
         record = run_trajectory(cfg, mesh=mesh)
     return mesh, record
 
@@ -404,15 +389,14 @@ RATE_SERIES = ("dual_norm", "energy_gap")
 
 def _cmd_ratefit(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:
     mesh, record = _run_for_analysis(resolved, manifest, keep_states=False)
-    (run_dir / "trajectory.csv").write_text(
-        "\n".join(_trajectory_lines(record)) + "\n")
+    (run_dir / "trajectory.csv").write_text("\n".join(record.csv_lines()) + "\n")
     series_kind = resolved.values["rate_series"]    # one of RATE_SERIES
     values = (record.dual_norm if series_kind == "dual_norm"
               else record.energy_total - record.energy_total[-1])
     mask = values > 1e-14
     if np.count_nonzero(mask) < 10:
         raise InputError("series decayed below resolution; not enough samples to fit")
-    with _Phase(manifest, "fit"):
+    with _phase(manifest, "fit"):
         fit = fit_decay_rate((record.times[mask], values[mask]),
                              resolved.values["rate_model"])
     lines = [
@@ -430,14 +414,13 @@ def _cmd_ratefit(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest)
 def _cmd_probe(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:
     cfg = resolved.run_config
     mesh, record = _run_for_analysis(resolved, manifest, keep_states=True)
-    (run_dir / "trajectory.csv").write_text(
-        "\n".join(_trajectory_lines(record)) + "\n")
-    with _Phase(manifest, "newton"):
+    (run_dir / "trajectory.csv").write_text("\n".join(record.csv_lines()) + "\n")
+    with _phase(manifest, "newton"):
         eq = solve_stationary_newton(mesh, resolved.spec, cfg.K,
                                      record.final_state(),
                                      resolved.values["steady_tol"],
                                      compute_stability=False)
-    with _Phase(manifest, "probe"):
+    with _phase(manifest, "probe"):
         probe = ls_probe(mesh, resolved.spec, cfg.K, record, eq,
                          resolved.values["probe_radius"])
     lines = [
@@ -459,7 +442,7 @@ def _cmd_probe(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -
 
 
 def _cmd_validate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:
-    with _Phase(manifest, "validate"):
+    with _phase(manifest, "validate"):
         report = validate_assumptions(
             resolved.spec,
             scan_range=(resolved.values["validate_scan_lo"],

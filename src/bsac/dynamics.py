@@ -76,6 +76,12 @@ KRYLOV_MAX_ITER = 30   # CG iterations before the Jacobian is factored
 SHIFT_RTOL = 1e-10     # CG tolerance of the shift-invert solves of the stability tag
 
 
+def energy_rose(old, new):
+    """Whether the energy rose from old to new by more than ENERGY_SLACK of
+    max(1, |old|), elementwise; a NaN energy rose. The step rejection rule."""
+    return ~(new <= old + ENERGY_SLACK * np.maximum(1.0, np.abs(old)))
+
+
 def _pcg(product, b: np.ndarray, precondition, rtol: float,
          max_iter: int) -> tuple[np.ndarray, int, bool]:
     """Preconditioned CG for A x = b from x = 0, given the product x -> A x,
@@ -192,6 +198,11 @@ class Checkpoint:
     state: FieldPair
 
 
+ROW_HEADER = ("time,bulk_dirichlet,bulk_potential,surface_dirichlet,"
+              "surface_potential,robin_penalty,total,bulk_dissipation,"
+              "surface_dissipation,dual_norm")
+
+
 @dataclass
 class TrajectoryRecord:
     """The samples of one run and its solver counts; states holds each
@@ -219,10 +230,9 @@ class TrajectoryRecord:
             self.times, self.energy_parts, self.energy_total,
             self.dissipation_bulk, self.dissipation_surface, self.dual_norm])
 
-
-ROW_HEADER = ("time,bulk_dirichlet,bulk_potential,surface_dirichlet,"
-              "surface_potential,robin_penalty,total,bulk_dissipation,"
-              "surface_dissipation,dual_norm")
+    def csv_lines(self) -> list:
+        """ROW_HEADER, then one line per sample, its values written by repr."""
+        return [ROW_HEADER, *(",".join(map(repr, row)) for row in self.rows().tolist())]
 
 
 class _Stepper:
@@ -276,7 +286,7 @@ class _Stepper:
         e_old, e_new = report.total, new_report.total
         accepted = True
         reason = "ok"
-        if reject_energy_increase and e_new > e_old + ENERGY_SLACK * max(1.0, abs(e_old)):
+        if reject_energy_increase and energy_rose(e_old, e_new):
             accepted = False
             reason = f"energy increased by {e_new - e_old:.3g}"
         diag = StepDiagnostics(accepted, reason, e_old, e_new, iters, rnorm, s_stab)
@@ -751,17 +761,25 @@ def atomic_writer(path):
         tmp.unlink(missing_ok=True)
 
 
+def hex_line(key: str, values) -> str:
+    """`key = ` and the values as hex floats, which hex_floats reads back
+    bit for bit: the text of every state bsac writes."""
+    return f"{key} = " + " ".join(v.hex() for v in np.ravel(values).tolist())
+
+
+def hex_floats(text: str) -> np.ndarray:
+    return np.array([float.fromhex(tok) for tok in text.split()])
+
+
 def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
     """Hex-encoded text snapshot, written atomically; restores the loop state
     bit for bit."""
     with atomic_writer(path) as fh:
-        fh.write(f"step = {cp.step}\n")
-        fh.write(f"time = {float(cp.time).hex()}\n")
-        fh.write(f"dt_policy = {float(cp.dt_policy).hex()}\n")
-        fh.write(f"accept_streak = {cp.accept_streak}\n")
-        fh.write(f"config_hash = {config_hash}\n")
-        fh.write("bulk = " + " ".join(v.hex() for v in cp.state.bulk) + "\n")
-        fh.write("surface = " + " ".join(v.hex() for v in cp.state.surface) + "\n")
+        lines = [f"step = {cp.step}", hex_line("time", float(cp.time)),
+                 hex_line("dt_policy", float(cp.dt_policy)),
+                 f"accept_streak = {cp.accept_streak}", f"config_hash = {config_hash}",
+                 hex_line("bulk", cp.state.bulk), hex_line("surface", cp.state.surface)]
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
@@ -784,9 +802,6 @@ def read_checkpoint(path) -> tuple[Checkpoint, str]:
         if not np.all(np.isfinite(value)):
             raise InputError(f"checkpoint {path} has a non-finite {key!r} field")
         return value
-
-    def hex_floats(text):
-        return np.array([float.fromhex(tok) for tok in text.split()])
 
     state = FieldPair(parse("bulk", hex_floats), parse("surface", hex_floats))
     cp = Checkpoint(parse("step", int), parse("time", float.fromhex),

@@ -2,14 +2,15 @@
 manifest-echo reruns, and checkpoint resume."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from bsac import dynamics
+from bsac import cli, dynamics
 from bsac.cli import dispatch, main, parse_config
-from bsac.dynamics import ROW_HEADER, read_checkpoint
+from bsac.dynamics import ROW_HEADER, TrajectoryRecord, read_checkpoint
 from bsac.errors import ConfigurationError
 from bsac.nonlinearity import make_spec
 from conftest import forbid_sparse_lu
@@ -288,6 +289,37 @@ def test_failed_check_exits_1(tmp_path):
     assert "valid = false" in probe
     assert "reason = " in probe
     assert "check_probe_valid = FAIL" in (run_dir / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("rise, accepted", [
+    (1e-12, True),              # 1.0 -> 1.000000000001: exactly the allowance at |E| = 1
+    (3e-12, False),
+    (float("nan"), False),
+])
+def test_energy_check_agrees_with_the_loop(tmp_path, monkeypatch, rise, accepted):
+    # a step the loop accepts must not fail the manifest's energy check,
+    # nor a step it rejects pass it
+    old, new = 1.0, 1.0 + rise
+
+    class Frozen(dynamics._Stepper):
+        def implicit_step(self, state, functional, variation, dt, tol, max_iter):
+            return state, functional, variation, 1, 0.0
+
+    monkeypatch.setattr(dynamics, "variation_energy", lambda variation: SimpleNamespace(total=new))
+    _, diag, *_ = Frozen().advance(None, SimpleNamespace(total=old), None, None, 0.1,
+                                   "fully_implicit", newton_tol=1e-10, newton_max_iter=1,
+                                   reject_energy_increase=True)
+    assert diag.accepted is accepted
+    zeros = np.zeros(2)
+    record = TrajectoryRecord(np.array([0.0, 0.1]), np.zeros((2, 5)), np.array([old, new]),
+                              zeros, zeros, zeros, diagnostics={
+                                  "accepted": 1, "rejected": 0, "newton_iterations": 1,
+                                  "factorizations": 0, "krylov_iterations": 0, "aborted": False})
+    monkeypatch.setattr(cli, "run_trajectory", lambda *args, **kwargs: record)
+    _, run_dir = dispatch("simulate", parse_config("", {"geometry": "interval", "n": 8}),
+                          output_root=tmp_path)
+    manifest = (run_dir / "manifest.txt").read_text()
+    assert f"check_energy_monotone = {'ok' if accepted else 'FAIL'}" in manifest
 
 
 def test_steady_writes_equilibrium(tmp_path):

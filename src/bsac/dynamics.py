@@ -53,6 +53,7 @@ writing checkpoints never changes a run.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import os
 from dataclasses import dataclass, field as dfield, fields
@@ -771,20 +772,27 @@ def hex_floats(text: str) -> np.ndarray:
     return np.array([float.fromhex(tok) for tok in text.split()])
 
 
+def _state_sha256(bulk_line: str, surface_line: str) -> str:
+    return hashlib.sha256(f"{bulk_line}\n{surface_line}".encode()).hexdigest()
+
+
 def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
     """Hex-encoded text snapshot, written atomically; restores the loop state
-    bit for bit."""
+    bit for bit. The state_sha256 line, the checksum of the two state lines,
+    precedes them, so a file cut anywhere in the state keeps it."""
     with atomic_writer(path) as fh:
+        state = hex_line("bulk", cp.state.bulk), hex_line("surface", cp.state.surface)
         lines = [f"step = {cp.step}", hex_line("time", float(cp.time)),
                  hex_line("dt_policy", float(cp.dt_policy)),
                  f"accept_streak = {cp.accept_streak}", f"config_hash = {config_hash}",
-                 hex_line("bulk", cp.state.bulk), hex_line("surface", cp.state.surface)]
+                 f"state_sha256 = {_state_sha256(*state)}", *state]
         fh.write("\n".join(lines) + "\n")
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
     """Inverse of write_checkpoint, ignoring keys it does not write; a missing,
-    malformed or non-finite field raises InputError."""
+    malformed or non-finite field raises InputError, and then a state that
+    does not match its state_sha256 line, where the file has one."""
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -807,4 +815,8 @@ def read_checkpoint(path) -> tuple[Checkpoint, str]:
     cp = Checkpoint(parse("step", int), parse("time", float.fromhex),
                     parse("dt_policy", float.fromhex),
                     parse("accept_streak", int), state)
+    checksum = entries.get("state_sha256")
+    if checksum is not None and checksum != _state_sha256(
+            *(f"{key} = {entries[key]}" for key in ("bulk", "surface"))):
+        raise InputError(f"checkpoint {path} does not match its state_sha256 checksum")
     return cp, entries.get("config_hash", "")

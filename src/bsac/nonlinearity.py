@@ -38,6 +38,20 @@ SELECTORS = (
 )
 
 
+def _finalize(family, label: str, parameters) -> None:
+    """Refuse non-finite parameters, then set the family's admissibility
+    constants, refusing parameters extreme enough to overflow one."""
+    bad = [f"{name}={getattr(family, name)!r}" for name in parameters
+           if not np.all(np.isfinite(np.asarray(getattr(family, name), dtype=float)))]
+    if bad:
+        raise ConfigurationError(f"{family.kind} {label} needs finite parameters, "
+                                 f"got {', '.join(bad)}")
+    try:
+        family._finalize_constants()
+    except ArithmeticError as exc:      # a power overflows or underflows to 0
+        raise ConfigurationError(f"{family.kind} {label} parameters out of range: {exc}") from None
+
+
 @dataclass
 class PotentialFamily:
     """One scalar potential F with exact derivatives f, f', f''."""
@@ -69,7 +83,7 @@ class PotentialFamily:
             missing = {"F", "f", "f'", "f''"} - set(self.functions)
             if missing:
                 raise ConfigurationError(f"custom potential missing callables {sorted(missing)}")
-        self._finalize_constants()
+        _finalize(self, "potential", ("amplitude", "width", "coeffs"))
 
     def _finalize_constants(self):
         if self.kind == "double_well":
@@ -151,7 +165,7 @@ class CouplingFamily:
             missing = {"h", "h'", "h''", "h'''"} - set(self.functions)
             if missing:
                 raise ConfigurationError(f"custom coupling missing callables {sorted(missing)}")
-        self._finalize_constants()
+        _finalize(self, "coupling", ("alpha", "eta", "scale", "gain", "offset"))
 
     def _finalize_constants(self):
         if self.kind == "affine":

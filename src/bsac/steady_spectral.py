@@ -180,6 +180,27 @@ def _fourier_block_solve(stiff_blocks, mass_block: np.ndarray, period: int,
     return keys[0, chosen], (radial[:, None, :] * angular).reshape(-1, count)
 
 
+_LEAD_BLOCK = 1024      # rows of |fields| that _lead_rows forms at a time
+
+
+def _lead_rows(vecs: np.ndarray) -> np.ndarray:
+    """The row of each column's first entry within a relative 1e-8 of its
+    largest magnitude, so mirrored extremes tie whatever the roundoff; row
+    0 where none is (a NaN column), as argmax finds. |vecs| is formed one
+    block of rows at a time, and the scan stops once every column has one."""
+    bound = (1.0 - 1e-8) * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
+    lead = np.zeros(vecs.shape[1], dtype=np.intp)
+    found = np.zeros(vecs.shape[1], dtype=bool)
+    for start in range(0, vecs.shape[0], _LEAD_BLOCK):
+        hit = np.abs(vecs[start:start + _LEAD_BLOCK]) >= bound
+        new = hit.any(axis=0) & ~found
+        lead[new] = start + np.argmax(hit[:, new], axis=0)
+        found |= new
+        if found.all():
+            break
+    return lead
+
+
 def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None = None,
                 shift_inverse=None) -> EigenResult:
     """Smallest `count` eigenpairs of a symmetric pencil, mass-orthonormal.
@@ -274,10 +295,7 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     if not np.all(norms > 0):
         raise NumericalError("eigenfield with nonpositive weighted norm", residuals=vals)
     vecs /= norms
-    size = np.abs(vecs)
-    # the first entry within 1e-8 of the largest: mirrored extremes tie, whatever the roundoff
-    lead = np.argmax(size >= (1.0 - 1e-8) * np.max(size, axis=0), axis=0)
-    del size
+    lead = _lead_rows(vecs)
     scale = np.where(vecs[lead, np.arange(count)] < 0, -1.0, 1.0)
     vecs *= scale
     mass_vecs *= scale / norms

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from bsac import cli, dynamics
-from bsac.cli import dispatch, main, parse_config
+from bsac.analysis import RATE_MODELS, SWEEP_REFERENCES
+from bsac.cli import KEY_SPECS, RATE_SERIES, dispatch, main, parse_config
 from bsac.dynamics import ROW_HEADER, TrajectoryRecord, read_checkpoint
-from bsac.errors import ConfigurationError
+from bsac.errors import ConfigurationError, InputError
 from bsac.nonlinearity import make_spec
 from conftest import forbid_sparse_lu
 
@@ -59,6 +61,87 @@ def test_echo_round_trips_through_parse():
     first = parse_config("", {"geometry": "interval", "n": 24, "dt": 0.07})
     second = parse_config(first.echo())
     assert second.values == first.values
+    assert second.config_hash() == first.config_hash()
+
+
+# values of every kind of key, with the extremes of the float range where
+# the key allows them
+_EDGES = st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | _EDGES
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e308) | st.sampled_from([5e-324, 1e308])
+_NONNEGATIVE = _POSITIVE | st.sampled_from([0.0, -0.0])
+# where a family raises its parameters to a power: kept clear of overflow
+_MODERATE = st.floats(1e-3, 1e3)
+_BOOL_TEXT = {True: ["true", "1", "yes", "on"], False: ["false", "0", "no", "off"]}
+
+
+@st.composite
+def configs(draw):
+    """Each key of KEY_SPECS set to a value its checks accept, as (value,
+    text for the parser)."""
+    def finite_list(min_size=0):
+        return tuple(draw(st.lists(_FINITE, min_size=min_size, max_size=5)))
+
+    dt_min, dt, dt_max = sorted(draw(st.lists(_POSITIVE, min_size=3, max_size=3)))
+    scan_lo, scan_hi = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
+    values = {
+        "geometry": draw(st.sampled_from(["disk", "interval"])),
+        "radius": draw(_FINITE), "length": draw(_FINITE),
+        "K": draw(_POSITIVE),
+        "scheme": draw(st.sampled_from(["fully_implicit", "stabilized_semi_implicit"])),
+        "dt": dt, "dt_min": dt_min, "dt_max": dt_max,
+        "t_final": draw(_NONNEGATIVE), "newton_tol": draw(_POSITIVE),
+        "newton_max_iter": draw(st.integers(min_value=1)),
+        "adaptive": draw(st.booleans()), "reject_energy_increase": draw(st.booleans()),
+        "seed": draw(st.integers(min_value=0)),
+        "init_kind": draw(st.sampled_from(["smoothed_noise", "constant"])),
+        "init_mean": draw(_FINITE), "init_amplitude": draw(_FINITE),
+        "init_smoothing": draw(_NONNEGATIVE),
+        "sample_every": draw(st.integers(min_value=1)),
+        "checkpoint_every": draw(st.integers(min_value=0)),
+        "coupling": draw(st.sampled_from(["affine", "tanh"])),
+        "coupling_alpha": draw(_FINITE), "coupling_eta": draw(_FINITE),
+        "coupling_offset": draw(_FINITE),
+        "steady_tol": draw(_FINITE), "steady_guess": draw(_FINITE),
+        "probe_radius": draw(_POSITIVE),
+        "rate_model": draw(st.sampled_from(RATE_MODELS)),
+        "rate_series": draw(st.sampled_from(RATE_SERIES)),
+        "k_values": finite_list(),
+        "sweep_reference": draw(st.sampled_from(SWEEP_REFERENCES)),
+        "validate_scan_lo": scan_lo, "validate_scan_hi": scan_hi,
+        "validate_points": draw(st.integers(1000, 3000)),
+    }
+    for key in ("n_r", "n_theta", "n", "eigen_count", "max_m"):
+        values[key] = draw(st.integers())
+    for prefix in ("bulk", "surface"):
+        kind = draw(st.sampled_from(["double_well", "scaled", "polynomial"]))
+        size = _MODERATE if kind == "scaled" else _FINITE
+        values.update({f"{prefix}_potential": kind, f"{prefix}_amplitude": draw(size),
+                       f"{prefix}_width": draw(size),
+                       f"{prefix}_coeffs": finite_list(3 if kind == "polynomial" else 0)})
+    size = _MODERATE if values["coupling"] == "tanh" else _FINITE
+    values.update(coupling_scale=draw(size), coupling_gain=draw(size))
+
+    def text(value):
+        if isinstance(value, bool):
+            return draw(st.sampled_from(_BOOL_TEXT[value]))
+        if isinstance(value, tuple):
+            return ",".join(map(repr, value))
+        return repr(value) if isinstance(value, float) else str(value)
+    return values, {key: text(value) for key, value in values.items()}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the scan of extreme families
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_echo_of_any_valid_config_round_trips_through_parse(config):
+    values, texts = config
+    assert values.keys() == KEY_SPECS.keys()
+    first = parse_config("", texts)
+    assert first.values == values
+    second = parse_config(first.echo())
+    assert second.values == first.values
+    # the hash reads the echo, so it also sees the sign of a zero
     assert second.config_hash() == first.config_hash()
 
 
@@ -472,6 +555,41 @@ def test_resume_rejects_a_checkpoint_with_a_negative_step(tmp_path):
     assert not list(run_dir.glob("checkpoint_*.txt"))
 
 
+def test_resume_rejects_a_checkpoint_cut_inside_a_value(tmp_path):
+    # cut five characters into its last hex token, the file still parses:
+    # its last surface value reads 1.375 in place of 0.35642971
+    _, root_a = run_main(tmp_path, "a", ["simulate", "--set", "geometry=interval",
+                                         "--set", "n=16", "--set", "t_final=1",
+                                         "--set", "checkpoint_every=5"])
+    dir_a = single_run_dir(root_a, "simulate")
+    text = (dir_a / "checkpoint_5.txt").read_text()
+    cut = tmp_path / "cut_checkpoint.txt"
+    cut.write_text(text[:text.rindex(" ") + 6])
+    with pytest.raises(InputError, match="state_sha256"):
+        read_checkpoint(cut)
+    status, root_c = run_main(
+        tmp_path, "c", ["simulate", str(dir_a / "manifest.txt"), "--resume", str(cut)])
+    assert status == 2
+    assert re.search(r"^error = InputError: .*state_sha256",
+                     (single_run_dir(root_c, "simulate") / "manifest.txt").read_text(),
+                     re.MULTILINE)
+
+
+def test_checkpoint_without_its_checksum_line_resumes_bitwise(tmp_path):
+    # files written before the checksum line existed still load
+    _, root_a = run_main(tmp_path, "a", ["simulate"] + TINY)
+    dir_a = single_run_dir(root_a, "simulate")
+    text = (dir_a / "checkpoint_2.txt").read_text()
+    plain = tmp_path / "plain_checkpoint.txt"
+    plain.write_text(re.sub(r"^state_sha256 = [0-9a-f]{64}\n", "", text, flags=re.MULTILINE))
+    assert plain.read_text() != text
+    status, root_c = run_main(
+        tmp_path, "c", ["simulate", str(dir_a / "manifest.txt"), "--resume", str(plain)])
+    assert status == 0
+    resumed = csv_rows(single_run_dir(root_c, "simulate") / "trajectory.csv")
+    assert resumed and resumed == csv_rows(dir_a / "trajectory.csv")[-len(resumed):]
+
+
 def test_override_cast_failure_names_expected_type():
     # overrides are checked by the same code as config-file lines
     with pytest.raises(ConfigurationError) as err:
@@ -501,6 +619,27 @@ def test_nonfinite_value_exits_2(tmp_path, capsys, key):
     status, root = run_main(tmp_path, "a", ["simulate", "--set", f"{key}=inf"])
     assert status == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("family_args, expected", [
+    (["bulk_potential=scaled", "bulk_amplitude=nan"], "scaled potential needs finite"),
+    (["surface_potential=scaled", "surface_width=inf"], "scaled potential needs finite"),
+    (["bulk_potential=polynomial", "bulk_coeffs=0,0,nan,0,0.25"],
+     "polynomial potential needs finite"),
+    (["coupling=tanh", "coupling_gain=nan"], "tanh coupling needs finite"),
+    (["coupling_alpha=-inf"], "affine coupling needs finite"),
+    # finite, but a power in the family's constants overflows or underflows to 0
+    (["bulk_potential=scaled", "bulk_width=1e308"], "scaled potential parameters out of range"),
+    (["bulk_potential=scaled", "bulk_width=1e-100"], "scaled potential parameters out of range"),
+    (["coupling=tanh", "coupling_gain=1e308"], "tanh coupling parameters out of range"),
+])
+def test_unusable_family_parameter_exits_2_before_any_run(tmp_path, capsys, family_args,
+                                                          expected):
+    overrides = [arg for pair in family_args for arg in ("--set", pair)]
+    status, root = run_main(tmp_path, "a", ["simulate", *TINY, *overrides])
+    assert status == 2
+    assert expected in capsys.readouterr().err
     assert not root.exists()
 
 

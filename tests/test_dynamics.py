@@ -143,6 +143,23 @@ def test_malformed_checkpoint_raises_input_error(tmp_path, damage, field):
         read_checkpoint(path)
 
 
+def test_checkpoint_with_an_edited_state_value_raises_input_error(tmp_path):
+    # a well-formed, finite value that is not the one written fails the
+    # state checksum; the other fields are still checked first
+    mesh = build_interval(1.0, 8)
+    path = tmp_path / "checkpoint_7.txt"
+    write_checkpoint(path, Checkpoint(7, 0.35, 0.01, 3,
+                                      random_pair(mesh, np.random.default_rng(2))))
+    text = path.read_text()
+    last = text.rindex(" ") + 1
+    path.write_text(text[:last] + "0x1.8p+0\n")
+    with pytest.raises(InputError, match="state_sha256"):
+        read_checkpoint(path)
+    path.write_text(text[:last] + "0x1.8p+0\n" + "step = seven\n")
+    with pytest.raises(InputError, match="'step'"):
+        read_checkpoint(path)
+
+
 def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path):
     mesh = build_interval(1.0, 8)
     good = Checkpoint(7, 0.35, 0.01, 3, random_pair(mesh, np.random.default_rng(2)))

@@ -3,14 +3,15 @@ name it never uses, every public name has a caller or a stated reason to
 exist, only mesh.py knows the geometry of a mesh or touches its operator
 memo, the only splu call of the package is dynamics.py's counted helper
 and every eigsh call passes its own OPinv, so that ARPACK's shift-invert
-factors nothing by SuperLU, neither the steppers nor the recorder build a
-sparse matrix, apply an operator
-through scipy's @ or evaluate the nonlinearity outside the one pass per
-iterate, per Newton iteration or per step (CG's loop included), the Fourier
-block eigensolve solves each mode as one standard problem through
-scipy.linalg.eigh, the only dense eigensolve of the package, and every demo
-imports demos/_one_blas_thread.py, which pins one BLAS thread unless the
-caller chose a count, before it imports numpy."""
+factors nothing by SuperLU, neither the steppers nor the time loop build a
+sparse matrix, apply an operator through scipy's @ or evaluate the
+nonlinearity outside the one pass per iterate, per Newton iteration or per
+step (CG's loop included), only dynamics.py writes the hex text of a state
+or applies the energy slack, the Fourier block eigensolve solves each mode
+as one standard problem through scipy.linalg.eigh, the only dense
+eigensolve of the package, and every demo imports demos/_one_blas_thread.py,
+which pins one BLAS thread unless the caller chose a count, before it
+imports numpy."""
 
 import ast
 import os
@@ -273,24 +274,24 @@ def test_every_eigsh_call_passes_its_inverse(path):
 # evaluated every Newton iteration or every step: values go through a
 # fixed-pattern map, and the band solves are built from those values alone
 PER_ITERATION = ("jacobian", "residual", "evaluate", "_solver", "implicit_step",
-                 "stationary", "advance", "sample", "state_of", "surface_of")
+                 "stationary", "advance", "state_of", "surface_of")
 # the module-level functions that run inside them: CG's loop, and the time
-# loop with the sample function nested in it
+# loop with the sample, checkpoint and build functions nested in it
 PER_ITERATION_FUNCTIONS = ("_pcg", "_integrate")
 
 
 def per_iteration_nodes(source: str):
     """(owner, node) for each AST node inside the PER_ITERATION methods of
-    _Stepper, of the classes derived from it, and of _Recorder, owner
-    Class.method, and inside the module-level PER_ITERATION_FUNCTIONS,
-    owner the function's name."""
+    _Stepper and of the classes derived from it, owner Class.method, and
+    inside the module-level PER_ITERATION_FUNCTIONS, owner the function's
+    name."""
     tree = ast.parse(source)
     for function in tree.body:
         if isinstance(function, ast.FunctionDef) and function.name in PER_ITERATION_FUNCTIONS:
             for node in ast.walk(function):
                 yield function.name, node
     for cls in ast.walk(tree):
-        if not (isinstance(cls, ast.ClassDef) and {"_Stepper", "_Recorder"} &
+        if not (isinstance(cls, ast.ClassDef) and "_Stepper" in
                 {cls.name, *(ast.unparse(base) for base in cls.bases)}):
             continue
         for method in cls.body:
@@ -302,8 +303,8 @@ def per_iteration_nodes(source: str):
 def sparse_builds_per_iteration(source: str) -> list:
     """sp.* calls, .matrix() calls (JacobianMap.matrix wraps values in a CSC
     matrix), .T and .tocsc()/.tocsr() inside the PER_ITERATION methods of
-    _Stepper, of the classes derived from it, and of _Recorder, and inside
-    the PER_ITERATION_FUNCTIONS."""
+    _Stepper and of the classes derived from it, and inside the
+    PER_ITERATION_FUNCTIONS."""
     return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and (ast.unparse(node.func.value) in ("sp", "scipy.sparse")
@@ -319,15 +320,16 @@ def test_detector_sees_sparse_builds_in_stepper_methods():
               "    def implicit_step(self, s):\n        return self.m.tocsr()\n"
               "    def stationary(self, y):\n        return sp.eye(3)\n"
               "    def advance(self, s):\n        return self.p.T\n"
-              "class _Recorder:\n    def sample(self, t, s):\n        return sp.diags(s)\n"
-              "    def build(self):\n        return sp.diags(self.t)\n"
-              "class Other:\n    def jacobian(self, y):\n        return sp.diags(y).T\n")
+              "def _integrate(stepper, config, start):\n    def sample(t, s):\n"
+              "        return sp.diags(s)\n    def build():\n        return sp.diags(t)\n"
+              "class Other:\n    def jacobian(self, y):\n        return sp.diags(y).T\n"
+              "    def sample(self, t, s):\n        return sp.diags(s)\n")
     assert sparse_builds_per_iteration(source) == [
+        "_integrate: sp.diags(s)", "_integrate: sp.diags(t)",
         "_Stepper.jacobian: sp.diags(y).tocsc", "_Stepper.jacobian: sp.diags(y)",
         "_Robin.residual: self.a.T", "_Robin.evaluate: scipy.sparse.identity(3).tocsr",
         "_Robin.evaluate: scipy.sparse.identity(3)", "_Robin.implicit_step: self.m.tocsr",
-        "_Robin.stationary: sp.eye(3)", "_Robin.advance: self.p.T",
-        "_Recorder.sample: sp.diags(s)"]
+        "_Robin.stationary: sp.eye(3)", "_Robin.advance: self.p.T"]
 
 
 def test_detector_sees_jacobian_matrices_in_stepper_methods():
@@ -353,8 +355,8 @@ def test_steppers_build_no_sparse_matrix_per_iteration():
 
 def dispatch_and_evals_per_iteration(source: str) -> list:
     """Uses of the @ operator, and calls of a spec's eval, inside the
-    PER_ITERATION methods of _Stepper, its subclasses and _Recorder, and
-    inside the PER_ITERATION_FUNCTIONS."""
+    PER_ITERATION methods of _Stepper and its subclasses, and inside the
+    PER_ITERATION_FUNCTIONS."""
     return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
             if isinstance(node, (ast.BinOp, ast.AugAssign))
             and isinstance(node.op, ast.MatMult)
@@ -370,12 +372,13 @@ def test_detector_sees_products_and_evals_in_stepper_methods():
               "    def semi_implicit_step(self, s):\n        return spec.eval('f', s) @ s\n"
               "    def stationary(self, y):\n        def inner(z):\n"
               "            return spec.eval(\"h'\", z)\n        return x.eval()\n"
-              "class _Recorder:\n    def sample(self, t, s):\n        return t @ s\n"
+              "def _integrate(stepper, config, start):\n    def sample(t, s):\n"
+              "        return t @ s\n"
               "class Other:\n    def jacobian(self, y):\n        return self.a @ y\n")
     assert dispatch_and_evals_per_iteration(source) == [
+        "_integrate: t @ s",
         "_Stepper.jacobian: self.a @ y", "_Robin.residual: y @= self.m",
-        "_Robin.evaluate: self.spec.eval('h', s)", '_Robin.stationary: spec.eval("h\'", z)',
-        "_Recorder.sample: t @ s"]
+        "_Robin.evaluate: self.spec.eval('h', s)", '_Robin.stationary: spec.eval("h\'", z)']
 
 
 def test_detector_sees_products_in_the_cg_loop():
@@ -454,3 +457,31 @@ def test_every_dense_eigensolve_is_a_fourier_block_solve():
     # so no generalized or second dense eigensolve exists beside it
     owners = callers((SRC / "steady_spectral.py").read_text(encoding="utf-8"), "eigh")
     assert owners and set(owners) == {"_fourier_block_solve"}
+
+
+def state_text_and_slack_uses(source: str) -> list:
+    """Each import or read of ENERGY_SLACK and each .hex or .fromhex
+    attribute, as written: the energy rule and the hex state text."""
+    return [node.name if isinstance(node, ast.alias) else ast.unparse(node)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.alias) and node.name == "ENERGY_SLACK"
+            or isinstance(node, ast.Name) and node.id == "ENERGY_SLACK"
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("ENERGY_SLACK", "hex", "fromhex")]
+
+
+def test_detector_sees_the_energy_slack_and_hex_text():
+    source = ("from .dynamics import ENERGY_SLACK, energy_rose\n"
+              "ok = diff <= dynamics.ENERGY_SLACK\nline = ' '.join(v.hex() for v in x)\n"
+              "y = float.fromhex(t)\ndigest = hashlib.sha256(b).hexdigest()\n"
+              "text = 'hex'\nhex_line('bulk', x)\n")
+    assert sorted(state_text_and_slack_uses(source)) == [
+        "ENERGY_SLACK", "dynamics.ENERGY_SLACK", "float.fromhex", "v.hex"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_dynamics_writes_state_text_or_applies_the_energy_slack(path):
+    # the step rejection rule and the hex text of a state each have one home,
+    # which the time loop, the checkpoints and the CLI's outputs all call
+    found = state_text_and_slack_uses(path.read_text(encoding="utf-8"))
+    assert bool(found) if path.name == "dynamics.py" else found == []

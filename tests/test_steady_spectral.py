@@ -289,6 +289,24 @@ def test_array_checks_match_the_column_loop(disk_mid, period):
     assert result.gram_defect == pytest.approx(np.max(np.abs(gram - np.eye(12))), abs=1e-14)
 
 
+def test_lead_rows_scan_matches_the_whole_array_rule():
+    # the block scan gives the first entry within 1e-8 of each column's
+    # largest magnitude, within a block and across block edges; a mirrored
+    # tie goes to the first, and a NaN column, with no such entry, to row 0
+    # as argmax gives
+    block = steady_spectral._LEAD_BLOCK
+    fields = np.random.default_rng(3).standard_normal((2 * block + 5, 7))
+    fields[4, 1], fields[17, 1] = -9.0, 9.0 * (1 - 1e-9)
+    fields[block - 1, 2], fields[block, 2] = 9.0 * (1 - 1e-9), -9.0
+    fields[block, 3], fields[2 * block + 4, 3] = 9.0, -9.0
+    fields[2 * block + 1, 4] = 9.0
+    fields[:, 6] = np.nan
+    size = np.abs(fields)
+    expected = np.argmax(size >= (1.0 - 1e-8) * np.max(size, axis=0), axis=0)
+    assert list(expected[1:]) == [4, block - 1, block, 2 * block + 1, expected[5], 0]
+    assert np.array_equal(steady_spectral._lead_rows(fields), expected)
+
+
 @pytest.mark.parametrize("n", [64, 256])
 def test_arpack_and_dense_paths_sign_fields_alike(n):
     # an antisymmetric interval mode has equal extremes at mirrored unknowns;

@@ -17,14 +17,17 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .mesh import Mesh, boundary_trace
 from .nonlinearity import NonlinearitySpec
-from .energy import FieldPair, compute_energy, h_norm, part_norm, v_norm
-from .dynamics import (RunConfig, TrajectoryRecord, initial_state,
-                       run_trajectory, solve_transmission_limit)
+from .energy import compute_energy, h_norm, part_norm, v_norm
+from .dynamics import (RunConfig, TrajectoryRecord, initial_state, run_trajectory,
+                       solve_transmission_limit, transmission_state)
 from .steady_spectral import EquilibriumState
 
 THETA_CAP = 0.5 - 1e-2   # keeps the rate exponent theta/(1-2*theta) finite
 RATE_MODEL = "auto"                     # fit_decay_rate's default model
 SWEEP_REFERENCE = "transmission_limit"  # k_sweep's default reference flow
+GAP_FLOOR = 1e-13       # ls_probe: smaller energy gaps are roundoff, not data
+TAIL_THRESHOLD = 1e-8   # convergence_diagnostic: largest final time-derivative norm
+CAUCHY_SLACK = 1e-12    # convergence_diagnostic: allowed rise of consecutive distances
 
 
 @dataclass
@@ -65,7 +68,6 @@ class SweepTable:
     rows: list
     gap_slope: float
     mismatch_slope: float
-    reference: str
 
     def csv_lines(self) -> list:
         lines = ["K,gap,mismatch"]
@@ -77,9 +79,7 @@ class SweepTable:
 class LimitSetReport:
     times: np.ndarray
     pairwise_h: np.ndarray
-    pairwise_v: np.ndarray
     consecutive_h: np.ndarray
-    tail_rate: float
     singleton: bool
     verdict: str
 
@@ -144,7 +144,7 @@ def majorization_check(times, dists, theta: float, *,
 
 def ls_probe(mesh: Mesh, spec: NonlinearitySpec, K: float,
              trajectory: TrajectoryRecord, equilibrium: EquilibriumState,
-             window_radius: float, *, gap_floor: float = 1e-13) -> LSProbeResult:
+             window_radius: float) -> LSProbeResult:
     """Empirical gradient inequality: regress log dual norm on log |E - E_inf|
     over the samples inside the V-norm window around the equilibrium.
 
@@ -154,16 +154,15 @@ def ls_probe(mesh: Mesh, spec: NonlinearitySpec, K: float,
     """
     if window_radius <= 0:
         raise ConfigurationError("window radius must be positive")
-    if not trajectory.states or len(trajectory.states) != trajectory.n_samples():
-        raise InputError("probe needs a trajectory recorded with keep_states")
+    states = trajectory.sampled_states()
     e_inf = compute_energy(mesh, spec, equilibrium.state, K).total
     gaps, duals = [], []
     eq_b, eq_s = equilibrium.state.bulk, equilibrium.state.surface
-    for i, st in enumerate(trajectory.states):
+    for i, st in enumerate(states):
         dist = v_norm(mesh, st.bulk - eq_b, st.surface - eq_s)
         gap = trajectory.energy_total[i] - e_inf
         dual = trajectory.dual_norm[i]
-        if dist < window_radius and gap > gap_floor and dual > 0:
+        if dist < window_radius and gap > GAP_FLOOR and dual > 0:
             gaps.append(gap)
             duals.append(dual)
     gaps = np.array(gaps)
@@ -179,12 +178,6 @@ def ls_probe(mesh: Mesh, spec: NonlinearitySpec, K: float,
     if valid:
         probe.fitted_c = float(np.min(duals / gaps ** (1.0 - probe.theta)))
     return probe
-
-
-def _state_series(record: TrajectoryRecord) -> list:
-    if not record.states or len(record.states) != record.n_samples():
-        raise InputError("sweep members must be recorded with keep_states")
-    return record.states
 
 
 SWEEP_REFERENCES = ("transmission_limit", "smallest_k")
@@ -205,15 +198,10 @@ def k_sweep(base_config: RunConfig, k_values,
     if reference not in SWEEP_REFERENCES:
         raise ConfigurationError(f"unknown reference {reference!r}")
     spec = base_config.get_spec()
-    if reference == "transmission_limit" and spec.coupling.kind != "affine":
-        raise ConfigurationError("transmission reference requires affine coupling")
-
     mesh = base_config.build_mesh()
     init = initial_state(base_config, mesh)
-    if spec.coupling.kind == "affine":
-        alpha, eta = spec.coupling.alpha, spec.coupling.eta
-        init = FieldPair(init.bulk,
-                         (boundary_trace(mesh, init.bulk) - eta) / alpha)
+    if reference == "transmission_limit" or spec.coupling.kind == "affine":
+        init = transmission_state(mesh, spec)(init.bulk)
 
     def member(k: float) -> TrajectoryRecord:
         cfg = replace(base_config, K=k, adaptive=False, keep_states=True,
@@ -230,17 +218,16 @@ def k_sweep(base_config: RunConfig, k_values,
             sample_every=base_config.sample_every, keep_states=True)
     else:
         ref = records[k_values.index(min(k_values))]
-    ref_states = _state_series(ref)
+    ref_states = ref.sampled_states()
 
     rows = []
     for k, rec in zip(k_values, records):
         if (rec.times.size != ref.times.size
                 or not np.array_equal(rec.times, ref.times)):
             raise ConfigurationError("sweep member time grid differs from reference")
-        states = _state_series(rec)
         gap = 0.0
         mism = 0.0
-        for st, rf in zip(states, ref_states):
+        for st, rf in zip(rec.sampled_states(), ref_states):
             gap = max(gap, part_norm(mesh.bulk_weights, st.bulk - rf.bulk)
                       + part_norm(mesh.surface_weights, st.surface - rf.surface))
             bres = boundary_trace(mesh, st.bulk) - spec.eval("h", st.surface)
@@ -255,21 +242,18 @@ def k_sweep(base_config: RunConfig, k_values,
         mis_slope = _log_fit(np.log([r.K for r in uniq]), np.log([r.mismatch for r in uniq]))[0]
     else:
         gap_slope = mis_slope = np.nan
-    return SweepTable(rows, gap_slope, mis_slope, reference)
+    return SweepTable(rows, gap_slope, mis_slope)
 
 
 def convergence_diagnostic(mesh: Mesh, trajectory: TrajectoryRecord,
-                           snapshot_times, *, tail_threshold: float = 1e-8,
-                           slack: float = 1e-12) -> LimitSetReport:
+                           snapshot_times) -> LimitSetReport:
     """Limit-set singleton check: pairwise snapshot distances must shrink
-    along the tail and the final time-derivative norm must be below the
-    threshold."""
+    along the tail, up to CAUCHY_SLACK, and the final time-derivative norm
+    must be below TAIL_THRESHOLD."""
     req = np.asarray(snapshot_times, dtype=float)
     if req.size < 3:
         raise InputError("need at least 3 snapshot times")
-    states = trajectory.states
-    if not states or len(states) != trajectory.n_samples():
-        raise InputError("diagnostic needs a trajectory recorded with keep_states")
+    states = trajectory.sampled_states()
     idx = [int(np.argmin(np.abs(trajectory.times - t))) for t in req]
     if len(set(idx)) != len(idx):
         raise InputError("snapshot times resolve to duplicate samples")
@@ -278,23 +262,19 @@ def convergence_diagnostic(mesh: Mesh, trajectory: TrajectoryRecord,
 
     n = len(snaps)
     d_h = np.zeros((n, n))
-    d_v = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            db = snaps[i].bulk - snaps[j].bulk
-            ds = snaps[i].surface - snaps[j].surface
-            d_h[i, j] = d_h[j, i] = h_norm(mesh, db, ds)
-            d_v[i, j] = d_v[j, i] = v_norm(mesh, db, ds)
+            d_h[i, j] = d_h[j, i] = h_norm(mesh, snaps[i].bulk - snaps[j].bulk,
+                                           snaps[i].surface - snaps[j].surface)
     consecutive = np.array([d_h[i, i + 1] for i in range(n - 1)])
-    cauchy = bool(np.all(np.diff(consecutive) <= slack))
+    cauchy = bool(np.all(np.diff(consecutive) <= CAUCHY_SLACK))
     tail_rate = float(trajectory.dissipation_bulk[-1]
                       + trajectory.dissipation_surface[-1])
-    singleton = cauchy and tail_rate < tail_threshold
+    singleton = cauchy and tail_rate < TAIL_THRESHOLD
     if singleton:
         verdict = "singleton-consistent"
     elif not cauchy:
         verdict = "not Cauchy-decreasing"
     else:
         verdict = f"tail derivative {tail_rate:.3g} above threshold"
-    return LimitSetReport(used, d_h, d_v, consecutive, tail_rate,
-                          singleton, verdict)
+    return LimitSetReport(used, d_h, consecutive, singleton, verdict)

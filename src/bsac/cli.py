@@ -27,14 +27,12 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, InputError, RunAbort
 from .nonlinearity import (SCAN_POINTS, SCAN_RANGE, CouplingFamily, NonlinearitySpec,
-                           PotentialFamily, make_spec, validate_assumptions)
+                           PotentialFamily, make_spec)
 from .mesh import Mesh
 from .energy import FieldPair
 from .dynamics import (Checkpoint, RunConfig, TrajectoryRecord, atomic_writer, energy_rose,
                        hex_line, read_checkpoint, run_trajectory, write_checkpoint)
-from .steady_spectral import eigen_solve, solve_stationary_newton
-from .operators import (assemble_surface_shifted_pair,
-                        assemble_wentzell_robin_pair)
+from .steady_spectral import pair_spectra, solve_stationary_newton
 from .analysis import (RATE_MODEL, RATE_MODELS, SWEEP_REFERENCE, SWEEP_REFERENCES,
                        fit_decay_rate, k_sweep, ls_probe)
 
@@ -141,6 +139,7 @@ def _extract_config_lines(text: str):
 
 
 def _build_spec(values: dict, errors: list) -> NonlinearitySpec | None:
+    """The spec of the family keys, with its verdict on the validate_* grid."""
     def params(prefix, names):
         return {p: values[f"{prefix}_{p}"] for p in names}
 
@@ -342,10 +341,7 @@ def _cmd_spectrum(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest
     manifest.hashes["mesh"] = mesh.content_hash()
     count = resolved.values["eigen_count"]
     with _phase(manifest, "eigen"):
-        wr = eigen_solve(assemble_wentzell_robin_pair(mesh, cfg.K),
-                         min(count, mesh.n_bulk), period=mesh.angular_period)
-        surf = eigen_solve(assemble_surface_shifted_pair(mesh),
-                           min(count, mesh.n_surface), period=mesh.angular_period)
+        wr, surf = pair_spectra(mesh, cfg.K, count)
     manifest.counts.update(eigen_path_bulk=wr.path, eigen_path_surface=surf.path)
     lines = [f"K = {_fmt(cfg.K)}", "bulk spectrum (boundary-weighted pair):"]
     lines += [f"  lambda[{i + 1}] = {_fmt(v)}" for i, v in enumerate(wr.values)]
@@ -442,14 +438,7 @@ def _cmd_probe(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -
 
 
 def _cmd_validate(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) -> None:
-    with _phase(manifest, "validate"):
-        report = validate_assumptions(
-            resolved.spec,
-            scan_range=(resolved.values["validate_scan_lo"],
-                        resolved.values["validate_scan_hi"]),
-            scan_points=resolved.values["validate_points"])
-    (run_dir / "validation.txt").write_text(report.summary() + "\n")
-    manifest.checks["assumptions_accepted"] = report.accepted
+    (run_dir / "validation.txt").write_text(resolved.spec.validation.summary() + "\n")
 
 
 _COMMANDS = {
@@ -469,6 +458,8 @@ def dispatch(subcommand: str, resolved: ResolvedConfig, *,
              resume_path: str | None = None) -> tuple[int, Path]:
     """Run one subcommand; returns (exit status, run directory).
 
+    The first check is the spec's admissibility verdict from parse_config,
+    so a spec outside the hypotheses exits 1 whatever the subcommand.
     resume_path only applies to simulate; other subcommands ignore it.
     """
     if subcommand not in _COMMANDS:
@@ -478,6 +469,7 @@ def dispatch(subcommand: str, resolved: ResolvedConfig, *,
         command = functools.partial(command, resume_path=resume_path)
     run_dir = _make_run_dir(Path(output_root), subcommand, resolved)
     manifest = RunManifest(subcommand, resolved)
+    manifest.checks["assumptions_accepted"] = resolved.spec.validation.accepted
     try:
         command(resolved, run_dir, manifest)
     except Exception as exc:   # manifest must record the failure either way

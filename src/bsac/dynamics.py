@@ -64,10 +64,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError, RunAbort, StepFailure
-from .mesh import (Mesh, boundary_trace, build_mesh, matvec, normal_derivative, trace_adjoint,
-                   trace_matrix)
+from .mesh import Mesh, build_mesh, matvec, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
-from .energy import EnergyReport, FieldPair, part_norm, variation_energy
+from .energy import EnergyReport, FieldPair, part_norm, robin_residual, variation_energy
 from .operators import (DualVector, RieszMap, RingBands, Variation, h1_solves,
                         jacobian_map, joint_mass, trace_lift)
 
@@ -225,6 +224,13 @@ class TrajectoryRecord:
         if not self.states:
             raise ConfigurationError("record kept no states")
         return self.states[-1]
+
+    def sampled_states(self) -> list:
+        """The state of each sample; InputError unless the run kept them
+        (keep_states)."""
+        if not self.states or len(self.states) != self.n_samples():
+            raise InputError("record has no state per sample: run it with keep_states")
+        return self.states
 
     def rows(self) -> np.ndarray:
         return np.column_stack([
@@ -484,11 +490,28 @@ class _RobinStepper(_Stepper):
         return self.state_of(y), s_stab
 
 
+def transmission_state(mesh: Mesh, spec: NonlinearitySpec):
+    """The map u -> (u, phi) onto the trace constraint alpha phi + eta = u|_G
+    of the affine transmission limit, phi = (Tr u - eta) / alpha: one trace
+    product per call. ConfigurationError for a coupling that is not affine or
+    for alpha = 0."""
+    if spec.coupling.kind != "affine":
+        raise ConfigurationError("transmission limit requires affine coupling")
+    alpha, eta = spec.coupling.alpha, spec.coupling.eta
+    if alpha == 0:
+        raise ConfigurationError("transmission limit requires alpha != 0")
+    tr = trace_matrix(mesh)
+
+    def state_of(u: np.ndarray) -> FieldPair:
+        return FieldPair.trusted(u, (matvec(tr, u) - eta) / alpha)
+    return state_of
+
+
 class _TransmissionStepper(_Stepper):
     """Backward Euler for the trace-constrained limit system, bulk unknown only.
 
-    The constraint alpha phi + eta = u|_G gives phi = (Tr u - eta) / alpha,
-    so the lift P = [I; Tr/alpha] carries bulk directions to joint ones. The
+    The constraint gives phi from u (transmission_state, its state_of), so
+    the lift P = [I; Tr/alpha] carries bulk directions to joint ones. The
     limit flow is the Robin flow pulled back through P: metric P' M P with M
     the joint mass, functional P' times the Robin gradient, Jacobian P' times
     the Robin second variation times P. Testing with bulk directions thus
@@ -500,32 +523,20 @@ class _TransmissionStepper(_Stepper):
     K = 1.0     # the robin penalty and its derivatives vanish on the constraint manifold
 
     def __init__(self, mesh: Mesh, spec: NonlinearitySpec):
-        if spec.coupling.kind != "affine":
-            raise ConfigurationError("transmission limit requires affine coupling")
-        self.alpha = spec.coupling.alpha
-        if self.alpha == 0:
-            raise ConfigurationError("transmission limit requires alpha != 0")
-        self.eta = spec.coupling.eta
+        self.state_of = transmission_state(mesh, spec)
         self.mesh = mesh
         self.spec = spec
         self.weights = mesh.bulk_weights
         self.joint_mass = joint_mass(mesh)
-        self.tr = trace_matrix(mesh)
-        lift = trace_lift(mesh, self.alpha)
+        lift = trace_lift(mesh, spec.coupling.alpha)
         self.lift_adjoint = lift.T
         self.metric = (self.lift_adjoint @ sp.diags(self.joint_mass) @ lift).tocsr()
-        self.jac_map = jacobian_map(mesh, self.K, self.alpha)
+        self.jac_map = jacobian_map(mesh, self.K, spec.coupling.alpha)
         self.pattern = self.jac_map.pattern()
         self.bands = RingBands(self.pattern, mesh.rings[:mesh.n_bulk], mesh.angular_period)
 
-    def surface_of(self, u: np.ndarray) -> np.ndarray:
-        return (matvec(self.tr, u) - self.eta) / self.alpha
-
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.bulk
-
-    def state_of(self, u: np.ndarray) -> FieldPair:
-        return FieldPair.trusted(u, self.surface_of(u))
 
     def evaluate(self, state: FieldPair) -> tuple[DualVector, Variation]:
         variation = Variation(self.mesh, self.spec, state, self.K)
@@ -540,17 +551,16 @@ class _TransmissionStepper(_Stepper):
 
 def advance_step(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float,
                  dt: float, scheme: str = RunConfig.scheme, *,
-                 newton_tol: float = RunConfig.newton_tol,
-                 newton_max_iter: int = RunConfig.newton_max_iter,
                  reject_energy_increase: bool = RunConfig.reject_energy_increase
                  ) -> tuple[FieldPair, StepDiagnostics]:
-    """One time step of the Robin system; acceptance requires the discrete
-    energy not to increase."""
+    """One time step of the Robin system, Newton at RunConfig's default
+    tolerance and cap; acceptance requires the discrete energy not to
+    increase."""
     stepper = _RobinStepper(mesh, spec, K)
     functional, variation = stepper.evaluate(state)
     new, diag, *_ = stepper.advance(state, variation_energy(variation), functional, variation,
-                                    dt, scheme, newton_tol=newton_tol,
-                                    newton_max_iter=newton_max_iter,
+                                    dt, scheme, newton_tol=RunConfig.newton_tol,
+                                    newton_max_iter=RunConfig.newton_max_iter,
                                     reject_energy_increase=reject_energy_increase)
     return new, diag
 
@@ -719,8 +729,7 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
     state = initial if initial is not None else initial_state(config, mesh)
     mesh.check_bulk(state.bulk)
     mesh.check_surface(state.surface)
-    mism = (config.K * normal_derivative(mesh, state.bulk) + boundary_trace(mesh, state.bulk)
-            - spec.eval("h", state.surface))
+    mism = robin_residual(mesh, spec, state, config.K)
     compatibility = float(np.sqrt(mesh.surface_weights @ mism**2))
     return _integrate(stepper, config, state,
                       {"compatibility_residual": compatibility}, on_checkpoint)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .mesh import Mesh
+from .mesh import Mesh, boundary_trace, normal_derivative
 from .nonlinearity import NonlinearitySpec
 from .operators import (DualVector, Variation, bulk_dirichlet_stiffness,
                         dirichlet_form_value, surface_stiffness)
@@ -98,6 +98,13 @@ def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: fl
     variation's coefficients.
     """
     return Variation(mesh, spec, state, K).gradient
+
+
+def robin_residual(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> np.ndarray:
+    """Nodewise residual K du/dn + Tr u - h(phi) of the Robin boundary
+    condition, with the one-sided normal derivative."""
+    return (K * normal_derivative(mesh, state.bulk) + boundary_trace(mesh, state.bulk)
+            - spec.eval("h", state.surface))
 
 
 def h_norm(mesh: Mesh, bulk: np.ndarray, surface: np.ndarray) -> float:

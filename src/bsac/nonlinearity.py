@@ -211,15 +211,12 @@ class ClauseCheck:
     name: str
     passed: bool
     detail: str
-    witness: float = np.nan     # worst sampled value for the clause
 
 
 @dataclass
 class ValidationReport:
     accepted: bool
     clauses: list
-    scan_range: tuple
-    scan_points: int
 
     def failed_clauses(self):
         return [c for c in self.clauses if not c.passed]
@@ -273,8 +270,8 @@ def make_spec(bulk_kind: str = PotentialFamily.kind,
     return spec
 
 
-def _within(sampled: float, bound: float, slack: float = 1e-9) -> bool:
-    return sampled <= bound * (1.0 + slack) + slack
+def _within(sampled: float, bound: float) -> bool:
+    return sampled <= bound * (1.0 + 1e-9) + 1e-9
 
 
 def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
@@ -303,15 +300,13 @@ def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
     ok = np.isfinite(spec.coupling.bound_h1) and _within(float(h1.max()), spec.coupling.bound_h1)
     clauses.append(ClauseCheck(
         "coupling first derivative bounded", ok,
-        f"max sampled |h'| = {h1.max():.6g}, stored bound = {spec.coupling.bound_h1:.6g}",
-        float(h1.max())))
+        f"max sampled |h'| = {h1.max():.6g}, stored bound = {spec.coupling.bound_h1:.6g}"))
 
     h2 = np.abs(spec.coupling.eval("h''", s))
     ok = np.isfinite(spec.coupling.bound_h2) and _within(float(h2.max()), spec.coupling.bound_h2)
     clauses.append(ClauseCheck(
         "coupling second derivative bounded", ok,
-        f"max sampled |h''| = {h2.max():.6g}, stored bound = {spec.coupling.bound_h2:.6g}",
-        float(h2.max())))
+        f"max sampled |h''| = {h2.max():.6g}, stored bound = {spec.coupling.bound_h2:.6g}"))
 
     h3 = np.abs(spec.coupling.eval("h'''", s))
     envelope = spec.coupling.third_c * (1.0 + np.abs(s) ** spec.coupling.third_exp)
@@ -320,7 +315,7 @@ def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
     clauses.append(ClauseCheck(
         "coupling third derivative growth", ok,
         f"max(|h'''| - envelope) = {gap:.3g} with c = {spec.coupling.third_c:.6g}, "
-        f"exponent = {spec.coupling.third_exp:.3g}", gap))
+        f"exponent = {spec.coupling.third_exp:.3g}"))
 
     clauses.append(ClauseCheck(
         "potentials analytic", spec.bulk.analytic and spec.surface.analytic,
@@ -334,7 +329,7 @@ def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
         clauses.append(ClauseCheck(
             f"{label} second-derivative growth", ok,
             f"exponent = {fam.growth_exp:.3g} (cap {exp_cap}), "
-            f"max(|f''| - envelope) = {gap:.3g}", gap))
+            f"max(|f''| - envelope) = {gap:.3g}"))
 
     for label, fam in (("bulk", spec.bulk), ("surface", spec.surface)):
         mask = np.abs(s) > fam.lower_c3
@@ -346,15 +341,15 @@ def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
         ok = deficit <= 1e-9
         clauses.append(ClauseCheck(
             f"{label} potential linear lower bound", ok,
-            f"max(c1|s| - c2 - F) = {deficit:.3g} over |s| > {fam.lower_c3:.3g}", deficit))
+            f"max(c1|s| - c2 - F) = {deficit:.3g} over |s| > {fam.lower_c3:.3g}"))
 
     for label, fam in (("bulk", spec.bulk), ("surface", spec.surface)):
         d1 = fam.eval("f'", s)
         worst = float(d1.min())
-        ok = worst >= -fam.convexity_c4 * (1.0 + 1e-9) - 1e-9
+        ok = _within(-worst, fam.convexity_c4)
         clauses.append(ClauseCheck(
             f"{label} one-sided derivative bound", ok,
-            f"min sampled f' = {worst:.6g}, -c4 = {-fam.convexity_c4:.6g}", worst))
+            f"min sampled f' = {worst:.6g}, -c4 = {-fam.convexity_c4:.6g}"))
 
     # internal consistency: f really is the derivative of F (central difference),
     # probed no wider than the default scan range
@@ -367,8 +362,8 @@ def validate_assumptions(spec: NonlinearitySpec, scan_range=SCAN_RANGE,
         ok = rel < 1e-8
         clauses.append(ClauseCheck(
             f"{label} derivative chain consistency", ok,
-            f"max relative gap between F' (central difference) and f = {rel:.3g}", rel))
+            f"max relative gap between F' (central difference) and f = {rel:.3g}"))
 
-    report = ValidationReport(all(c.passed for c in clauses), clauses, (lo, hi), scan_points)
+    report = ValidationReport(all(c.passed for c in clauses), clauses)
     spec.validation = report
     return report

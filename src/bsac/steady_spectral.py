@@ -34,9 +34,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .mesh import Mesh, boundary_trace, normal_derivative
+from .mesh import Mesh
 from .nonlinearity import NonlinearitySpec
-from .energy import FieldPair, compute_gradient
+from .energy import FieldPair, compute_gradient, robin_residual
 from .operators import (DiscreteOperator, RingBands, Variation,
                         assemble_surface_shifted_pair, assemble_wentzell_robin_pair)
 from .dynamics import _RobinStepper
@@ -344,16 +344,24 @@ def solve_stationary_newton(mesh: Mesh, spec: NonlinearitySpec, K: float,
                             stepper.factorizations, stepper.krylov_iterations, path)
 
 
+def pair_spectra(mesh: Mesh, K: float, count: int) -> tuple[EigenResult, EigenResult]:
+    """The smallest eigenpairs of the Wentzell-Robin pair at K and of the
+    surface pair, each solved at the mesh's angular period: count pairs, or
+    as many as the pencil has if that is fewer."""
+    return (eigen_solve(assemble_wentzell_robin_pair(mesh, K), min(count, mesh.n_bulk),
+                        period=mesh.angular_period),
+            eigen_solve(assemble_surface_shifted_pair(mesh), min(count, mesh.n_surface),
+                        period=mesh.angular_period))
+
+
 def strong_form_residuals(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair,
                           K: float) -> dict:
     """Nodewise stationary residuals: bulk equation, boundary balance law
     (one-sided normal derivative), surface equation."""
     g = compute_gradient(mesh, spec, state, K)
-    robin = (K * normal_derivative(mesh, state.bulk) + boundary_trace(mesh, state.bulk)
-             - spec.eval("h", state.surface))
     return {
         "bulk": g.bulk / mesh.bulk_weights,
-        "robin": robin,
+        "robin": robin_residual(mesh, spec, state, K),
         "surface": g.surface / mesh.surface_weights,
     }
 
@@ -379,17 +387,11 @@ def compute_coercivity_margin(mesh: Mesh, spec: NonlinearitySpec, K: float,
     sup_cross = float(np.max(np.abs(cross)))
     c_star = max(sup_fp, 0.5 + sup_hp2 / K + sup_fgp + sup_cross)
 
-    k_bulk = min(max_m, mesh.n_bulk)
-    k_surf = min(max_m, mesh.n_surface)
-    wr = eigen_solve(assemble_wentzell_robin_pair(mesh, K), k_bulk,
-                     period=mesh.angular_period)
-    surf = eigen_solve(assemble_surface_shifted_pair(mesh), k_surf,
-                       period=mesh.angular_period)
+    wr, surf = pair_spectra(mesh, K, max_m)
 
     weight = min(1.0, 1.0 / K)
     chosen = 0
-    theta = np.nan
-    limit = min(k_bulk, k_surf)
+    limit = min(wr.values.size, surf.values.size)
     for m in range(1, limit + 1):
         theta_m = weight * min(wr.values[m - 1], surf.values[m - 1])
         if theta_m > 8.0 * c_star:

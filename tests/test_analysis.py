@@ -181,6 +181,6 @@ def test_limit_set_requires_kept_states(dw_spec):
 def test_limit_set_settled_run_is_singleton(dw_spec):
     mesh, rec = _settled_run(dw_spec, t_final=60.0)
     snaps = [15.0, 30.0, 45.0, 60.0]
-    report = convergence_diagnostic(mesh, rec, snaps, tail_threshold=1e-8)
+    report = convergence_diagnostic(mesh, rec, snaps)
     assert report.singleton, report.verdict
     assert np.all(np.diff(report.consecutive_h) <= 1e-12)

@@ -1,6 +1,6 @@
 """Static checks on the package source: no module, test or demo imports a
-name it never uses, every public name has a caller or a stated reason to
-exist, only mesh.py knows the geometry of a mesh or touches its operator
+name it never uses, every public name has a caller and every annotated
+field of a class a reader, or a stated reason to exist, only mesh.py knows the geometry of a mesh or touches its operator
 memo, the only splu call of the package is dynamics.py's counted helper
 and every eigsh call passes its own OPinv, so that ARPACK's shift-invert
 factors nothing by SuperLU, neither the steppers nor the time loop build a
@@ -134,6 +134,45 @@ def test_every_public_name_has_a_caller_or_a_reason():
     outside = [p.read_text(encoding="utf-8")
                for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert sorted(uncalled_public_names(modules, outside)) == sorted(UNCALLED_PUBLIC)
+
+
+def unread_fields(modules: dict, readers: list) -> list:
+    """module.Class.field of each annotated class field of the modules
+    ({name: source}) that no source in readers reads as an attribute."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{cls.name}.{node.target.id}"
+            for module, source in modules.items()
+            for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id not in read]
+
+
+def test_detector_sees_every_unread_field():
+    modules = {"a": ("class Report:\n    value: float\n    spare: float = 0.0\n"
+                     "    written: int\n    total = 0\n    def __init__(self):\n"
+                     "        self.written = 1\n        self.other = 2\n"
+                     "class _Hidden:\n    kept: str\n    lost: list\n")}
+    readers = [modules["a"], "print(report.value, h.kept, getattr(r, 'spare'))\n"]
+    assert unread_fields(modules, readers) == ["a.Report.spare", "a.Report.written",
+                                               "a._Hidden.lost"]
+
+
+# result fields that nothing reads yet, each kept for a reason
+UNREAD_FIELDS = [
+    # each step's last Newton residual: ROADMAP item 8's steps.csv writes it
+    "dynamics.StepDiagnostics.newton_residual",
+]
+
+
+def test_every_result_field_has_a_reader():
+    # a field that nothing reads is a result computed and thrown away
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8") for p in [
+        *SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py")]]
+    assert sorted(unread_fields(modules, readers)) == sorted(UNREAD_FIELDS)
 
 
 def pins_blas_before_numpy(source: str) -> bool:
@@ -274,10 +313,11 @@ def test_every_eigsh_call_passes_its_inverse(path):
 # evaluated every Newton iteration or every step: values go through a
 # fixed-pattern map, and the band solves are built from those values alone
 PER_ITERATION = ("jacobian", "residual", "evaluate", "_solver", "implicit_step",
-                 "stationary", "advance", "state_of", "surface_of")
-# the module-level functions that run inside them: CG's loop, and the time
-# loop with the sample, checkpoint and build functions nested in it
-PER_ITERATION_FUNCTIONS = ("_pcg", "_integrate")
+                 "stationary", "advance", "state_of")
+# the module-level functions that run inside them: CG's loop, the time loop
+# with the sample, checkpoint and build functions nested in it, and the
+# transmission stepper's state_of, nested in transmission_state
+PER_ITERATION_FUNCTIONS = ("_pcg", "_integrate", "transmission_state")
 
 
 def per_iteration_nodes(source: str):

@@ -105,8 +105,9 @@ def fit_decay_rate(series, model: str = RATE_MODEL) -> RateFit:
         raise InputError("time and value series must have equal length")
     if times.size < 10:
         raise InputError(f"need at least 10 samples, got {times.size}")
-    if np.any(values <= 0):
-        raise InputError("decay fit requires strictly positive values")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))
+            and np.all(values > 0)):
+        raise InputError("decay fit requires finite times and finite, strictly positive values")
     if model not in RATE_MODELS:
         raise ConfigurationError(f"unknown model {model!r}")
     logv = np.log(values)
@@ -131,9 +132,11 @@ def majorization_check(times, dists, theta: float, *,
     """
     times = np.asarray(times, dtype=float)
     dists = np.asarray(dists, dtype=float)
-    th = min(float(theta), THETA_CAP)
-    if th <= 0:
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(dists))):
+        raise InputError("majorization needs finite times and distances")
+    if not theta > 0:
         raise InputError("theta must be positive")
+    th = min(float(theta), THETA_CAP)
     gamma = th / (1.0 - 2.0 * th)
     n_fit = max(2, int(np.ceil(fit_fraction * times.size)))
     envelope = dists * (1.0 + times) ** gamma
@@ -152,7 +155,7 @@ def ls_probe(mesh: Mesh, spec: NonlinearitySpec, K: float,
     window and the energy gaps span two decades; a trajectory sitting at the
     equilibrium degenerates to an insufficient-data report.
     """
-    if window_radius <= 0:
+    if not window_radius > 0:
         raise ConfigurationError("window radius must be positive")
     states = trajectory.sampled_states()
     e_inf = compute_energy(mesh, spec, equilibrium.state, K).total

@@ -18,9 +18,11 @@ from bsac import (
     k_sweep,
     ls_probe,
     majorization_check,
+    make_spec,
     run_trajectory,
     solve_stationary_newton,
 )
+from bsac.analysis import SWEEP_REFERENCES
 
 
 def test_fit_recovers_power_law():
@@ -52,6 +54,36 @@ def test_fit_input_guards():
         fit_decay_rate((t, np.linspace(1, -1, 20)))
     with pytest.raises(InputError):
         fit_decay_rate((t[:5], np.exp(-t[:5])))
+
+
+T20 = np.linspace(0.0, 1.0, 20)
+
+
+def one_bad(values, bad):
+    values = np.array(values, dtype=float)
+    values[7] = bad
+    return values
+
+
+def probe_of_a_short_run(spec, window_radius):
+    mesh, rec = _settled_run(spec, t_final=1.0, n=16)
+    eq = solve_stationary_newton(mesh, spec, 1.0, rec.final_state(), 1e-12)
+    return ls_probe(mesh, spec, 1.0, rec, eq, window_radius)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda spec: fit_decay_rate((T20, one_bad(np.exp(-T20), np.nan))), InputError),
+    (lambda spec: fit_decay_rate((T20, one_bad(np.exp(-T20), np.inf))), InputError),
+    (lambda spec: fit_decay_rate((one_bad(T20, np.nan), np.exp(-T20))), InputError),
+    (lambda spec: majorization_check(T20, np.exp(-T20), theta=np.nan), InputError),
+    (lambda spec: majorization_check(T20, one_bad(np.exp(-T20), np.nan), 0.4), InputError),
+    (lambda spec: probe_of_a_short_run(spec, np.nan), ConfigurationError),
+], ids=["fit-nan-value", "fit-inf-value", "fit-nan-time", "majorization-nan-theta",
+        "majorization-nan-distance", "probe-nan-radius"])
+def test_analysis_refuses_nonfinite_input(dw_spec, call, error):
+    # as it refuses a nonpositive value, not with a nan result
+    with pytest.raises(error):
+        call(dw_spec)
 
 
 def _settled_run(dw_spec, t_final=40.0, n=32, seed=2):
@@ -136,11 +168,19 @@ def test_sweep_gap_shrinks_with_k_and_slopes_in_range(dw_spec):
 
 
 def test_sweep_rejects_nonaffine_reference():
-    from bsac import make_spec
     spec = make_spec(coupling_kind="tanh")
     config = dataclasses.replace(base_sweep_config(spec, n=24), spec=spec)
     with pytest.raises(ConfigurationError):
         k_sweep(config, [1e-1, 1e-2])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reference", SWEEP_REFERENCES)
+def test_sweep_refuses_alpha_zero(reference):
+    # the compatible initial state solves alpha phi + eta = Tr u for phi
+    spec = make_spec(coupling_params={"alpha": 0.0})
+    with pytest.raises(ConfigurationError, match="alpha != 0"):
+        k_sweep(base_sweep_config(spec, n=16), [1e-1, 1e-2], reference)
 
 
 def test_limit_set_constant_trajectory_singleton(dw_spec):
@@ -176,6 +216,17 @@ def test_limit_set_requires_kept_states(dw_spec):
     rec = run_trajectory(config, mesh=mesh)
     with pytest.raises(InputError):
         convergence_diagnostic(mesh, rec, [0.1, 0.25, 0.4])
+
+
+def test_probe_requires_kept_states(dw_spec):
+    mesh = build_interval(1.0, 24)
+    config = RunConfig(geometry="interval", n=24, dt=0.05, t_final=0.5,
+                       adaptive=False, keep_states=False, sample_every=1,
+                       checkpoint_every=0, spec=dw_spec)
+    rec = run_trajectory(config, mesh=mesh)
+    eq = solve_stationary_newton(mesh, dw_spec, 1.0, rec.final_state(), 1e-12)
+    with pytest.raises(InputError):
+        ls_probe(mesh, dw_spec, 1.0, rec, eq, window_radius=0.5)
 
 
 def test_limit_set_settled_run_is_singleton(dw_spec):

@@ -246,6 +246,77 @@ def test_validate_run_dir_and_manifest(tmp_path, capsys):
     assert f"validate: exit 0, outputs in {run_dir}" in out
 
 
+# F(s) = -s^2 has no linear lower bound, so the paper's hypotheses fail
+INADMISSIBLE = ["--set", "geometry=interval", "--set", "n=16", "--set", "t_final=1",
+                "--set", "bulk_potential=polynomial", "--set", "bulk_coeffs=0,0,-1"]
+
+
+def test_inadmissible_spec_runs_and_exits_1(tmp_path):
+    status, root = run_main(tmp_path, "a", ["simulate"] + INADMISSIBLE)
+    entries = manifest_entries(root, "simulate")
+    assert entries["check_assumptions_accepted"] == "FAIL"
+    assert entries["check_completed"] == "ok"
+    assert (status, entries["exit_status"]) == (1, "1")
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_every_manifest_leads_with_the_verdict(tmp_path, subcommand):
+    # recorded before the command runs, whether it then succeeds or not
+    run_main(tmp_path, "a", [subcommand] + TINY)
+    manifest = (single_run_dir(tmp_path / "a", subcommand) / "manifest.txt").read_text()
+    checks = [line for line in manifest.splitlines() if line.startswith("check_")]
+    assert checks[0] == "check_assumptions_accepted = ok"
+
+
+VALIDATION_ACCEPTED = """\
+accepted = True
+  [pass] coupling analytic: family 'affine' closed form
+  [pass] coupling first derivative bounded: max sampled |h'| = 1, stored bound = 1
+  [pass] coupling second derivative bounded: max sampled |h''| = 0, stored bound = 0
+  [pass] coupling third derivative growth: max(|h'''| - envelope) = 0 with c = 0, exponent = 0
+  [pass] potentials analytic: bulk 'double_well', surface 'double_well'
+  [pass] bulk second-derivative growth: exponent = 1 (cap 3.0), max(|f''| - envelope) = -6
+  [pass] surface second-derivative growth: exponent = 1 (cap inf), max(|f''| - envelope) = -6
+  [pass] bulk potential linear lower bound: max(c1|s| - c2 - F) = -1.3 over |s| > 2
+  [pass] surface potential linear lower bound: max(c1|s| - c2 - F) = -1.3 over |s| > 2
+  [pass] bulk one-sided derivative bound: min sampled f' = -1, -c4 = -1
+  [pass] surface one-sided derivative bound: min sampled f' = -1, -c4 = -1
+  [pass] bulk derivative chain consistency: \
+max relative gap between F' (central difference) and f = 1.37e-10
+  [pass] surface derivative chain consistency: \
+max relative gap between F' (central difference) and f = 1.37e-10
+"""
+VALIDATION_REJECTED = """\
+accepted = False
+  [pass] coupling analytic: family 'affine' closed form
+  [pass] coupling first derivative bounded: max sampled |h'| = 1, stored bound = 1
+  [pass] coupling second derivative bounded: max sampled |h''| = 0, stored bound = 0
+  [pass] coupling third derivative growth: max(|h'''| - envelope) = 0 with c = 0, exponent = 0
+  [pass] potentials analytic: bulk 'polynomial', surface 'double_well'
+  [pass] bulk second-derivative growth: exponent = 0 (cap 3.0), max(|f''| - envelope) = 0
+  [pass] surface second-derivative growth: exponent = 1 (cap inf), max(|f''| - envelope) = -6
+  [FAIL] bulk potential linear lower bound: max(c1|s| - c2 - F) = 109 over |s| > 2
+  [pass] surface potential linear lower bound: max(c1|s| - c2 - F) = -1.3 over |s| > 2
+  [pass] bulk one-sided derivative bound: min sampled f' = -2, -c4 = -2
+  [pass] surface one-sided derivative bound: min sampled f' = -1, -c4 = -1
+  [pass] bulk derivative chain consistency: \
+max relative gap between F' (central difference) and f = 7.08e-11
+  [pass] surface derivative chain consistency: \
+max relative gap between F' (central difference) and f = 1.37e-10
+"""
+
+
+@pytest.mark.parametrize("args, text, status", [([], VALIDATION_ACCEPTED, 0),
+                                                (INADMISSIBLE, VALIDATION_REJECTED, 1)],
+                         ids=["accepted", "rejected"])
+def test_validate_writes_the_verdict_of_parse_time(tmp_path, args, text, status):
+    # the text bsac validate wrote when it ran the scan a second time
+    assert run_main(tmp_path, "a", ["validate"] + args)[0] == status
+    run_dir = single_run_dir(tmp_path / "a", "validate")
+    assert (run_dir / "validation.txt").read_text() == text
+    assert "timing_" not in (run_dir / "manifest.txt").read_text()
+
+
 def test_simulate_writes_trajectory_and_checkpoints(tmp_path):
     status, root = run_main(tmp_path, "a", ["simulate"] + TINY)
     assert status == 0
@@ -487,6 +558,19 @@ def test_ksweep_smallest_k_reference_fits_the_other_gaps(tmp_path):
     assert entries["check_slopes_finite"] == "ok"
     gap_slope = float(re.search(r"gap=([^,]+)", entries["hash_sweep_slopes"]).group(1))
     assert 0.9 < gap_slope < 1.1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reference", SWEEP_REFERENCES)
+def test_ksweep_refuses_alpha_zero(tmp_path, reference):
+    # the compatible initial state solves the trace constraint for phi
+    status, root = run_main(
+        tmp_path, "a",
+        ["ksweep", "--set", "geometry=interval", "--set", "n=16", "--set", "t_final=0.2",
+         "--set", "coupling_alpha=0", "--set", f"sweep_reference={reference}"])
+    entries = manifest_entries(root, "ksweep")
+    assert entries["error"] == "ConfigurationError: transmission limit requires alpha != 0"
+    assert status == 2
 
 
 def test_dispatch_rejects_unknown_subcommand(tmp_path):

@@ -1,7 +1,7 @@
 """Static checks on the package source: no module, test or demo imports a
 name it never uses, every public name has a caller and every annotated
-field of a class a reader, or a stated reason to exist, only mesh.py knows the geometry of a mesh or touches its operator
-memo, the only splu call of the package is dynamics.py's counted helper
+field of a class a reader, or a stated reason to exist, only mesh.py knows
+the geometry of a mesh or touches its operator memo, the only splu call of the package is dynamics.py's counted helper
 and every eigsh call passes its own OPinv, so that ARPACK's shift-invert
 factors nothing by SuperLU, neither the steppers nor the time loop build a
 sparse matrix, apply an operator through scipy's @ or evaluate the

@@ -193,7 +193,9 @@ def k_sweep(base_config: RunConfig, k_values,
     maximal boundary mismatch, with log-log slopes over K.
 
     Initial data is prepared compatibly (surface value slaved to the bulk
-    trace) so no artificial initial layer pollutes the gap.
+    trace by dynamics.transmission_state, for the transmission reference
+    and for any affine coupling) so no artificial initial layer pollutes the
+    gap.
     """
     k_values = [float(k) for k in k_values]
     if not k_values or any(k <= 0 for k in k_values):

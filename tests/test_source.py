@@ -1,8 +1,9 @@
 """Static checks on the package source: no module, test or demo imports a
 name it never uses, every public name has a caller and every annotated
 field of a class a reader, or a stated reason to exist, only mesh.py knows
-the geometry of a mesh or touches its operator memo, the only splu call of the package is dynamics.py's counted helper
-and every eigsh call passes its own OPinv, so that ARPACK's shift-invert
+the geometry of a mesh or touches its operator memo, the only splu call of
+the package is dynamics.py's counted helper and every eigsh call passes
+its own OPinv, so that ARPACK's shift-invert
 factors nothing by SuperLU, neither the steppers nor the time loop build a
 sparse matrix, apply an operator through scipy's @ or evaluate the
 nonlinearity outside the one pass per iterate, per Newton iteration or per
@@ -11,7 +12,9 @@ or applies the energy slack, the Fourier block eigensolve solves each mode
 as one standard problem through scipy.linalg.eigh, the only dense
 eigensolve of the package, and every demo imports demos/_one_blas_thread.py,
 which pins one BLAS thread unless the caller chose a count, before it
-imports numpy."""
+imports numpy, and each diagnostic has one home: only energy.robin_residual
+takes a normal derivative, and the CLI neither validates a spec nor solves
+a pencil itself."""
 
 import ast
 import os
@@ -525,3 +528,20 @@ def test_only_dynamics_writes_state_text_or_applies_the_energy_slack(path):
     # which the time loop, the checkpoints and the CLI's outputs all call
     found = state_text_and_slack_uses(path.read_text(encoding="utf-8"))
     assert bool(found) if path.name == "dynamics.py" else found == []
+
+
+# (callee, module, the functions of that module allowed to call it): the
+# Robin residual is the only reader of the normal derivative, and the CLI
+# neither scans the nonlinearity again nor solves a pencil itself
+ONE_HOME = [("normal_derivative", "energy.py", ["robin_residual"]),
+            ("validate_assumptions", "cli.py", []),
+            ("eigen_solve", "cli.py", [])]
+
+
+@pytest.mark.parametrize("callee, module, owners", ONE_HOME,
+                         ids=[f"{callee}-in-{module}" for callee, module, _ in ONE_HOME])
+def test_each_diagnostic_has_one_home(callee, module, owners):
+    found = {p.name: callers(p.read_text(encoding="utf-8"), callee) for p in MODULES}
+    assert found[module] == owners
+    if callee == "normal_derivative":
+        assert all(calls == [] for name, calls in found.items() if name != module)

@@ -310,7 +310,7 @@ max relative gap between F' (central difference) and f = 1.37e-10
                                                 (INADMISSIBLE, VALIDATION_REJECTED, 1)],
                          ids=["accepted", "rejected"])
 def test_validate_writes_the_verdict_of_parse_time(tmp_path, args, text, status):
-    # the text bsac validate wrote when it ran the scan a second time
+    # the verdict's text, pinned byte for byte
     assert run_main(tmp_path, "a", ["validate"] + args)[0] == status
     run_dir = single_run_dir(tmp_path / "a", "validate")
     assert (run_dir / "validation.txt").read_text() == text

@@ -118,7 +118,7 @@ class PotentialFamily:
             if which == "F":
                 return (1.0 - s**2) ** 2 / 4.0
             if which == "f":
-                return s**3 - s
+                return s * s * s - s
             if which == "f'":
                 return 3.0 * s**2 - 1.0
             if which == "f''":
@@ -128,7 +128,7 @@ class PotentialFamily:
             if which == "F":
                 return a * (1.0 - (s / w) ** 2) ** 2 / 4.0
             if which == "f":
-                return a * (s**3 - w**2 * s) / w**4
+                return a * (s * s * s - w**2 * s) / w**4
             if which == "f'":
                 return a * (3.0 * s**2 - w**2) / w**4
             if which == "f''":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 from .errors import ConfigurationError, NumericalError
 from .mesh import Mesh, matvec, per_mesh, trace_adjoint, trace_matrix
@@ -159,9 +159,15 @@ class RingBands:
     Fourier transform along the angle, a cosine sum over the pattern's
     offsets, splits it into one radial band block per mode (Swarztrauber,
     SIAM Rev. 19, 1977); stacked, the blocks are one band matrix for LAPACK's
-    dgbtrf. The solve is exact for a matrix the shift and the reflection
-    leave unchanged, and a symmetric preconditioner for any other symmetric
-    one; with one angle (exact) it is exact for every matrix. The same
+    dgbtrf. With more than one angle each ring but the last may couple only
+    to its neighbours, so that every block is a tridiagonal core and at
+    most one border ring, the last, which the trace's 3/2, -1/2 stencil
+    couples two rings in (border: 1 if some entry reaches across two rings
+    or more, else 0); another layout raises ValueError. An SPD average is
+    then factored as the L D L' of its cores and one Schur complement per
+    mode (factor). The solve is exact for a matrix the shift and the
+    reflection leave unchanged, and a symmetric preconditioner for any other
+    symmetric one; with one angle (exact) it is exact for every matrix. The same
     blocks, dense, are the radial pencils of the eigen path; invariant tells
     it whether a matrix is unchanged by the shift and the reflection, so
     that they are exact, and rises whether a pencil's blocks rise with the
@@ -185,6 +191,12 @@ class RingBands:
         offset = (np.cumsum(present) - 1)[angles]
         self.width = w = int(np.max(np.abs(row - col)))
         self.sizes = (n // period, period, 3 * w + 1)   # rings, angles, band rows
+        # the outer ring of each entry that reaches across two rings or more
+        far = np.maximum(row, col)[np.abs(row - col) > 1]
+        self.border = int(far.size > 0)
+        if period > 1 and np.any(far != n // period - 1):
+            raise ValueError(f"a {period}-angle layout must couple its rings only to their "
+                             f"neighbours, apart from the last")
         # mode m's mean over the angle, exactly even in the offset
         self.cosines = np.cos(2 * np.pi / period * np.outer(
             np.arange(period // 2 + 1), np.minimum(offsets, period - offsets))) / period
@@ -249,15 +261,25 @@ class RingBands:
 
     def factor(self, data: np.ndarray):
         """The solve with the angle average of the matrix whose stored values
-        are data, or None when its band factor is singular. With more than
-        one angle, the rfft of the right-hand side is written, its real and
-        imaginary parts as the two columns and the modes one after the
-        other, into one Fortran-ordered buffer that dgbtrs solves in place,
-        and the solution's modes into one complex array for irfft. The
-        buffers are the solve's own, so one solve must end before the next
-        starts: it is not reentrant."""
+        are data, or None when that average is singular.
+
+        With more than one angle the matrix must be symmetric, as every
+        caller's is: a positive definite average takes the solve of
+        _definite, which reads the lower triangle of each mode's block only.
+        One that is not (a Newton step past the convexity bound, dt c4 > 1)
+        takes, as one angle does, the solve of dgbtrf's LU of the stacked
+        band. With more than one angle either solve writes the rfft of the
+        right-hand side, its real and imaginary parts as the two columns and
+        the modes one after the other, into one Fortran-ordered buffer that
+        LAPACK solves in place, and the solution's modes into one complex
+        array for irfft. The buffers are the solve's own, so one solve must
+        end before the next starts: it is not reentrant."""
         (n_rings, period, _), w = self.sizes, self.width
         band = self._band(data)
+        if period > 1:
+            solve = self._definite(band)
+            if solve is not None:
+                return solve
         lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=1)
         if info > 0:
             return None
@@ -278,6 +300,57 @@ class RingBands:
             x, _ = dgbtrs(lu, w, w, parts.reshape(2, -1).T, pivots, overwrite_b=1)
             modes.real = x[:, 0].reshape(n_modes, n_rings).T
             modes.imag = x[:, 1].reshape(n_modes, n_rings).T
+            return np.fft.irfft(modes, period).ravel()
+        return solve
+
+    def _definite(self, band: np.ndarray):
+        """The solve with the average whose mode blocks are band, which it
+        leaves as it is, or None when that average is not positive definite.
+        The cores of the modes, stacked mode after mode, are one tridiagonal
+        matrix, of which dpttrf reads the diagonal and the sub-diagonal and
+        factors it as L D L'; None if a pivot is not positive. The border
+        ring, whose row left of the diagonal reaches the last width core
+        rings, is eliminated by one scalar Schur complement per mode, s = g -
+        b' T^-1 b; None if some s is not positive. A solve is dpttrs on the
+        core's parts, z = T^-1 c, then the border's y = (g_hat - b' z) / s,
+        then z -= T^-1 b y."""
+        (n_rings, period, rows), w = self.sizes, self.width
+        n_modes, n_core = period // 2 + 1, n_rings - self.border
+        blocks = band.reshape(rows, n_modes, n_rings)     # [band row, mode, ring]
+        # the core's sub-diagonal; none between modes, nor on one ring
+        below = blocks[2 * w + 1, :, :n_core].copy() if w else np.zeros((n_modes, n_core))
+        below[:, -1] = 0.0
+        d, e, info = dpttrf(blocks[2 * w, :, :n_core].ravel(), below.ravel()[:-1],
+                            overwrite_e=1)
+        if info > 0:
+            return None
+        if self.border:
+            # the border's row left of the diagonal: [mode, last w core rings]
+            edge = blocks[np.arange(3 * w, 2 * w, -1), :, np.arange(n_core - w, n_core)].T
+            column = np.zeros((n_modes, n_core))
+            column[:, -w:] = edge
+            v, _ = dpttrs(d, e, column.reshape(-1, 1), overwrite_b=1)
+            v = v.reshape(n_modes, n_core)
+            schur = blocks[2 * w, :, n_core] - (edge * v[:, -w:]).sum(axis=1)
+            if np.any(schur <= 0):
+                return None
+        parts = np.empty((2, n_modes, n_core))     # [part, mode, ring]; (n_cols, 2) in F order
+        modes = np.empty((n_rings, n_modes), dtype=complex)
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            spectrum = np.fft.rfft(r.reshape(n_rings, period))
+            parts[0] = spectrum.real[:n_core].T
+            parts[1] = spectrum.imag[:n_core].T
+            z, _ = dpttrs(d, e, parts.reshape(2, -1).T, overwrite_b=1)
+            z = z.T.reshape(2, n_modes, n_core)
+            if self.border:
+                top = spectrum[n_core]
+                y = (np.stack([top.real, top.imag]) - (edge * z[:, :, -w:]).sum(axis=2)) / schur
+                z -= v * y[:, :, None]
+                modes.real[n_core] = y[0]
+                modes.imag[n_core] = y[1]
+            modes.real[:n_core] = z[0].T
+            modes.imag[:n_core] = z[1].T
             return np.fft.irfft(modes, period).ravel()
         return solve
 

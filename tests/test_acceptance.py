@@ -35,7 +35,7 @@ from bsac import (
     w_norm,
 )
 from bsac.cli import main as cli_main
-from bsac.dynamics import ROW_HEADER, read_checkpoint
+from bsac.dynamics import ROW_HEADER, initial_state, read_checkpoint
 
 from conftest import disk_boundary_eigenvalues, interval_boundary_eigenvalues, random_pair
 
@@ -353,3 +353,21 @@ def test_criterion_9_bitwise_rerun_and_resume(tmp_path):
             f"manifest-echo rerun bitwise {'equal' if rerun_ok else 'DIFFERS'};"
             f" {len(checkpoints)} checkpoint resumes reproduce the table "
             f"{'bitwise' if resume_ok else 'with DIFFERENCES'}; {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("geometry", ["interval", "disk"])
+def test_the_mirrored_run_is_the_bitwise_negation(dw_spec, geometry):
+    # the double well's f, f_G and the identity coupling are odd and every
+    # solve is linear, so the run from -x0 is the run from x0 with each sign
+    # flipped, bit for bit, as long as f is a product (pow's last bit is
+    # not odd): the states negated, every recorded value equal
+    config = RunConfig(geometry=geometry, n=64, n_r=16, n_theta=32, t_final=10.0,
+                       keep_states=True, checkpoint_every=0, spec=dw_spec)
+    mesh = config.build_mesh()
+    start = initial_state(config, mesh)
+    plain, mirrored = (run_trajectory(config, FieldPair(sign * start.bulk, sign * start.surface),
+                                      mesh=mesh) for sign in (1.0, -1.0))
+    assert plain.n_samples() > 10 and np.array_equal(plain.rows(), mirrored.rows())
+    assert plain.diagnostics == mirrored.diagnostics
+    assert all(np.array_equal(a.joint(), -b.joint())
+               for a, b in zip(plain.states, mirrored.states, strict=True))

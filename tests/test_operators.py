@@ -6,10 +6,12 @@ the interval, Bessel on the disk). Those roots, bracketed and refined with
 brentq, are the reference values here.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from bsac import (
     ConfigurationError,
@@ -264,6 +266,18 @@ def test_band_solve_is_exact_on_the_invariant_matrices(mesh_name, request):
         assert np.linalg.norm(matrix @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)
 
 
+def angle_average(matrix, period: int) -> np.ndarray:
+    """The mean of a matrix over every angular shift and the reflection, in
+    a layout that runs ring by ring through period angles, dense."""
+    n = matrix.shape[0]
+    ring, angle = np.divmod(np.arange(n), period)
+    dense = matrix.toarray()
+    mean = sum(dense[np.ix_(p, p)] for p in (ring * period + (angle + s) % period
+                                             for s in range(period))) / period
+    flip = ring * period + (-angle) % period
+    return (mean + mean[np.ix_(flip, flip)]) / 2
+
+
 def test_band_solve_inverts_the_angle_average(disk_small):
     # on a Jacobian whose reaction varies with the angle the solve is the
     # inverse of the mean over every angular shift and the reflection
@@ -273,12 +287,7 @@ def test_band_solve_inverts_the_angle_average(disk_small):
     jac = jacobian_map(mesh, 0.5, None)
     matrix = jac.matrix(jac.values(joint_mass(mesh) * rng.uniform(1, 30, n),
                                    -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface)))
-    ring, angle = np.divmod(np.arange(n), period)
-    dense = matrix.toarray()
-    mean = sum(dense[np.ix_(p, p)] for p in (ring * period + (angle + s) % period
-                                             for s in range(period))) / period
-    flip = ring * period + (-angle) % period
-    mean = (mean + mean[np.ix_(flip, flip)]) / 2
+    mean = angle_average(matrix, period)
     b = rng.standard_normal(n)
     bands = dynamics._RobinStepper(mesh, make_spec(), 0.5).bands
     x = bands.factor(matrix.data)(b)
@@ -288,9 +297,65 @@ def test_band_solve_inverts_the_angle_average(disk_small):
     assert bands.factor(0 * matrix.data) is None
 
 
+@pytest.mark.parametrize("dt", [0.05, 1.0, math.inf])
+@pytest.mark.parametrize("K", [1.0, 1e-2])
+def test_band_solve_of_each_layout_is_the_dense_solve_of_its_average(disk_small, K, dt):
+    # the Robin Jacobian has one border ring, the surface, which the trace
+    # reaches across two rings; the transmission Jacobian and the H1 blocks
+    # (here at scale K) have none. Near u = 1 every average is SPD, so each
+    # takes the L D L' factor
+    mesh = disk_small
+    period, n_b = mesh.angular_period, mesh.n_bulk
+    rng = np.random.default_rng(14)
+    spec = make_spec()
+    state = random_pair(mesh, rng, mean=0.9, amplitude=0.1)
+    cases = []      # (layout, matrix, stored values)
+    for stepper in (dynamics._RobinStepper(mesh, spec, K),
+                    dynamics._TransmissionStepper(mesh, spec)):
+        variation = stepper.evaluate(stepper.state_of(stepper.unknowns(state)))[1]
+        data = stepper.jacobian(variation, dt)
+        cases.append((stepper.bands, stepper.jac_map.matrix(data), data))
+    for stiffness, weights, rings in (
+            (bulk_dirichlet_stiffness(mesh), mesh.bulk_weights, mesh.rings[:n_b]),
+            (surface_stiffness(mesh), mesh.surface_weights, mesh.rings[n_b:])):
+        matrix = (K * stiffness + sp.diags(weights)).tocsr()
+        cases.append((RingBands(matrix, rings, period), matrix, matrix.data))
+    assert [bands.border for bands, _, _ in cases] == [1, 0, 0, 0]
+    for bands, matrix, data in cases:
+        assert bands._definite(bands._band(data)) is not None
+        b = rng.standard_normal(matrix.shape[0])
+        np.testing.assert_allclose(bands.factor(data)(b),
+                                   np.linalg.solve(angle_average(matrix, period), b),
+                                   rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("bulk", [0.0, 1.0], ids=["core", "border"])
+def test_an_indefinite_average_takes_the_band_lu(disk_small, bulk):
+    # at K = 10 the first Robin eigenvalue lies below 1, so f'(0) = -1 makes
+    # the uniform Hessian's core indefinite at u = 0; at u = 1 its core is
+    # SPD, but f_G'(0) + 1/K < 0 makes the border's Schur complement
+    # negative. A uniform state's Hessian is its own angle average, so CG
+    # takes one iteration on it
+    mesh = disk_small
+    stepper = dynamics._RobinStepper(mesh, make_spec(), 10.0)
+    state = FieldPair(np.full(mesh.n_bulk, bulk), np.zeros(mesh.n_surface))
+    data = stepper.jacobian(stepper.evaluate(state)[1], math.inf)
+    bands = stepper.bands
+    assert bands._definite(bands._band(data)) is None
+    matrix = stepper.jac_map.matrix(data)
+    b = np.random.default_rng(15).standard_normal(matrix.shape[0])
+    dense = np.linalg.solve(matrix.toarray(), b)
+    np.testing.assert_allclose(bands.factor(data)(b), dense, rtol=1e-10, atol=1e-12)
+    x = stepper._solver(data, dynamics.KRYLOV_RTOL)(b)
+    assert (stepper.krylov_iterations, stepper.factorizations) == (1, 0)
+    assert np.linalg.norm(x - dense) <= 1e-6 * np.linalg.norm(dense)
+
+
 def test_band_solve_is_the_plain_fourier_solve_bit_for_bit(disk_small):
-    # the reference: gather, rfft, the parts stacked as two columns, dgbtrs
-    # with f2py's copy, the complex modes reassembled, irfft and scatter
+    # the reference, one Fourier mode at a time: rfft; the mode's core
+    # rings factored by dpttrf, the real and imaginary parts two columns of
+    # dpttrs with f2py's copy; the border ring by the mode's Schur
+    # complement; irfft
     mesh = disk_small
     rng = np.random.default_rng(12)
     n = mesh.n_bulk + mesh.n_surface
@@ -299,17 +364,48 @@ def test_band_solve_is_the_plain_fourier_solve_bit_for_bit(disk_small):
                                   -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface))
     bands = stepper.bands
     (n_rings, period, _), w = bands.sizes, bands.width
-    lu, pivots, _ = dgbtrf(bands._band(data), w, w)
+    core = n_rings - 1
+    # [row ring - column ring, mode, column ring]: the lower triangle
+    lower = bands._band(data)[2 * w:].reshape(w + 1, -1, n_rings)
+    factors = []
+    for mode in lower.transpose(1, 0, 2):
+        d, e, info = dpttrf(mode[0, :core], mode[1, :core - 1])
+        assert info == 0
+        edge = np.array([mode[core - ring, ring] for ring in range(core - w, core)])
+        column = np.zeros(core)
+        column[-w:] = edge
+        v = dpttrs(d, e, column.reshape(-1, 1))[0].ravel()
+        factors.append((d, e, edge, v, mode[0, core] - (edge * v[-w:]).sum()))
     solve = bands.factor(data)
     solved, expected = [], []
     for b in rng.standard_normal((3, n)):
-        x = np.fft.rfft(b[bands.order].reshape(n_rings, period)).T.ravel()
-        x, _ = dgbtrs(lu, w, w, np.column_stack([x.real, x.imag]), pivots)
-        x = np.fft.irfft((x[:, 0] + 1j * x[:, 1]).reshape(-1, n_rings).T, period)
+        spectrum = np.fft.rfft(b.reshape(n_rings, period))
+        modes = np.empty_like(spectrum)
+        for m, (d, e, edge, v, schur) in enumerate(factors):
+            z, _ = dpttrs(d, e, np.column_stack([spectrum[:core, m].real,
+                                                 spectrum[:core, m].imag]))
+            y = (np.array([spectrum[core, m].real, spectrum[core, m].imag])
+                 - (edge * z[-w:].T).sum(axis=1)) / schur
+            z -= v[:, None] * y
+            modes[:core, m] = z[:, 0] + 1j * z[:, 1]
+            modes[core, m] = y[0] + 1j * y[1]
         solved.append(solve(b))
-        expected.append(x.ravel()[bands.place])
+        expected.append(np.fft.irfft(modes, period).ravel())
     # each solution its own array, though the solves share their buffers
     assert all(np.array_equal(s, e) for s, e in zip(solved, expected, strict=True))
+
+
+def test_band_layouts_refuse_rings_coupled_past_their_neighbours(disk_small):
+    # past its neighbours only the last ring, the border, may couple: an
+    # entry two rings apart in the core, or a second border ring, is refused
+    mesh = disk_small
+    period, last = mesh.angular_period, mesh.rings[-1]
+    pattern = jacobian_map(mesh, 0.5, None).pattern()
+    for pair in ((2, 4), (last - 1, last - 3)):
+        ends = np.array(pair) * period
+        extra = sp.coo_matrix((np.ones(2), (ends, ends[::-1])), shape=pattern.shape)
+        with pytest.raises(ValueError, match="neighbours"):
+            RingBands((pattern + extra).tocsc(), mesh.rings, period)
 
 
 def test_band_layouts_with_angles_run_ring_by_ring(disk_small):

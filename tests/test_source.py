@@ -14,11 +14,14 @@ eigensolve of the package, and every demo imports demos/_one_blas_thread.py,
 which pins one BLAS thread unless the caller chose a count, before it
 imports numpy, and each diagnostic has one home: only energy.robin_residual
 takes a normal derivative, and the CLI neither validates a spec nor solves
-a pencil itself."""
+a pencil itself; and import bsac loads neither scipy.fft, scipy.integrate
+nor scipy.sparse.csgraph."""
 
 import ast
 import os
 import runpy
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -212,6 +215,30 @@ def test_demo_blas_pin_keeps_the_callers_setting(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     runpy.run_path(str(ROOT / "demos" / "_one_blas_thread.py"))
     assert (os.environ["OPENBLAS_NUM_THREADS"], os.environ["MKL_NUM_THREADS"]) == ("2", "1")
+
+
+# scipy modules that import bsac leaves unloaded: scipy.fft and
+# scipy.integrate cost start-up time and memory that no command needs, and
+# steady_spectral imports csgraph only where reverse Cuthill-McKee runs
+LAZY_MODULES = ("scipy.fft", "scipy.integrate", "scipy.sparse.csgraph")
+
+
+def loaded_lazy_modules(statement: str) -> list:
+    """The LAZY_MODULES that a fresh interpreter holds after running
+    statement, with the package's sources first on its path."""
+    code = f"import sys\n{statement}\nprint(*(m for m in {LAZY_MODULES!r} if m in sys.modules))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": path})
+    return result.stdout.split()
+
+
+def test_detector_sees_a_lazy_module_loaded():
+    assert loaded_lazy_modules("import scipy.sparse.csgraph") == ["scipy.sparse.csgraph"]
+
+
+def test_importing_bsac_loads_no_lazy_module():
+    assert loaded_lazy_modules("import bsac") == []
 
 
 def mesh_internals(source: str) -> list:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.integrate import solve_bvp
 
 from bsac import (
     FieldPair,
@@ -20,15 +21,18 @@ from bsac import (
     build_disk,
     build_interval,
     compute_coercivity_margin,
+    compute_energy,
     compute_gradient,
     eigen_solve,
     joint_mass,
+    make_spec,
     run_trajectory,
     smoothed_random_state,
     solve_stationary_newton,
     strong_form_residuals,
 )
 from bsac import dynamics, steady_spectral
+from bsac.energy import part_norm
 from conftest import forbid_sparse_lu, interval_boundary_eigenvalues, random_pair
 
 
@@ -45,6 +49,84 @@ def test_newton_finds_both_wells(dw_spec):
         assert eq.residual_dual_norm < 1e-12
         assert np.max(np.abs(eq.state.bulk - sign)) < 1e-10
         assert np.max(np.abs(eq.state.surface - sign)) < 1e-10
+
+
+def equilibrium_error(mesh, state, exact):
+    """The bulk L2 error plus the surface one."""
+    return (part_norm(mesh.bulk_weights, state.bulk - exact.bulk)
+            + part_norm(mesh.surface_weights, state.surface - exact.surface))
+
+
+def test_interval_kink_is_met_at_second_order():
+    # u = tanh(a (x - 1/2)) solves u'' = f(u) for the scaled well of
+    # amplitude 2 a^2 and width 1. With h = alpha phi and T = tanh(a/2) the
+    # Robin condition puts phi at -+phi_1 = -+(K a (1 - T^2) + T) / alpha,
+    # and the surface equation f_G(phi_1) = -alpha a (1 - T^2) holds for the
+    # odd polynomial f_G = c2 s + c4 s^3 with c2 below; c0 only meets the
+    # linear lower bound. The energy is closed form too
+    a, K, alpha, c4, c0 = 4.0, 1.0, 1.0, 1.0, 2.0
+    T = np.tanh(a / 2)
+    phi_1 = (K * a * (1 - T * T) + T) / alpha
+    c2 = (-alpha * a * (1 - T * T) - c4 * phi_1**3) / phi_1
+    spec = make_spec("scaled", "polynomial", bulk_params={"amplitude": 2 * a * a},
+                     surface_params={"coeffs": (c0, 0.0, c2 / 2, 0.0, c4 / 4)},
+                     coupling_params={"alpha": alpha})
+    assert spec.validation.accepted
+    surface_energy = c0 + c2 * phi_1**2 / 2 + c4 * phi_1**4 / 4
+    energy = 2 * a * (T - T**3 / 3) + 2 * surface_energy + K * (a * (1 - T * T)) ** 2
+    assert energy == pytest.approx(7.8430724, abs=1e-7)
+    errors, gaps = [], []
+    for n in (16, 32, 64, 128, 256):
+        mesh = build_interval(1.0, n)
+        kink = FieldPair(np.tanh(a * (mesh.bulk_points[:, 0] - 0.5)), np.array([-phi_1, phi_1]))
+        eq = solve_stationary_newton(mesh, spec, K, kink, 1e-11, compute_stability=False)
+        assert eq.converged
+        errors.append(equilibrium_error(mesh, eq.state, kink))
+        gaps.append(abs(compute_energy(mesh, spec, eq.state, K).total - energy))
+    # measured: error ratios 4.27, 3.98, 3.99, 4.00 (2.6e-3 to 9.8e-6);
+    # energy gap ratios 3.88, 3.96, 3.98, 3.99
+    error_ratios = np.divide(errors[:-1], errors[1:])
+    gap_ratios = np.divide(gaps[:-1], gaps[1:])
+    assert np.all((error_ratios > 3.9) & (error_ratios < 4.4)) and errors[-1] < 1.1e-5
+    assert np.all((gap_ratios > 3.8) & (gap_ratios < 4.1)) and gaps[-1] < 5e-5
+
+
+def test_radial_disk_equilibrium_meets_the_ode_reference():
+    # with eta != 0 the disk equilibrium is radial but not uniform: u'' +
+    # u'/r = f(u), u'(0) = 0, K u'(1) + u(1) = alpha phi + eta and f_G(phi) +
+    # alpha u'(1) = 0 for the constant phi, which solve_bvp solves with its
+    # singular term S. Its Newton directions are CG on the band solve with
+    # the surface as border ring
+    alpha, eta, K = 0.8, 0.3, 1.0
+    spec = make_spec(coupling_params={"alpha": alpha, "eta": eta})
+
+    def flux(r, y, p):
+        return np.vstack([y[1], spec.eval("f", y[0])])
+
+    def ends(y0, y1, p):
+        return np.array([y0[1], K * y1[1] + y1[0] - alpha * p[0] - eta,
+                         spec.eval("f_G", p[0]) + alpha * y1[1]])
+
+    r = np.linspace(0.0, 1.0, 101)
+    # about 520 nodes; at tol 1e-12 it stops at the default cap of 1000 (status 1)
+    reference = solve_bvp(flux, ends, r, np.vstack([np.ones_like(r), np.zeros_like(r)]),
+                          p=[1.0], S=np.diag([0.0, -1.0]), tol=1e-11)
+    assert reference.status == 0
+    phi = reference.p[0]
+    assert phi == pytest.approx(0.98361487, abs=1e-8)
+    errors = []
+    for n_r in (16, 32, 64, 128, 256):
+        mesh = build_disk(1.0, n_r, 4)
+        exact = FieldPair(reference.sol(np.hypot(*mesh.bulk_points.T))[0],
+                          np.full(mesh.n_surface, phi))
+        eq = solve_stationary_newton(mesh, spec, K, uniform_guess(mesh, 1.0), 1e-11,
+                                     compute_stability=False)
+        assert eq.converged and eq.factorizations == 0 and eq.krylov_iterations > 0
+        errors.append(equilibrium_error(mesh, eq.state, exact))
+    # measured: 7.3e-5 to 1.8e-7, ratios 4.62, 4.58, 4.47, 4.34
+    ratios = np.divide(errors[:-1], errors[1:])
+    assert np.all((ratios > 4.0) & (ratios < 4.8)) and np.all(np.diff(ratios) < 0)
+    assert errors[0] < 1e-4 and errors[-1] < 2e-7
 
 
 def test_newton_stability_tag_matches_rayleigh_quotient(dw_spec):

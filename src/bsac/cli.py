@@ -160,19 +160,23 @@ def _build_spec(values: dict, errors: list) -> NonlinearitySpec | None:
 def parse_config(source: str | Path, overrides: dict | None = None) -> ResolvedConfig:
     """Resolve a config from a file path or inline text.
 
+    One line is a file path, unless it holds "=" and names no readable file.
     Manifest files work directly: only the [config] section is read. All
-    omitted keys take their documented defaults; every problem found is
-    reported in one ConfigurationError.
+    omitted keys take their documented defaults; every problem found, a
+    file that cannot be opened or decoded too, is reported in one
+    ConfigurationError.
     """
     text = str(source)
     if text.strip() and "\n" not in text:
-        if "=" not in text:
-            path = Path(text)
-            if not path.is_file():
-                raise ConfigurationError(f"config file not found: {path}")
+        path = Path(text)
+        try:
             text = path.read_text(encoding="utf-8")
-        elif Path(text).is_file():
-            text = Path(text).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            # one line with "=" that names no readable file is inline text
+            if "=" not in text or isinstance(exc, UnicodeDecodeError):
+                missing = isinstance(exc, FileNotFoundError)
+                reason = "not found" if missing else f"unreadable ({exc})"
+                raise ConfigurationError(f"config file {reason}: {path}") from None
 
     values = {key: default for key, (_, default) in KEY_SPECS.items()}
     errors = []

@@ -799,15 +799,19 @@ def write_checkpoint(path, cp: Checkpoint, config_hash: str = "") -> None:
 
 
 def read_checkpoint(path) -> tuple[Checkpoint, str]:
-    """Inverse of write_checkpoint, ignoring keys it does not write; a missing,
-    malformed or non-finite field raises InputError, and then a state that
-    does not match its state_sha256 line, where the file has one."""
+    """Inverse of write_checkpoint, ignoring keys it does not write; a file
+    that cannot be opened or decoded, a missing, malformed or non-finite
+    field raises InputError, and then a state that does not match its
+    state_sha256 line, where the file has one."""
     entries = {}
-    with open(path) as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, val = line.partition("=")
-                entries[key.strip()] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if "=" in line:
+                    key, _, val = line.partition("=")
+                    entries[key.strip()] = val.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"checkpoint {path} cannot be read: {exc}") from None
 
     def parse(key, cast):
         if key not in entries:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import ConfigurationError, NumericalError
 from .mesh import Mesh, matvec, per_mesh, trace_adjoint, trace_matrix
@@ -158,17 +158,18 @@ class RingBands:
     matrix the angular shift leaves unchanged (Chan, SISSC 9, 1988). Its
     Fourier transform along the angle, a cosine sum over the pattern's
     offsets, splits it into one radial band block per mode (Swarztrauber,
-    SIAM Rev. 19, 1977); stacked, the blocks are one band matrix for LAPACK's
-    dgbtrf. With more than one angle each ring but the last may couple only
-    to its neighbours, so that every block is a tridiagonal core and at
-    most one border ring, the last, which the trace's 3/2, -1/2 stencil
-    couples two rings in (border: 1 if some entry reaches across two rings
-    or more, else 0); another layout raises ValueError. An SPD average is
-    then factored as the L D L' of its cores and one Schur complement per
-    mode (factor). The solve is exact for a matrix the shift and the
-    reflection leave unchanged, and a symmetric preconditioner for any other
-    symmetric one; with one angle (exact) it is exact for every matrix. The same
-    blocks, dense, are the radial pencils of the eigen path; invariant tells
+    SIAM Rev. 19, 1977). With one angle there is one block, a band matrix
+    for LAPACK's dgbtrf. With more than one each ring but the last may
+    couple only to its neighbours, so that every block is a tridiagonal core
+    and at most one border ring, the last, which the trace's 3/2, -1/2
+    stencil couples two rings in (border: 1 if some entry reaches across two
+    rings or more, else 0); another layout raises ValueError. The average is
+    then factored through the stacked cores, by L D L' or, when they are
+    indefinite, by pivoted L U, and one Schur complement per mode (factor).
+    The solve is exact for a matrix the shift and the reflection leave
+    unchanged, and a symmetric preconditioner for any other symmetric one;
+    with one angle (exact) it is exact for every matrix. The same blocks,
+    dense, are the radial pencils of the eigen path; invariant tells
     it whether a matrix is unchanged by the shift and the reflection, so
     that they are exact, and rises whether a pencil's blocks rise with the
     mode, so that its modes past the requested values need no solve.
@@ -263,76 +264,59 @@ class RingBands:
         """The solve with the angle average of the matrix whose stored values
         are data, or None when that average is singular.
 
-        With more than one angle the matrix must be symmetric, as every
-        caller's is: a positive definite average takes the solve of
-        _definite, which reads the lower triangle of each mode's block only.
-        One that is not (a Newton step past the convexity bound, dt c4 > 1)
-        takes, as one angle does, the solve of dgbtrf's LU of the stacked
-        band. With more than one angle either solve writes the rfft of the
-        right-hand side, its real and imaginary parts as the two columns and
-        the modes one after the other, into one Fortran-ordered buffer that
-        LAPACK solves in place, and the solution's modes into one complex
-        array for irfft. The buffers are the solve's own, so one solve must
-        end before the next starts: it is not reentrant."""
-        (n_rings, period, _), w = self.sizes, self.width
+        With one angle the solve is dgbtrf's LU of the band. With more than
+        one the matrix must be symmetric, as every caller's is, and the factor
+        reads the lower triangle of each mode's block only. The cores of the
+        modes, stacked mode after mode, are one tridiagonal matrix T: dpttrf
+        factors it as L D L' when its pivots are positive, and otherwise (a
+        Newton step past the convexity bound, dt c4 > 1) the pivoted dgttrf
+        as L U; None if U is singular. The border ring, whose row left of
+        the diagonal reaches the last width core rings, is eliminated by one
+        scalar Schur complement per mode, s = g - b' T^-1 b, of either sign;
+        None if some s is zero. A solve writes the rfft of the right-hand
+        side's core rings, its real and imaginary parts as the two columns
+        and the modes one after the other, into one Fortran-ordered buffer
+        that the core's solve overwrites, z = T^-1 c; then the border's
+        y = (g_hat - b' z) / s and z -= T^-1 b y, and the solution's modes
+        into one complex array for irfft. The buffers are the solve's own,
+        so one solve must end before the next starts: it is not reentrant."""
+        (n_rings, period, rows), w = self.sizes, self.width
         band = self._band(data)
-        if period > 1:
-            solve = self._definite(band)
-            if solve is not None:
-                return solve
-        lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=1)
-        if info > 0:
-            return None
         if period == 1:
+            lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=1)
+            if info > 0:
+                return None
+
             def solve(r: np.ndarray) -> np.ndarray:
                 x, _ = dgbtrs(lu, w, w, r[self.order].reshape(n_rings, 1), pivots)
                 return x.ravel()[self.place]
             return solve
-        n_modes = period // 2 + 1
-        parts = np.empty((2, n_modes, n_rings))     # [part, mode, ring]; (n_cols, 2) in F order
-        modes = np.empty((n_rings, n_modes), dtype=complex)
-
-        def solve(r: np.ndarray) -> np.ndarray:
-            spectrum = np.fft.rfft(r.reshape(n_rings, period))
-            parts[0] = spectrum.real.T
-            parts[1] = spectrum.imag.T
-            # parts itself, unless f2py had to copy it
-            x, _ = dgbtrs(lu, w, w, parts.reshape(2, -1).T, pivots, overwrite_b=1)
-            modes.real = x[:, 0].reshape(n_modes, n_rings).T
-            modes.imag = x[:, 1].reshape(n_modes, n_rings).T
-            return np.fft.irfft(modes, period).ravel()
-        return solve
-
-    def _definite(self, band: np.ndarray):
-        """The solve with the average whose mode blocks are band, which it
-        leaves as it is, or None when that average is not positive definite.
-        The cores of the modes, stacked mode after mode, are one tridiagonal
-        matrix, of which dpttrf reads the diagonal and the sub-diagonal and
-        factors it as L D L'; None if a pivot is not positive. The border
-        ring, whose row left of the diagonal reaches the last width core
-        rings, is eliminated by one scalar Schur complement per mode, s = g -
-        b' T^-1 b; None if some s is not positive. A solve is dpttrs on the
-        core's parts, z = T^-1 c, then the border's y = (g_hat - b' z) / s,
-        then z -= T^-1 b y."""
-        (n_rings, period, rows), w = self.sizes, self.width
         n_modes, n_core = period // 2 + 1, n_rings - self.border
         blocks = band.reshape(rows, n_modes, n_rings)     # [band row, mode, ring]
+        diagonal = blocks[2 * w, :, :n_core].ravel()
         # the core's sub-diagonal; none between modes, nor on one ring
         below = blocks[2 * w + 1, :, :n_core].copy() if w else np.zeros((n_modes, n_core))
         below[:, -1] = 0.0
-        d, e, info = dpttrf(blocks[2 * w, :, :n_core].ravel(), below.ravel()[:-1],
-                            overwrite_e=1)
-        if info > 0:
-            return None
+        below = below.ravel()[:-1]
+        d, e, info = dpttrf(diagonal, below)
+        if info == 0:
+            def core(b: np.ndarray) -> np.ndarray:
+                return dpttrs(d, e, b, overwrite_b=1)[0]
+        else:
+            *lu, info = dgttrf(below, diagonal, below)
+            if info > 0:
+                return None
+
+            def core(b: np.ndarray) -> np.ndarray:
+                return dgttrs(*lu, b, overwrite_b=1)[0]
         if self.border:
             # the border's row left of the diagonal: [mode, last w core rings]
             edge = blocks[np.arange(3 * w, 2 * w, -1), :, np.arange(n_core - w, n_core)].T
             column = np.zeros((n_modes, n_core))
             column[:, -w:] = edge
-            v, _ = dpttrs(d, e, column.reshape(-1, 1), overwrite_b=1)
-            v = v.reshape(n_modes, n_core)
+            v = core(column.reshape(-1, 1)).reshape(n_modes, n_core)
             schur = blocks[2 * w, :, n_core] - (edge * v[:, -w:]).sum(axis=1)
-            if np.any(schur <= 0):
+            if np.any(schur == 0):
                 return None
         parts = np.empty((2, n_modes, n_core))     # [part, mode, ring]; (n_cols, 2) in F order
         modes = np.empty((n_rings, n_modes), dtype=complex)
@@ -341,8 +325,7 @@ class RingBands:
             spectrum = np.fft.rfft(r.reshape(n_rings, period))
             parts[0] = spectrum.real[:n_core].T
             parts[1] = spectrum.imag[:n_core].T
-            z, _ = dpttrs(d, e, parts.reshape(2, -1).T, overwrite_b=1)
-            z = z.T.reshape(2, n_modes, n_core)
+            z = core(parts.reshape(2, -1).T).T.reshape(2, n_modes, n_core)
             if self.border:
                 top = spectrum[n_core]
                 y = (np.stack([top.real, top.imag]) - (edge * z[:, :, -w:]).sum(axis=2)) / schur

@@ -168,6 +168,11 @@ def test_missing_config_file_is_reported():
         parse_config("no_such_file.cfg")
 
 
+def test_one_long_inline_line_is_config_text():
+    # longer than a file name may be, so opening it fails; it is still text
+    assert parse_config("seed = " + "0" * 300 + "7").values["seed"] == 7
+
+
 def test_nonpositive_k_rejected():
     with pytest.raises(ConfigurationError, match="K must be positive"):
         parse_config("K = -1")
@@ -656,6 +661,37 @@ def test_resume_rejects_a_checkpoint_cut_inside_a_value(tmp_path):
     assert status == 2
     assert re.search(r"^error = InputError: .*state_sha256",
                      (single_run_dir(root_c, "simulate") / "manifest.txt").read_text(),
+                     re.MULTILINE)
+
+
+def unreadable_files(tmp_path):
+    """A missing file, a directory and a file with a byte that is not UTF-8."""
+    bad = tmp_path / "not_utf8.txt"
+    bad.write_bytes(b"n = 16\nseed = \xff\n")
+    return {"missing": tmp_path / "nothere.txt", "directory": tmp_path, "not utf-8": bad}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_an_unreadable_config_file_exits_2_without_a_run_dir(tmp_path, kind, capsys):
+    path = unreadable_files(tmp_path)[kind]
+    with pytest.raises(ConfigurationError, match="config file"):
+        parse_config(str(path))
+    status, root = run_main(tmp_path, "a", ["validate", str(path)])
+    assert status == 2
+    assert f"config file {'not found' if kind == 'missing' else 'unreadable'}" in \
+        capsys.readouterr().err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_an_unreadable_checkpoint_is_an_input_error(tmp_path, kind):
+    path = unreadable_files(tmp_path)[kind]
+    with pytest.raises(InputError, match="cannot be read"):
+        read_checkpoint(path)
+    status, root = run_main(tmp_path, "a", ["simulate", "--resume", str(path)] + TINY)
+    assert status == 2
+    assert re.search(r"^error = InputError: checkpoint .* cannot be read: ",
+                     (single_run_dir(root, "simulate") / "manifest.txt").read_text(),
                      re.MULTILINE)
 
 

@@ -6,12 +6,13 @@ the interval, Bessel on the disk). Those roots, bracketed and refined with
 brentq, are the reference values here.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from bsac import (
     ConfigurationError,
@@ -28,7 +29,7 @@ from bsac import (
     eigen_solve,
     joint_mass,
 )
-from bsac import dynamics, make_spec, smoothed_random_state
+from bsac import dynamics, make_spec, operators, smoothed_random_state
 from bsac.energy import FieldPair
 from bsac.operators import (RingBands, bulk_dirichlet_stiffness, h1_solves, jacobian_map,
                             surface_stiffness)
@@ -297,13 +298,19 @@ def test_band_solve_inverts_the_angle_average(disk_small):
     assert bands.factor(0 * matrix.data) is None
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a LAPACK routine this factor must not call")
+
+
 @pytest.mark.parametrize("dt", [0.05, 1.0, math.inf])
 @pytest.mark.parametrize("K", [1.0, 1e-2])
-def test_band_solve_of_each_layout_is_the_dense_solve_of_its_average(disk_small, K, dt):
+def test_band_solve_of_each_layout_is_the_dense_solve_of_its_average(disk_small, K, dt,
+                                                                     monkeypatch):
     # the Robin Jacobian has one border ring, the surface, which the trace
     # reaches across two rings; the transmission Jacobian and the H1 blocks
     # (here at scale K) have none. Near u = 1 every average is SPD, so each
-    # takes the L D L' factor
+    # takes the L D L' factor and not the pivoted one
+    monkeypatch.setattr(operators, "dgttrf", refuse)
     mesh = disk_small
     period, n_b = mesh.angular_period, mesh.n_bulk
     rng = np.random.default_rng(14)
@@ -322,77 +329,126 @@ def test_band_solve_of_each_layout_is_the_dense_solve_of_its_average(disk_small,
         cases.append((RingBands(matrix, rings, period), matrix, matrix.data))
     assert [bands.border for bands, _, _ in cases] == [1, 0, 0, 0]
     for bands, matrix, data in cases:
-        assert bands._definite(bands._band(data)) is not None
         b = rng.standard_normal(matrix.shape[0])
         np.testing.assert_allclose(bands.factor(data)(b),
                                    np.linalg.solve(angle_average(matrix, period), b),
                                    rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("bulk", [0.0, 1.0], ids=["core", "border"])
-def test_an_indefinite_average_takes_the_band_lu(disk_small, bulk):
-    # at K = 10 the first Robin eigenvalue lies below 1, so f'(0) = -1 makes
-    # the uniform Hessian's core indefinite at u = 0; at u = 1 its core is
-    # SPD, but f_G'(0) + 1/K < 0 makes the border's Schur complement
-    # negative. A uniform state's Hessian is its own angle average, so CG
-    # takes one iteration on it
-    mesh = disk_small
+def uniform_hessian(mesh, bulk: float):
+    """The Robin stepper at K = 10 and the stationary Hessian of the state
+    that is bulk in the bulk and 0 on the surface, its own angle average.
+    At K = 10 the first Robin eigenvalue lies below 1, so f'(0) = -1 makes
+    the core indefinite at bulk = 0; at bulk = 1 the core is SPD, but
+    f_G'(0) + 1/K < 0 makes the border's Schur complement negative."""
     stepper = dynamics._RobinStepper(mesh, make_spec(), 10.0)
     state = FieldPair(np.full(mesh.n_bulk, bulk), np.zeros(mesh.n_surface))
-    data = stepper.jacobian(stepper.evaluate(state)[1], math.inf)
-    bands = stepper.bands
-    assert bands._definite(bands._band(data)) is None
+    return stepper, stepper.jacobian(stepper.evaluate(state)[1], math.inf)
+
+
+@pytest.mark.parametrize("bulk", [0.0, 1.0], ids=["core", "border"])
+def test_an_indefinite_core_takes_the_pivoted_lu_and_a_border_a_negative_schur_step(
+        disk_small, bulk, monkeypatch):
+    # the indefinite core is factored by dgttrf; the SPD one by dpttrf, and
+    # its border's negative Schur complement is kept. CG takes one
+    # iteration on a uniform Hessian, which is its own angle average
+    pivoted = []
+    monkeypatch.setattr(operators, "dgttrf",
+                        lambda *args: pivoted.append(1) or dgttrf(*args))
+    mesh = disk_small
+    stepper, data = uniform_hessian(mesh, bulk)
     matrix = stepper.jac_map.matrix(data)
+    core = mesh.rings < mesh.rings.max()        # every ring but the border
+    dense = matrix.toarray()
+    assert np.linalg.eigvalsh(dense).min() < 0
+    assert (np.linalg.eigvalsh(dense[np.ix_(core, core)]).min() > 0) == (bulk == 1.0)
     b = np.random.default_rng(15).standard_normal(matrix.shape[0])
-    dense = np.linalg.solve(matrix.toarray(), b)
-    np.testing.assert_allclose(bands.factor(data)(b), dense, rtol=1e-10, atol=1e-12)
+    x_dense = np.linalg.solve(dense, b)
+    np.testing.assert_allclose(stepper.bands.factor(data)(b), x_dense, rtol=1e-10, atol=1e-12)
+    assert len(pivoted) == (bulk == 0.0)
     x = stepper._solver(data, dynamics.KRYLOV_RTOL)(b)
     assert (stepper.krylov_iterations, stepper.factorizations) == (1, 0)
-    assert np.linalg.norm(x - dense) <= 1e-6 * np.linalg.norm(dense)
+    assert np.linalg.norm(x - x_dense) <= 1e-6 * np.linalg.norm(x_dense)
 
 
-def test_band_solve_is_the_plain_fourier_solve_bit_for_bit(disk_small):
-    # the reference, one Fourier mode at a time: rfft; the mode's core
-    # rings factored by dpttrf, the real and imaginary parts two columns of
-    # dpttrs with f2py's copy; the border ring by the mode's Schur
-    # complement; irfft
+def test_disk_averages_never_take_the_band_lu(disk_small, monkeypatch):
+    # dgbtrf serves one angle only: an SPD average, one with a negative
+    # Schur step and one with an indefinite core all solve without it
+    monkeypatch.setattr(operators, "dgbtrf", refuse)
+    monkeypatch.setattr(operators, "dgbtrs", refuse)
     mesh = disk_small
-    rng = np.random.default_rng(12)
+    rng = np.random.default_rng(16)
     n = mesh.n_bulk + mesh.n_surface
-    stepper = dynamics._RobinStepper(mesh, make_spec(), 0.5)
-    data = stepper.jac_map.values(joint_mass(mesh) * rng.uniform(1, 30, n),
-                                  -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface))
-    bands = stepper.bands
+    spd = dynamics._RobinStepper(mesh, make_spec(), 0.5)
+    cases = [(spd, spd.jac_map.values(joint_mass(mesh) * rng.uniform(1, 30, n),
+                                      -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface)))]
+    cases += [uniform_hessian(mesh, bulk) for bulk in (1.0, 0.0)]
+    for stepper, data in cases:
+        matrix = stepper.jac_map.matrix(data)
+        b = rng.standard_normal(n)
+        np.testing.assert_allclose(stepper.bands.factor(data)(b),
+                                   np.linalg.solve(angle_average(matrix, mesh.angular_period), b),
+                                   rtol=1e-10, atol=1e-12)
+
+
+def fourier_reference(bands, data, pivoted: bool):
+    """The solve with the angle average of data, one Fourier mode at a
+    time: rfft; the mode's core rings factored by dpttrf, or by dgttrf if
+    pivoted, the real and imaginary parts two columns of its solve with
+    f2py's copy; the border ring by the mode's Schur complement; irfft."""
     (n_rings, period, _), w = bands.sizes, bands.width
     core = n_rings - 1
     # [row ring - column ring, mode, column ring]: the lower triangle
     lower = bands._band(data)[2 * w:].reshape(w + 1, -1, n_rings)
     factors = []
     for mode in lower.transpose(1, 0, 2):
-        d, e, info = dpttrf(mode[0, :core], mode[1, :core - 1])
+        if pivoted:
+            sub = mode[1, :core - 1]
+            *lu, info = dgttrf(sub, mode[0, :core], sub)
+            core_solve = functools.partial(lambda lu, b: dgttrs(*lu, b)[0], lu)
+        else:
+            d, e, info = dpttrf(mode[0, :core], mode[1, :core - 1])
+            core_solve = functools.partial(lambda d, e, b: dpttrs(d, e, b)[0], d, e)
         assert info == 0
         edge = np.array([mode[core - ring, ring] for ring in range(core - w, core)])
         column = np.zeros(core)
         column[-w:] = edge
-        v = dpttrs(d, e, column.reshape(-1, 1))[0].ravel()
-        factors.append((d, e, edge, v, mode[0, core] - (edge * v[-w:]).sum()))
-    solve = bands.factor(data)
-    solved, expected = [], []
-    for b in rng.standard_normal((3, n)):
+        v = core_solve(column.reshape(-1, 1)).ravel()
+        factors.append((core_solve, edge, v, mode[0, core] - (edge * v[-w:]).sum()))
+
+    def solve(b):
         spectrum = np.fft.rfft(b.reshape(n_rings, period))
         modes = np.empty_like(spectrum)
-        for m, (d, e, edge, v, schur) in enumerate(factors):
-            z, _ = dpttrs(d, e, np.column_stack([spectrum[:core, m].real,
-                                                 spectrum[:core, m].imag]))
+        for m, (core_solve, edge, v, schur) in enumerate(factors):
+            z = core_solve(np.column_stack([spectrum[:core, m].real, spectrum[:core, m].imag]))
             y = (np.array([spectrum[core, m].real, spectrum[core, m].imag])
                  - (edge * z[-w:].T).sum(axis=1)) / schur
             z -= v[:, None] * y
             modes[:core, m] = z[:, 0] + 1j * z[:, 1]
             modes[core, m] = y[0] + 1j * y[1]
-        solved.append(solve(b))
-        expected.append(np.fft.irfft(modes, period).ravel())
-    # each solution its own array, though the solves share their buffers
-    assert all(np.array_equal(s, e) for s, e in zip(solved, expected, strict=True))
+        return np.fft.irfft(modes, period).ravel()
+    return solve
+
+
+def test_band_solve_is_the_plain_fourier_solve_bit_for_bit(disk_small):
+    # on an SPD average, and on one whose stacked core is indefinite, which
+    # every mode then factors by the pivoted LU
+    mesh = disk_small
+    rng = np.random.default_rng(12)
+    n = mesh.n_bulk + mesh.n_surface
+    spd = dynamics._RobinStepper(mesh, make_spec(), 0.5)
+    cases = [(spd, spd.jac_map.values(joint_mass(mesh) * rng.uniform(1, 30, n),
+                                      -mesh.surface_weights * rng.uniform(0, 2, mesh.n_surface)),
+              False), (*uniform_hessian(mesh, 0.0), True)]
+    for stepper, data, pivoted in cases:
+        solve = stepper.bands.factor(data)
+        reference = fourier_reference(stepper.bands, data, pivoted)
+        solved, expected = [], []
+        for b in rng.standard_normal((3, n)):
+            solved.append(solve(b))
+            expected.append(reference(b))
+        # each solution its own array, though the solves share their buffers
+        assert all(np.array_equal(s, e) for s, e in zip(solved, expected, strict=True))
 
 
 def test_band_layouts_refuse_rings_coupled_past_their_neighbours(disk_small):

@@ -91,6 +91,46 @@ def test_interval_kink_is_met_at_second_order():
     assert np.all((gap_ratios > 3.8) & (gap_ratios < 4.1)) and gaps[-1] < 5e-5
 
 
+def test_interval_kink_stability_threshold_is_met_at_second_order():
+    # the kink's zero mode is its translation sech^2(a (x - 1/2)); the
+    # linearized boundary conditions hold for it when f_G'(phi_1) (1 - 2 a K
+    # T) = 2 a T alpha^2, so the stability tag changes sign at the c4* below.
+    # The discrete tag's root in c4, bisected to a width of 1e-6 (Newton
+    # stops converging within about 1e-7 of it), meets c4* at second order
+    a, K, alpha, c0 = 2.0, 0.1, 1.0, 2.0
+    T = np.tanh(a / 2)
+    phi_1 = (K * a * (1 - T * T) + T) / alpha
+    c4_star = (2 * a * T * alpha**2 / (1 - 2 * a * K * T)
+               + alpha * a * (1 - T * T) / phi_1) / (2 * phi_1**2)
+    assert c4_star == pytest.approx(3.758157383, abs=1e-9)
+
+    def tag(mesh, c4):
+        c2 = (-alpha * a * (1 - T * T) - c4 * phi_1**3) / phi_1
+        spec = make_spec("scaled", "polynomial", bulk_params={"amplitude": 2 * a * a},
+                         surface_params={"coeffs": (c0, 0.0, c2 / 2, 0.0, c4 / 4)},
+                         coupling_params={"alpha": alpha})
+        kink = FieldPair(np.tanh(a * (mesh.bulk_points[:, 0] - 0.5)), np.array([-phi_1, phi_1]))
+        eq = solve_stationary_newton(mesh, spec, K, kink, 1e-10)
+        assert spec.validation.accepted and eq.converged
+        return eq.stability_tag
+
+    roots = []
+    for n in (32, 64, 128, 256):
+        mesh = build_interval(1.0, n)
+        lo, hi = 3.7, 3.8
+        assert tag(mesh, lo) < 0 < tag(mesh, hi)
+        while hi - lo > 1e-6:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if tag(mesh, mid) < 0 else (lo, mid)
+        roots.append((lo + hi) / 2)
+    # measured: 3.7538036, 3.7570339, 3.7578747, 3.7580868; gap ratios
+    # 3.88, 3.97, 4.00
+    gaps = c4_star - np.array(roots)
+    ratios = gaps[:-1] / gaps[1:]
+    assert np.all(gaps > 0) and gaps[-1] < 8e-5
+    assert np.all((ratios > 3.8) & (ratios < 4.1))
+
+
 def test_radial_disk_equilibrium_meets_the_ode_reference():
     # with eta != 0 the disk equilibrium is radial but not uniform: u'' +
     # u'/r = f(u), u'(0) = 0, K u'(1) + u(1) = alpha phi + eta and f_G(phi) +

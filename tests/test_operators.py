@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbtrf, dgttrf, dgttrs, dpttrf, dpttrs
 
 from bsac import (
     ConfigurationError,
@@ -369,6 +369,29 @@ def test_an_indefinite_core_takes_the_pivoted_lu_and_a_border_a_negative_schur_s
     x = stepper._solver(data, dynamics.KRYLOV_RTOL)(b)
     assert (stepper.krylov_iterations, stepper.factorizations) == (1, 0)
     assert np.linalg.norm(x - x_dense) <= 1e-6 * np.linalg.norm(x_dense)
+
+
+@pytest.mark.parametrize("bulk", [0.0, 1.0], ids=["core", "border"])
+def test_an_indefinite_average_takes_the_band_lu(disk_small, bulk, monkeypatch):
+    # on one angle the average is the matrix itself, and dgbtrf's pivoted
+    # band LU factors it whatever its inertia: the uniform Hessians with an
+    # indefinite core and with a negative Schur step both solve exactly
+    banded = []
+    monkeypatch.setattr(operators, "dgbtrf",
+                        lambda *args, **kwargs: banded.append(1) or dgbtrf(*args, **kwargs))
+    monkeypatch.setattr(operators, "dpttrf", refuse)
+    monkeypatch.setattr(operators, "dgttrf", refuse)
+    mesh = disk_small
+    stepper, data = uniform_hessian(mesh, bulk)
+    matrix = stepper.jac_map.matrix(data)
+    dense = matrix.toarray()
+    assert np.linalg.eigvalsh(dense).min() < 0
+    bands = RingBands(matrix, mesh.rings, 1)
+    assert bands.exact
+    b = np.random.default_rng(15).standard_normal(matrix.shape[0])
+    np.testing.assert_allclose(bands.factor(matrix.data)(b), np.linalg.solve(dense, b),
+                               rtol=1e-10, atol=1e-12)
+    assert banded == [1]
 
 
 def test_disk_averages_never_take_the_band_lu(disk_small, monkeypatch):

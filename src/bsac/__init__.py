@@ -15,13 +15,13 @@ from .errors import (ConfigurationError, InputError, NumericalError, RunAbort,
                      ShapeError, StepFailure)
 from .nonlinearity import (CouplingFamily, NonlinearitySpec, PotentialFamily,
                            ValidationReport, make_spec, validate_assumptions)
-from .mesh import (Mesh, boundary_trace, build_disk, build_interval,
+from .mesh import (FieldPair, Mesh, boundary_trace, build_disk, build_interval,
                    build_mesh, normal_derivative, trace_matrix)
-from .operators import (DiscreteOperator, DualVector, RieszMap, Variation,
+from .operators import (DiscreteOperator, RieszMap, Variation,
                         assemble_bulk_laplacian, assemble_linearized,
                         assemble_surface_shifted_pair,
                         assemble_wentzell_robin_pair, joint_mass)
-from .energy import (EnergyReport, FieldPair, compute_energy, compute_gradient,
+from .energy import (EnergyReport, compute_energy, compute_gradient,
                      energy_identity_residual, h_norm, v_norm, w_norm)
 from .dynamics import (Checkpoint, RunConfig, StepDiagnostics,
                        TrajectoryRecord, advance_step, initial_state,

@@ -236,7 +236,7 @@ def k_sweep(base_config: RunConfig, k_values,
             gap = max(gap, part_norm(mesh.bulk_weights, st.bulk - rf.bulk)
                       + part_norm(mesh.surface_weights, st.surface - rf.surface))
             bres = boundary_trace(mesh, st.bulk) - spec.eval("h", st.surface)
-            mism = max(mism, float(np.sqrt(mesh.surface_weights @ bres**2)))
+            mism = max(mism, part_norm(mesh.surface_weights, bres))
         rows.append(SweepRow(k, gap, mism))
 
     uniq = sorted({r.K: r for r in rows}.values(), key=lambda r: r.K)

@@ -28,11 +28,10 @@ from . import __version__
 from .errors import ConfigurationError, InputError, RunAbort
 from .nonlinearity import (SCAN_POINTS, SCAN_RANGE, CouplingFamily, NonlinearitySpec,
                            PotentialFamily, make_spec)
-from .mesh import Mesh
-from .energy import FieldPair
+from .mesh import FieldPair, Mesh
 from .dynamics import (Checkpoint, RunConfig, TrajectoryRecord, atomic_writer, energy_rose,
                        hex_line, read_checkpoint, run_trajectory, write_checkpoint)
-from .steady_spectral import pair_spectra, solve_stationary_newton
+from .steady_spectral import compute_coercivity_margin, pair_spectra, solve_stationary_newton
 from .analysis import (RATE_MODEL, RATE_MODELS, SWEEP_REFERENCE, SWEEP_REFERENCES,
                        fit_decay_rate, k_sweep, ls_probe)
 
@@ -329,8 +328,14 @@ def _cmd_steady(resolved: ResolvedConfig, run_dir: Path, manifest: RunManifest) 
         f"residual_dual_norm = {_fmt(eq.residual_dual_norm)}",
         f"newton_iterations = {eq.newton_iterations}",
         f"stability_tag = {_fmt(eq.stability_tag)}",
-        hex_line("bulk", eq.state.bulk), hex_line("surface", eq.state.surface),
     ]
+    if eq.converged:
+        with _phase(manifest, "coercivity"):
+            report = compute_coercivity_margin(mesh, resolved.spec, cfg.K, eq,
+                                               resolved.values["max_m"])
+        lines += [f"c_star = {_fmt(report.c_star)}", f"chosen_m = {report.chosen_m}",
+                  f"theta_m = {_fmt(report.theta_m)}", f"margin = {_fmt(report.margin)}"]
+    lines += [hex_line("bulk", eq.state.bulk), hex_line("surface", eq.state.surface)]
     (run_dir / "equilibrium.txt").write_text("\n".join(lines) + "\n")
     manifest.counts.update(newton_iterations=eq.newton_iterations,
                            factorizations=eq.factorizations,

@@ -26,10 +26,10 @@ backward-Euler Newton iteration shared by all steppers):
   * stabilized_semi_implicit: diffusion and the linear part of the boundary
     coupling implicit, potentials (and the coupling itself when it is not
     affine) explicit with a stabilization shift S (new - old), S recomputed
-    from the current field range each step; the explicit terms are read
-    from the state's pass. Its matrix is unchanged by the angular shift and
-    reflection, so the band solve of its values, written through the same
-    JacobianMap, is exact and no sparse matrix is built.
+    from the current field range each step; the explicit terms and S are
+    read from the state's pass. Its matrix is unchanged by the angular shift
+    and reflection, so the band solve of its values, written through the
+    same JacobianMap, is exact and no sparse matrix is built.
 
 * the affine transmission system (trace of the bulk field slaved to the
   surface field): the Robin flow pulled back through the lift that solves
@@ -64,11 +64,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError, RunAbort, StepFailure
-from .mesh import Mesh, build_mesh, matvec, trace_adjoint, trace_matrix
+from .mesh import FieldPair, Mesh, build_mesh, matvec, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec, make_spec
-from .energy import EnergyReport, FieldPair, part_norm, robin_residual, variation_energy
-from .operators import (DualVector, RieszMap, RingBands, Variation, h1_solves,
-                        jacobian_map, joint_mass, trace_lift)
+from .energy import EnergyReport, part_norm, robin_residual, variation_energy
+from .operators import (RieszMap, RingBands, Variation, h1_solves, jacobian_map,
+                        joint_mass, trace_lift)
 
 ENERGY_SLACK = 1e-12    # accepted-step monotonicity allowance, relative
 KRYLOV_RTOL = 1e-6     # CG forcing term: Newton-direction residual over step residual
@@ -269,10 +269,10 @@ class _Stepper:
     krylov_iterations = 0
     _mass_dt = None     # the dt of _mass_data, the mass term of the Jacobian
 
-    def advance(self, state: FieldPair, report: EnergyReport, functional: DualVector,
+    def advance(self, state: FieldPair, report: EnergyReport, functional: FieldPair,
                 variation: Variation, dt: float, scheme: str, *, newton_tol: float,
                 newton_max_iter: int, reject_energy_increase: bool
-                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport, DualVector, Variation]:
+                ) -> tuple[FieldPair, StepDiagnostics, EnergyReport, FieldPair, Variation]:
         """One step from state, given its energy report, functional and
         variation; returns the new state, the step's diagnostics and the new
         state's report, functional and variation. Acceptance requires the
@@ -358,9 +358,9 @@ class _Stepper:
         # L2 norm of the strong-form residual (coefficients divided by weights)
         return float(np.sqrt(np.sum(r * r / self.weights)))
 
-    def implicit_step(self, state: FieldPair, functional: DualVector, variation: Variation,
+    def implicit_step(self, state: FieldPair, functional: FieldPair, variation: Variation,
                       dt: float, tol: float, max_iter: int
-                      ) -> tuple[FieldPair, DualVector, Variation, int, float]:
+                      ) -> tuple[FieldPair, FieldPair, Variation, int, float]:
         """Backward-Euler Newton from state, given its functional and
         variation: the new state, its functional and variation, the
         iterations and the last residual norm."""
@@ -394,7 +394,7 @@ class _Stepper:
         riesz = RieszMap(self.mesh)
 
         def evaluate(y):
-            # laid out like a state, the functional's unknowns are the residual
+            # the functional's unknowns are the residual
             functional, variation = self.evaluate(self.state_of(y))
             return riesz.dual_norm(functional), self.unknowns(functional), variation
 
@@ -443,29 +443,26 @@ class _RobinStepper(_Stepper):
         # y is finite: a Newton iterate, tested, or the unknowns of a FieldPair
         return FieldPair.trusted(y[:self.n_b], y[self.n_b:])
 
-    def evaluate(self, state: FieldPair) -> tuple[DualVector, Variation]:
+    def evaluate(self, state: FieldPair) -> tuple[FieldPair, Variation]:
         variation = Variation(self.mesh, self.spec, state, self.K)
         return variation.gradient, variation
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float,
-                 functional: DualVector) -> np.ndarray:
+                 functional: FieldPair) -> np.ndarray:
         """The backward-Euler residual at y from x, given the functional at y."""
         return self.weights * (y - x) / dt + functional.joint()
-
-    def stabilization(self, state: FieldPair) -> float:
-        sup_fp = float(np.max(self.spec.eval("f'", state.bulk)))
-        sup_fgp = float(np.max(self.spec.eval("f_G'", state.surface)))
-        return max(self.spec.c4, sup_fp, sup_fgp, 0.0)
 
     def semi_implicit_step(self, state: FieldPair, variation: Variation,
                            dt: float) -> tuple[FieldPair, float]:
         """One stabilized semi-implicit step from state, whose pass variation
-        holds the explicit terms: f(u), f_G(phi) and, for a coupling that is
-        not affine, h(phi), h'(phi) and Tr u."""
+        holds the explicit terms, f(u), f_G(phi) and, for a coupling that is
+        not affine, h(phi), h'(phi) and Tr u, and the reactions f'(u) and
+        f_G'(phi) of the shift S = max(c4, max f'(u), max f_G'(phi), 0)."""
         mesh, K = self.mesh, self.K
         ws = mesh.surface_weights
         x = state.joint()
-        s_stab = self.stabilization(state)
+        fp, fgp, _ = variation.reactions
+        s_stab = max(self.spec.c4, float(np.max(fp)), float(np.max(fgp)), 0.0)
         diagonal = self.weights * (1.0 / dt + s_stab)
         rhs = self.weights * (x / dt + s_stab * x
                               - np.concatenate([variation.f, variation.f_G]))
@@ -538,14 +535,14 @@ class _TransmissionStepper(_Stepper):
     def unknowns(self, state: FieldPair) -> np.ndarray:
         return state.bulk
 
-    def evaluate(self, state: FieldPair) -> tuple[DualVector, Variation]:
+    def evaluate(self, state: FieldPair) -> tuple[FieldPair, Variation]:
         variation = Variation(self.mesh, self.spec, state, self.K)
-        functional = DualVector(matvec(self.lift_adjoint, variation.gradient.joint()),
-                                np.zeros(self.mesh.n_surface))
+        functional = FieldPair.trusted(matvec(self.lift_adjoint, variation.gradient.joint()),
+                                       np.zeros(self.mesh.n_surface))
         return functional, variation
 
     def residual(self, y: np.ndarray, x: np.ndarray, dt: float,
-                 functional: DualVector) -> np.ndarray:
+                 functional: FieldPair) -> np.ndarray:
         return matvec(self.metric, y - x) / dt + functional.bulk
 
 
@@ -730,7 +727,7 @@ def run_trajectory(config: RunConfig, initial: FieldPair | None = None,
     mesh.check_bulk(state.bulk)
     mesh.check_surface(state.surface)
     mism = robin_residual(mesh, spec, state, config.K)
-    compatibility = float(np.sqrt(mesh.surface_weights @ mism**2))
+    compatibility = part_norm(mesh.surface_weights, mism)
     return _integrate(stepper, config, state,
                       {"compatibility_residual": compatibility}, on_checkpoint)
 

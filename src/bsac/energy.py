@@ -14,41 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
-from .mesh import Mesh, boundary_trace, normal_derivative
+from .errors import InputError
+from .mesh import FieldPair, Mesh, boundary_trace, normal_derivative
 from .nonlinearity import NonlinearitySpec
-from .operators import (DualVector, Variation, bulk_dirichlet_stiffness,
-                        dirichlet_form_value, surface_stiffness)
-
-
-@dataclass
-class FieldPair:
-    bulk: np.ndarray
-    surface: np.ndarray
-
-    def __post_init__(self):
-        self.bulk = np.asarray(self.bulk, dtype=float)
-        self.surface = np.asarray(self.surface, dtype=float)
-        if not (np.all(np.isfinite(self.bulk)) and np.all(np.isfinite(self.surface))):
-            raise ShapeError("field values must be finite")
-
-    @classmethod
-    def trusted(cls, bulk: np.ndarray, surface: np.ndarray) -> "FieldPair":
-        """A pair of float arrays known to be finite, built unchecked."""
-        pair = object.__new__(cls)
-        pair.bulk, pair.surface = bulk, surface
-        return pair
-
-    def copy(self) -> "FieldPair":
-        return FieldPair(self.bulk.copy(), self.surface.copy())
-
-    def joint(self) -> np.ndarray:
-        return np.concatenate([self.bulk, self.surface])
-
-    @staticmethod
-    def constant(mesh: Mesh, bulk_value: float, surface_value: float) -> "FieldPair":
-        return FieldPair(np.full(mesh.n_bulk, float(bulk_value)),
-                         np.full(mesh.n_surface, float(surface_value)))
+from .operators import (Variation, bulk_dirichlet_stiffness, dirichlet_form_value,
+                        surface_stiffness)
 
 
 @dataclass
@@ -89,7 +59,7 @@ def variation_energy(variation: Variation) -> EnergyReport:
     )
 
 
-def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> DualVector:
+def compute_gradient(mesh: Mesh, spec: NonlinearitySpec, state: FieldPair, K: float) -> FieldPair:
     """First variation of the energy as a quadrature-weighted functional.
 
     Pairing the result with any direction (w, xi) by plain dot product equals

@@ -76,6 +76,41 @@ class Mesh:
         return digest.hexdigest()[:16]
 
 
+@dataclass
+class FieldPair:
+    """A (bulk, surface) pair on a mesh: a field's nodal values, or a
+    functional's quadrature-weighted coefficients, which pair with a
+    direction by plain dot product."""
+
+    bulk: np.ndarray
+    surface: np.ndarray
+
+    def __post_init__(self):
+        self.bulk = np.asarray(self.bulk, dtype=float)
+        self.surface = np.asarray(self.surface, dtype=float)
+        if not (np.all(np.isfinite(self.bulk)) and np.all(np.isfinite(self.surface))):
+            raise ShapeError("field values must be finite")
+
+    @classmethod
+    def trusted(cls, bulk: np.ndarray, surface: np.ndarray) -> "FieldPair":
+        """A pair of float arrays built unchecked: a state known to be
+        finite, or a functional's coefficients."""
+        pair = object.__new__(cls)
+        pair.bulk, pair.surface = bulk, surface
+        return pair
+
+    def copy(self) -> "FieldPair":
+        return FieldPair(self.bulk.copy(), self.surface.copy())
+
+    def joint(self) -> np.ndarray:
+        return np.concatenate([self.bulk, self.surface])
+
+    @staticmethod
+    def constant(mesh: Mesh, bulk_value: float, surface_value: float) -> "FieldPair":
+        return FieldPair(np.full(mesh.n_bulk, float(bulk_value)),
+                         np.full(mesh.n_surface, float(surface_value)))
+
+
 def build_disk(radius: float = 1.0, n_r: int = 64, n_theta: int = 128) -> Mesh:
     if radius <= 0:
         raise ConfigurationError("disk radius must be positive")

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import ConfigurationError, NumericalError
-from .mesh import Mesh, matvec, per_mesh, trace_adjoint, trace_matrix
+from .mesh import FieldPair, Mesh, matvec, per_mesh, trace_adjoint, trace_matrix
 from .nonlinearity import NonlinearitySpec
 
 
@@ -33,21 +33,6 @@ class DiscreteOperator:
     """One symmetric form matrix of an eigen pair."""
 
     matrix: sp.csr_matrix
-
-
-@dataclass
-class DualVector:
-    """Coefficient representation of a functional: pairing = plain dot product.
-
-    Components are quadrature-weighted, so pairing with a direction needs no
-    extra mass factors.
-    """
-
-    bulk: np.ndarray
-    surface: np.ndarray
-
-    def joint(self) -> np.ndarray:
-        return np.concatenate([self.bulk, self.surface])
 
 
 def _sym_from_faces(n: int, rows, cols, coefs) -> sp.csr_matrix:
@@ -425,10 +410,10 @@ class Variation:
     f_G(phi), h(phi), h'(phi) and Tr u it comes from, which the energy
     report and the semi-implicit step read too. The reaction terms f'(u), f_G'(phi)
     and the cross term h''(phi) (h(phi) - Tr u) / K are evaluated on the
-    first read of reactions, and the coefficients of assemble_linearized on
-    the first read of coefficients, reusing h, h' and Tr u: a state whose
-    Jacobian is never built (a rejected trial point, a semi-implicit step)
-    pays only for its gradient.
+    first read of reactions (the semi-implicit step's shift reads the
+    first two), and the coefficients of assemble_linearized on the first
+    read of coefficients, reusing h, h' and Tr u: a state whose Jacobian is
+    never built (a rejected trial point) pays only for its gradient.
     """
 
     def __init__(self, mesh: Mesh, spec: NonlinearitySpec, state, K: float):
@@ -447,7 +432,7 @@ class Variation:
         g_surf = (matvec(surface_stiffness(mesh), phi)
                   + mesh.surface_weights * self.f_G
                   - self.hp * weighted_mismatch)
-        self.gradient = DualVector(g_bulk, g_surf)
+        self.gradient = FieldPair.trusted(g_bulk, g_surf)
 
     @functools.cached_property
     def reactions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,7 +505,7 @@ class RieszMap:
         self.mesh = mesh
         self._bulk_solve, self._surf_solve = h1_solves(mesh)
 
-    def dual_norm(self, functional: DualVector) -> float:
+    def dual_norm(self, functional: FieldPair) -> float:
         rb = self._bulk_solve(self.mesh.check_bulk(functional.bulk))
         rs = self._surf_solve(self.mesh.check_surface(functional.surface))
         val = functional.bulk @ rb + functional.surface @ rs

@@ -34,9 +34,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .mesh import Mesh
+from .mesh import FieldPair, Mesh
 from .nonlinearity import NonlinearitySpec
-from .energy import FieldPair, compute_gradient, robin_residual
+from .energy import compute_gradient, robin_residual
 from .operators import (DiscreteOperator, RingBands, Variation,
                         assemble_surface_shifted_pair, assemble_wentzell_robin_pair)
 from .dynamics import _RobinStepper
@@ -77,7 +77,6 @@ class SpectralReport:
     chosen_m: int               # 0 when the scan failed
     theta_m: float
     margin: float
-    K: float
 
     def succeeded(self) -> bool:
         return self.chosen_m > 0 and self.margin > 0
@@ -399,6 +398,5 @@ def compute_coercivity_margin(mesh: Mesh, spec: NonlinearitySpec, K: float,
             break
     if chosen == 0:
         theta = weight * min(wr.values[limit - 1], surf.values[limit - 1])
-    return SpectralReport(wr.values, wr.fields, surf.values, surf.fields,
-                          c_star, chosen, float(theta),
-                          float(theta - 8.0 * c_star), K)
+    return SpectralReport(wr.values, wr.fields, surf.values, surf.fields, c_star, chosen,
+                          float(theta), float(theta - 8.0 * c_star))

@@ -285,6 +285,24 @@ def test_nondegenerate_rate_is_the_backward_euler_contraction(dw_spec, geometry,
     assert abs(rate - predicted) <= 1e-3 * predicted
 
 
+@pytest.mark.parametrize("geometry", ["interval", "disk"])
+def test_gradient_inequality_constant_at_theta_half_is_sqrt_2_lambda(dw_spec, geometry):
+    # in the mass metric backward Euler's step is the gradient at the new
+    # state, |grad E(x_k+1)|_H = |x_k+1 - x_k|_M / dt, the hypot of the two
+    # recorded dissipations; near x* = 1 (E* = 0, tag lambda = 2) its ratio to
+    # (E - E*)^(1/2) tends to sqrt(2 lambda) = 2
+    for seed in range(3):
+        config = RunConfig(geometry=geometry, n=64, n_r=16, n_theta=32, dt=0.05,
+                           dt_min=0.05, dt_max=0.05, adaptive=False, t_final=30.0,
+                           init_mean=0.9, seed=seed, checkpoint_every=0, spec=dw_spec)
+        record = run_trajectory(config)
+        energy = record.energy_total
+        near = (energy > 1e-18) & (energy < 1e-10)
+        gradient = np.hypot(record.dissipation_bulk, record.dissipation_surface)
+        assert np.count_nonzero(near) >= 50
+        assert np.max(np.abs(gradient[near] / np.sqrt(energy[near]) - 2.0)) <= 1e-2
+
+
 FOLD = 2.0 / (3.0 * np.sqrt(3.0))   # the tilt at which s^4/4 - s^2/2 folds
 
 

@@ -493,6 +493,33 @@ def test_steady_writes_equilibrium(tmp_path):
     assert np.allclose(bulk, 1.0, atol=1e-8)
 
 
+def test_steady_scans_the_coercivity_margin_up_to_max_m(tmp_path):
+    # the scan fails on a 16x32 disk (c_* = 3.5 needs theta_m > 28), so
+    # theta_m is the weighted gap at the last index scanned, max_m
+    texts = {}
+    for max_m in (96, 12):
+        status, root = run_main(tmp_path, str(max_m),
+                                ["steady", "--set", "n_r=16", "--set", "n_theta=32",
+                                 "--set", f"max_m={max_m}"])
+        assert status == 0
+        text = (single_run_dir(root, "steady") / "equilibrium.txt").read_text()
+        texts[max_m] = dict(line.split(" = ", 1) for line in text.splitlines())
+    for entries in texts.values():
+        assert float(entries["c_star"]) == pytest.approx(3.5)
+        assert entries["chosen_m"] == "0"
+        assert float(entries["margin"]) == pytest.approx(
+            float(entries["theta_m"]) - 8 * float(entries["c_star"]))
+    assert float(texts[96]["theta_m"]) == pytest.approx(10.6124, abs=1e-4)
+    assert float(texts[12]["theta_m"]) == pytest.approx(6.1516, abs=1e-4)
+
+
+def test_steady_rejects_a_nonpositive_max_m(tmp_path):
+    status, root = run_main(tmp_path, "a", ["steady", "--set", "geometry=interval",
+                                            "--set", "n=16", "--set", "max_m=0"])
+    assert status == 2
+    assert "max_m must be positive" in manifest_entries(root, "steady")["error"]
+
+
 def test_spectrum_output_matches_known_values(tmp_path):
     status, root = run_main(tmp_path, "a",
                             ["spectrum", "--set", "geometry=interval",

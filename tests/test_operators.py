@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dgbtrf, dgttrf, dgttrs, dpttrf, dpttrs
 
 from bsac import (
     ConfigurationError,
-    DualVector,
+    FieldPair,
     NumericalError,
     RieszMap,
     assemble_bulk_laplacian,
@@ -30,7 +30,6 @@ from bsac import (
     joint_mass,
 )
 from bsac import dynamics, make_spec, operators, smoothed_random_state
-from bsac.energy import FieldPair
 from bsac.operators import (RingBands, bulk_dirichlet_stiffness, h1_solves, jacobian_map,
                             surface_stiffness)
 
@@ -206,7 +205,7 @@ def test_linearized_surface_reaction_coefficient_at_uniform_state(dw_spec):
 
 
 def test_riesz_zero_functional(disk_small):
-    z = DualVector(np.zeros(disk_small.n_bulk), np.zeros(disk_small.n_surface))
+    z = FieldPair(np.zeros(disk_small.n_bulk), np.zeros(disk_small.n_surface))
     assert RieszMap(disk_small).dual_norm(z) == 0.0
 
 
@@ -217,7 +216,7 @@ def test_riesz_roundtrip_identity(disk_small):
     gs = surface_stiffness(mesh) + sp.diags(mesh.surface_weights)
     rb = rng.standard_normal(mesh.n_bulk)
     rs = rng.standard_normal(mesh.n_surface)
-    func = DualVector(gb @ rb, gs @ rs)
+    func = FieldPair(gb @ rb, gs @ rs)
     direct = np.sqrt(rb @ (gb @ rb) + rs @ (gs @ rs))
     assert RieszMap(mesh).dual_norm(func) == pytest.approx(direct, rel=1e-10)
 
@@ -228,8 +227,8 @@ def test_riesz_against_dense_factorization():
     gb = (bulk_dirichlet_stiffness(mesh) + sp.diags(mesh.bulk_weights)).toarray()
     gs = (surface_stiffness(mesh) + sp.diags(mesh.surface_weights)).toarray()
     for _ in range(5):
-        f = DualVector(rng.standard_normal(mesh.n_bulk),
-                       rng.standard_normal(mesh.n_surface))
+        f = FieldPair(rng.standard_normal(mesh.n_bulk),
+                      rng.standard_normal(mesh.n_surface))
         dense = np.sqrt(f.bulk @ np.linalg.solve(gb, f.bulk)
                         + f.surface @ np.linalg.solve(gs, f.surface))
         assert RieszMap(mesh).dual_norm(f) == pytest.approx(dense, rel=1e-9)

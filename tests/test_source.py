@@ -144,9 +144,15 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 def unread_fields(modules: dict, readers: list) -> list:
     """module.Class.field of each annotated class field of the modules
-    ({name: source}) that no source in readers reads as an attribute."""
-    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    ({name: source}) that no source in readers reads as an attribute; an
+    attribute that is called, x.name(...), is a method call, not a read."""
+    read = set()
+    for source in readers:
+        tree = ast.parse(source)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and id(node) not in called}
     return [f"{module}.{cls.name}.{node.target.id}"
             for module, source in modules.items()
             for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
@@ -159,16 +165,22 @@ def test_detector_sees_every_unread_field():
     modules = {"a": ("class Report:\n    value: float\n    spare: float = 0.0\n"
                      "    written: int\n    total = 0\n    def __init__(self):\n"
                      "        self.written = 1\n        self.other = 2\n"
-                     "class _Hidden:\n    kept: str\n    lost: list\n")}
-    readers = [modules["a"], "print(report.value, h.kept, getattr(r, 'spare'))\n"]
+                     "class _Hidden:\n    kept: str\n    lost: list\n    called: int\n"
+                     "    grown: list\n")}
+    # called is only ever called, as a method of the same name; grown is read
+    # to call a method on it
+    readers = [modules["a"], "print(report.value, h.kept, getattr(r, 'spare'))\n",
+               "self.called(state)\nh.grown.append(1)\n"]
     assert unread_fields(modules, readers) == ["a.Report.spare", "a.Report.written",
-                                               "a._Hidden.lost"]
+                                               "a._Hidden.lost", "a._Hidden.called"]
 
 
 # result fields that nothing reads yet, each kept for a reason
 UNREAD_FIELDS = [
-    # each step's last Newton residual: ROADMAP item 8's steps.csv writes it
+    # each step's last Newton residual and its shift S: ROADMAP item 9's
+    # steps.csv writes both
     "dynamics.StepDiagnostics.newton_residual",
+    "dynamics.StepDiagnostics.stabilization",
 ]
 
 
@@ -343,7 +355,7 @@ def test_every_eigsh_call_passes_its_inverse(path):
 # evaluated every Newton iteration or every step: values go through a
 # fixed-pattern map, and the band solves are built from those values alone
 PER_ITERATION = ("jacobian", "residual", "evaluate", "_solver", "implicit_step",
-                 "stationary", "advance", "state_of")
+                 "semi_implicit_step", "stationary", "advance", "state_of")
 # the module-level functions that run inside them: CG's loop, the time loop
 # with the sample, checkpoint and build functions nested in it, and the
 # transmission stepper's state_of, nested in transmission_state
@@ -398,7 +410,9 @@ def test_detector_sees_sparse_builds_in_stepper_methods():
         "_integrate: sp.diags(s)", "_integrate: sp.diags(t)",
         "_Stepper.jacobian: sp.diags(y).tocsc", "_Stepper.jacobian: sp.diags(y)",
         "_Robin.residual: self.a.T", "_Robin.evaluate: scipy.sparse.identity(3).tocsr",
-        "_Robin.evaluate: scipy.sparse.identity(3)", "_Robin.implicit_step: self.m.tocsr",
+        "_Robin.evaluate: scipy.sparse.identity(3)",
+        "_Robin.semi_implicit_step: sp.diags(s).tocsc", "_Robin.semi_implicit_step: sp.diags(s)",
+        "_Robin.implicit_step: self.m.tocsr",
         "_Robin.stationary: sp.eye(3)", "_Robin.advance: self.p.T"]
 
 
@@ -423,15 +437,19 @@ def test_steppers_build_no_sparse_matrix_per_iteration():
     assert sparse_builds_per_iteration((SRC / "dynamics.py").read_text(encoding="utf-8")) == []
 
 
+def calls_spec_eval(node) -> bool:
+    """Whether the AST node is a call of a spec's eval."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "eval" and ast.unparse(node.func.value).endswith("spec"))
+
+
 def dispatch_and_evals_per_iteration(source: str) -> list:
     """Uses of the @ operator, and calls of a spec's eval, inside the
     PER_ITERATION methods of _Stepper and its subclasses, and inside the
     PER_ITERATION_FUNCTIONS."""
     return [f"{owner}: {ast.unparse(node)}" for owner, node in per_iteration_nodes(source)
             if isinstance(node, (ast.BinOp, ast.AugAssign))
-            and isinstance(node.op, ast.MatMult)
-            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "eval" and ast.unparse(node.func.value).endswith("spec")]
+            and isinstance(node.op, ast.MatMult) or calls_spec_eval(node)]
 
 
 def test_detector_sees_products_and_evals_in_stepper_methods():
@@ -448,7 +466,9 @@ def test_detector_sees_products_and_evals_in_stepper_methods():
     assert dispatch_and_evals_per_iteration(source) == [
         "_integrate: t @ s",
         "_Stepper.jacobian: self.a @ y", "_Robin.residual: y @= self.m",
-        "_Robin.evaluate: self.spec.eval('h', s)", '_Robin.stationary: spec.eval("h\'", z)']
+        "_Robin.evaluate: self.spec.eval('h', s)",
+        "_Robin.semi_implicit_step: spec.eval('f', s) @ s",
+        "_Robin.semi_implicit_step: spec.eval('f', s)", '_Robin.stationary: spec.eval("h\'", z)']
 
 
 def test_detector_sees_products_in_the_cg_loop():
@@ -472,9 +492,12 @@ def test_detector_sees_products_in_the_time_loop():
 
 def test_steppers_use_matvec_and_the_single_pass_per_iteration():
     # products through mesh.matvec, without scipy's @ dispatch, and the
-    # pointwise terms from the one operators.Variation pass per iterate
+    # pointwise terms from the one operators.Variation pass per iterate: no
+    # function of the module evaluates a nonlinearity itself
     source = (SRC / "dynamics.py").read_text(encoding="utf-8")
     assert dispatch_and_evals_per_iteration(source) == []
+    assert [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if calls_spec_eval(node)] == []
 
 
 def eigh_calls(source: str, function: str) -> list:

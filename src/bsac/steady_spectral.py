@@ -8,13 +8,14 @@ mass, surface with shifted stiffness) and the second variation, and picks
 its path from the pencil's structure and the request alone: one radial
 pencil per Fourier mode for rotation-invariant disk pencils whose blocks
 rise with the mode (reduced through one Cholesky factor of the mass block
-they share, and only the modes and pairs that can hold a requested value),
-the same reduction with the whole pencil as one block for near-full
-requests, shift-invert Lanczos otherwise, which inverts by CG on the
-stepper's band solve for the stability tag and by the shifted pencil's band
-solve for any other call, so no path factors a sparse LU. The solver reports
-per-pair residuals, the mass Gram defect and the path it took; the
-eigenfields are normalized and checked as whole arrays, not column by column.
+they share, to a tridiagonal problem when the blocks allow it, and only the
+modes and pairs that can hold a requested value), the same reduction with
+the whole pencil as one block for near-full requests, shift-invert Lanczos
+otherwise, which inverts by CG on the stepper's band solve for the stability
+tag and by the shifted pencil's band solve for any other call, so no path
+factors a sparse LU. The solver reports per-pair residuals, the mass Gram
+defect and the path it took; the eigenfields are normalized and checked in
+blocks of rows, every entry of them, with no temporary as large as the fields.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -115,49 +116,78 @@ def _band_shift_inverse(stiff: sp.csr_matrix, mass: sp.csr_matrix, shift: float)
 
 # relative widening of the by-value cut: near the cut a dense eigh value and its
 # block Rayleigh quotient differ by at most 5e-12 relative on the 128x256 disk
-# for 1e-8 <= K <= 1, and eps * max|W A_m W'| stays below 3e-9 of the cut
+# for 1e-8 <= K <= 1, and eps * max|U^-1 A_m U^-T| stays below 3e-9 of the cut
 _CUT_MARGIN = 1e-6
 
 
-def _fourier_block_solve(stiff_blocks, mass_block: np.ndarray, period: int,
-                         count: int) -> tuple[np.ndarray, np.ndarray]:
+def _fourier_block_solve(stiff_blocks, mass_block: np.ndarray, period: int, count: int,
+                         tridiagonal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Smallest `count` eigenpairs of a rotation-invariant pencil whose
-    Fourier blocks rise with the mode (RingBands.rises), one dense radial
-    pencil per Fourier mode.
+    Fourier blocks rise with the mode (RingBands.rises), one radial pencil
+    per Fourier mode.
 
     stiff_blocks yields each mode's dense stiffness block, mode 0 first, the
-    unknowns numbered ring * period + angle. Modes 0 and period/2 give one
-    field each, every other mode a cos and a sin field. The mass has entries
-    at angular offset 0 only, so every mode has the same mass block M,
-    mass_block. It is factored once, M = L L', and each radial pencil (A_m, M)
-    is reduced to the standard problem W A_m W', W = L^-1 (Parlett, The
-    Symmetric Eigenvalue Problem, sec. 15). Until `count` values are kept
-    each mode gives all its pairs (LAPACK dsyevd); after that only those at
-    or below the count-th kept value, widened by a relative margin, since no
-    larger one can be chosen (dsyevr, Dhillon & Parlett, LAA 387, 2004). As
-    the blocks rise, each eigenvalue of a block bounds those of every later
-    block from below (Courant-Fischer), so the modes stop at the first one
-    with no value at or below the cut. Pairs are ordered by (value, mode,
-    cos before sin, index); the values are the block Rayleigh quotients.
-    With period 1 the one block is the whole pencil, the mass and stiffness
-    as dense arrays: eigen_solve's dense path.
+    unknowns numbered ring * period + angle; tridiagonal says that every
+    one is. Modes 0 and period/2 give one field each, every other mode a
+    cos and a sin field. The mass has entries at angular offset 0 only, so
+    every mode has the same mass block M, mass_block. It is factored once,
+    M = U U' with U upper triangular, and each radial pencil (A_m, M) is
+    reduced to the standard problem U^-1 A_m U^-T (Parlett, The Symmetric
+    Eigenvalue Problem, sec. 15). When M couples no rings but its last two,
+    U^-1 is diagonal but for its entry (-2, -1), so a tridiagonal A_m stays
+    tridiagonal: its three diagonals cost O(n), and MRRR solves it (LAPACK
+    dstemr, Dhillon & Parlett, LAA 387, 2004). Every other pencil is reduced
+    by triangular solves and solved dense (dsyevd, or dsyevr by value).
+    Until `count` values are kept each mode gives all its pairs; after that
+    only those at or below the count-th kept value, widened by a relative
+    margin, since no larger one can be chosen. As the blocks rise, each
+    eigenvalue of a block bounds those of every later block from below
+    (Courant-Fischer), so the modes stop at the first one with no value at
+    or below the cut. Pairs are ordered by (value, mode, cos before sin,
+    index); the values are the block Rayleigh quotients. With period 1 the
+    one block is the whole pencil, the mass and stiffness as dense arrays:
+    eigen_solve's dense path.
     """
-    w = scipy.linalg.solve_triangular(scipy.linalg.cholesky(mass_block, lower=True),
-                                      np.eye(len(mass_block)), lower=True)
+    u = scipy.linalg.cholesky(mass_block[::-1, ::-1], lower=True)[::-1, ::-1]
+    if tridiagonal:
+        # U^-1 = diag(g) + gamma e_{n-2} e_{n-1}' if M couples no rings but its last two
+        coupled = np.triu(mass_block, 1)
+        coupled[-2:, -1] = 0.0
+        tridiagonal = not coupled.any()
+        g = 1.0 / np.diag(u)
+        gamma = -u[-2, -1] * g[-2] * g[-1] if len(g) > 1 else 0.0
+    if not tridiagonal:
+        u = np.ascontiguousarray(u)
     radial, keys, kept = [], [], []
     for mode, b_s in enumerate(stiff_blocks):
-        reduced = w @ b_s @ w.T
         kinds = (0,) if mode == 0 or 2 * mode == period else (0, 1)
-        if len(kept) < count:
-            _, vecs = scipy.linalg.eigh(reduced, driver="evd")
-        else:
+        below = None
+        if len(kept) >= count:
             cut = np.partition(kept, count - 1)[count - 1]
-            _, vecs = scipy.linalg.eigh(reduced, driver="evr", subset_by_value=(
-                -np.inf, cut + _CUT_MARGIN * abs(cut)))
-            if vecs.shape[1] == 0:
-                break
+            below = (-np.inf, cut + _CUT_MARGIN * abs(cut))
+        if tridiagonal:
+            a, b = np.diag(b_s), np.diag(b_s, -1)
+            d, e = a * g * g, b * g[:-1] * g[1:]
+            if gamma:
+                d[-2] += gamma * (2.0 * g[-2] * b[-1] + gamma * a[-1])
+                e[-1] += gamma * g[-1] * a[-1]
+            _, z = scipy.linalg.eigh_tridiagonal(d, e, select="a" if below is None else "v",
+                                                 select_range=below, lapack_driver="stemr")
+        else:
+            # U^-1 (U^-1 A)' = U^-1 A U^-T for the symmetric A
+            reduced = scipy.linalg.solve_triangular(u, scipy.linalg.solve_triangular(u, b_s).T)
+            _, z = scipy.linalg.eigh(reduced, driver="evd" if below is None else "evr",
+                                     overwrite_a=True, subset_by_value=below)
+        if z.shape[1] == 0:
+            break
         # index j of a cos/sin mode has 2j values of its own mode below it
-        vecs = w.T @ vecs[:, :count if len(kinds) == 1 else (count + 1) // 2]
+        z = z[:, :count if len(kinds) == 1 else (count + 1) // 2]
+        if tridiagonal:
+            vecs = z * g[:, None]
+            if gamma:
+                vecs[-1] += gamma * z[-2]
+        else:
+            vecs = scipy.linalg.solve_triangular(u, z, trans="T", overwrite_b=True)
         values = (np.einsum("ij,ij->j", vecs, b_s @ vecs)
                   / np.einsum("ij,ij->j", vecs, mass_block @ vecs))
         radial.append(vecs)
@@ -179,24 +209,23 @@ def _fourier_block_solve(stiff_blocks, mass_block: np.ndarray, period: int,
     return keys[0, chosen], (radial[:, None, :] * angular).reshape(-1, count)
 
 
-_LEAD_BLOCK = 1024      # rows of |fields| that _lead_rows forms at a time
+_LEAD_BLOCK = 1024      # rows of the fields that eigen_solve normalizes and checks at a time
 
 
-def _lead_rows(vecs: np.ndarray) -> np.ndarray:
+def _lead_rows(vecs: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     """The row of each column's first entry within a relative 1e-8 of its
     largest magnitude, so mirrored extremes tie whatever the roundoff; row
-    0 where none is (a NaN column), as argmax finds. |vecs| is formed one
-    block of rows at a time, and the scan stops once every column has one."""
-    bound = (1.0 - 1e-8) * np.maximum(vecs.max(axis=0), -vecs.min(axis=0))
-    lead = np.zeros(vecs.shape[1], dtype=np.intp)
-    found = np.zeros(vecs.shape[1], dtype=bool)
-    for start in range(0, vecs.shape[0], _LEAD_BLOCK):
-        hit = np.abs(vecs[start:start + _LEAD_BLOCK]) >= bound
-        new = hit.any(axis=0) & ~found
-        lead[new] = start + np.argmax(hit[:, new], axis=0)
-        found |= new
-        if found.all():
-            break
+    0 where none is (a NaN column), as argmax finds. peaks holds each
+    column's largest magnitude in each block of _LEAD_BLOCK rows, so only
+    the first block that reaches a column's bound is scanned for it."""
+    bound = (1.0 - 1e-8) * peaks.max(axis=0)
+    first = np.argmax(peaks >= bound, axis=0)
+    lead = np.empty(vecs.shape[1], dtype=np.intp)
+    for block in np.unique(first):
+        cols = np.flatnonzero(first == block)
+        start = block * _LEAD_BLOCK
+        hit = np.abs(vecs[start:start + _LEAD_BLOCK, cols]) >= bound[cols]
+        lead[cols] = start + np.argmax(hit, axis=0)
     return lead
 
 
@@ -213,10 +242,13 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
       that rise with the mode (RingBands.rises: the mass at angular offset 0
       only), as for the pairs the meshes assemble, the pencil splits
       into period/2 + 1 radial pencils, one per Fourier mode, each solved
-      dense as a standard problem through the one Cholesky factor of the
-      mass block they share. Once `count` values are kept, a mode gives only
-      the pairs at or below the count-th of them, and the modes above the
-      requested part of the spectrum are not solved (_fourier_block_solve).
+      as a standard problem through the one Cholesky factor of the mass
+      block they share: tridiagonal, by MRRR, when the stiffness couples
+      only neighbouring rings and the mass no rings but its last two (the
+      Wentzell-Robin and surface pairs), dense otherwise. Once `count`
+      values are kept, a mode gives only the pairs at or below the count-th
+      of them, and the modes above the requested part of the spectrum are
+      not solved (_fourier_block_solve).
       Degenerate cos/sin pairs come out in a fixed order, so reruns are
       bitwise. Invariant pencils whose blocks need not rise take one of
       the other two paths.
@@ -234,10 +266,17 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
       coercivity scan on the interval among them) gets the exact band solve
       of that matrix in reverse Cuthill-McKee order (_band_shift_inverse).
 
+    Every path's fields are then scaled to unit mass norm, signed so that
+    the first entry within 1e-8 of each field's largest magnitude is
+    positive, and checked: residuals and the Gram defect are those of the
+    returned fields, every entry of them, formed one block of _LEAD_BLOCK
+    rows at a time.
+
     NumericalError is raised for a pencil with a non-finite entry, before
     any solve; for a singular shifted band factor; for an ARPACK error; for
-    a mass block whose Cholesky factor fails; and for residuals that are not
-    below 1e-8. No path falls back to another.
+    a mass block whose Cholesky factor fails; for a field of nonpositive
+    mass norm; and for residuals that are not below 1e-8. No path falls
+    back to another.
     """
     stiff, mass = (_as_matrix(op) for op in pair)
     n = stiff.shape[0]
@@ -248,13 +287,14 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     if not (np.all(np.isfinite(stiff.data)) and np.all(np.isfinite(mass.data))):
         raise NumericalError("pencil has non-finite entries")
 
-    path = "arpack"
+    path, tridiagonal = "arpack", False
     if period > 1 and n % period == 0:
         bands = [RingBands(mat, np.arange(n) // period, period) for mat in (stiff, mass)]
         if (all(layout.invariant(mat.data) for layout, mat in zip(bands, (stiff, mass)))
                 and bands[0].rises(stiff.data, bands[1])):
             path = "blocks"
             blocks = bands[0].blocks(stiff.data), next(bands[1].blocks(mass.data))
+            tridiagonal = bands[0].width <= 1
     if path == "arpack" and count >= n - 1:
         path, period = "dense", 1
         blocks = [stiff.toarray()], mass.toarray()
@@ -278,7 +318,7 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
                                     which="LM", tol=0, v0=v0, OPinv=opinv)
         else:
-            vals, vecs = _fourier_block_solve(*blocks, period, count)
+            vals, vecs = _fourier_block_solve(*blocks, period, count, tridiagonal)
     except (RuntimeError, ValueError) as exc:   # ArpackError, LinAlgError among them
         raise NumericalError(f"{path} eigensolve failed: {exc}") from exc
 
@@ -287,23 +327,36 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     if np.any(order != np.arange(count)) or not vecs.flags.c_contiguous:
         vecs = np.ascontiguousarray(vecs[:, order])
 
-    # enforce the weighted normalization exactly and fix the sign convention;
-    # the mass products are scaled along, and at most two more field arrays live
-    mass_vecs = mass @ vecs
-    norms = np.sqrt(np.einsum("ij,ij->j", vecs, mass_vecs))
+    # enforce the weighted normalization exactly, fix the sign convention and
+    # check the fields in blocks of rows whose products stay in cache: one
+    # sweep for the mass norms and each block's peak magnitudes, one for the
+    # Gram matrix and the residuals of the returned fields
+    starts = range(0, n, _LEAD_BLOCK)
+    rows = [(mass[start:start + _LEAD_BLOCK], stiff[start:start + _LEAD_BLOCK])
+            for start in starts]
+    norms = np.zeros(count)
+    peaks = np.empty((len(starts), count))
+    for start, (mass_rows, _), peak in zip(starts, rows, peaks):
+        block = vecs[start:start + _LEAD_BLOCK]
+        norms += np.einsum("ij,ij->j", block, mass_rows @ vecs)
+        np.maximum(block.max(axis=0), -block.min(axis=0), out=peak)
+    norms = np.sqrt(norms)
     if not np.all(norms > 0):
         raise NumericalError("eigenfield with nonpositive weighted norm", residuals=vals)
-    vecs /= norms
-    lead = _lead_rows(vecs)
-    scale = np.where(vecs[lead, np.arange(count)] < 0, -1.0, 1.0)
-    vecs *= scale
-    mass_vecs *= scale / norms
-    gram = vecs.T @ mass_vecs
-    gram_defect = float(np.max(np.abs(gram - np.eye(count))))
-    mass_vecs *= vals
-    r = stiff @ vecs
-    r -= mass_vecs
-    res = np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", vecs, vecs))
+    vecs /= np.where(vecs[_lead_rows(vecs, peaks), np.arange(count)] < 0, -norms, norms)
+    gram = np.zeros((count, count))
+    squares = np.zeros((2, count))      # |S y - lam M y|^2 and |y|^2 per field
+    for start, (mass_rows, stiff_rows) in zip(starts, rows):
+        block = vecs[start:start + _LEAD_BLOCK]
+        mass_vecs = mass_rows @ vecs
+        gram += block.T @ mass_vecs
+        mass_vecs *= vals
+        r = stiff_rows @ vecs
+        r -= mass_vecs
+        squares += np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", block, block)
+    gram.flat[::count + 1] -= 1.0
+    gram_defect = float(np.max(np.abs(gram, out=gram)))
+    res = np.sqrt(squares[0] / squares[1])
     if not np.all(res < 1e-8):
         raise NumericalError(
             f"eigen residuals not converged (max {np.max(res):.3g})",

@@ -501,40 +501,52 @@ def test_steppers_use_matvec_and_the_single_pass_per_iteration():
 
 
 def eigh_calls(source: str, function: str) -> list:
-    """(callee as written, matrices passed) of each eigh call inside the
-    named function; the matrices are the positional arguments and the a=
-    and b= keywords."""
+    """(callee as written, matrices passed) of each eigh or eigh_tridiagonal
+    call inside the named function. The matrices of eigh are its positional
+    arguments and the a= and b= keywords; eigh_tridiagonal's diagonals d and
+    e, positional or keywords, make one."""
     found = []
     for owner in ast.walk(ast.parse(source)):
         if not (isinstance(owner, ast.FunctionDef) and owner.name == function):
             continue
         for node in ast.walk(owner):
-            if isinstance(node, ast.Call) and "eigh" in (
-                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name == "eigh":
                 matrices = len(node.args) + sum(k.arg in ("a", "b") for k in node.keywords)
-                found.append((ast.unparse(node.func), matrices))
+            elif name == "eigh_tridiagonal":
+                diagonals = len(node.args[:2]) + sum(k.arg in ("d", "e") for k in node.keywords)
+                matrices = diagonals // 2
+            else:
+                continue
+            found.append((ast.unparse(node.func), matrices))
     return found
 
 
 def test_detector_sees_every_eigh_call():
-    source = ("def solve(a, m):\n    scipy.linalg.eigh(a, driver='evd')\n"
+    source = ("def solve(a, m, d, e):\n    scipy.linalg.eigh(a, driver='evd')\n"
               "    def inner():\n        return eigh(a, m)\n"
               "    la.eigh(a, b=m)\n    np.linalg.eigh(a)\n"
               "    scipy.linalg.eigh(a=a, subset_by_value=(0, 1))\n"
+              "    scipy.linalg.eigh_tridiagonal(d, e, select='v', lapack_driver='stemr')\n"
+              "    eigh_tridiagonal(d=d, e=e)\n    scipy.linalg.eigvalsh(a, m)\n"
               "def other(a):\n    scipy.linalg.eigh(a, a)\n")
     assert eigh_calls(source, "solve") == [
         ("scipy.linalg.eigh", 1), ("la.eigh", 2), ("np.linalg.eigh", 1),
-        ("scipy.linalg.eigh", 1), ("eigh", 2)]
+        ("scipy.linalg.eigh", 1), ("scipy.linalg.eigh_tridiagonal", 1),
+        ("eigh_tridiagonal", 1), ("eigh", 2)]
     assert eigh_calls(source, "other") == [("scipy.linalg.eigh", 2)]
 
 
 def test_fourier_modes_are_solved_as_standard_problems():
-    # through scipy.linalg.eigh, so the tests' call counts and perfbench's
-    # dense_eigh layer see every per-mode solve, and with one matrix: each
-    # radial pencil is reduced through its mass factor, not solved generalized
+    # through scipy.linalg.eigh or scipy.linalg.eigh_tridiagonal, so the
+    # tests' call counts see every per-mode solve, and with one matrix: each
+    # radial pencil is reduced through its mass factor, to a tridiagonal one
+    # when the blocks allow it, and never solved generalized
     source = (SRC / "steady_spectral.py").read_text(encoding="utf-8")
     calls = eigh_calls(source, "_fourier_block_solve")
-    assert calls and set(calls) == {("scipy.linalg.eigh", 1)}
+    assert set(calls) == {("scipy.linalg.eigh", 1), ("scipy.linalg.eigh_tridiagonal", 1)}
 
 
 def test_detector_sees_eigh_calls_outside_the_block_solve():
@@ -548,8 +560,10 @@ def test_detector_sees_eigh_calls_outside_the_block_solve():
 def test_every_dense_eigensolve_is_a_fourier_block_solve():
     # the dense path is the block solve with the whole pencil as one block,
     # so no generalized or second dense eigensolve exists beside it
-    owners = callers((SRC / "steady_spectral.py").read_text(encoding="utf-8"), "eigh")
-    assert owners and set(owners) == {"_fourier_block_solve"}
+    source = (SRC / "steady_spectral.py").read_text(encoding="utf-8")
+    for name in ("eigh", "eigh_tridiagonal"):
+        owners = callers(source, name)
+        assert owners and set(owners) == {"_fourier_block_solve"}
 
 
 def state_text_and_slack_uses(source: str) -> list:

@@ -394,12 +394,17 @@ def test_eigen_solve_orthonormality_and_residual_contract():
         assert rq == pytest.approx(res.values[i], rel=1e-8)
 
 
-@pytest.mark.parametrize("period", [1, 32], ids=["arpack", "blocks"])
-def test_array_checks_match_the_column_loop(disk_mid, period):
+# 16x32 has 512 rows, one block of the checks; 20x52 has 1040, a full block
+# and a ragged one of 16 rows
+@pytest.mark.parametrize("shape, period", [((16, 32), 1), ((16, 32), 32), ((20, 52), 1),
+                                           ((20, 52), 52)],
+                         ids=["arpack", "blocks", "arpack-20x52", "blocks-20x52"])
+def test_array_checks_match_the_column_loop(shape, period):
     # each eigenfield on its own: unit mass norm, the first entry within 1e-8
     # of the largest positive, and its residual and the Gram matrix recomputed
-    pair = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    pair = assemble_wentzell_robin_pair(build_disk(1.0, *shape), 1.0)
     result = eigen_solve(pair, 12, period=period)
+    assert result.path == ("arpack" if period == 1 else "blocks")
     stiff, mass = pair[0].matrix, pair[1].matrix
     residuals = []
     for value, y in zip(result.values, result.fields.T):
@@ -409,13 +414,33 @@ def test_array_checks_match_the_column_loop(disk_mid, period):
     assert np.allclose(result.residuals, residuals, rtol=0, atol=1e-12)
     gram = np.array([[a @ (mass @ b) for b in result.fields.T] for a in result.fields.T])
     assert result.gram_defect == pytest.approx(np.max(np.abs(gram - np.eye(12))), abs=1e-14)
+    again = eigen_solve(pair, 12, period=period)
+    assert np.array_equal(again.values, result.values)
+    assert np.array_equal(again.fields, result.fields)
+
+
+def test_checks_cover_the_last_partial_row_block(monkeypatch):
+    # one entry of the 20x52 disk's last 16 rows moved by 1e-6 breaks its
+    # field's residual
+    mesh = build_disk(1.0, 20, 52)
+    assert mesh.n_bulk % steady_spectral._LEAD_BLOCK == 16
+    solve = steady_spectral._fourier_block_solve
+
+    def perturbed(*args):
+        values, fields = solve(*args)
+        fields[-5, 3] += 1e-6
+        return values, fields
+
+    monkeypatch.setattr(steady_spectral, "_fourier_block_solve", perturbed)
+    with pytest.raises(NumericalError, match="residuals not converged"):
+        eigen_solve(assemble_wentzell_robin_pair(mesh, 1.0), 12, period=mesh.angular_period)
 
 
 def test_lead_rows_scan_matches_the_whole_array_rule():
-    # the block scan gives the first entry within 1e-8 of each column's
-    # largest magnitude, within a block and across block edges; a mirrored
-    # tie goes to the first, and a NaN column, with no such entry, to row 0
-    # as argmax gives
+    # the scan from each block's peak magnitudes gives the first entry within
+    # 1e-8 of each column's largest magnitude, within a block and across
+    # block edges; a mirrored tie goes to the first, and a NaN column, with
+    # no such entry, to row 0 as argmax gives
     block = steady_spectral._LEAD_BLOCK
     fields = np.random.default_rng(3).standard_normal((2 * block + 5, 7))
     fields[4, 1], fields[17, 1] = -9.0, 9.0 * (1 - 1e-9)
@@ -426,7 +451,9 @@ def test_lead_rows_scan_matches_the_whole_array_rule():
     size = np.abs(fields)
     expected = np.argmax(size >= (1.0 - 1e-8) * np.max(size, axis=0), axis=0)
     assert list(expected[1:]) == [4, block - 1, block, 2 * block + 1, expected[5], 0]
-    assert np.array_equal(steady_spectral._lead_rows(fields), expected)
+    peaks = np.array([np.max(size[start:start + block], axis=0)
+                      for start in range(0, len(size), block)])
+    assert np.array_equal(steady_spectral._lead_rows(fields, peaks), expected)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -595,8 +622,10 @@ def test_the_by_value_cut_chooses_what_a_full_solve_chooses(count, disk_mid, mon
     cut = eigen_solve(pair, count, period=period)
     # every mode solved, and each for all its pairs: a full eigh never
     # returns an empty mode, so the modes never stop early
-    eigh = scipy.linalg.eigh
+    eigh, eigh_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
     monkeypatch.setattr(scipy.linalg, "eigh", lambda matrix, **kwargs: eigh(matrix))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e, **kwargs: eigh_tridiagonal(d, e, lapack_driver="stemr"))
     full = eigen_solve(pair, count, period=period)
     assert cut.path == full.path == "blocks"
     assert np.allclose(cut.values, full.values, rtol=1e-12, atol=0)
@@ -620,12 +649,70 @@ def test_one_mass_factor_unless_the_mass_blocks_differ(disk_mid, monkeypatch):
     assert_arpack_matches_a_dense_solve(stiff.matrix, general, 8, period)
 
 
+@pytest.mark.parametrize("K", [1.0, 1e-2, 1e-5])
+@pytest.mark.parametrize("shape", [(8, 16), (16, 32)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("pencil", ["wentzell-robin", "surface"])
+def test_tridiagonal_kernel_matches_a_generalized_dense_solve(pencil, shape, K, monkeypatch):
+    # the stiffness couples neighbouring rings only and the mass no rings but
+    # its last two (the trace's two rings; the surface pencil has one ring),
+    # so every radial pencil reduces to a tridiagonal one
+    mesh = build_disk(1.0, *shape)
+    pair = (assemble_wentzell_robin_pair(mesh, K) if pencil == "wentzell-robin"
+            else assemble_surface_shifted_pair(mesh))
+    stiff, mass = (op.matrix for op in pair)
+    count, period = min(12, stiff.shape[0] - 2), mesh.angular_period
+    values, fields = scipy.linalg.eigh(stiff.toarray(), mass.toarray(),
+                                       subset_by_index=[0, count - 1])
+    reference = SimpleNamespace(values=values, fields=fields)
+    solve = steady_spectral._fourier_block_solve
+    monkeypatch.setattr(steady_spectral, "_fourier_block_solve",
+                        lambda *args: solve(*args[:4], False))
+    dense_kernel = eigen_solve(pair, count, period=period)
+    monkeypatch.setattr(steady_spectral, "_fourier_block_solve", solve)
+    factors, dense, tridiagonal = (count_calls(monkeypatch, name)
+                                   for name in ("cholesky", "eigh", "eigh_tridiagonal"))
+    result = eigen_solve(pair, count, period=period)
+    assert result.path == "blocks"
+    assert (len(factors), len(dense)) == (1, 0) and tridiagonal
+    assert np.max(np.abs(result.values / values - 1.0)) < 1e-10
+    assert np.max(result.residuals) < 1e-8 and result.gram_defect < 1e-8
+    assert_same_eigenspaces(result, dense_kernel, mass)
+    # the whole-pencil solve is itself only as close as its residuals: 3e-8
+    # on 8x16 and 2e-7 on 16x32 at K = 1e-5, against 2e-11 for the blocks
+    residuals = (np.linalg.norm(stiff @ fields - (mass @ fields) * values, axis=0)
+                 / np.linalg.norm(fields, axis=0))
+    if np.max(residuals) < 1e-8:
+        assert_same_eigenspaces(result, reference, mass)
+
+
+def test_a_mass_coupling_two_inner_rings_takes_the_dense_kernel(disk_mid, monkeypatch):
+    # entries between rings 2 and 3 at angular offset 0 keep the mass
+    # invariant and its blocks rising, but U^-1 then mixes more than the
+    # last two rings, and the reduced pencils are not tridiagonal
+    period = disk_mid.angular_period
+    stiff, wmass = assemble_wentzell_robin_pair(disk_mid, 1.0)
+    inner = np.arange(2 * period, 3 * period)
+    faces = scipy.sparse.coo_matrix((0.25 * disk_mid.bulk_weights[inner], (inner, inner + period)),
+                                    shape=wmass.matrix.shape)
+    coupled = (wmass.matrix + faces + faces.T).tocsr()
+    assert_arpack_matches_a_dense_solve(stiff.matrix, coupled, 8, 1)
+    arpack = eigen_solve((stiff.matrix, coupled), 8)
+    dense, tridiagonal = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch,
+                                                                       "eigh_tridiagonal")
+    blocks = eigen_solve((stiff.matrix, coupled), 8, period=period)
+    assert blocks.path == "blocks" and dense and not tridiagonal
+    assert np.max(np.abs(blocks.values / arpack.values - 1.0)) < 1e-9
+    assert_same_eigenspaces(blocks, arpack, coupled)
+
+
 def test_fourier_modes_stop_once_no_later_mode_can_contribute(disk_mid, monkeypatch):
-    calls = count_calls(monkeypatch, "eigh")
+    # the per-mode solves of both kernels
+    dense, tridiagonal = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch,
+                                                                       "eigh_tridiagonal")
     result = eigen_solve(assemble_wentzell_robin_pair(disk_mid, 1.0), 7,
                          period=disk_mid.angular_period)
     modes = disk_mid.angular_period // 2 + 1
-    assert result.path == "blocks" and len(calls) < modes
+    assert result.path == "blocks" and 0 < len(dense) + len(tridiagonal) < modes
 
 
 def test_pencils_whose_blocks_need_not_rise_take_arpack(disk_mid):

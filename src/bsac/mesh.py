@@ -216,29 +216,47 @@ def trace_matrix(mesh: Mesh) -> sp.csr_matrix:
                          shape=(n_s, mesh.n_bulk)).tocsr()
 
 
-_MATVEC_KERNELS = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
+# (one column, several columns) kernels per format, as scipy's product picks them
+_MATVEC_KERNELS = {"csr": (_sparsetools.csr_matvec, _sparsetools.csr_matvecs),
+                   "csc": (_sparsetools.csc_matvec, _sparsetools.csc_matvecs)}
 
 
 def matvec(a: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
-           data: np.ndarray | None = None) -> np.ndarray:
-    """a @ x for a CSR or CSC matrix a and a vector x, by the compiled kernel
-    that scipy's own product calls, so bitwise the same, without its
-    dispatch, which costs about as much as the product on the small
-    operators of a Newton iteration. With data, the product with the matrix
-    of a's pattern whose stored values are data, without building it. Other
-    formats raise TypeError."""
-    kernel = _MATVEC_KERNELS.get(a.format)
-    if kernel is None:
+           data: np.ndarray | None = None, rows: slice | None = None) -> np.ndarray:
+    """a @ x for a CSR or CSC matrix a and a vector or (n, k) array x, by
+    the compiled kernel that scipy's own product calls, so bitwise the same,
+    without its dispatch, which costs about as much as the product on the
+    small operators of a Newton iteration. With data, the product with the
+    matrix of a's pattern whose stored values are data, without building it.
+    With rows, a slice of step 1, the product a[rows] @ x of a CSR matrix:
+    the kernel runs on that range of a's row pointers, so no submatrix is
+    copied. Other formats raise TypeError."""
+    kernels = _MATVEC_KERNELS.get(a.format)
+    if kernels is None:
         raise TypeError(f"matvec needs a CSR or CSC matrix, got {a.format}")
     if data is None:
         data = a.data
     elif data.shape != a.data.shape:
         raise ValueError(f"matvec with {data.shape} values on a pattern of {a.data.shape}")
     m, n = a.shape
-    if x.shape != (n,):
-        raise ValueError(f"matvec of a {a.shape} matrix with a vector of shape {x.shape}")
-    out = np.zeros(m, dtype=np.promote_types(data.dtype, x.dtype))
-    kernel(m, n, a.indptr, a.indices, data, x, out)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"matvec of a {a.shape} matrix with an array of shape {x.shape}")
+    indptr = a.indptr
+    if rows is not None:
+        if a.format != "csr":
+            raise TypeError(f"a row range needs a CSR matrix, got {a.format}")
+        start, stop, step = rows.indices(m)
+        if step != 1:
+            raise ValueError(f"matvec over rows {rows} needs a step of 1")
+        m = max(stop - start, 0)
+        indptr = indptr[start:start + m + 1]
+    dtype = np.promote_types(data.dtype, x.dtype)
+    if x.ndim == 1 or x.shape[1] == 1:
+        out = np.zeros(m, dtype=dtype)
+        kernels[0](m, n, indptr, a.indices, data, x.ravel(), out)
+        return out if x.ndim == 1 else out.reshape(m, 1)
+    out = np.zeros((m, x.shape[1]), dtype=dtype)
+    kernels[1](m, n, x.shape[1], indptr, a.indices, data, x.ravel(), out.ravel())
     return out
 
 

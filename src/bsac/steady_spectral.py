@@ -11,11 +11,13 @@ rise with the mode (reduced through one Cholesky factor of the mass block
 they share, to a tridiagonal problem when the blocks allow it, and only the
 modes and pairs that can hold a requested value), the same reduction with
 the whole pencil as one block for near-full requests, shift-invert Lanczos
-otherwise, which inverts by CG on the stepper's band solve for the stability
-tag and by the shifted pencil's band solve for any other call, so no path
-factors a sparse LU. The solver reports per-pair residuals, the mass Gram
-defect and the path it took; the eigenfields are normalized and checked in
-blocks of rows, every entry of them, with no temporary as large as the fields.
+otherwise, on a Lanczos basis sized to the request, which inverts by CG on
+the stepper's band solve for the stability tag and by the shifted pencil's
+band solve for any other call, so no path factors a sparse LU. The solver
+reports per-pair residuals, the mass Gram defect and the path it took; the
+eigenfields are normalized and checked in blocks of rows, every entry of
+them, by the compiled product on each row range, with no temporary as large
+as the fields and no sliced submatrix.
 
 The coercivity report evaluates the stability constant c_* nodewise at a
 converged equilibrium and scans the two spectra for the first index m whose
@@ -35,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .mesh import FieldPair, Mesh
+from .mesh import FieldPair, Mesh, matvec
 from .nonlinearity import NonlinearitySpec
 from .energy import compute_gradient, robin_residual
 from .operators import (DiscreteOperator, RingBands, Variation,
@@ -259,7 +261,10 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     - "arpack": otherwise, shift-invert Lanczos with the mass as weight. The
       shift sits just below `lower_bound`, a lower bound on the spectrum the
       caller knows; without one, below the Gershgorin bound of a diagonal
-      mass, or at -1e-8 for a positive-definite stiffness. The inner solve
+      mass, or at -1e-8 for a positive-definite stiffness. The Lanczos basis
+      holds min(n, 2 count + 2) vectors (Lehoucq, Sorensen & Yang, ARPACK
+      Users' Guide, 1998): 4 for the stability tag, not scipy's 20, so the
+      tag pays its inner solves for the one pair it returns. The inner solve
       with stiffness - shift * mass is `shift_inverse(shift)` when the caller
       gives one: the stability tag of solve_stationary_newton passes CG on
       the stepper's band solve. Every other caller (bsac spectrum and the
@@ -270,7 +275,8 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     the first entry within 1e-8 of each field's largest magnitude is
     positive, and checked: residuals and the Gram defect are those of the
     returned fields, every entry of them, formed one block of _LEAD_BLOCK
-    rows at a time.
+    rows at a time; each block's products are mesh.matvec on that range of
+    the matrices' rows, so no submatrix is sliced.
 
     NumericalError is raised for a pencil with a non-finite entry, before
     any solve; for a singular shifted band factor; for an ARPACK error; for
@@ -307,6 +313,10 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
         # slightly negative so the factorization never lands on an exact eigenvalue
         sigma = (-1e-8 if lower_bound is None
                  else lower_bound - 0.01 * (1.0 + abs(lower_bound)))
+        # a Lanczos basis sized to the request, not scipy's max(2 count + 1, 20):
+        # the shift sits below the spectrum and the inner solve is all but
+        # exact, so the wanted pairs converge as soon, for fewer inner solves
+        ncv = min(n, 2 * count + 2)
         # a fixed start vector makes reruns bitwise; ARPACK's own start is
         # random per process. Random rather than constant: a constant can be
         # an exact eigenvector of the pencil.
@@ -316,7 +326,7 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     try:
         if path == "arpack":
             vals, vecs = spla.eigsh(stiff, k=count, M=mass, sigma=sigma,
-                                    which="LM", tol=0, v0=v0, OPinv=opinv)
+                                    which="LM", tol=0, v0=v0, ncv=ncv, OPinv=opinv)
         else:
             vals, vecs = _fourier_block_solve(*blocks, period, count, tridiagonal)
     except (RuntimeError, ValueError) as exc:   # ArpackError, LinAlgError among them
@@ -331,14 +341,12 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     # check the fields in blocks of rows whose products stay in cache: one
     # sweep for the mass norms and each block's peak magnitudes, one for the
     # Gram matrix and the residuals of the returned fields
-    starts = range(0, n, _LEAD_BLOCK)
-    rows = [(mass[start:start + _LEAD_BLOCK], stiff[start:start + _LEAD_BLOCK])
-            for start in starts]
+    row_blocks = [slice(start, start + _LEAD_BLOCK) for start in range(0, n, _LEAD_BLOCK)]
     norms = np.zeros(count)
-    peaks = np.empty((len(starts), count))
-    for start, (mass_rows, _), peak in zip(starts, rows, peaks):
-        block = vecs[start:start + _LEAD_BLOCK]
-        norms += np.einsum("ij,ij->j", block, mass_rows @ vecs)
+    peaks = np.empty((len(row_blocks), count))
+    for rows, peak in zip(row_blocks, peaks):
+        block = vecs[rows]
+        norms += np.einsum("ij,ij->j", block, matvec(mass, vecs, rows=rows))
         np.maximum(block.max(axis=0), -block.min(axis=0), out=peak)
     norms = np.sqrt(norms)
     if not np.all(norms > 0):
@@ -346,12 +354,12 @@ def eigen_solve(pair, count: int, *, period: int = 1, lower_bound: float | None 
     vecs /= np.where(vecs[_lead_rows(vecs, peaks), np.arange(count)] < 0, -norms, norms)
     gram = np.zeros((count, count))
     squares = np.zeros((2, count))      # |S y - lam M y|^2 and |y|^2 per field
-    for start, (mass_rows, stiff_rows) in zip(starts, rows):
-        block = vecs[start:start + _LEAD_BLOCK]
-        mass_vecs = mass_rows @ vecs
+    for rows in row_blocks:
+        block = vecs[rows]
+        mass_vecs = matvec(mass, vecs, rows=rows)
         gram += block.T @ mass_vecs
         mass_vecs *= vals
-        r = stiff_rows @ vecs
+        r = matvec(stiff, vecs, rows=rows)
         r -= mass_vecs
         squares += np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", block, block)
     gram.flat[::count + 1] -= 1.0

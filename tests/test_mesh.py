@@ -7,6 +7,7 @@ from bsac import (
     ConfigurationError,
     FieldPair,
     advance_step,
+    assemble_wentzell_robin_pair,
     boundary_trace,
     build_disk,
     build_interval,
@@ -187,3 +188,29 @@ def test_matvec_with_values_on_a_pattern_is_that_matrixs_product(geometry, dw_sp
                               stepper.jac_map.matrix(data) @ x)
         with pytest.raises(ValueError):
             matvec(stepper.pattern, x, data[1:])
+
+
+def test_matvec_over_a_row_range_is_the_sliced_product():
+    # eigen_solve's row blocks: 1040 rows of the 20x52 disk are one full
+    # block of 1024 and a last partial one of 16; one column takes the
+    # one-vector kernel as scipy's product does, 96 the several-vector one
+    pair = assemble_wentzell_robin_pair(build_disk(1.0, 20, 52), 1.0)
+    rng = np.random.default_rng(4)
+    for a in (op.matrix for op in pair):
+        assert a.format == "csr" and a.shape[0] == 1040
+        wide = rng.standard_normal((a.shape[1], 96))
+        arrays = (wide[:, :1], wide, np.ascontiguousarray(wide[:, 0]), wide[:, ::2])
+        for rows in (slice(0, 1024), slice(1024, 2048), slice(1040, 2064), slice(7, 7),
+                     slice(500, 400), slice(None)):
+            for x in arrays:
+                got = matvec(a, x, rows=rows)
+                assert got.shape == a[rows].shape[:1] + x.shape[1:]
+                assert np.array_equal(got, a[rows] @ x), (rows, x.shape)
+        for x in arrays:
+            assert np.array_equal(matvec(a, x), a @ x)
+    with pytest.raises(TypeError):
+        matvec(pair[0].matrix.tocsc(), wide, rows=slice(0, 16))
+    with pytest.raises(TypeError):
+        matvec(pair[0].matrix.tocoo(), wide, rows=slice(0, 16))
+    with pytest.raises(ValueError):
+        matvec(pair[0].matrix, wide, rows=slice(0, 16, 2))

@@ -2,20 +2,21 @@
 name it never uses, every public name has a caller and every annotated
 field of a class a reader, or a stated reason to exist, only mesh.py knows
 the geometry of a mesh or touches its operator memo, the only splu call of
-the package is dynamics.py's counted helper and every eigsh call passes
-its own OPinv, so that ARPACK's shift-invert
-factors nothing by SuperLU, neither the steppers nor the time loop build a
-sparse matrix, apply an operator through scipy's @ or evaluate the
-nonlinearity outside the one pass per iterate, per Newton iteration or per
-step (CG's loop included), only dynamics.py writes the hex text of a state
-or applies the energy slack, the Fourier block eigensolve solves each mode
-as one standard problem through scipy.linalg.eigh, the only dense
-eigensolve of the package, and every demo imports demos/_one_blas_thread.py,
-which pins one BLAS thread unless the caller chose a count, before it
-imports numpy, and each diagnostic has one home: only energy.robin_residual
-takes a normal derivative, and the CLI neither validates a spec nor solves
-a pencil itself; and import bsac loads neither scipy.fft, scipy.integrate
-nor scipy.sparse.csgraph."""
+the package is dynamics.py's counted helper, every eigsh call passes its
+own OPinv, so that ARPACK's shift-invert factors nothing by SuperLU, and
+its own ncv, eigen_solve slices no sparse matrix, neither the steppers nor
+the time loop build a sparse matrix, apply an operator through scipy's @
+or evaluate the nonlinearity outside the one pass per iterate, per Newton
+iteration or per step (CG's loop included), only dynamics.py writes the
+hex text of a state or applies the energy slack, the Fourier block
+eigensolve solves each mode as one standard problem through
+scipy.linalg.eigh, the only dense eigensolve of the package, import bsac
+and every demo, through demos/_one_blas_thread.py, pin one BLAS thread
+unless the caller chose a count before numpy is imported, and each
+diagnostic has one home: only energy.robin_residual takes a normal
+derivative, and the CLI neither validates a spec nor solves a pencil
+itself; and import bsac loads neither scipy.fft, scipy.integrate nor
+scipy.sparse.csgraph."""
 
 import ast
 import os
@@ -229,6 +230,33 @@ def test_demo_blas_pin_keeps_the_callers_setting(monkeypatch):
     assert (os.environ["OPENBLAS_NUM_THREADS"], os.environ["MKL_NUM_THREADS"]) == ("2", "1")
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads_on_import(**preset) -> list:
+    """In a fresh interpreter whose BLAS variables are only preset, the
+    OpenBLAS count when numpy is first imported, then the three variables,
+    after import bsac."""
+    code = ("import os, sys\nseen = []\n"
+            "class Watch:\n    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Watch())\nimport bsac\n"
+            f"print(*seen, *(os.environ.get(v) for v in {BLAS_VARIABLES!r}))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**env, **preset, "PYTHONPATH": path})
+    return result.stdout.split()
+
+
+def test_importing_bsac_first_pins_one_blas_thread():
+    # as the console script does: one thread unless the caller chose a
+    # count, in place before numpy loads its BLAS
+    assert blas_threads_on_import() == ["1", "1", "1", "1"]
+    assert blas_threads_on_import(OPENBLAS_NUM_THREADS="2") == ["2", "2", "1", "1"]
+
+
 # scipy modules that import bsac leaves unloaded: scipy.fft and
 # scipy.integrate cost start-up time and memory that no command needs, and
 # steady_spectral imports csgraph only where reverse Cuthill-McKee runs
@@ -321,35 +349,90 @@ def test_no_module_factors_outside_the_counted_helper(path):
     assert callers(source, "factorized") + callers(source, "spsolve") == []
 
 
-def eigsh_calls_without_opinv(source: str) -> list:
-    """Each eigsh call, as written, that passes no OPinv keyword: scipy
-    then factors the shifted pencil itself by SuperLU. A ** argument does
-    not count as one."""
+def eigsh_calls_without_inverse_or_basis(source: str) -> list:
+    """Each eigsh call, as written, that passes no OPinv or no ncv keyword:
+    without OPinv scipy factors the shifted pencil itself by SuperLU, and
+    without ncv it runs a Lanczos basis of at least 20 vectors, whatever the
+    number of pairs asked for. A ** argument does not count as either."""
     return [ast.unparse(node) for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and "eigsh" in (
                 getattr(node.func, "attr", None), getattr(node.func, "id", None))
-            and "OPinv" not in {k.arg for k in node.keywords}]
+            and not {"OPinv", "ncv"} <= {k.arg for k in node.keywords}]
 
 
-def test_detector_sees_every_eigsh_call_without_opinv():
+def test_detector_sees_every_eigsh_call_without_inverse_or_basis():
     source = ("from scipy.sparse.linalg import eigsh\nv = eigsh(a, k=1, sigma=0.0)\n"
               "def solve(a, m, op, options):\n"
+              "    spla.eigsh(a, M=m, sigma=0.0, ncv=4, OPinv=op)\n"
               "    spla.eigsh(a, M=m, sigma=0.0, OPinv=op)\n"
+              "    spla.eigsh(a, k=2, ncv=6)\n"
               "    f = lambda: scipy.sparse.linalg.eigsh(a, 2, m)\n"
               "    return spla.eigsh(a, **options)\n")
-    assert sorted(eigsh_calls_without_opinv(source)) == [
+    assert sorted(eigsh_calls_without_inverse_or_basis(source)) == [
         "eigsh(a, k=1, sigma=0.0)", "scipy.sparse.linalg.eigsh(a, 2, m)",
-        "spla.eigsh(a, **options)"]
+        "spla.eigsh(a, **options)", "spla.eigsh(a, M=m, sigma=0.0, OPinv=op)",
+        "spla.eigsh(a, k=2, ncv=6)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_eigsh_call_passes_its_inverse(path):
+def test_every_eigsh_call_passes_its_inverse_and_basis(path):
     # the one shift-invert route: eigen_solve's OPinv is the caller's solve
-    # or the band solve of the shifted pencil, never scipy's own SuperLU
+    # or the band solve of the shifted pencil, never scipy's own SuperLU, and
+    # its Lanczos basis is sized to the request, so each inner solve serves
+    # a pair that is returned
     source = path.read_text(encoding="utf-8")
-    assert eigsh_calls_without_opinv(source) == []
+    assert eigsh_calls_without_inverse_or_basis(source) == []
     assert callers(source, "eigsh") == (["eigen_solve"] if path.name == "steady_spectral.py"
                                         else [])
+
+
+# calls that bind a sparse matrix: eigen_solve's pencil conversion, the
+# scipy.sparse constructors and format conversions
+SPARSE_BINDERS = ("_as_matrix", "csr_matrix", "csc_matrix", "diags", "tocsr", "tocsc")
+
+
+def sparse_subscripts(source: str, function: str) -> list:
+    """Each subscript, as written, of a sparse matrix inside the named
+    function: of a name that an assignment there binds to the result of one
+    of SPARSE_BINDERS. Rows of a CSR matrix are read through mesh.matvec's
+    row range instead, which copies no submatrix."""
+    found = []
+    for owner in ast.walk(ast.parse(source)):
+        if not (isinstance(owner, ast.FunctionDef) and owner.name == function):
+            continue
+        sparse = set()
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(call, ast.Call) and (getattr(call.func, "attr", None)
+                                                    or getattr(call.func, "id", None))
+                    in SPARSE_BINDERS for call in ast.walk(node.value)):
+                sparse |= {name.id for target in node.targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name)}
+        found += [ast.unparse(node) for node in ast.walk(owner)
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and node.value.id in sparse]
+    return found
+
+
+def test_detector_sees_sparse_row_slices():
+    source = ("def eigen_solve(pair, vecs, rows):\n"
+              "    stiff, mass = (_as_matrix(op) for op in pair)\n"
+              "    shifted = (stiff - mass).tocsr()\n"
+              "    weights = sp.diags(vecs[:, 0]).tocsr()\n"
+              "    blocks = [(mass[s:s + 8], stiff[s:s + 8, :]) for s in range(0, 64, 8)]\n"
+              "    mass_diag = mass.diagonal()\n"
+              "    return shifted[rows] @ vecs[rows], weights[3], mass_diag[:4], vecs[2:5]\n"
+              "def other(a):\n    a = a.tocsr()\n    return a[2:4]\n")
+    assert sorted(sparse_subscripts(source, "eigen_solve")) == [
+        "mass[s:s + 8]", "shifted[rows]", "stiff[s:s + 8, :]", "weights[3]"]
+    assert sparse_subscripts(source, "other") == ["a[2:4]"]
+
+
+def test_eigen_solve_slices_no_sparse_matrix():
+    # each row block of the checks is a product on a row range of the CSR
+    # pencil, bitwise scipy's on the sliced rows, without copying them
+    source = (SRC / "steady_spectral.py").read_text(encoding="utf-8")
+    assert sparse_subscripts(source, "eigen_solve") == []
 
 
 # evaluated every Newton iteration or every step: values go through a

@@ -1,5 +1,6 @@
 """Stationary Newton solves, generalized eigensolves, coercivity scan."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +90,41 @@ def test_interval_kink_is_met_at_second_order():
     gap_ratios = np.divide(gaps[:-1], gaps[1:])
     assert np.all((error_ratios > 3.9) & (error_ratios < 4.4)) and errors[-1] < 1.1e-5
     assert np.all((gap_ratios > 3.8) & (gap_ratios < 4.1)) and gaps[-1] < 5e-5
+
+
+def test_tanh_coupled_interval_kink_is_met_at_second_order():
+    # the kink above with h = s tanh(g phi): the Robin condition K q + T =
+    # h(phi_1), q = a (1 - T^2) the kink's slope at the ends, puts phi at
+    # -+phi_1 = -+artanh((K q + T) / s) / g, and the surface equation
+    # f_G(phi_1) = -h'(phi_1) q fixes c2. h is odd, so the kink stays odd
+    a, K, c4, c0, scale, gain = 4.0, 1.0, 1.0, 2.0, 1.5, 0.8
+    T = np.tanh(a / 2)
+    q = a * (1 - T * T)
+    phi_1 = np.arctanh((K * q + T) / scale) / gain
+    c2 = (-scale * gain * (1 - ((K * q + T) / scale) ** 2) * q - c4 * phi_1**3) / phi_1
+    assert phi_1 == pytest.approx(1.4895518, abs=1e-7)
+    assert c2 == pytest.approx(-2.2891811, abs=1e-7)
+    spec = make_spec("scaled", "polynomial", "tanh", bulk_params={"amplitude": 2 * a * a},
+                     surface_params={"coeffs": (c0, 0.0, c2 / 2, 0.0, c4 / 4)},
+                     coupling_params={"scale": scale, "gain": gain})
+    assert spec.validation.accepted
+    surface_energy = c0 + c2 * phi_1**2 / 2 + c4 * phi_1**4 / 4
+    energy = 2 * a * (T - T**3 / 3) + 2 * surface_energy + K * q * q
+    assert energy == pytest.approx(6.7852742, abs=1e-7)
+    errors, gaps = [], []
+    for n in (16, 32, 64, 128, 256, 512):
+        mesh = build_interval(1.0, n)
+        kink = FieldPair(np.tanh(a * (mesh.bulk_points[:, 0] - 0.5)), np.array([-phi_1, phi_1]))
+        eq = solve_stationary_newton(mesh, spec, K, kink, 1e-11, compute_stability=False)
+        assert eq.converged and eq.newton_iterations <= 3
+        errors.append(equilibrium_error(mesh, eq.state, kink))
+        gaps.append(abs(compute_energy(mesh, spec, eq.state, K).total - energy))
+    # measured: error ratios 4.35, 4.12, 4.06, 4.03, 4.015 (2.58e-3 to
+    # 2.19e-6); energy gap ratios 3.88, 3.96, 3.98, 3.99, 3.995
+    error_ratios = np.divide(errors[:-1], errors[1:])
+    gap_ratios = np.divide(gaps[:-1], gaps[1:])
+    assert np.all((error_ratios > 3.9) & (error_ratios < 4.45)) and errors[-1] < 2.5e-6
+    assert np.all((gap_ratios > 3.8) & (gap_ratios < 4.1)) and gaps[-1] < 1.2e-5
 
 
 def test_interval_kink_stability_threshold_is_met_at_second_order():
@@ -271,6 +307,53 @@ def test_stability_tag_counts_its_solves_and_factors_nothing(dw_spec, disk_mid):
     assert runs[0].factorizations == 0 and runs[0].stability_path == "arpack"
     # the tag's CG iterations add to the same count
     assert runs[0].krylov_iterations > untagged.krylov_iterations
+
+
+# (spec, K, uniform guess): the +1 well, the radial affine equilibrium, a
+# tanh-coupled well at small K and the unstable zero state at large K
+TAG_STATES = {
+    "well": (make_spec(), 1.0, 0.9),
+    "affine": (make_spec(coupling_params={"alpha": 0.8, "eta": 0.3}), 1.0, 1.0),
+    "tanh": (make_spec(coupling_kind="tanh",
+                       coupling_params={"scale": 1.0, "gain": 1.0, "offset": 0.3}), 0.1, 0.9),
+    "saddle": (make_spec(), 10.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("state", TAG_STATES)
+@pytest.mark.parametrize("geometry", ["disk", "interval"])
+def test_stability_tag_basis_pays_for_its_one_pair(state, geometry, disk_mid, monkeypatch):
+    # the tag is the smallest eigenvalue of a dense solve of the same pencil;
+    # a Lanczos basis of 4 vectors, not scipy's 20, gets it in at most 12
+    # inner solves and, on the disk, 12 CG iterations (measured: 9-11 of
+    # each, against 21 solves and 21-22 CG iterations on scipy's basis)
+    spec, K, value = TAG_STATES[state]
+    mesh = disk_mid if geometry == "disk" else build_interval(1.0, 64)
+    solves = Counter()
+    shift_inverse = dynamics._RobinStepper.shift_inverse
+
+    def counted(self, variation, shift):
+        solve = shift_inverse(self, variation, shift)
+
+        def counted_solve(b):
+            solves["tag"] += 1
+            return solve(b)
+
+        return counted_solve
+
+    monkeypatch.setattr(dynamics._RobinStepper, "shift_inverse", counted)
+    guess = uniform_guess(mesh, value)
+    eq = solve_stationary_newton(mesh, spec, K, guess, 1e-12)
+    untagged = solve_stationary_newton(mesh, spec, K, guess, 1e-12, compute_stability=False)
+    assert eq.converged and eq.stability_path == "arpack"
+    dense = scipy.linalg.eigh(assemble_linearized(mesh, spec, eq.state, K).toarray(),
+                              np.diag(joint_mass(mesh)), eigvals_only=True,
+                              subset_by_index=(0, 0))[0]
+    assert abs(eq.stability_tag / dense - 1.0) < 1e-10
+    assert (eq.stability_tag < 0) == (state == "saddle")
+    assert solves["tag"] <= 12
+    tag_cg = eq.krylov_iterations - untagged.krylov_iterations
+    assert tag_cg <= 12 if geometry == "disk" else tag_cg == 0
 
 
 def test_stability_tag_builds_no_sparse_lu(dw_spec, disk_mid, monkeypatch):
